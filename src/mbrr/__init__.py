@@ -30,7 +30,7 @@ from .layout import (
     make_params,
     unfill_message_matrix,
 )
-from .linalg import SingularMatrixError, interpolate, solve_linear, vandermonde_solve
+from .linalg import SingularMatrixError, solve_linear
 from .reconstruct import (
     Decoder,
     ObservedColumn,
@@ -86,7 +86,6 @@ __all__ = [
     "encoding_matrix",
     "fill_message_matrix",
     "helper_symbol",
-    "interpolate",
     "make_params",
     "node_column",
     "oracle_reconstruct",
@@ -106,5 +105,4 @@ __all__ = [
     "systematic_nodes",
     "take_columns",
     "unfill_message_matrix",
-    "vandermonde_solve",
 ]

@@ -2,9 +2,13 @@
 
 Node (e, g) stores the dbar values f_i(lambda(e, g)), one per message-matrix
 row polynomial f_i. The whole code matrix is the product of the message
-matrix with a fixed evaluation-power matrix; ``node_column`` produces a
-single column by Horner evaluation instead, so streaming callers never
-materialize the power matrix. Both routes agree exactly.
+matrix with a fixed evaluation-power matrix. ``encode`` computes that
+product with the power matrix's logarithms cached on the params, so the
+per-stripe loop is table lookups only; ``linalg.matmul`` with
+``encoding_matrix`` is the generic reference it must agree with.
+``node_column`` produces a single column by Horner evaluation instead, so
+streaming callers never materialize the power matrix. All routes agree
+exactly.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from .layout import (
     evaluation_points,
     index_sets,
 )
-from .linalg import matmul, poly_eval
+from .linalg import poly_eval
 
 __all__ = ["row_polynomial", "encoding_matrix", "encode", "node_column"]
 
@@ -50,7 +54,28 @@ def encoding_matrix(p: CodeParams) -> list:
 def encode(M: MessageMatrix) -> CodeMatrix:
     """Evaluate every row polynomial at every node point."""
     p = M.params
-    return CodeMatrix(p, matmul(p.field, M.rows, encoding_matrix(p)))
+    f = p.field
+    exp, log, add = f.exp, f.log, f.add
+    logenc = p._cache.get("encoding_logs")
+    if logenc is None:
+        # Every entry is a power of a nonzero point, so its log exists.
+        logenc = p._cache.setdefault(
+            "encoding_logs", [[log[v] for v in row] for row in encoding_matrix(p)]
+        )
+    width = len(logenc)
+    nn = p.n
+    out = []
+    for mr in M.rows:
+        if len(mr) != width:
+            raise ValueError(f"message row has {len(mr)} entries, expected {width}")
+        orow = [0] * nn
+        for a, lrow in zip(mr, logenc):
+            if a:
+                la = log[a]
+                for j in range(nn):
+                    orow[j] = add(orow[j], exp[la + lrow[j]])
+        out.append(orow)
+    return CodeMatrix(p, out)
 
 
 def node_column(M: MessageMatrix, node: NodeId) -> list:

@@ -36,8 +36,9 @@ refuses any polynomial for which it fails.
 Fields are immutable after construction and safe to share across threads.
 The ``add``/``sub``/``neg`` attributes are plain callables chosen per field
 kind (XOR for binary fields); they do not range-check their operands, which
-keeps inner loops fast. Use ``check()`` to validate symbols at the edges of
-the system, or the checked ``mul``/``inv``/``pow`` methods.
+keeps inner loops fast. Symbols are validated where they enter the system
+(``layout.fill_message_matrix`` and ``systematic.systematic_encode``); the
+``mul``/``inv``/``div``/``pow`` methods check their own operands.
 """
 
 from __future__ import annotations
@@ -91,12 +92,6 @@ class Field:
     characteristic: int
     exp: list
     log: list
-
-    def check(self, a: int) -> int:
-        """Validate that ``a`` is a canonical element of this field."""
-        if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < self.q:
-            raise ValueError(f"{a!r} is not an element of {self}")
-        return a
 
     def mul(self, a: int, b: int) -> int:
         """Product of two field elements."""

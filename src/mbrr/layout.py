@@ -56,6 +56,7 @@ __all__ = [
     "fill_message_matrix",
     "unfill_message_matrix",
     "MessageMatrix",
+    "validate_data",
     "validate_message_matrix",
     "CodeMatrix",
 ]
@@ -286,13 +287,6 @@ class MessageMatrix:
     params: CodeParams
     rows: list
 
-    def entry(self, i: int, j: int) -> int:
-        """Entry at row i and degree j (j must belong to J)."""
-        pos = column_positions(self.params).get(j)
-        if pos is None:
-            raise ValueError(f"degree {j} carries no column")
-        return self.rows[i][pos]
-
     def m1(self) -> list:
         """The square symmetric block: columns of degree t*u + u-1."""
         p = self.params
@@ -301,14 +295,23 @@ class MessageMatrix:
         return [[row[c] for c in pos] for row in self.rows]
 
 
-def fill_message_matrix(p: CodeParams, data: Sequence[int]) -> MessageMatrix:
-    """Spread B data symbols into a message matrix along the fill order."""
+def validate_data(p: CodeParams, data: Sequence[int]) -> None:
+    """Raise ValueError unless ``data`` is B field elements: plain ints in [0, q).
+
+    ``bool`` and other int subclasses are refused along with everything else
+    that is not exactly ``int``.
+    """
     if len(data) != p.B:
         raise ValueError(f"expected {p.B} data symbols, got {len(data)}")
     q = p.field.q
     for v in data:
-        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < q:
+        if type(v) is not int or not 0 <= v < q:
             raise ValueError(f"data symbol {v!r} is not an element of {p.field!r}")
+
+
+def fill_message_matrix(p: CodeParams, data: Sequence[int]) -> MessageMatrix:
+    """Spread B data symbols into a message matrix along the fill order."""
+    validate_data(p, data)
     slots, _ = fill_plan(p)
     rows = [
         [0 if s is None else data[s] for s in slot_row]

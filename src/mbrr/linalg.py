@@ -8,57 +8,28 @@ never mutated and results are deterministic.
 The work horses are ``BatchInterpolator``, which fixes a set of sample
 points once and then interpolates many value vectors against them, and
 ``solve_linear``, plain Gauss-Jordan elimination with first-nonzero
-pivoting.
+pivoting that also accepts tall (overdetermined) systems. ``matmul``,
+``mat_vec`` and ``dot`` are the generic products the fast paths are
+checked against.
 """
 
 from __future__ import annotations
 
-import operator
 from typing import Sequence
 
 __all__ = [
     "SingularMatrixError",
-    "addops",
     "poly_eval",
     "BatchInterpolator",
-    "interpolate",
-    "vandermonde_solve",
     "solve_linear",
     "matmul",
     "mat_vec",
     "dot",
-    "identity",
 ]
 
 
 class SingularMatrixError(ValueError):
-    """Square system has no unique solution: some column has no nonzero pivot."""
-
-
-def _identity(a):
-    return a
-
-
-def addops(field):
-    """Fast unchecked (add, sub, neg) callables for inner loops.
-
-    Characteristic 2 gets XOR directly; other characteristics get modular
-    closures. Operands must already be canonical field elements.
-    """
-    if field.characteristic == 2:
-        return operator.xor, operator.xor, _identity
-    p = field.q
-
-    def add(a, b):
-        return (a + b) % p
-
-    def sub(a, b):
-        return (a - b) % p
-
-    def neg(a):
-        return (-a) % p
-
-    return add, sub, neg
+    """System has no unique solution: some column has no nonzero pivot."""
 
 
 def poly_eval(field, coeffs: Sequence[int], x: int) -> int:
@@ -67,8 +38,7 @@ def poly_eval(field, coeffs: Sequence[int], x: int) -> int:
         return 0
     if x == 0:
         return coeffs[0]
-    exp, log = field.exp, field.log
-    add, _, _ = addops(field)
+    exp, log, add = field.exp, field.log, field.add
     logx = log[x]
     acc = 0
     for c in reversed(coeffs):
@@ -89,7 +59,7 @@ class BatchInterpolator:
     what makes reusing one instance across many stripes cheap.
     """
 
-    __slots__ = ("field", "points", "t", "_lognums", "_scale", "_add", "_qm1")
+    __slots__ = ("field", "points", "t", "_lognums", "_scale", "_qm1")
 
     def __init__(self, field, points: Sequence[int]):
         t = len(points)
@@ -97,8 +67,7 @@ class BatchInterpolator:
             raise ValueError("at least one sample point required")
         if len(set(points)) != t:
             raise ValueError("sample points must be pairwise distinct")
-        add, _, neg = addops(field)
-        exp, log = field.exp, field.log
+        exp, log, add, neg = field.exp, field.log, field.add, field.neg
         qm1 = field.q - 1
 
         # Master polynomial prod(x - x_i), built incrementally.
@@ -140,15 +109,14 @@ class BatchInterpolator:
         self.t = t
         self._lognums = lognums
         self._scale = scale
-        self._add = add
         self._qm1 = qm1
 
     def interpolate(self, values: Sequence[int]) -> list:
         """Coefficients of the unique polynomial of degree < t through the points."""
         if len(values) != self.t:
             raise ValueError(f"expected {self.t} values, got {len(values)}")
-        exp, log = self.field.exp, self.field.log
-        add = self._add
+        field = self.field
+        exp, log, add = field.exp, field.log, field.add
         qm1 = self._qm1
         out = [0] * self.t
         for i, y in enumerate(values):
@@ -167,8 +135,8 @@ class BatchInterpolator:
         """
         if len(values) != self.t:
             raise ValueError(f"expected {self.t} values, got {len(values)}")
-        exp, log = self.field.exp, self.field.log
-        add = self._add
+        field = self.field
+        exp, log, add = field.exp, field.log, field.add
         acc = 0
         for i, y in enumerate(values):
             if y:
@@ -176,54 +144,45 @@ class BatchInterpolator:
         return acc
 
 
-def interpolate(field, points: Sequence[int], values: Sequence[int]) -> list:
-    """One-shot interpolation; see BatchInterpolator for the reusable form."""
-    if len(points) != len(values):
-        raise ValueError("points and values differ in length")
-    return BatchInterpolator(field, points).interpolate(values)
-
-
-def vandermonde_solve(field, points: Sequence[int], rhs: Sequence[int]) -> list:
-    """Solve sum_j c_j * points_i**j = rhs_i for the coefficient vector c.
-
-    This is the same linear system as polynomial interpolation, kept as a
-    named solve for callers thinking in vector terms.
-    """
-    if len(points) != len(rhs):
-        raise ValueError("points and right-hand side differ in length")
-    return BatchInterpolator(field, points).interpolate(rhs)
-
-
 def solve_linear(field, A: Sequence[Sequence[int]], b: Sequence[int]) -> list:
-    """Solve the square system A x = b by Gauss-Jordan elimination."""
-    n = len(A)
-    if n == 0:
+    """Solve A x = b for n unknowns from m >= n equations by Gauss-Jordan elimination.
+
+    Pivots are taken from the first row, in the original order, that still
+    has a nonzero entry in the current column, so a tall system is solved on
+    its first n linearly independent rows. Rows beyond those are reduced but
+    not checked against the solution; callers that need consistency verify
+    it themselves.
+    """
+    m = len(A)
+    if m == 0 or not A[0]:
         raise ValueError("empty system")
+    n = len(A[0])
     if any(len(row) != n for row in A):
-        raise ValueError(f"matrix is not square ({n} rows)")
-    if len(b) != n:
-        raise ValueError(f"right-hand side has length {len(b)}, expected {n}")
-    exp, log = field.exp, field.log
-    _, sub, _ = addops(field)
+        raise ValueError("ragged matrix")
+    if m < n:
+        raise ValueError(f"{m} equations cannot determine {n} unknowns")
+    if len(b) != m:
+        raise ValueError(f"right-hand side has length {len(b)}, expected {m}")
+    exp, log, sub = field.exp, field.log, field.sub
     qm1 = field.q - 1
-    aug = [list(A[i]) + [b[i]] for i in range(n)]
+    aug = [list(row) + [y] for row, y in zip(A, b)]
     for col in range(n):
         piv = None
-        for r in range(col, n):
+        for r in range(col, m):
             if aug[r][col]:
                 piv = r
                 break
         if piv is None:
             raise SingularMatrixError(f"no pivot available in column {col}")
-        if piv != col:
-            aug[col], aug[piv] = aug[piv], aug[col]
-        prow = aug[col]
+        # Move the pivot up without reordering the rows still unused.
+        prow = aug.pop(piv)
+        aug.insert(col, prow)
         scale = qm1 - log[prow[col]]
         for j in range(col, n + 1):
             v = prow[j]
             if v:
                 prow[j] = exp[log[v] + scale]
-        for r in range(n):
+        for r in range(m):
             if r != col:
                 f = aug[r][col]
                 if f:
@@ -246,8 +205,7 @@ def matmul(field, A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> lis
     cols = len(B[0])
     if any(len(row) != cols for row in B):
         raise ValueError("ragged right-hand matrix")
-    exp, log = field.exp, field.log
-    add, _, _ = addops(field)
+    exp, log, add = field.exp, field.log, field.add
     out = [[0] * cols for _ in range(len(A))]
     for i, Ai in enumerate(A):
         Oi = out[i]
@@ -265,8 +223,7 @@ def matmul(field, A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> lis
 
 def mat_vec(field, A: Sequence[Sequence[int]], x: Sequence[int]) -> list:
     """Matrix-vector product over the field."""
-    exp, log = field.exp, field.log
-    add, _, _ = addops(field)
+    exp, log, add = field.exp, field.log, field.add
     out = []
     for row in A:
         if len(row) != len(x):
@@ -283,15 +240,9 @@ def dot(field, xs: Sequence[int], ys: Sequence[int]) -> int:
     """Inner product of two equal-length vectors."""
     if len(xs) != len(ys):
         raise ValueError("vectors differ in length")
-    exp, log = field.exp, field.log
-    add, _, _ = addops(field)
+    exp, log, add = field.exp, field.log, field.add
     acc = 0
     for a, b in zip(xs, ys):
         if a and b:
             acc = add(acc, exp[log[a] + log[b]])
     return acc
-
-
-def identity(n: int) -> list:
-    """n x n identity matrix."""
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]

@@ -34,7 +34,7 @@ from .layout import (
     node_index,
     validate_message_matrix,
 )
-from .linalg import BatchInterpolator, SingularMatrixError, addops, dot, solve_linear
+from .linalg import BatchInterpolator, dot, solve_linear
 
 __all__ = ["ObservedColumn", "take_columns", "Decoder", "reconstruct", "oracle_reconstruct"]
 
@@ -103,8 +103,7 @@ class Decoder:
             raise ValueError("observed nodes do not match this decoder")
         ordered = [by_id[node] for node in self.ids]
 
-        exp, log = p.field.exp, p.field.log
-        _, sub, _ = addops(p.field)
+        exp, log, sub = p.field.exp, p.field.log, p.field.sub
         interp = self._interp
         j = self._j
         k = p.k
@@ -152,17 +151,17 @@ def reconstruct(p: CodeParams, cols: Sequence[ObservedColumn]) -> MessageMatrix:
 def oracle_reconstruct(p: CodeParams, cols: Sequence[ObservedColumn]) -> MessageMatrix:
     """Structure-blind reference decoder over the raw linear system.
 
-    Builds one equation per observed symbol in the B data unknowns, selects
-    an invertible B x B subsystem by elimination, solves it, and verifies
-    every remaining observation against the solution. Slow but independent
-    of every decoding trick the structured path uses.
+    Builds one equation per observed symbol in the B data unknowns, solves
+    the whole (tall) system by elimination, and verifies every observation
+    against the solution. Slow but independent of every decoding trick the
+    structured path uses.
     """
     by_id = _check_observation(p, cols)
     if len(by_id) < p.k:
         raise ValueError(f"need at least k={p.k} columns, got {len(by_id)}")
     slots, _ = fill_plan(p)
     emat = encoding_matrix(p)
-    add, _, _ = addops(p.field)
+    add = p.field.add
     j_count = len(index_sets(p)[2])
 
     rows = []
@@ -180,52 +179,8 @@ def oracle_reconstruct(p: CodeParams, cols: Sequence[ObservedColumn]) -> Message
             rows.append(eq)
             rhs.append(by_id[node][i])
 
-    pivot_rows = _independent_rows(p, rows)
-    x = solve_linear(
-        p.field,
-        [rows[r] for r in pivot_rows],
-        [rhs[r] for r in pivot_rows],
-    )
+    x = solve_linear(p.field, rows, rhs)
     for eq, y in zip(rows, rhs):
         if dot(p.field, eq, x) != y:
             raise IntegrityError("observed symbols are inconsistent with any stripe")
     return fill_message_matrix(p, x)
-
-
-def _independent_rows(p: CodeParams, rows: Sequence[Sequence[int]]) -> list:
-    """Indices of B rows forming an invertible square system."""
-    field = p.field
-    exp, log = field.exp, field.log
-    _, sub, _ = addops(field)
-    work = [list(r) for r in rows]
-    used = set()
-    chosen = []
-    for col in range(p.B):
-        piv = None
-        for r in range(len(work)):
-            if r not in used and work[r][col]:
-                piv = r
-                break
-        if piv is None:
-            raise SingularMatrixError(
-                f"observation matrix is rank deficient at unknown {col}"
-            )
-        used.add(piv)
-        chosen.append(piv)
-        prow = work[piv]
-        scale = field.q - 1 - log[prow[col]]
-        for jj in range(col, p.B):
-            v = prow[jj]
-            if v:
-                prow[jj] = exp[log[v] + scale]
-        for r in range(len(work)):
-            if r not in used:
-                f = work[r][col]
-                if f:
-                    lf = log[f]
-                    rrow = work[r]
-                    for jj in range(col, p.B):
-                        v = prow[jj]
-                        if v:
-                            rrow[jj] = sub(rrow[jj], exp[lf + log[v]])
-    return chosen

@@ -43,7 +43,7 @@ from .layout import (
     evaluation_point,
     node_index,
 )
-from .linalg import BatchInterpolator, addops, poly_eval, vandermonde_solve
+from .linalg import BatchInterpolator, poly_eval
 from .reconstruct import ObservedColumn
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
     "LeadingVector",
     "HelperSymbol",
     "rack_point",
-    "rack_vandermonde",
     "local_polynomial_coeffs",
     "rack_leading_vector",
     "helper_symbol",
@@ -105,21 +104,13 @@ def rack_point(p: CodeParams, e: int) -> int:
     return p.field.pow(p.xi, e * p.u)
 
 
-def rack_vandermonde(p: CodeParams, racks: Sequence[int]) -> list:
-    """dbar x len(racks) moment matrix of the rack points x_e."""
-    f = p.field
-    pts = [rack_point(p, e) for e in racks]
-    return [[f.pow(x, t) for x in pts] for t in range(p.dbar)]
-
-
 def local_polynomial_coeffs(M: MessageMatrix, e: int) -> list:
     """Coefficients (length u) of every row's local polynomial at rack e."""
     p = M.params
     if not 0 <= e < p.nbar:
         raise ValueError(f"rack {e} outside [0, {p.nbar - 1}]")
     f = p.field
-    add, _, _ = addops(f)
-    exp, log = f.exp, f.log
+    exp, log, add = f.exp, f.log, f.add
     cp = column_positions(p)
     xeu = rack_point(p, e)
     powers = [f.pow(xeu, t) for t in range(max(p.dbar, p.kbar + 1))]
@@ -225,7 +216,7 @@ def recover_leading_vector(
         seen.add(s.helper_rack)
     ordered = sorted(symbols, key=lambda s: s.helper_rack)
     pts = [rack_point(p, s.helper_rack) for s in ordered]
-    coeffs = vandermonde_solve(p.field, pts, [s.value for s in ordered])
+    coeffs = BatchInterpolator(p.field, pts).interpolate([s.value for s in ordered])
     return LeadingVector(e_star, tuple(coeffs))
 
 
@@ -252,8 +243,7 @@ def repair_local(
     if any(col.id.g == g_star for col in ordered):
         raise ValueError(f"node ({e_star}, {g_star}) cannot survive its own failure")
     f = p.field
-    add, sub, _ = addops(f)
-    exp, log = f.exp, f.log
+    exp, log, add, sub = f.exp, f.log, f.add, f.sub
     pts = [evaluation_point(p, col.id) for col in ordered]
     if _interp is None:
         _interp = BatchInterpolator(f, pts)

@@ -32,7 +32,9 @@ with such a placement:
 5. The completed k columns feed the ordinary any-k decoder.
 
 Every step is linear, so data -> message matrix is an invertible linear map;
-``precoding_matrix`` materializes it by probing with unit vectors.
+``precoding_matrix`` materializes it by probing with unit vectors, and
+``systematic_encode`` applies that matrix. ``systematic_message_matrix``
+stays as the structured oracle the map is built from and checked against.
 """
 
 from __future__ import annotations
@@ -47,9 +49,11 @@ from .layout import (
     NodeId,
     all_nodes,
     evaluation_point,
+    fill_message_matrix,
     unfill_message_matrix,
+    validate_data,
 )
-from .linalg import BatchInterpolator, addops, solve_linear, vandermonde_solve
+from .linalg import BatchInterpolator, solve_linear
 from .reconstruct import ObservedColumn, reconstruct
 from .repair import LeadingVector, rack_point, repair_local
 
@@ -112,15 +116,9 @@ def read_systematic_data(p: CodeParams, columns: Mapping[NodeId, Sequence[int]])
 
 def systematic_message_matrix(p: CodeParams, data: Sequence[int]):
     """The unique message matrix whose encoding stores ``data`` verbatim."""
-    if len(data) != p.B:
-        raise ValueError(f"expected {p.B} data symbols, got {len(data)}")
-    q = p.field.q
-    for v in data:
-        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < q:
-            raise ValueError(f"data symbol {v!r} is not an element of {p.field!r}")
+    validate_data(p, data)
     f = p.field
-    add, sub, _ = addops(f)
-    exp, log = f.exp, f.log
+    add, sub = f.add, f.sub
     lay = systematic_layout(p)
     grid = dict(zip(lay.data_positions, data))
 
@@ -137,8 +135,9 @@ def systematic_message_matrix(p: CodeParams, data: Sequence[int]):
 
     # Rectangle block of the symmetric core, one bottom row of H at a time.
     T = [[0] * (p.dbar - p.kbar) for _ in range(p.kbar)]
+    rack_interp = BatchInterpolator(f, xpts)
     for i in range(p.kbar, p.dbar):
-        c = vandermonde_solve(f, xpts, [known_lead[(i, e)] for e in range(p.kbar)])
+        c = rack_interp.interpolate([known_lead[(i, e)] for e in range(p.kbar)])
         for t in range(p.kbar):
             T[t][i - p.kbar] = c[t]
 
@@ -213,8 +212,29 @@ def systematic_message_matrix(p: CodeParams, data: Sequence[int]):
 
 
 def systematic_encode(p: CodeParams, data: Sequence[int]) -> CodeMatrix:
-    """Encode so the first k node columns carry ``data`` uncoded."""
-    return encode(systematic_message_matrix(p, data))
+    """Encode so the first k node columns carry ``data`` uncoded.
+
+    Applies the precoding map, with its logarithms cached on the params, to
+    get the fill-order slot values, then encodes them as usual. The result
+    equals ``encode(systematic_message_matrix(p, data))``.
+    """
+    validate_data(p, data)
+    f = p.field
+    exp, log, add = f.exp, f.log, f.add
+    logrows = p._cache.get("precoding_logs")
+    if logrows is None:
+        logrows = p._cache.setdefault(
+            "precoding_logs",
+            [[None if v == 0 else log[v] for v in row] for row in precoding_matrix(p)],
+        )
+    slots = []
+    for lrow in logrows:
+        acc = 0
+        for lv, d in zip(lrow, data):
+            if lv is not None and d:
+                acc = add(acc, exp[lv + log[d]])
+        slots.append(acc)
+    return encode(fill_message_matrix(p, slots))
 
 
 def precoding_matrix(p: CodeParams) -> list:

@@ -10,7 +10,7 @@ from mbrr.layout import (
     fill_message_matrix,
     index_sets,
 )
-from mbrr.linalg import poly_eval
+from mbrr.linalg import matmul, poly_eval
 
 from support import PARAM_SETS, params, random_stripe
 
@@ -57,6 +57,7 @@ def test_stored_symbols_are_row_evaluations():
         C = encode(M)
         assert len(C.rows) == p.alpha
         assert all(len(row) == p.n for row in C.rows)
+        assert C.rows == matmul(p.field, M.rows, encoding_matrix(p))
         for i in range(p.alpha):
             coeffs = row_polynomial(M, i)
             for node in all_nodes(p):
@@ -89,6 +90,14 @@ def test_encoding_is_linear():
     for node in all_nodes(p):
         ca, cb, cc = Ca.column(node), Cb.column(node), Cc.column(node)
         assert cc == [f.add(x, f.mul(c, y)) for x, y in zip(ca, cb)]
+
+
+def test_encode_rejects_misshapen_rows():
+    p = params("reference")
+    M = fill_message_matrix(p, random_stripe(p, random.Random(18)))
+    M.rows[1] = M.rows[1][:-1]
+    with pytest.raises(ValueError, match="entries"):
+        encode(M)
 
 
 def test_column_lookup_validates_node():

@@ -1,4 +1,5 @@
 import random
+from enum import IntEnum
 
 import pytest
 
@@ -200,6 +201,10 @@ def test_fill_validates_symbols():
         fill_message_matrix(p, [16] + [0] * 19)
     with pytest.raises(ValueError, match="element"):
         fill_message_matrix(p, [-1] + [0] * 19)
+    # Only plain ints are symbols: bools, floats and int subclasses are not.
+    for bad in (True, 1.0, IntEnum("Sym", "ONE")["ONE"]):
+        with pytest.raises(ValueError, match="element"):
+            fill_message_matrix(p, [bad] + [0] * 19)
 
 
 def test_unfill_detects_tampering():
@@ -240,10 +245,10 @@ def test_message_matrix_entry_lookup():
     p = params("reference")
     data = list(range(16)) + [0, 0, 0, 0]
     M = fill_message_matrix(p, data)
-    assert M.entry(0, 0) == data[0]
-    assert M.entry(2, 8) == 0
-    with pytest.raises(ValueError, match="no column"):
-        M.entry(0, 7)  # degree 7 is outside J
+    cp = column_positions(p)
+    assert M.rows[0][cp[0]] == data[0]
+    assert M.rows[2][cp[8]] == 0
+    assert 7 not in cp  # degree 7 is outside J
 
 
 def test_caches_are_per_instance():

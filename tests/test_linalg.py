@@ -7,13 +7,10 @@ from mbrr.linalg import (
     BatchInterpolator,
     SingularMatrixError,
     dot,
-    identity,
-    interpolate,
     mat_vec,
     matmul,
     poly_eval,
     solve_linear,
-    vandermonde_solve,
 )
 
 FIELDS = [binary_field(4), binary_field(8), prime_field(11), prime_field(29)]
@@ -59,7 +56,7 @@ def test_interpolation_round_trip():
             pts = distinct_points(f, t, rng)
             coeffs = [rng.randrange(f.q) for _ in range(t)]
             values = [poly_eval(f, coeffs, x) for x in pts]
-            assert interpolate(f, pts, values) == coeffs
+            assert BatchInterpolator(f, pts).interpolate(values) == coeffs
 
 
 def test_interpolator_reuse_matches_one_shot():
@@ -69,7 +66,7 @@ def test_interpolator_reuse_matches_one_shot():
     bi = BatchInterpolator(f, pts)
     for _ in range(50):
         values = [rng.randrange(f.q) for _ in pts]
-        assert bi.interpolate(values) == interpolate(f, pts, values)
+        assert bi.interpolate(values) == BatchInterpolator(f, pts).interpolate(values)
 
 
 def test_leading_coefficient_shortcut():
@@ -92,7 +89,7 @@ def test_interpolation_rejects_bad_inputs():
     with pytest.raises(ValueError, match="3 values"):
         bi.interpolate([1, 2])
     with pytest.raises(ValueError):
-        interpolate(f, [1, 2], [5])
+        BatchInterpolator(f, [1, 2]).interpolate([5])
 
 
 def test_vandermonde_solve_is_interpolation():
@@ -102,9 +99,10 @@ def test_vandermonde_solve_is_interpolation():
         pts = distinct_points(f, t, rng)
         for _ in range(50):
             values = [rng.randrange(f.q) for _ in range(t)]
-            coeffs = vandermonde_solve(f, pts, values)
+            coeffs = BatchInterpolator(f, pts).interpolate(values)
             assert [poly_eval(f, coeffs, x) for x in pts] == values
-            assert coeffs == interpolate(f, pts, values)
+            V = [[f.pow(x, j) for j in range(t)] for x in pts]
+            assert mat_vec(f, V, coeffs) == values
 
 
 # ---------------------------------------------------------------- solve
@@ -132,6 +130,23 @@ def test_solve_linear_round_trip():
             x = [rng.randrange(f.q) for _ in range(t)]
             b = mat_vec(f, A, x)
             assert solve_linear(f, A, b) == x
+            # Tall: extra equations, and dependent rows ahead of the basis.
+            extra = [[rng.randrange(f.q) for _ in range(t)] for _ in range(2)]
+            tall = [[0] * t, A[0]] + A + extra
+            assert solve_linear(f, tall, mat_vec(f, tall, x)) == x
+
+
+def test_solve_linear_tall_uses_first_independent_rows():
+    f = binary_field(4)
+    # Rows 0 and 1 disagree; the second pivot is row 0, the first row in the
+    # original order that is independent of row 2, so row 1 is left over.
+    assert solve_linear(f, [[0, 1], [0, 1], [1, 0]], [3, 4, 7]) == [7, 3]
+    # Row 1 repeats row 0 and row 3 contradicts rows 0 and 2; the pivots
+    # are rows 0 and 2, so the answer solves exactly those.
+    A = [[1, 2], [1, 2], [0, 3], [1, 1]]
+    x = solve_linear(f, A, [5, 5, 6, 0])
+    assert mat_vec(f, A[:3], x) == [5, 5, 6]
+    assert mat_vec(f, A[3:], x) != [0]
 
 
 def test_solve_linear_singular():
@@ -140,14 +155,23 @@ def test_solve_linear_singular():
         solve_linear(f, [[1, 2], [1, 2]], [3, 3])
     with pytest.raises(SingularMatrixError):
         solve_linear(f, [[0, 0], [0, 0]], [0, 0])
+    # Tall but rank one: no second pivot anywhere.
+    with pytest.raises(SingularMatrixError):
+        solve_linear(f, [[1, 2], [2, 4], [3, 6], [0, 0]], [1, 2, 3, 0])
 
 
 def test_solve_linear_shape_checks():
     f = binary_field(4)
     with pytest.raises(ValueError):
-        solve_linear(f, [[1, 2]], [3])
+        solve_linear(f, [[1, 2]], [3])  # wide: fewer equations than unknowns
     with pytest.raises(ValueError):
         solve_linear(f, [[1, 2], [3, 4]], [1])
+    with pytest.raises(ValueError):
+        solve_linear(f, [[1, 2], [3, 4], [5, 6]], [1, 2])  # tall, short rhs
+    with pytest.raises(ValueError):
+        solve_linear(f, [[1, 2], [3], [5, 6]], [1, 2, 3])  # ragged
+    with pytest.raises(ValueError):
+        solve_linear(f, [], [])
 
 
 def test_vandermonde_agrees_with_generic_solver():
@@ -157,7 +181,7 @@ def test_vandermonde_agrees_with_generic_solver():
     A = [[f.pow(x, j) for j in range(5)] for x in pts]
     for _ in range(30):
         b = [rng.randrange(f.q) for _ in range(5)]
-        assert vandermonde_solve(f, pts, b) == solve_linear(f, A, b)
+        assert BatchInterpolator(f, pts).interpolate(b) == solve_linear(f, A, b)
 
 
 # ---------------------------------------------------------------- matrices
@@ -167,9 +191,10 @@ def test_matmul_identity_and_shapes():
     f = binary_field(8)
     rng = random.Random(41)
     A = [[rng.randrange(f.q) for _ in range(4)] for _ in range(3)]
-    I4 = identity(4)
+    I4 = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    I3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert matmul(f, A, I4) == A
-    assert matmul(f, identity(3), A) == A
+    assert matmul(f, I3, A) == A
     with pytest.raises(ValueError):
         matmul(f, A, A)  # 3x4 times 3x4 does not compose
 

@@ -15,7 +15,6 @@ from mbrr.repair import (
     local_polynomial_coeffs,
     rack_leading_vector,
     rack_point,
-    rack_vandermonde,
     recover_leading_vector,
     repair_local,
     repair_node,
@@ -78,12 +77,6 @@ def test_rack_points_are_distinct():
         p = params(name)
         pts = [rack_point(p, e) for e in range(p.nbar)]
         assert len(set(pts)) == p.nbar
-    p = params("reference")
-    V = rack_vandermonde(p, [0, 2, 3])
-    assert V == [
-        [p.field.pow(rack_point(p, e), t) for e in (0, 2, 3)]
-        for t in range(p.dbar)
-    ]
 
 
 def test_helper_symbol_evaluates_leading_polynomial():

@@ -81,6 +81,13 @@ def test_systematic_matrix_is_well_formed():
         systematic_message_matrix(params("reference"), [0] * 3)
     with pytest.raises(ValueError, match="element"):
         systematic_message_matrix(params("reference"), [99] * 20)
+    # The precoding fast path checks its input the same way.
+    with pytest.raises(ValueError, match="symbols"):
+        systematic_encode(params("reference"), [0] * 3)
+    with pytest.raises(ValueError, match="element"):
+        systematic_encode(params("reference"), [99] * 20)
+    with pytest.raises(ValueError, match="element"):
+        systematic_encode(params("reference"), [True] + [0] * 19)
 
 
 def test_systematic_code_reconstructs_from_any_subset():
@@ -141,9 +148,11 @@ def test_precoding_matrix_reproduces_transform():
 
 
 def test_precoded_encode_matches_systematic_encode():
-    p = params("reference")
+    """The precoding fast path agrees with the structured transform."""
     rng = random.Random(307)
-    P = precoding_matrix(p)
-    data = random_stripe(p, rng)
-    M = fill_message_matrix(p, mat_vec(p.field, P, data))
-    assert encode(M).rows == systematic_encode(p, data).rows
+    for name in PARAM_SETS:
+        p = params(name)
+        for _ in range(3):
+            data = random_stripe(p, rng)
+            want = encode(systematic_message_matrix(p, data)).rows
+            assert systematic_encode(p, data).rows == want
