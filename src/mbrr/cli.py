@@ -21,9 +21,32 @@ Shard file format, version 1. One file per node. All integers big-endian.
     48      ...   payload: stripe_count * alpha symbols, ceil(m/8) bytes each
 
 A file is padded with zero symbols to a whole number of B-symbol stripes;
-the original length in the header trims the padding on decode. Shards are
-written atomically (temp file + rename) and are bit-reproducible: the same
-input, params and flags always produce identical files.
+the original length in the header trims the padding on decode, and must
+agree with stripe_count. Shards are written atomically (temp file + rename)
+and are bit-reproducible: the same input, params and flags always produce
+identical files.
+
+Encode, decode and repair never loop over stripes. They work on slabs (see
+``slab``): slab t of the file holds symbol t of every stripe, and row i of
+a shard (symbols i, i + alpha, ... of its payload; ``payload[i::alpha]``
+for one-byte symbols) holds that node's symbol i of every stripe. Each
+operation is a GF(2^m)-linear map built once from the structured code and
+applied to whole slabs:
+
+    encode    B file slabs -> (systematic precoding, B x B) -> n*alpha
+              shard rows, one map per message-matrix row
+    decode    k*alpha shard rows -> the two-pass decoder with slabs as
+              symbols -> B slot slabs; the M1 symmetry checks compare
+              slabs. A systematic file is read from the data rows of its
+              k systematic shards, encoding those that are missing
+    repair    two stages, as the protocol runs them: each of the dbar helper
+              racks maps its own u*alpha rows to the one slab it sends
+              across racks; the host rack maps those dbar slabs and the
+              (u-1)*alpha rows of its u-1 survivors to the alpha rows of the
+              lost node
+
+``repair`` opens only the shards those two stages read, and its
+cross-rack ledger counts the symbols in the helper slabs it produced.
 """
 
 from __future__ import annotations
@@ -39,7 +62,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .cluster import Cluster, InsufficientSurvivorsError, overhead_report
-from .encode import encode, node_column
+from .encode import encode, encode_slabs
 from .gf import binary_field, tables_consistent
 from .layout import (
     CodeParams,
@@ -49,11 +72,10 @@ from .layout import (
     make_params,
     unfill_message_matrix,
 )
-from .reconstruct import Decoder, ObservedColumn, take_columns
+from .reconstruct import Decoder, take_columns
 from .repair import Repairer, repair_node
-# precoding_matrix is not called here: perfbench/selftest.py uses this
-# binding to check that its tracer wraps a name in every module binding it.
-from .systematic import (  # noqa: F401
+from .slab import SlabKernel
+from .systematic import (
     precoding_matrix,
     read_systematic_data,
     systematic_encode,
@@ -156,10 +178,8 @@ def shard_filename(e: int, g: int) -> str:
     return f"shard_e{e}_g{g}.mbrr"
 
 
-def write_shard(path: str, header: ShardHeader, symbols: Sequence[int]) -> None:
-    """Write header + payload atomically; ``symbols`` is the flat per-stripe
-    concatenation of the node's columns."""
-    payload = symbols_to_bytes(symbols, header.m)
+def write_payload(path: str, header: ShardHeader, payload: bytes) -> None:
+    """Write header + payload (file byte order) atomically."""
     if len(payload) != header.payload_length:
         raise ValueError(
             f"payload is {len(payload)} bytes, header says {header.payload_length}"
@@ -171,8 +191,8 @@ def write_shard(path: str, header: ShardHeader, symbols: Sequence[int]) -> None:
     os.replace(tmp, path)
 
 
-def read_shard(path: str) -> tuple:
-    """Parse one shard file into (header, flat symbol list)."""
+def read_payload(path: str) -> tuple:
+    """Parse one shard file into (header, payload bytes in file byte order)."""
     with open(path, "rb") as fh:
         blob = fh.read()
     header = ShardHeader.unpack(blob)
@@ -189,6 +209,23 @@ def read_shard(path: str) -> tuple:
             f"{path}: payload length {header.payload_length} does not match "
             f"{header.stripe_count} stripes of {header.dbar} symbols"
         )
+    return header, payload
+
+
+# write_shard and read_shard are the symbol-list forms of write_payload and
+# read_payload, for library callers; the commands move payload bytes only.
+# perfbench/layers.py still traces these two names (see ROADMAP item 2).
+
+
+def write_shard(path: str, header: ShardHeader, symbols: Sequence[int]) -> None:
+    """Write header + payload atomically; ``symbols`` is the flat per-stripe
+    concatenation of the node's columns."""
+    write_payload(path, header, symbols_to_bytes(symbols, header.m))
+
+
+def read_shard(path: str) -> tuple:
+    """Parse one shard file into (header, flat symbol list)."""
+    header, payload = read_payload(path)
     return header, bytes_to_symbols(payload, header.m)
 
 
@@ -222,63 +259,65 @@ def encode_file(
     p: CodeParams,
     systematic: bool = False,
 ) -> tuple:
-    """Encode a byte string; returns (headers, per-node flat symbol lists)."""
+    """Encode a byte string; returns (headers, per-node payloads).
+
+    Each payload is the node's shard payload in file byte order: its alpha
+    symbols of stripe 0, then of stripe 1, and so on.
+    """
     if not data:
         raise ValueError("refusing to encode an empty file")
-    m = p.field.m if hasattr(p.field, "m") else None
-    if m not in _FILE_FIELD_MS:
-        raise ValueError(f"shard files support m in {_FILE_FIELD_MS}; got {p.field!r}")
-    symbols = bytes_to_symbols(data, m)
-    pad = (-len(symbols)) % p.B
-    symbols.extend([0] * pad)
-    stripes = len(symbols) // p.B
-    width = symbol_width(m)
-    shard_syms = [[] for _ in range(p.n)]
-    for s in range(stripes):
-        vec = symbols[s * p.B : (s + 1) * p.B]
-        if systematic:
-            rows = systematic_encode(p, vec).rows
-        else:
-            rows = encode(fill_message_matrix(p, vec)).rows
-        for col, syms in zip(zip(*rows), shard_syms):
-            syms.extend(col)
-    headers = []
-    for node in all_nodes(p):
-        headers.append(
-            ShardHeader(
-                m=m,
-                primitive_poly=p.field.primitive_poly,
-                n=p.n,
-                k=p.k,
-                u=p.u,
-                dbar=p.dbar,
-                systematic=systematic,
-                e=node.e,
-                g=node.g,
-                stripe_count=stripes,
-                payload_length=stripes * p.alpha * width,
-                original_length=len(data),
-            )
+    kernel = SlabKernel(p.field)  # refuses fields without byte framing
+    width = kernel.width
+    stripes = -(-len(data) // (width * p.B))
+    slots = kernel.split(data + bytes(stripes * p.B * width - len(data)), p.B)
+    if systematic:
+        slots = kernel.apply(precoding_matrix(p), slots)
+    columns = encode_slabs(kernel, p, slots)
+    headers = [
+        ShardHeader(
+            m=p.field.m,
+            primitive_poly=p.field.primitive_poly,
+            n=p.n,
+            k=p.k,
+            u=p.u,
+            dbar=p.dbar,
+            systematic=systematic,
+            e=node.e,
+            g=node.g,
+            stripe_count=stripes,
+            payload_length=stripes * p.alpha * width,
+            original_length=len(data),
         )
-    return headers, shard_syms
+        for node in columns
+    ]
+    return headers, [kernel.join(col) for col in columns.values()]
 
 
 def _params_from_header(h: ShardHeader) -> CodeParams:
+    if h.m not in _FILE_FIELD_MS:
+        raise ValueError(f"shard files support m in {_FILE_FIELD_MS}, not m={h.m}")
     f = binary_field(h.m)
     if f.primitive_poly != h.primitive_poly:
         raise ValueError(
             f"shard was built over polynomial {h.primitive_poly:#x}, "
             f"this build uses {f.primitive_poly:#x}"
         )
-    return make_params(h.n, h.k, h.u, h.dbar, field=f)
+    p = make_params(h.n, h.k, h.u, h.dbar, field=f)
+    symbols = -(-h.original_length // symbol_width(h.m))
+    if h.original_length <= 0 or h.stripe_count != -(-symbols // p.B):
+        raise ValueError(
+            f"header claims an original length of {h.original_length} bytes "
+            f"in {h.stripe_count} stripes of {p.B} symbols; the two disagree"
+        )
+    return p
 
 
 def _load_shards(paths: Sequence[str]) -> dict:
-    """Read shard files into {NodeId: (header, symbols)}; headers must agree."""
+    """Read shard files into {NodeId: (header, payload)}; headers must agree."""
     loaded = {}
     first = None
     for path in paths:
-        header, symbols = read_shard(path)
+        header, payload = read_payload(path)
         node = NodeId(header.e, header.g)
         if first is None:
             first = header
@@ -286,47 +325,45 @@ def _load_shards(paths: Sequence[str]) -> dict:
             raise ValueError(f"{path}: header disagrees with the first shard's")
         if node in loaded:
             raise ValueError(f"duplicate shard for node {tuple(node)}")
-        loaded[node] = (header, symbols)
+        loaded[node] = (header, payload)
     if not loaded:
         raise ValueError("no shard files given")
     return loaded
 
 
 def decode_shards(loaded: Mapping[NodeId, tuple]) -> bytes:
-    """Original file bytes from any k shards (fewer is an error)."""
+    """Original file bytes from any k shards (fewer is an error).
+
+    ``loaded`` maps nodes to (header, payload) pairs as ``read_payload``
+    returns them; the first header describes the file.
+    """
     first = next(iter(loaded.values()))[0]
     p = _params_from_header(first)
     if len(loaded) < p.k:
         raise ValueError(f"got {len(loaded)} shards, need at least k={p.k}")
-    stripes = first.stripe_count
-    cols = {node: syms for node, (_, syms) in loaded.items()}
-    a = p.alpha
-    out = []
+    kernel = SlabKernel(p.field)
+    columns = {}
+    for node, (_, payload) in loaded.items():
+        if len(payload) != first.payload_length:
+            raise ValueError(
+                f"node {tuple(node)}: payload is {len(payload)} bytes, "
+                f"header says {first.payload_length}"
+            )
+        columns[node] = kernel.split(payload, p.alpha)
     front = systematic_nodes(p)
-    if first.systematic and all(node in cols for node in front):
-        lay = systematic_layout(p)
-        for s in range(stripes):
-            base = s * a
-            for i, node in lay.data_positions:
-                out.append(cols[node][base + i])
+    if first.systematic and all(node in columns for node in front):
+        data = read_systematic_data(p, columns)
     else:
-        ids = sorted(cols)[: p.k]
-        dec = Decoder(p, ids)
-        for s in range(stripes):
-            base = s * a
-            obs = [
-                ObservedColumn(n, cols[n][base : base + a]) for n in ids
-            ]
-            M = dec.reconstruct(obs)
-            if first.systematic:
-                out.extend(
-                    read_systematic_data(
-                        p, {n: node_column(M, n) for n in front}
-                    )
-                )
-            else:
-                out.extend(unfill_message_matrix(M))
-    return symbols_to_bytes(out, first.m)[: first.original_length]
+        dec = Decoder(p, sorted(columns)[: p.k])
+        data = dec.decode_slabs(kernel, columns)
+        if first.systematic:
+            # A decoded node's column equals its observed one, so only the
+            # systematic nodes outside the decode set are encoded.
+            missing = [node for node in front if node not in dec.ids]
+            front_cols = {node: columns[node] for node in front if node in dec.ids}
+            front_cols.update(encode_slabs(kernel, p, data, missing))
+            data = read_systematic_data(p, front_cols)
+    return kernel.join(data)[: first.original_length]
 
 
 def _shard_paths(args_paths: Sequence[str]) -> list:
@@ -374,14 +411,14 @@ def cmd_encode(args) -> int:
     p = file_params(args.n, args.k, args.u, args.dbar, args.field_m)
     with open(args.input, "rb") as fh:
         data = fh.read()
-    headers, shard_syms = encode_file(data, p, systematic=args.systematic)
+    headers, payloads = encode_file(data, p, systematic=args.systematic)
     out_dir = args.out if args.out else args.input + ".shards"
     os.makedirs(out_dir, exist_ok=True)
-    for header, syms in zip(headers, shard_syms):
-        write_shard(
+    for header, payload in zip(headers, payloads):
+        write_payload(
             os.path.join(out_dir, shard_filename(header.e, header.g)),
             header,
-            syms,
+            payload,
         )
     print(
         f"encoded {len(data)} bytes into {p.n} shards of "
@@ -403,41 +440,44 @@ def cmd_decode(args) -> int:
 
 def cmd_repair(args) -> int:
     failed = NodeId(args.e, args.g)
-    paths = [
-        path
-        for path in _shard_paths([args.dir])
-        if os.path.basename(path) != shard_filename(failed.e, failed.g)
-    ]
-    loaded = _load_shards(paths)
-    if failed in loaded:
-        raise ValueError(f"node {tuple(failed)} is present; nothing to repair")
+
+    def require(node):
+        path = os.path.join(args.dir, shard_filename(node.e, node.g))
+        if not os.path.isfile(path):
+            raise ValueError(
+                f"cannot repair node {tuple(failed)}: shard of node "
+                f"{tuple(node)} is missing ({path})"
+            )
+        return path
+
+    # The code comes from an in-rack survivor's header; racks hold u >= 2
+    # nodes, so (e, 0) or (e, 1) is one.
+    probe = NodeId(failed.e, 1 if failed.g == 0 else 0)
+    with open(require(probe), "rb") as fh:
+        p = _params_from_header(ShardHeader.unpack(fh.read(HEADER_SIZE)))
+    rep = Repairer(p, failed, _parse_helpers(args.helpers))
+    needed = [NodeId(e, g) for e in rep.helpers for g in range(p.u)] + rep.survivors
+    loaded = _load_shards([require(node) for node in needed])
+    if sorted(loaded) != sorted(needed):
+        raise ValueError(
+            f"shard files in {args.dir} do not hold the nodes their names give"
+        )
     first = next(iter(loaded.values()))[0]
-    p = _params_from_header(first)
-    helpers = _parse_helpers(args.helpers)
-    rep = Repairer(p, failed, helpers)
-    a = p.alpha
-    stripes = first.stripe_count
-    regenerated = []
-    cross = intra = 0
-    per_helper: dict = {}
-    for s in range(stripes):
-        base = s * a
-        columns = {
-            node: syms[base : base + a] for node, (_, syms) in loaded.items()
-        }
-        column, ledger = rep.repair(columns)
-        regenerated.extend(column)
-        cross += ledger.cross_rack_symbols
-        intra += ledger.intra_rack_symbols
-        for e, c in ledger.per_helper.items():
-            per_helper[e] = per_helper.get(e, 0) + c
+    kernel = SlabKernel(p.field)
+    columns = {node: kernel.split(pl, p.alpha) for node, (_, pl) in loaded.items()}
+    column, sent = rep.repair_slabs(kernel, columns)
     header = replace(first, e=failed.e, g=failed.g)
     out_dir = args.out if args.out else args.dir
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, shard_filename(failed.e, failed.g))
-    write_shard(path, header, regenerated)
+    write_payload(path, header, kernel.join(column))
+    # The ledger counts symbols in the slabs actually moved.
+    width = kernel.width
+    per_helper = {e: len(slab) // width for e, slab in sent.items()}
+    cross = sum(per_helper.values())
+    intra = sum(len(slab) for node in rep.survivors for slab in columns[node]) // width
     print(f"repaired node ({failed.e}, {failed.g}) -> {path}")
-    print(f"stripes {stripes}")
+    print(f"stripes {first.stripe_count}")
     print(f"cross_rack_symbols {cross} ({p.dbar * p.beta} per stripe)")
     print(f"intra_rack_symbols {intra}")
     for e in sorted(per_helper):

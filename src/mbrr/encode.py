@@ -7,8 +7,9 @@ product with the power matrix's logarithms cached on the params, so the
 per-stripe loop is table lookups only; ``linalg.matmul`` with
 ``encoding_matrix`` is the generic reference it must agree with.
 ``node_column`` produces a single column by Horner evaluation instead, so
-streaming callers never materialize the power matrix. All routes agree
-exactly.
+streaming callers never materialize the power matrix. ``encode_slabs`` runs
+the same product once over byte slabs that span every stripe of a file.
+All routes agree exactly.
 """
 
 from __future__ import annotations
@@ -18,13 +19,22 @@ from .layout import (
     CodeParams,
     MessageMatrix,
     NodeId,
+    all_nodes,
     evaluation_point,
     evaluation_points,
+    fill_plan,
     index_sets,
+    node_index,
 )
 from .linalg import poly_eval
 
-__all__ = ["row_polynomial", "encoding_matrix", "encode", "node_column"]
+__all__ = [
+    "row_polynomial",
+    "encoding_matrix",
+    "encode",
+    "encode_slabs",
+    "node_column",
+]
 
 
 def row_polynomial(M: MessageMatrix, i: int) -> list:
@@ -76,6 +86,30 @@ def encode(M: MessageMatrix) -> CodeMatrix:
                     orow[j] = add(orow[j], exp[la + lrow[j]])
         out.append(orow)
     return CodeMatrix(p, out)
+
+
+def encode_slabs(kernel, p: CodeParams, slots, nodes=None) -> dict:
+    """Slab form of ``encode(fill_message_matrix(p, data))``, for many stripes at once.
+
+    ``slots`` are B equal-length slabs (see ``slab``), slab s holding data
+    symbol s of every stripe. Returns ``{node: [alpha slabs]}`` for
+    ``nodes`` (default: all, in rack-major order). Row i of the code matrix
+    is one map per message row: the encoding-matrix entries of the row's
+    cells that the fill plan gives a slot, applied by ``kernel``.
+    """
+    if len(slots) != p.B:
+        raise ValueError(f"expected {p.B} slot slabs, got {len(slots)}")
+    nodes = list(all_nodes(p) if nodes is None else nodes)
+    emat = encoding_matrix(p)
+    idx = [node_index(p, node) for node in nodes]
+    out = {node: [] for node in nodes}
+    for slot_row in fill_plan(p)[0]:
+        cells = [(pos, s) for pos, s in enumerate(slot_row) if s is not None]
+        matrix = [[emat[pos][c] for pos, _ in cells] for c in idx]
+        slabs = kernel.apply(matrix, [slots[s] for _, s in cells])
+        for node, slab in zip(nodes, slabs):
+            out[node].append(slab)
+    return out
 
 
 def node_column(M: MessageMatrix, node: NodeId) -> list:

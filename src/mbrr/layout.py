@@ -325,6 +325,9 @@ def unfill_message_matrix(M: MessageMatrix) -> list:
 
     Walks cells in the same column-major order as the fill so that every
     repeated cell is compared against the first occurrence of its slot.
+    Cells may also be byte slabs spanning many stripes (see ``slab``), with
+    the int 0 at structural zeros; a repeated cell must then equal its first
+    occurrence in every stripe.
     """
     p = M.params
     slots, fresh = fill_plan(p)

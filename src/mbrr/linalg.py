@@ -127,6 +127,20 @@ class BatchInterpolator:
                         out[j] = add(out[j], exp[ln + f])
         return out
 
+    def matrix(self) -> list:
+        """The t x t Lagrange matrix: ``interpolate(v)[j] == sum_i L[j][i] * v[i]``.
+
+        Row j holds the degree-j coefficient of every basis polynomial;
+        column i belongs to sample point i.
+        """
+        exp = self.field.exp
+        out = [[0] * self.t for _ in range(self.t)]
+        for i, (lognum, s) in enumerate(zip(self._lognums, self._scale)):
+            for j, ln in enumerate(lognum):
+                if ln is not None:
+                    out[j][i] = exp[ln + s]
+        return out
+
     def leading_coefficient(self, values: Sequence[int]) -> int:
         """Degree-(t-1) coefficient of the interpolant, without the other terms.
 

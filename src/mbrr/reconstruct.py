@@ -9,6 +9,11 @@ equals the coefficient of degree i*u + u-1 in row t, which the first pass
 already recovered. Subtracting those known terms leaves each top row a
 polynomial of degree at most k-1, fixed by a second interpolation.
 
+``Decoder.decode_slabs`` runs the same two passes over byte slabs that
+span every stripe of a file: each interpolation is then one fixed k x k
+Lagrange map, and the top rows' map also subtracts the transferred
+high-degree terms.
+
 ``oracle_reconstruct`` ignores all of that structure: it writes one linear
 equation per observed symbol in the B data unknowns and solves by Gaussian
 elimination. It exists as an independent check on the structured decoder
@@ -17,7 +22,7 @@ and must agree with it bit for bit.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .encode import encoding_matrix
 from .layout import (
@@ -32,9 +37,10 @@ from .layout import (
     fill_plan,
     index_sets,
     node_index,
+    unfill_message_matrix,
     validate_message_matrix,
 )
-from .linalg import BatchInterpolator, dot, solve_linear
+from .linalg import BatchInterpolator, dot, matmul, solve_linear
 
 __all__ = ["ObservedColumn", "take_columns", "Decoder", "reconstruct", "oracle_reconstruct"]
 
@@ -94,6 +100,7 @@ class Decoder:
         # Column position of degree i*u + u-1 for each top row i < kbar.
         self._mirror_pos = [cp[i * p.u + p.u - 1] for i in range(p.kbar)]
         self._high_pos = [cp[deg] for deg in high_degrees]
+        self._slab_maps = None  # built by the first decode_slabs call
 
     def reconstruct(self, cols: Sequence[ObservedColumn]) -> MessageMatrix:
         """Recover the message matrix from columns of this decoder's nodes."""
@@ -141,6 +148,56 @@ class Decoder:
         # Cross-checks the recovered symmetric block; trips on corrupt input.
         validate_message_matrix(M)
         return M
+
+    def decode_slabs(self, kernel, columns: Mapping[NodeId, Sequence[bytes]]) -> list:
+        """Slab form of ``unfill_message_matrix(self.reconstruct(...))``.
+
+        ``columns`` maps each of this decoder's nodes to its alpha slabs
+        (see ``slab``); other entries are ignored. Returns the B data slabs
+        in fill order. Bottom rows are the Lagrange map L applied to the
+        observed slabs; a top row is [L | -L H] applied to its observed
+        slabs followed by the high-degree slabs moved across the M1
+        symmetry, H holding each node's powers lambda**(t*u + u-1). The
+        symmetry checks of ``unfill_message_matrix`` compare whole slabs
+        and raise IntegrityError if any stripe is inconsistent.
+        """
+        p = self.p
+        ordered = []
+        for node in self.ids:
+            col = columns.get(node)
+            if col is None:
+                raise ValueError(f"no slabs for decoder node {node!r}")
+            if len(col) != p.alpha:
+                raise ValueError(
+                    f"node {node!r} has {len(col)} slabs, expected alpha={p.alpha}"
+                )
+            ordered.append(col)
+        if self._slab_maps is None:
+            f = p.field
+            lagrange = self._interp.matrix()
+            transfer = matmul(f, lagrange, self._high_pow)
+            top = [
+                lrow + [f.neg(v) for v in trow]
+                for lrow, trow in zip(lagrange, transfer)
+            ]
+            self._slab_maps = (lagrange, top)
+        lagrange, top = self._slab_maps
+
+        k = p.k
+        low = [(pos, deg) for pos, deg in enumerate(self._j) if deg < k]
+        rows = [[0] * len(self._j) for _ in range(p.dbar)]
+        for i in range(p.kbar, p.dbar):
+            coeffs = kernel.apply(lagrange, [col[i] for col in ordered])
+            for pos, deg in low:
+                rows[i][pos] = coeffs[deg]
+        for i in range(p.kbar):
+            high = [rows[t][self._mirror_pos[i]] for t in range(p.kbar, p.dbar)]
+            coeffs = kernel.apply(top, [col[i] for col in ordered] + high)
+            for pos, deg in low:
+                rows[i][pos] = coeffs[deg]
+            for pos, slab in zip(self._high_pos, high):
+                rows[i][pos] = slab
+        return unfill_message_matrix(MessageMatrix(p, rows))
 
 
 def reconstruct(p: CodeParams, cols: Sequence[ObservedColumn]) -> MessageMatrix:

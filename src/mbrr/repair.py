@@ -23,6 +23,12 @@ solve recovers it. The replacement node then subtracts the leading term from
 the u-1 surviving in-rack columns, interpolates the residual of degree at
 most u-2, and evaluates at its own point.
 
+``Repairer.repair_slabs`` runs the same protocol over byte slabs that span
+every stripe of a file. Every step above is linear, so each helper rack's
+contribution is one fixed 1 x (u*alpha) map over its own slabs, and the
+host rack's finish is one fixed alpha x (dbar + (u-1)*alpha) map over the
+dbar received slabs and its u-1 survivors' slabs.
+
 Traffic per repair: dbar * beta symbols cross racks (one per helper) and
 (u-1) * dbar symbols are read inside the target rack. ``BandwidthLedger``
 records both; the cross-rack count is the quantity the construction
@@ -277,6 +283,8 @@ class Repairer:
 
     Point-dependent interpolators are built once, so repairing the same
     node across many stripes costs only the per-stripe arithmetic.
+    ``helpers`` (sorted rack indices) and ``survivors`` (the failed node's
+    u-1 rack mates) name every node a repair reads.
     """
 
     def __init__(
@@ -309,12 +317,11 @@ class Repairer:
             )
             for e in helpers
         }
-        self._survivor_ids = [
-            NodeId(failed.e, g) for g in range(p.u) if g != failed.g
-        ]
+        self.survivors = [NodeId(failed.e, g) for g in range(p.u) if g != failed.g]
         self._survivor_interp = BatchInterpolator(
-            f, [evaluation_point(p, node) for node in self._survivor_ids]
+            f, [evaluation_point(p, node) for node in self.survivors]
         )
+        self._slab_maps = None  # built by the first repair_slabs call
 
     def repair(self, columns: Mapping[NodeId, Sequence[int]]):
         """Regenerate the failed column; returns (column, BandwidthLedger)."""
@@ -337,7 +344,7 @@ class Repairer:
             ledger.per_helper[e] = ledger.per_helper.get(e, 0) + p.beta
         hv_star = recover_leading_vector(p, self.failed.e, received)
         surviving = []
-        for node in self._survivor_ids:
+        for node in self.survivors:
             col = columns.get(node)
             if col is None:
                 raise RepairModelError(
@@ -355,6 +362,91 @@ class Repairer:
             _interp=self._survivor_interp,
         )
         return column, ledger
+
+    def _build_slab_maps(self) -> tuple:
+        """(helper maps by rack, host map), in closed form from the interpolators.
+
+        Helper rack e sends phi_target . h_e. Here h_e[i] weights the
+        rack's u values of row i by the degree-(u-1) row ``lead`` of its
+        Lagrange matrix (the leading coefficient), and phi_target = (1, x, x**2, ...)
+        at the target rack's point x, so the helper map has entry
+        lead[g] * x**i at input g*alpha + i. The host recovers
+        h_target = V s from the received slabs s, V being the Lagrange matrix
+        on the helpers' rack points. It finishes row i as
+        sum_g w_g * col_g[i] + kappa * h_target[i], where w_g is survivor g's
+        Lagrange basis polynomial evaluated at the lost point lam, and
+        kappa = lam**(u-1) - sum_g w_g * lambda_g**(u-1) gathers the leading
+        term that ``repair_local`` subtracts at each survivor and adds back
+        at lam.
+        """
+        p = self.p
+        f = p.field
+        x = rack_point(p, self.failed.e)
+        phi = [f.pow(x, i) for i in range(p.dbar)]
+        helper_maps = {}
+        for e, interp in self._helper_interp.items():
+            lead = interp.matrix()[p.u - 1]
+            helper_maps[e] = [[f.mul(w, v) for w in lead for v in phi]]
+
+        lam = evaluation_point(p, self.failed)
+        local = self._survivor_interp
+        basis = local.matrix()
+        weights = [
+            poly_eval(f, [row[g] for row in basis], lam) for g in range(local.t)
+        ]
+        kappa = f.pow(lam, p.u - 1)
+        for w, pt in zip(weights, local.points):
+            kappa = f.sub(kappa, f.mul(w, f.pow(pt, p.u - 1)))
+        vand = BatchInterpolator(f, [rack_point(p, e) for e in self.helpers]).matrix()
+        host = []
+        for i in range(p.dbar):
+            row = [f.mul(kappa, v) for v in vand[i]]
+            row += [w if r == i else 0 for w in weights for r in range(p.alpha)]
+            host.append(row)
+        return helper_maps, host
+
+    def repair_slabs(self, kernel, columns: Mapping[NodeId, Sequence[bytes]]):
+        """Slab form of ``repair``; returns (lost node's alpha slabs, sent).
+
+        ``columns`` maps nodes to their alpha slabs (see ``slab``); only
+        the helper racks and the u-1 in-rack survivors are read. Each helper
+        rack's map runs over that rack's own slabs and yields the one slab
+        it sends across racks; ``sent`` maps each helper rack to that slab.
+        The host map then runs over the received slabs followed by the
+        survivors' slabs.
+        """
+        p = self.p
+        if self._slab_maps is None:
+            self._slab_maps = self._build_slab_maps()
+        helper_maps, host = self._slab_maps
+
+        def rows_of(node, why):
+            col = columns.get(node)
+            if col is None:
+                raise RepairModelError(why)
+            if len(col) != p.alpha:
+                raise ValueError(
+                    f"node {node!r} has {len(col)} slabs, expected alpha={p.alpha}"
+                )
+            return col
+
+        sent = {}
+        for e in self.helpers:
+            slabs = []
+            for g in range(p.u):
+                node = NodeId(e, g)
+                slabs += rows_of(
+                    node, f"helper rack {e} is incomplete: node {node!r} unavailable"
+                )
+            sent[e] = kernel.apply(helper_maps[e], slabs)[0]
+        inputs = [sent[e] for e in self.helpers]
+        for node in self.survivors:
+            inputs += rows_of(
+                node,
+                f"in-rack survivor {node!r} unavailable; cannot repair "
+                f"{self.failed!r} (single-failure model)",
+            )
+        return kernel.apply(host, inputs), sent
 
 
 def repair_node(

@@ -11,6 +11,7 @@ MODULES = [
     "mbrr.reconstruct",
     "mbrr.repair",
     "mbrr.systematic",
+    "mbrr.slab",
     "mbrr.cluster",
     "mbrr.cli",
 ]

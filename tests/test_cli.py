@@ -1,6 +1,7 @@
 import hashlib
 import os
 import random
+import re
 import struct
 
 import pytest
@@ -267,6 +268,90 @@ def test_cmd_repair_rejects_bad_helpers(tmp_path, capsys):
         capsys, "repair", shard_dir, 0, 0, "--helpers", "woof"
     )
     assert rc == 2 and "comma-separated" in err
+
+
+@pytest.mark.parametrize("claimed", [1_262_144, 1, 0])
+def test_cmd_decode_rejects_length_disagreeing_with_stripes(tmp_path, capsys, claimed):
+    """A header whose original length needs another stripe count is refused."""
+    src = tmp_path / "input.bin"
+    src.write_bytes(random.Random(505).randbytes(5000))  # 250 stripes of 20
+    shard_dir = tmp_path / "shards"
+    run_cli(capsys, "encode", src, 12, 7, 3, 3, "--out", shard_dir)
+    for name in os.listdir(shard_dir):
+        blob = bytearray((shard_dir / name).read_bytes())
+        blob[40:48] = struct.pack(">Q", claimed)  # original_length
+        (shard_dir / name).write_bytes(bytes(blob))
+    dst = tmp_path / "restored.bin"
+    rc, _, err = run_cli(capsys, "decode", shard_dir, "--out", dst)
+    assert rc == 2
+    assert "original length" in err
+    assert not dst.exists()
+    (shard_dir / shard_filename(1, 1)).unlink()
+    rc, _, err = run_cli(capsys, "repair", shard_dir, 1, 1)
+    assert rc == 2 and "original length" in err
+
+
+def test_cmd_decode_rejects_zero_length_file(tmp_path, capsys):
+    """Shards that claim an empty file are refused, not decoded to nothing."""
+    paths = []
+    for e, g in [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0)]:
+        h = sample_header(e=e, g=g, stripe_count=0, payload_length=0, original_length=0)
+        paths.append(tmp_path / shard_filename(e, g))
+        write_shard(str(paths[-1]), h, [])
+    rc, _, err = run_cli(capsys, "decode", *paths, "--out", tmp_path / "out.bin")
+    assert rc == 2 and "original length" in err
+
+
+def encode_five_racks(tmp_path, capsys, field_m=8):
+    """(15,7,3,3): five racks, so a repair of rack 0 leaves rack 4 idle."""
+    src = tmp_path / "input.bin"
+    src.write_bytes(random.Random(506).randbytes(3000))  # 3000 / (20 * m/8) stripes
+    shard_dir = tmp_path / "shards"
+    rc, _, _ = run_cli(
+        capsys, "encode", src, 15, 7, 3, 3, "--field-m", field_m, "--out", shard_dir
+    )
+    assert rc == 0
+    return shard_dir
+
+
+def test_cmd_repair_opens_only_needed_shards(tmp_path, capsys):
+    shard_dir = encode_five_racks(tmp_path, capsys)
+    victim = shard_dir / shard_filename(0, 0)
+    want = victim.read_bytes()
+    victim.unlink()
+    # Rack 4 is no helper of rack 0 (default helpers 1, 2, 3).
+    (shard_dir / shard_filename(4, 0)).write_bytes(b"not a shard at all")
+    (shard_dir / shard_filename(4, 1)).unlink()
+    rc, _, err = run_cli(capsys, "repair", shard_dir, 0, 0)
+    assert rc == 0, err
+    assert victim.read_bytes() == want
+
+
+@pytest.mark.parametrize("lost", [(2, 1), (0, 1), (0, 2)])
+def test_cmd_repair_names_missing_shard(tmp_path, capsys, lost):
+    """A missing helper-rack node or in-rack survivor is named in the error."""
+    shard_dir = encode_five_racks(tmp_path, capsys)
+    (shard_dir / shard_filename(0, 0)).unlink()
+    (shard_dir / shard_filename(*lost)).unlink()
+    rc, _, err = run_cli(capsys, "repair", shard_dir, 0, 0)
+    assert rc == 2
+    assert f"node {lost}" in err
+
+
+@pytest.mark.parametrize("field_m, want_stripes", [(8, 150), (16, 75)])
+def test_cmd_repair_ledger_counts_moved_symbols(tmp_path, capsys, field_m, want_stripes):
+    shard_dir = encode_five_racks(tmp_path, capsys, field_m)
+    (shard_dir / shard_filename(0, 0)).unlink()
+    rc, out, _ = run_cli(capsys, "repair", shard_dir, 0, 0, "--helpers", "2,3,4")
+    assert rc == 0
+    stripes = int(re.search(r"^stripes (\d+)$", out, re.M).group(1))
+    assert stripes == want_stripes
+    cross = int(re.search(r"^cross_rack_symbols (\d+)", out, re.M).group(1))
+    assert cross == 3 * stripes  # dbar * stripe_count
+    intra = int(re.search(r"^intra_rack_symbols (\d+)$", out, re.M).group(1))
+    assert intra == 2 * 3 * stripes  # (u-1) * alpha * stripe_count
+    per_helper = re.findall(r"^  helper rack (\d+): (\d+) symbols$", out, re.M)
+    assert per_helper == [(str(e), str(stripes)) for e in (2, 3, 4)]
 
 
 def test_cmd_decode_rejects_mixed_headers(tmp_path, capsys):

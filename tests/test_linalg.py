@@ -79,6 +79,19 @@ def test_leading_coefficient_shortcut():
         assert bi.leading_coefficient(values) == bi.interpolate(values)[-1]
 
 
+def test_lagrange_matrix_matches_interpolate():
+    """matrix() times a value vector is interpolate(), in every field kind."""
+    rng = random.Random(5)
+    for f in FIELDS:
+        for _ in range(30):
+            t = rng.randrange(1, min(9, f.q))
+            bi = BatchInterpolator(f, distinct_points(f, t, rng))
+            L = bi.matrix()
+            assert len(L) == t and all(len(row) == t for row in L)
+            values = [rng.randrange(f.q) for _ in range(t)]
+            assert mat_vec(f, L, values) == bi.interpolate(values)
+
+
 def test_interpolation_rejects_bad_inputs():
     f = binary_field(4)
     with pytest.raises(ValueError, match="distinct"):
