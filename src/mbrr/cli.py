@@ -45,8 +45,10 @@ applied to whole slabs:
               (u-1)*alpha rows of its u-1 survivors to the alpha rows of the
               lost node
 
-``repair`` opens only the shards those two stages read, and its
-cross-rack ledger counts the symbols in the helper slabs it produced.
+``decode`` checks every given shard's header but loads the payloads of
+only the k shards it reads (see ``systematic.read_nodes``). ``repair``
+opens only the shards its two stages read, and its cross-rack ledger
+counts the symbols in the helper slabs it produced.
 """
 
 from __future__ import annotations
@@ -77,6 +79,8 @@ from .repair import Repairer, repair_node
 from .slab import SlabKernel
 from .systematic import (
     precoding_matrix,
+    read_nodes,
+    read_slabs,
     read_systematic_data,
     systematic_encode,
     systematic_layout,
@@ -140,9 +144,7 @@ class ShardHeader:
 
     def matches(self, other: "ShardHeader") -> bool:
         """Same code, file and framing; node identity may differ."""
-        a = replace(self, e=0, g=0)
-        b = replace(other, e=0, g=0)
-        return a == b
+        return {**vars(self), "e": 0, "g": 0} == {**vars(other), "e": 0, "g": 0}
 
 
 def symbol_width(m: int) -> int:
@@ -194,12 +196,22 @@ def write_payload(path: str, header: ShardHeader, payload: bytes) -> None:
 def read_payload(path: str) -> tuple:
     """Parse one shard file into (header, payload bytes in file byte order)."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    header = ShardHeader.unpack(blob)
-    payload = blob[HEADER_SIZE:]
-    if len(payload) != header.payload_length:
+        header = _read_checked_header(path, fh)
+        return header, fh.read()
+
+
+def read_header(path: str) -> ShardHeader:
+    """Parse one shard file's header, checked against the file's size."""
+    with open(path, "rb") as fh:
+        return _read_checked_header(path, fh)
+
+
+def _read_checked_header(path: str, fh) -> ShardHeader:
+    header = ShardHeader.unpack(fh.read(HEADER_SIZE))
+    size = os.fstat(fh.fileno()).st_size - HEADER_SIZE
+    if size != header.payload_length:
         raise ValueError(
-            f"{path}: payload is {len(payload)} bytes, "
+            f"{path}: payload is {size} bytes, "
             f"header says {header.payload_length}"
         )
     width = symbol_width(header.m)
@@ -209,7 +221,7 @@ def read_payload(path: str) -> tuple:
             f"{path}: payload length {header.payload_length} does not match "
             f"{header.stripe_count} stripes of {header.dbar} symbols"
         )
-    return header, payload
+    return header
 
 
 # write_shard and read_shard are the symbol-list forms of write_payload and
@@ -312,57 +324,45 @@ def _params_from_header(h: ShardHeader) -> CodeParams:
     return p
 
 
-def _load_shards(paths: Sequence[str]) -> dict:
-    """Read shard files into {NodeId: (header, payload)}; headers must agree."""
-    loaded = {}
+def _by_node(headers) -> dict:
+    """{NodeId: (header, path)} from (path, header) pairs; headers must agree."""
+    found = {}
     first = None
-    for path in paths:
-        header, payload = read_payload(path)
+    for path, header in headers:
         node = NodeId(header.e, header.g)
         if first is None:
             first = header
         elif not header.matches(first):
             raise ValueError(f"{path}: header disagrees with the first shard's")
-        if node in loaded:
+        if node in found:
             raise ValueError(f"duplicate shard for node {tuple(node)}")
-        loaded[node] = (header, payload)
-    if not loaded:
+        found[node] = (header, path)
+    if not found:
         raise ValueError("no shard files given")
-    return loaded
+    return found
 
 
 def decode_shards(loaded: Mapping[NodeId, tuple]) -> bytes:
     """Original file bytes from any k shards (fewer is an error).
 
     ``loaded`` maps nodes to (header, payload) pairs as ``read_payload``
-    returns them; the first header describes the file.
+    returns them; the first header describes the file. Only the payloads
+    of the nodes ``read_nodes`` names are used.
     """
     first = next(iter(loaded.values()))[0]
     p = _params_from_header(first)
-    if len(loaded) < p.k:
-        raise ValueError(f"got {len(loaded)} shards, need at least k={p.k}")
+    nodes = read_nodes(p, loaded)
     kernel = SlabKernel(p.field)
     columns = {}
-    for node, (_, payload) in loaded.items():
+    for node in nodes:
+        payload = loaded[node][1]
         if len(payload) != first.payload_length:
             raise ValueError(
                 f"node {tuple(node)}: payload is {len(payload)} bytes, "
                 f"header says {first.payload_length}"
             )
         columns[node] = kernel.split(payload, p.alpha)
-    front = systematic_nodes(p)
-    if first.systematic and all(node in columns for node in front):
-        data = read_systematic_data(p, columns)
-    else:
-        dec = Decoder(p, sorted(columns)[: p.k])
-        data = dec.decode_slabs(kernel, columns)
-        if first.systematic:
-            # A decoded node's column equals its observed one, so only the
-            # systematic nodes outside the decode set are encoded.
-            missing = [node for node in front if node not in dec.ids]
-            front_cols = {node: columns[node] for node in front if node in dec.ids}
-            front_cols.update(encode_slabs(kernel, p, data, missing))
-            data = read_systematic_data(p, front_cols)
+    data = read_slabs(kernel, p, columns, nodes, first.systematic)
     return kernel.join(data)[: first.original_length]
 
 
@@ -428,13 +428,15 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    loaded = _load_shards(_shard_paths(args.shards))
-    data = decode_shards(loaded)
+    found = _by_node((path, read_header(path)) for path in _shard_paths(args.shards))
+    first = next(iter(found.values()))[0]
+    nodes = read_nodes(_params_from_header(first), found)
+    data = decode_shards({node: read_payload(found[node][1]) for node in nodes})
     tmp = args.out + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(data)
     os.replace(tmp, args.out)
-    print(f"decoded {len(data)} bytes from {len(loaded)} shards -> {args.out}")
+    print(f"decoded {len(data)} bytes from {len(found)} shards -> {args.out}")
     return 0
 
 
@@ -453,35 +455,33 @@ def cmd_repair(args) -> int:
     # The code comes from an in-rack survivor's header; racks hold u >= 2
     # nodes, so (e, 0) or (e, 1) is one.
     probe = NodeId(failed.e, 1 if failed.g == 0 else 0)
-    with open(require(probe), "rb") as fh:
-        p = _params_from_header(ShardHeader.unpack(fh.read(HEADER_SIZE)))
+    p = _params_from_header(read_header(require(probe)))
     rep = Repairer(p, failed, _parse_helpers(args.helpers))
     needed = [NodeId(e, g) for e in rep.helpers for g in range(p.u)] + rep.survivors
-    loaded = _load_shards([require(node) for node in needed])
-    if sorted(loaded) != sorted(needed):
+    loaded = {path: read_payload(path) for path in map(require, needed)}
+    found = _by_node((path, header) for path, (header, _) in loaded.items())
+    if sorted(found) != sorted(needed):
         raise ValueError(
             f"shard files in {args.dir} do not hold the nodes their names give"
         )
-    first = next(iter(loaded.values()))[0]
+    first = next(iter(found.values()))[0]
     kernel = SlabKernel(p.field)
-    columns = {node: kernel.split(pl, p.alpha) for node, (_, pl) in loaded.items()}
+    columns = {
+        node: kernel.split(loaded[path][1], p.alpha) for node, (_, path) in found.items()
+    }
     column, sent = rep.repair_slabs(kernel, columns)
     header = replace(first, e=failed.e, g=failed.g)
     out_dir = args.out if args.out else args.dir
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, shard_filename(failed.e, failed.g))
     write_payload(path, header, kernel.join(column))
-    # The ledger counts symbols in the slabs actually moved.
-    width = kernel.width
-    per_helper = {e: len(slab) // width for e, slab in sent.items()}
-    cross = sum(per_helper.values())
-    intra = sum(len(slab) for node in rep.survivors for slab in columns[node]) // width
+    ledger = rep.slab_ledger(kernel, columns, sent)
     print(f"repaired node ({failed.e}, {failed.g}) -> {path}")
     print(f"stripes {first.stripe_count}")
-    print(f"cross_rack_symbols {cross} ({p.dbar * p.beta} per stripe)")
-    print(f"intra_rack_symbols {intra}")
-    for e in sorted(per_helper):
-        print(f"  helper rack {e}: {per_helper[e]} symbols")
+    print(f"cross_rack_symbols {ledger.cross_rack_symbols} ({p.dbar * p.beta} per stripe)")
+    print(f"intra_rack_symbols {ledger.intra_rack_symbols}")
+    for e in sorted(ledger.per_helper):
+        print(f"  helper rack {e}: {ledger.per_helper[e]} symbols")
     return 0
 
 
@@ -490,6 +490,26 @@ def cmd_repair(args) -> int:
 
 def _sim_error(lineno: int, line: str, why: str) -> ValueError:
     return ValueError(f"script line {lineno}: {why} ({line!r})")
+
+
+# Statement -> (fewest arguments, most arguments, what it takes).
+_SIM_ARGS = {
+    "params": (4, 5, "n k u dbar [m]"),
+    "systematic": (1, 1, "on|off"),
+    "seed": (1, 1, "N"),
+    "store": (1, 1, "N"),
+    "fail": (2, 2, "E G"),
+    "repair": (2, 3, "E G [E1,E2,...]"),
+    "read": (0, 0, "no arguments"),
+}
+
+
+def _sim_ints(lineno: int, line: str, texts: Sequence[str]) -> list:
+    """Statement arguments as non-negative ints, or a script error."""
+    for text in texts:
+        if not text.isdecimal():
+            raise _sim_error(lineno, line, f"{text!r} is not a non-negative integer")
+    return [int(text) for text in texts]
 
 
 def cmd_simulate(args) -> int:
@@ -505,8 +525,10 @@ def cmd_simulate(args) -> int:
         repair E G [E1,E2,...]   repair node, optional helper racks
         read                     read back and verify all stored data
 
-    Model violations during fail/repair/read are reported as lines, not
-    crashes, so scripts can demonstrate failure cases.
+    Every number is a non-negative integer. A malformed statement stops
+    the script with an error naming its line. Model violations during
+    fail/repair/read are reported as lines, not crashes, so scripts can
+    demonstrate failure cases.
     """
     import random
 
@@ -524,11 +546,12 @@ def cmd_simulate(args) -> int:
             continue
         parts = line.split()
         op, rest = parts[0], parts[1:]
+        if op in _SIM_ARGS:
+            fewest, most, takes = _SIM_ARGS[op]
+            if not fewest <= len(rest) <= most:
+                raise _sim_error(lineno, line, f"{op} takes {takes}")
         if op == "params":
-            if not 4 <= len(rest) <= 5:
-                raise _sim_error(lineno, line, "params takes n k u dbar [m]")
-            vals = [int(x) for x in rest]
-            p = file_params(*vals[:4], vals[4] if len(vals) == 5 else None)
+            p = file_params(*_sim_ints(lineno, line, rest))
             cluster = None
             print(
                 f"params n={p.n} k={p.k} u={p.u} dbar={p.dbar} "
@@ -536,8 +559,9 @@ def cmd_simulate(args) -> int:
             )
             continue
         if op == "seed":
-            rng = random.Random(int(rest[0]))
-            print(f"seed {int(rest[0])}")
+            (seed,) = _sim_ints(lineno, line, rest)
+            rng = random.Random(seed)
+            print(f"seed {seed}")
             continue
         if op == "systematic":
             if rest not in (["on"], ["off"]):
@@ -548,7 +572,7 @@ def cmd_simulate(args) -> int:
         if p is None:
             raise _sim_error(lineno, line, "params must come first")
         if op == "store":
-            count = int(rest[0])
+            (count,) = _sim_ints(lineno, line, rest)
             stored = [
                 [rng.randrange(p.field.q) for _ in range(p.B)]
                 for _ in range(count)
@@ -564,7 +588,7 @@ def cmd_simulate(args) -> int:
         if cluster is None:
             raise _sim_error(lineno, line, "store must precede fail/repair/read")
         if op == "fail":
-            node = NodeId(int(rest[0]), int(rest[1]))
+            node = NodeId(*_sim_ints(lineno, line, rest))
             try:
                 cluster.fail_node(node)
                 print(f"fail node=({node.e},{node.g})")
@@ -572,8 +596,8 @@ def cmd_simulate(args) -> int:
                 print(f"fail node=({node.e},{node.g}) error: {exc}")
             continue
         if op == "repair":
-            node = NodeId(int(rest[0]), int(rest[1]))
-            helpers = _parse_helpers(rest[2]) if len(rest) > 2 else None
+            node = NodeId(*_sim_ints(lineno, line, rest[:2]))
+            helpers = _sim_ints(lineno, line, rest[2].split(",")) if len(rest) > 2 else None
             try:
                 ledger = cluster.repair_failed(node, helpers)
                 hh = ",".join(str(e) for e in sorted(ledger.per_helper))

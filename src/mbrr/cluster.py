@@ -1,17 +1,23 @@
 """In-memory rack-aware cluster simulator.
 
 Nodes are arranged in nbar racks of u; each healthy node holds one
-alpha-symbol column per stored stripe. The simulator is deterministic and
-single-threaded: the same store/fail/repair/read script always produces the
-same final state and the same bandwidth ledgers.
+alpha-symbol column per stored stripe, kept as alpha slabs (see ``slab``):
+slab i lists the node's symbol i of every stripe. Reads and repairs run the
+file commands' linear maps once over those slabs through
+``slab.ListSlabKernel``, never stripe by stripe. The simulator is
+deterministic and single-threaded: the same store/fail/repair/read script
+always produces the same final state and the same bandwidth ledgers.
 
 Policies (overridable per call):
-  reads   any k healthy nodes, lowest node ids first
+  reads   the k lowest healthy node ids (``systematic.read_nodes``); those
+          are the systematic nodes when all of them are healthy, and a
+          systematic cluster then reads their symbols without decoding
   repairs the dbar lowest fully healthy racks outside the host rack
 
-A repair moves exactly beta symbols out of each helper rack, so the merged
-ledger must show dbar * beta cross-rack symbols per stripe; ``repair_failed``
-checks that identity instead of trusting the bookkeeping.
+A repair moves exactly beta symbols out of each helper rack, so the ledger,
+counted from the slabs the repair moved, must show dbar * beta cross-rack
+symbols per stripe; ``repair_failed`` checks that identity instead of
+trusting the bookkeeping.
 """
 
 from __future__ import annotations
@@ -20,11 +26,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .encode import node_column
-from .layout import CodeMatrix, CodeParams, NodeId, all_nodes, node_index, unfill_message_matrix
-from .reconstruct import Decoder, ObservedColumn
+from .layout import CodeMatrix, CodeParams, NodeId, all_nodes, node_index
 from .repair import BandwidthLedger, RepairModelError, Repairer
-from .systematic import read_systematic_data, systematic_nodes
+from .slab import ListSlabKernel
+from .systematic import read_nodes, read_slabs
 
 __all__ = [
     "InsufficientSurvivorsError",
@@ -90,7 +95,8 @@ class Cluster:
     def __init__(self, params: CodeParams, systematic: bool = False):
         self.params = params
         self.systematic = bool(systematic)
-        self._shards = {node: [] for node in all_nodes(params)}
+        self._kernel = ListSlabKernel(params.field)
+        self._shards = {node: [[] for _ in range(params.alpha)] for node in all_nodes(params)}
         self._failed = set()
         self._stripes = 0
 
@@ -115,7 +121,7 @@ class Cluster:
         node_index(self.params, node)
         if node in self._failed:
             raise RepairModelError(f"node {node!r} has failed: shard unavailable")
-        return [list(col) for col in self._shards[node]]
+        return [list(col) for col in zip(*self._shards[node])]
 
     def store_stripes(self, matrices: Iterable[CodeMatrix]) -> None:
         """Place column (e,g) of every stripe on node (e,g), replacing any
@@ -125,20 +131,20 @@ class Cluster:
                 f"cannot store stripes with failed nodes: {sorted(self._failed)}"
             )
         p = self.params
-        shards = {node: [] for node in all_nodes(p)}
-        count = 0
+        rows = []  # per stripe, its alpha x n code matrix rows
         for C in matrices:
             if not _same_code(C.params, p):
                 raise ValueError("stripe parameters do not match the cluster")
             if len(C.rows) != p.alpha or any(len(r) != p.n for r in C.rows):
                 raise ValueError(
-                    f"stripe {count}: expected {p.alpha} x {p.n} code matrix"
+                    f"stripe {len(rows)}: expected {p.alpha} x {p.n} code matrix"
                 )
-            for node in all_nodes(p):
-                shards[node].append(tuple(C.column(node)))
-            count += 1
-        self._shards = shards
-        self._stripes = count
+            rows.append(C.rows)
+        self._shards = {
+            node: [[stripe[i][j] for stripe in rows] for i in range(p.alpha)]
+            for j, node in enumerate(all_nodes(p))
+        }
+        self._stripes = len(rows)
 
     def fail_node(self, node) -> None:
         node = NodeId(*node)
@@ -146,7 +152,7 @@ class Cluster:
         if node in self._failed:
             raise ValueError(f"node {node!r} already failed")
         self._failed.add(node)
-        self._shards[node] = []
+        self._shards[node] = None
 
     def _healthy_racks(self) -> list:
         failed_racks = {n.e for n in self._failed}
@@ -155,9 +161,9 @@ class Cluster:
     def repair_failed(self, node, helpers: Sequence[int] | None = None) -> BandwidthLedger:
         """Regenerate a failed node on the helper racks' traffic and rejoin it.
 
-        Returns the merged ledger over all stripes, after checking the
-        defining bandwidth identity: dbar * beta cross-rack symbols per
-        stripe, no more, no less.
+        Returns the ledger over all stripes, after checking the defining
+        bandwidth identity: dbar * beta cross-rack symbols per stripe, no
+        more, no less.
         """
         p = self.params
         node = NodeId(*node)
@@ -184,35 +190,24 @@ class Cluster:
             if unhealthy:
                 raise RepairModelError(f"helper racks {unhealthy} are not fully healthy")
         rep = Repairer(p, node, helpers)
-        total = BandwidthLedger()
-        regenerated = []
-        for s in range(self._stripes):
-            columns = {
-                nid: self._shards[nid][s]
-                for nid in all_nodes(p)
-                if nid not in self._failed
-            }
-            column, ledger = rep.repair(columns)
-            regenerated.append(tuple(column))
-            total.merge(ledger)
+        column, sent = rep.repair_slabs(self._kernel, self._shards)
+        ledger = rep.slab_ledger(self._kernel, self._shards, sent)
         expected = p.dbar * p.beta * self._stripes
-        if total.cross_rack_symbols != expected:
+        if ledger.cross_rack_symbols != expected:
             raise RuntimeError(
-                f"bandwidth identity violated: {total.cross_rack_symbols} cross-rack "
+                f"bandwidth identity violated: {ledger.cross_rack_symbols} cross-rack "
                 f"symbols for {self._stripes} stripes, expected {expected}"
             )
-        if sum(total.per_helper.values()) != total.cross_rack_symbols:
-            raise RuntimeError("ledger per-helper breakdown does not sum to the total")
-        self._shards[node] = regenerated
+        self._shards[node] = column
         self._failed.discard(node)
-        return total
+        return ledger
 
     def read_data(self, survivors: Sequence[NodeId] | None = None) -> list:
-        """Per-stripe data symbols, reconstructed from k healthy nodes.
+        """Per-stripe data symbols, read from k healthy nodes.
 
-        Default survivor policy: the k lowest healthy node ids. A systematic
-        cluster with its systematic nodes intact skips decoding entirely and
-        reads the stored symbols back directly.
+        Default survivor policy (``read_nodes``): the k lowest healthy node
+        ids. A systematic cluster with its systematic nodes intact reads the
+        stored symbols back directly; any other read decodes.
         """
         p = self.params
         healthy = self.healthy_nodes()
@@ -221,32 +216,11 @@ class Cluster:
                 f"{len(healthy)} healthy nodes of n={p.n}; need at least k={p.k}"
             )
         if survivors is None:
-            if self.systematic:
-                front = systematic_nodes(p)
-                if all(n not in self._failed for n in front):
-                    return [
-                        read_systematic_data(
-                            p, {n: self._shards[n][s] for n in front}
-                        )
-                        for s in range(self._stripes)
-                    ]
-            survivors = healthy[: p.k]
-        ids = [NodeId(*n) for n in survivors]
-        for n in ids:
-            if n in self._failed:
-                raise RepairModelError(f"requested survivor {n!r} has failed")
-        dec = Decoder(p, ids)
-        out = []
-        for s in range(self._stripes):
-            cols = [ObservedColumn(n, self._shards[n][s]) for n in ids]
-            M = dec.reconstruct(cols)
-            if self.systematic:
-                front = systematic_nodes(p)
-                out.append(
-                    read_systematic_data(
-                        p, {n: node_column(M, n) for n in front}
-                    )
-                )
-            else:
-                out.append(unfill_message_matrix(M))
-        return out
+            nodes = read_nodes(p, healthy)
+        else:
+            nodes = [NodeId(*n) for n in survivors]
+            for n in nodes:
+                if n in self._failed:
+                    raise RepairModelError(f"requested survivor {n!r} has failed")
+        data = read_slabs(self._kernel, p, self._shards, nodes, self.systematic)
+        return [list(stripe) for stripe in zip(*data)]

@@ -448,6 +448,16 @@ class Repairer:
             )
         return kernel.apply(host, inputs), sent
 
+    def slab_ledger(self, kernel, columns: Mapping[NodeId, Sequence], sent) -> BandwidthLedger:
+        """The ledger of a ``repair_slabs`` run, counted from the slabs it moved.
+
+        Each helper rack's ``sent`` slab crossed racks, and the survivors'
+        slabs in ``columns`` were read inside the host rack.
+        """
+        per_helper = {e: len(slab) // kernel.width for e, slab in sent.items()}
+        intra = sum(len(slab) for node in self.survivors for slab in columns[node])
+        return BandwidthLedger(sum(per_helper.values()), intra // kernel.width, per_helper)
+
 
 def repair_node(
     p: CodeParams,

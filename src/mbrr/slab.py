@@ -1,4 +1,4 @@
-"""Byte-slab kernel: GF(2^8) and GF(2^16) linear maps over whole shard rows.
+"""Slab kernels: linear maps over whole shard rows, as bytes or as lists.
 
 A slab holds one symbol position of every stripe. Row i of a shard whose
 payload carries alpha symbols per stripe is symbols i, i + alpha,
@@ -27,13 +27,29 @@ runs once over slabs instead of once per stripe:
   nonzero precoding constants at (50,44,5,8)) whose constants are mostly
   used once per command, and per-symbol log/exp lookups scatter over
   tables of 65,536 entries.
+
+``ListSlabKernel`` applies the same maps, with the same contract, to slabs
+that are lists of field ints, over any field. The cluster simulator keeps
+its shards that way, because prime fields and GF(2^m) with m other than 8
+and 16 have no byte framing.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-__all__ = ["SlabKernel"]
+__all__ = ["SlabKernel", "ListSlabKernel"]
+
+
+def _slab_size(matrix: Sequence[Sequence[int]], slabs: Sequence) -> int:
+    """The common length of ``slabs``, once they and ``matrix`` are known to fit."""
+    size = len(slabs[0]) if slabs else 0
+    if any(len(slab) != size for slab in slabs):
+        raise ValueError("slabs differ in length")
+    for row in matrix:
+        if len(row) != len(slabs):
+            raise ValueError(f"map row has {len(row)} entries for {len(slabs)} slabs")
+    return size
 
 
 class SlabKernel:
@@ -76,17 +92,11 @@ class SlabKernel:
 
     def apply(self, matrix: Sequence[Sequence[int]], slabs: Sequence[bytes]) -> list:
         """Output slab r is the sum over j of ``matrix[r][j] * slabs[j]``."""
-        size = len(slabs[0]) if slabs else 0
-        if any(len(slab) != size for slab in slabs):
-            raise ValueError("slabs differ in length")
+        size = _slab_size(matrix, slabs)
         plain = [None] * len(slabs)  # each input slab as an int, for c == 1
         ready = [None] * len(slabs)  # each input slab as _times takes it
         out = []
         for row in matrix:
-            if len(row) != len(slabs):
-                raise ValueError(
-                    f"map row has {len(row)} entries for {len(slabs)} slabs"
-                )
             acc = 0
             for j, c in enumerate(row):
                 if c == 1:
@@ -145,3 +155,34 @@ class SlabKernel:
             w0[c & 3] ^ w1[c >> 2 & 3] ^ w2[c >> 4 & 3] ^ w3[c >> 6 & 3]
             ^ w4[c >> 8 & 3] ^ w5[c >> 10 & 3] ^ w6[c >> 12 & 3] ^ w7[c >> 14]
         )
+
+
+class ListSlabKernel:
+    """Applies matrices over any field to equal-length lists of field ints.
+
+    A slab is a list with one symbol per stripe, so ``width`` is 1. Sums
+    are XORs in GF(2^m); in GF(p) they are plain integer sums, reduced once
+    per output slab.
+    """
+
+    width = 1
+
+    def __init__(self, field):
+        self.field = field
+
+    def apply(self, matrix: Sequence[Sequence[int]], slabs: Sequence[list]) -> list:
+        """Output slab r is the sum over j of ``matrix[r][j] * slabs[j]``."""
+        size = _slab_size(matrix, slabs)
+        f = self.field
+        exp, log = f.exp, f.log
+        out = []
+        for row in matrix:
+            acc = [0] * size
+            for c, slab in zip(row, slabs):
+                if c and f.characteristic == 2:
+                    lc = log[c]
+                    acc = [a ^ (x and exp[lc + log[x]]) for a, x in zip(acc, slab)]
+                elif c:
+                    acc = [a + c * x for a, x in zip(acc, slab)]
+            out.append([a % f.q for a in acc])
+        return out

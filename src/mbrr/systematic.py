@@ -35,14 +35,18 @@ Every step is linear, so data -> message matrix is an invertible linear map;
 ``precoding_matrix`` materializes it by probing with unit vectors, and
 ``systematic_encode`` applies that matrix. ``systematic_message_matrix``
 stays as the structured oracle the map is built from and checked against.
+
+``read_nodes`` and ``read_slabs`` are the one read policy of the file
+commands and the cluster simulator: read the systematic nodes directly
+when a systematic code has them all, else decode the k lowest node ids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
-from .encode import encode
+from .encode import encode, encode_slabs
 from .layout import (
     CodeMatrix,
     CodeParams,
@@ -53,8 +57,8 @@ from .layout import (
     unfill_message_matrix,
     validate_data,
 )
-from .linalg import BatchInterpolator, solve_linear
-from .reconstruct import ObservedColumn, reconstruct
+from .linalg import BatchInterpolator, mat_vec, solve_linear
+from .reconstruct import Decoder, ObservedColumn, reconstruct
 from .repair import LeadingVector, rack_point, repair_local
 
 __all__ = [
@@ -65,6 +69,8 @@ __all__ = [
     "systematic_message_matrix",
     "systematic_encode",
     "precoding_matrix",
+    "read_nodes",
+    "read_slabs",
 ]
 
 
@@ -214,27 +220,11 @@ def systematic_message_matrix(p: CodeParams, data: Sequence[int]):
 def systematic_encode(p: CodeParams, data: Sequence[int]) -> CodeMatrix:
     """Encode so the first k node columns carry ``data`` uncoded.
 
-    Applies the precoding map, with its logarithms cached on the params, to
-    get the fill-order slot values, then encodes them as usual. The result
-    equals ``encode(systematic_message_matrix(p, data))``.
+    Fills the message matrix with the precoding map applied to ``data``;
+    the result equals ``encode(systematic_message_matrix(p, data))``.
     """
     validate_data(p, data)
-    f = p.field
-    exp, log, add = f.exp, f.log, f.add
-    logrows = p._cache.get("precoding_logs")
-    if logrows is None:
-        logrows = p._cache.setdefault(
-            "precoding_logs",
-            [[None if v == 0 else log[v] for v in row] for row in precoding_matrix(p)],
-        )
-    slots = []
-    for lrow in logrows:
-        acc = 0
-        for lv, d in zip(lrow, data):
-            if lv is not None and d:
-                acc = add(acc, exp[lv + log[d]])
-        slots.append(acc)
-    return encode(fill_message_matrix(p, slots))
+    return encode(fill_message_matrix(p, mat_vec(p.field, precoding_matrix(p), data)))
 
 
 def precoding_matrix(p: CodeParams) -> list:
@@ -255,3 +245,35 @@ def precoding_matrix(p: CodeParams) -> list:
         rows = [[cols[jj][r] for jj in range(p.B)] for r in range(p.B)]
         got = p._cache.setdefault("precoding_matrix", rows)
     return got
+
+
+def read_nodes(p: CodeParams, available: Collection[NodeId]) -> list:
+    """The k nodes a read uses: the k lowest ``available`` ids. The
+    systematic nodes are the k lowest ids, so they are read whenever all
+    of them are available."""
+    if len(available) < p.k:
+        raise ValueError(f"got {len(available)} shards, need at least k={p.k}")
+    return sorted(available)[: p.k]
+
+
+def read_slabs(kernel, p: CodeParams, columns: Mapping, nodes: Sequence, systematic: bool) -> list:
+    """The B data slabs (see ``slab``) read from the alpha slabs ``columns``
+    holds for each of the k ``nodes``, in placement order for a systematic
+    code and fill order otherwise.
+
+    The systematic nodes are read directly. Other nodes are decoded, and a
+    systematic code then encodes its systematic nodes that were not read.
+    """
+    front = systematic_nodes(p)
+    if systematic and sorted(nodes) == front:
+        return read_systematic_data(p, columns)
+    dec = Decoder(p, nodes)
+    data = dec.decode_slabs(kernel, columns)
+    if not systematic:
+        return data
+    # A decoded node's column equals its observed one, so only the
+    # systematic nodes outside the decode set are encoded.
+    front_cols = {node: columns[node] for node in front if node in dec.ids}
+    missing = [node for node in front if node not in dec.ids]
+    front_cols.update(encode_slabs(kernel, p, data, missing))
+    return read_systematic_data(p, front_cols)

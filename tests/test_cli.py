@@ -229,6 +229,56 @@ def test_cmd_decode_accepts_directory(tmp_path, capsys):
     assert dst.read_bytes() == src.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "systematic, lost, want",
+    [
+        (False, None, list(range(7))),  # the 7 lowest ids
+        (True, None, list(range(7))),  # the 7 systematic nodes
+        (True, (0, 1), [0, *range(2, 8)]),  # lowest ids, (0, 1) encoded
+        (False, (0, 0), list(range(1, 8))),
+    ],
+)
+def test_cmd_decode_loads_only_payloads_it_reads(tmp_path, capsys, monkeypatch, systematic, lost, want):
+    import mbrr.cli
+
+    src = tmp_path / "input.bin"
+    src.write_bytes(random.Random(507).randbytes(1500))
+    shard_dir = tmp_path / "shards"
+    flags = ["--systematic"] if systematic else []
+    run_cli(capsys, "encode", src, 12, 7, 3, 3, *flags, "--out", shard_dir)
+    if lost is not None:
+        (shard_dir / shard_filename(*lost)).unlink()
+    read = []
+    real = mbrr.cli.read_payload
+
+    def counting(path):
+        read.append(os.path.basename(path))
+        return real(path)
+
+    monkeypatch.setattr(mbrr.cli, "read_payload", counting)
+    dst = tmp_path / "restored.bin"
+    rc, out, _ = run_cli(capsys, "decode", shard_dir, "--out", dst)
+    assert rc == 0 and dst.read_bytes() == src.read_bytes()
+    nodes = [(e, g) for e in range(4) for g in range(3)]
+    assert sorted(read) == sorted(shard_filename(*nodes[i]) for i in want)
+    assert f"from {12 - (lost is not None)} shards" in out
+
+
+def test_cmd_decode_checks_unused_shards(tmp_path, capsys):
+    """A shard the read does not use still has its header and size checked."""
+    src = tmp_path / "input.bin"
+    src.write_bytes(random.Random(508).randbytes(1500))
+    shard_dir = tmp_path / "shards"
+    run_cli(capsys, "encode", src, 12, 7, 3, 3, "--out", shard_dir)
+    unused = shard_dir / shard_filename(3, 2)
+    unused.write_bytes(unused.read_bytes()[:-1])
+    rc, _, err = run_cli(capsys, "decode", shard_dir, "--out", tmp_path / "out.bin")
+    assert rc == 2 and "payload is" in err
+    unused.write_bytes(b"MBRX" + bytes(60))
+    rc, _, err = run_cli(capsys, "decode", shard_dir, "--out", tmp_path / "out.bin")
+    assert rc == 2 and "magic" in err
+
+
 def test_cmd_encode_systematic_places_raw_bytes(tmp_path, capsys):
     from mbrr.systematic import systematic_layout
 
@@ -502,6 +552,73 @@ def test_simulate_parse_errors(tmp_path, capsys):
     script.write_text("params 12 7 3 3\nstore 1\nwobble\n")
     rc, _, err = run_cli(capsys, "simulate", script)
     assert rc == 2 and "unknown statement" in err
+
+
+@pytest.mark.parametrize(
+    "statement, why",
+    [
+        ("seed", "seed takes N"),
+        ("seed 1 2", "seed takes N"),
+        ("store", "store takes N"),
+        ("store -3", "'-3' is not a non-negative integer"),
+        ("store x", "'x' is not a non-negative integer"),
+        ("store 1 2", "store takes N"),
+        ("fail 1", "fail takes E G"),
+        ("fail 1 x", "'x' is not a non-negative integer"),
+        ("fail 1 1 1", "fail takes E G"),
+        ("repair 1", "repair takes E G [E1,E2,...]"),
+        ("repair 1 1 0,x", "'x' is not a non-negative integer"),
+        ("repair 1 1 0,2,3 4", "repair takes E G [E1,E2,...]"),
+        ("read now", "read takes no arguments"),
+        ("systematic", "systematic takes on|off"),
+        ("params 12 7 3", "params takes n k u dbar [m]"),
+        ("params 12 7 3 x", "'x' is not a non-negative integer"),
+    ],
+)
+def test_simulate_rejects_malformed_statements(tmp_path, capsys, statement, why):
+    script = tmp_path / "bad.txt"
+    script.write_text(f"params 12 7 3 3\nstore 1\n\n{statement}  # comment\nread\n")
+    rc, out, err = run_cli(capsys, "simulate", script)
+    assert rc == 2
+    assert f"script line 4: {why} ({statement!r})" in err
+    assert "read" not in out
+
+
+SCENARIO_OUTPUT = {
+    "overload.txt": """\
+params n=12 k=7 u=3 dbar=3 alpha=3 B=20 field=GF(2^8)
+seed 7
+store stripes=2 symbols=40
+fail node=(0,0)
+fail node=(0,1)
+fail node=(1,0)
+fail node=(1,1)
+fail node=(2,0)
+read stripes=2 verified ok
+fail node=(2,1)
+read error: 6 healthy nodes of n=12; need at least k=7
+""",
+    "reference_repair.txt": """\
+params n=12 k=7 u=3 dbar=3 alpha=3 B=20 field=GF(2^8)
+seed 42
+store stripes=3 symbols=60
+read stripes=3 verified ok
+fail node=(1,1)
+repair node=(1,1) helpers=0,2,3 cross_rack=9 per_stripe=3 intra_rack=18 ok
+read stripes=3 verified ok
+fail node=(0,2)
+repair node=(0,2) helpers=1,2,3 cross_rack=9 per_stripe=3 intra_rack=18 ok
+read stripes=3 verified ok
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_OUTPUT))
+def test_shipped_scenarios_match_golden_output(capsys, name):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    rc, out, err = run_cli(capsys, "simulate", os.path.join(root, "scenarios", name))
+    assert (rc, err) == (0, "")
+    assert out == SCENARIO_OUTPUT[name]
 
 
 # ---------------------------------------------------------------- selftest

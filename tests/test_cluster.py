@@ -2,15 +2,24 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mbrr.cluster import Cluster, InsufficientSurvivorsError, overhead_report
-from mbrr.encode import encode
+from mbrr.encode import encode, node_column
 from mbrr.gf import binary_field
-from mbrr.layout import CodeMatrix, NodeId, all_nodes, fill_message_matrix, make_params
-from mbrr.repair import RepairModelError
-from mbrr.systematic import systematic_encode
+from mbrr.layout import (
+    CodeMatrix,
+    NodeId,
+    all_nodes,
+    fill_message_matrix,
+    make_params,
+    unfill_message_matrix,
+)
+from mbrr.reconstruct import Decoder, take_columns
+from mbrr.repair import RepairModelError, Repairer
+from mbrr.systematic import read_systematic_data, systematic_encode, systematic_nodes
 
-from support import params, random_stripe
+from support import PARAM_SETS, params, random_stripe
 
 
 def loaded_cluster(p, rng, stripes=4, systematic=False):
@@ -233,6 +242,79 @@ def test_systematic_cluster_repairs_systematic_node():
     c.repair_failed(victim)
     assert c.node_shard(victim) == before
     assert c.read_data() == data
+
+
+# ---------------------------------------------------------------- slab engine
+
+
+def per_stripe_read(p, mats, survivors, systematic):
+    """Per-stripe data through the structured Decoder, the slab read's oracle."""
+    dec = Decoder(p, survivors)
+    out = []
+    for C in mats:
+        M = dec.reconstruct(take_columns(C, survivors))
+        if systematic:
+            out.append(read_systematic_data(p, {n: node_column(M, n) for n in systematic_nodes(p)}))
+        else:
+            out.append(unfill_message_matrix(M))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(PARAM_SETS)),
+    systematic=st.booleans(),
+    stripes=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+    draw=st.data(),
+)
+def test_cluster_matches_per_stripe_oracles(name, systematic, stripes, seed, draw):
+    p = params(name)
+    rng = random.Random(seed)
+    data, c = loaded_cluster(p, rng, stripes, systematic)
+    mats = [systematic_encode(p, d) if systematic else encode(fill_message_matrix(p, d)) for d in data]
+    nodes = list(all_nodes(p))
+
+    victim = draw.draw(st.sampled_from(nodes))
+    helpers = sorted(rng.sample([e for e in range(p.nbar) if e != victim.e], p.dbar))
+    before = c.node_shard(victim)
+    assert before == [C.column(victim) for C in mats]
+    c.fail_node(victim)
+    ledger = c.repair_failed(victim, helpers)
+    assert c.node_shard(victim) == before
+    rep = Repairer(p, victim, helpers)
+    assert [rep.repair({n: C.column(n) for n in nodes if n != victim})[0] for C in mats] == before
+    assert ledger.cross_rack_symbols == p.dbar * p.beta * stripes
+    assert ledger.per_helper == {e: stripes for e in helpers}
+    assert ledger.intra_rack_symbols == (p.u - 1) * p.alpha * stripes
+
+    failed = draw.draw(st.lists(st.sampled_from(nodes), unique=True, max_size=p.n - p.k))
+    for node in failed:
+        c.fail_node(node)
+    healthy = [n for n in nodes if n not in failed]
+    survivors = sorted(rng.sample(healthy, p.k))
+    assert c.read_data() == data
+    assert c.read_data(survivors) == data == per_stripe_read(p, mats, survivors, systematic)
+    assert c.read_data(healthy[: p.k]) == per_stripe_read(p, mats, healthy[: p.k], systematic)
+
+
+@pytest.mark.parametrize("systematic", [False, True])
+def test_cluster_never_runs_the_per_stripe_engine(monkeypatch, systematic):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Cluster ran a per-stripe path")
+
+    monkeypatch.setattr(Decoder, "reconstruct", refuse)
+    monkeypatch.setattr(Repairer, "repair", refuse)
+    p = params("quads")
+    data, c = loaded_cluster(p, random.Random(417), stripes=3, systematic=systematic)
+    with monkeypatch.context() as patch:
+        if systematic:  # intact systematic nodes are read, not decoded
+            patch.setattr(Decoder, "decode_slabs", refuse)
+        assert c.read_data() == data
+    c.fail_node(NodeId(0, 1))  # a systematic node: the read decodes and re-encodes
+    assert c.read_data() == data
+    assert c.repair_failed(NodeId(0, 1)).cross_rack_symbols == p.dbar * 3
+    assert c.read_data(list(all_nodes(p))[-p.k :]) == data
 
 
 # ---------------------------------------------------------------- overhead

@@ -31,7 +31,7 @@ from mbrr.layout import (
 from mbrr.linalg import mat_vec
 from mbrr.reconstruct import Decoder, ObservedColumn
 from mbrr.repair import Repairer, helper_symbol, rack_leading_vector
-from mbrr.slab import SlabKernel
+from mbrr.slab import ListSlabKernel, SlabKernel
 from mbrr.systematic import read_systematic_data, systematic_encode, systematic_nodes
 from support import PARAM_SETS, params
 
@@ -99,6 +99,30 @@ def test_kernel_rejects_bad_input():
         kernel.apply([[1, 1]], [b"ab", b"a"])
     with pytest.raises(ValueError, match="entries"):
         kernel.apply([[1]], [b"ab", b"cd"])
+
+
+@pytest.mark.parametrize(
+    "field", [binary_field(4), binary_field(8), prime_field(13), prime_field(29)], ids=repr
+)
+def test_list_slab_kernel_matches_field_arithmetic(field):
+    kernel = ListSlabKernel(field)
+    assert kernel.width == 1
+    rng = random.Random(620 + field.q)
+    top = field.q - 1
+    for stripes in (0, 1, 9):
+        slabs = [[rng.choice([0, 1, top, rng.randrange(field.q)]) for _ in range(stripes)] for _ in range(4)]
+        matrix = [[rng.choice([0, 1, top, rng.randrange(field.q)]) for _ in range(4)] for _ in range(3)]
+        matrix.append([0] * 4)
+        got = kernel.apply(matrix, slabs)
+        want = [[mat_vec(field, [row], list(col))[0] for col in zip(*slabs)] for row in matrix]
+        if not stripes:
+            want = [[] for _ in matrix]
+        assert got == want
+    assert kernel.apply([[]], []) == [[]]
+    with pytest.raises(ValueError, match="length"):
+        kernel.apply([[1, 1]], [[1, 2], [1]])
+    with pytest.raises(ValueError, match="entries"):
+        kernel.apply([[1]], [[1], [2]])
 
 
 # ---------------------------------------------------------------- maps
