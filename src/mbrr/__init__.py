@@ -17,7 +17,7 @@ for the failure simulator and ``cli`` for the shard-file front end.
 """
 
 from .cluster import Cluster, InsufficientSurvivorsError, OverheadReport, overhead_report
-from .encode import encode, encoding_matrix, node_column
+from .encode import encode, encoding_matrix
 from .gf import BinaryField, Field, PrimeField, binary_field, prime_field
 from .layout import (
     CodeMatrix,
@@ -87,7 +87,6 @@ __all__ = [
     "fill_message_matrix",
     "helper_symbol",
     "make_params",
-    "node_column",
     "oracle_reconstruct",
     "overhead_report",
     "precoding_matrix",

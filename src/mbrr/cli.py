@@ -551,7 +551,11 @@ def cmd_simulate(args) -> int:
             if not fewest <= len(rest) <= most:
                 raise _sim_error(lineno, line, f"{op} takes {takes}")
         if op == "params":
-            p = file_params(*_sim_ints(lineno, line, rest))
+            values = _sim_ints(lineno, line, rest)
+            try:
+                p = file_params(*values)
+            except ValueError as exc:
+                raise _sim_error(lineno, line, str(exc)) from None
             cluster = None
             print(
                 f"params n={p.n} k={p.k} u={p.u} dbar={p.dbar} "

@@ -125,26 +125,42 @@ class Cluster:
 
     def store_stripes(self, matrices: Iterable[CodeMatrix]) -> None:
         """Place column (e,g) of every stripe on node (e,g), replacing any
-        previous content. All nodes must be healthy."""
+        previous content. All nodes must be healthy, and every symbol must
+        be a field element: a plain int in [0, q), as ``validate_data``
+        requires of data."""
         if self._failed:
             raise RepairModelError(
                 f"cannot store stripes with failed nodes: {sorted(self._failed)}"
             )
         p = self.params
-        rows = []  # per stripe, its alpha x n code matrix rows
+        rows = []  # each stripe's alpha code-matrix rows, stripe after stripe
+        stripes = 0
         for C in matrices:
             if not _same_code(C.params, p):
                 raise ValueError("stripe parameters do not match the cluster")
             if len(C.rows) != p.alpha or any(len(r) != p.n for r in C.rows):
                 raise ValueError(
-                    f"stripe {len(rows)}: expected {p.alpha} x {p.n} code matrix"
+                    f"stripe {stripes}: expected {p.alpha} x {p.n} code matrix"
                 )
-            rows.append(C.rows)
-        self._shards = {
-            node: [[stripe[i][j] for stripe in rows] for i in range(p.alpha)]
-            for j, node in enumerate(all_nodes(p))
-        }
-        self._stripes = len(rows)
+            rows += C.rows
+            stripes += 1
+        q = p.field.q
+        shards = {}
+        for node, col in zip(all_nodes(p), zip(*rows) if rows else [()] * p.n):
+            # Whole-column passes: the entry types, then the distinct values.
+            bad = set(map(type, col)) - {int}
+            if not bad:
+                distinct = set(col)
+                bad = distinct and (min(distinct) < 0 or max(distinct) >= q)
+            if bad:
+                at = next(t for t, v in enumerate(col) if type(v) is not int or not 0 <= v < q)
+                raise ValueError(
+                    f"stripe {at // p.alpha}: node {node!r} holds {col[at]!r}, "
+                    f"which is not an element of {p.field!r}"
+                )
+            shards[node] = [list(col[i :: p.alpha]) for i in range(p.alpha)]
+        self._shards = shards
+        self._stripes = stripes
 
     def fail_node(self, node) -> None:
         node = NodeId(*node)

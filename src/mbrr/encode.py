@@ -5,11 +5,10 @@ row polynomial f_i. The whole code matrix is the product of the message
 matrix with a fixed evaluation-power matrix. ``encode`` computes that
 product with the power matrix's logarithms cached on the params, so the
 per-stripe loop is table lookups only; ``linalg.matmul`` with
-``encoding_matrix`` is the generic reference it must agree with.
-``node_column`` produces a single column by Horner evaluation instead, so
-streaming callers never materialize the power matrix. ``encode_slabs`` runs
-the same product once over byte slabs that span every stripe of a file.
-All routes agree exactly.
+``encoding_matrix`` is the generic reference it must agree with, and so
+is Horner evaluation of each ``row_polynomial`` at the node points.
+``encode_slabs`` runs the same product once over slabs that span every
+stripe. All routes agree exactly.
 """
 
 from __future__ import annotations
@@ -18,22 +17,18 @@ from .layout import (
     CodeMatrix,
     CodeParams,
     MessageMatrix,
-    NodeId,
     all_nodes,
-    evaluation_point,
     evaluation_points,
     fill_plan,
     index_sets,
     node_index,
 )
-from .linalg import poly_eval
 
 __all__ = [
     "row_polynomial",
     "encoding_matrix",
     "encode",
     "encode_slabs",
-    "node_column",
 ]
 
 
@@ -110,10 +105,3 @@ def encode_slabs(kernel, p: CodeParams, slots, nodes=None) -> dict:
         for node, slab in zip(nodes, slabs):
             out[node].append(slab)
     return out
-
-
-def node_column(M: MessageMatrix, node: NodeId) -> list:
-    """The dbar symbols stored by one node, by direct Horner evaluation."""
-    p = M.params
-    lam = evaluation_point(p, node)
-    return [poly_eval(p.field, row_polynomial(M, i), lam) for i in range(p.dbar)]

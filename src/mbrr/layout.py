@@ -57,7 +57,6 @@ __all__ = [
     "unfill_message_matrix",
     "MessageMatrix",
     "validate_data",
-    "validate_message_matrix",
     "CodeMatrix",
 ]
 
@@ -133,14 +132,15 @@ def make_params(
     k: int,
     u: int,
     dbar: int,
-    m: int | None = None,
     field: Field | None = None,
 ) -> CodeParams:
     """Validate raw code parameters and derive the full bundle.
 
-    ``m`` selects GF(2^m) explicitly; ``field`` supplies a prebuilt field
-    object. With neither, the smallest usable field is chosen: GF(2^m) with
-    m <= 16 when one exists, otherwise the smallest adequate prime field.
+    ``field`` fixes the field, e.g. ``gf.binary_field(8)`` for GF(2^8) or
+    ``gf.prime_field(13)``; it must have more than n elements and an element
+    of order u. Without it, the smallest usable field is chosen: GF(2^m)
+    with m <= 16 when one exists, otherwise the smallest adequate prime
+    field.
     """
     for name, v in (("n", n), ("k", k), ("u", u), ("dbar", dbar)):
         if not isinstance(v, int) or isinstance(v, bool):
@@ -161,10 +161,8 @@ def make_params(
         raise ValueError(
             f"dbar={dbar} exceeds the available helper racks nbar-1={nbar - 1}"
         )
-    if field is not None and m is not None:
-        raise ValueError("pass either m or field, not both")
     if field is None:
-        field = gf.binary_field(m) if m is not None else _auto_field(n, u)
+        field = _auto_field(n, u)
     _check_field(field, n, u)
     B = k * dbar - kbar * (kbar - 1) // 2
     return CodeParams(
@@ -352,28 +350,6 @@ def unfill_message_matrix(M: MessageMatrix) -> list:
                     f"{v!r} != {out[s]!r}"
                 )
     return out
-
-
-def validate_message_matrix(M: MessageMatrix) -> None:
-    """Raise unless shape, symmetry, zero corner and symbol ranges all hold."""
-    p = M.params
-    j = index_sets(p)[2]
-    if len(M.rows) != p.dbar or any(len(r) != len(j) for r in M.rows):
-        raise ValueError("message matrix has the wrong shape")
-    q = p.field.q
-    for row in M.rows:
-        for v in row:
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < q:
-                raise ValueError(f"entry {v!r} is not an element of {p.field!r}")
-    m1 = M.m1()
-    for i in range(p.dbar):
-        for t in range(i + 1, p.dbar):
-            if m1[i][t] != m1[t][i]:
-                raise IntegrityError(f"M1 is not symmetric at ({i}, {t})")
-    for i in range(p.kbar, p.dbar):
-        for t in range(p.kbar, p.dbar):
-            if m1[i][t] != 0:
-                raise IntegrityError(f"M1 zero corner violated at ({i}, {t})")
 
 
 @dataclass

@@ -8,9 +8,11 @@ never mutated and results are deterministic.
 The work horses are ``BatchInterpolator``, which fixes a set of sample
 points once and then interpolates many value vectors against them, and
 ``solve_linear``, plain Gauss-Jordan elimination with first-nonzero
-pivoting that also accepts tall (overdetermined) systems. ``matmul``,
-``mat_vec`` and ``dot`` are the generic products the fast paths are
-checked against.
+pivoting that also accepts tall (overdetermined) systems. ``matmul`` is
+the one generic matrix product: it runs the simulator's slab maps (see
+``slab.ListSlabKernel``) and is the reference the byte-slab kernel and
+``encode`` are checked against. ``dot`` is the one inner product, and
+``mat_vec`` applies it to each row.
 """
 
 from __future__ import annotations
@@ -209,45 +211,49 @@ def solve_linear(field, A: Sequence[Sequence[int]], b: Sequence[int]) -> list:
     return [aug[i][n] for i in range(n)]
 
 
-def matmul(field, A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> list:
-    """Matrix product over the field."""
-    if not A or not B:
-        raise ValueError("empty operand")
-    inner = len(B)
-    if any(len(row) != inner for row in A):
-        raise ValueError("inner dimensions do not match")
-    cols = len(B[0])
+def _product_width(A: Sequence[Sequence], B: Sequence[Sequence]) -> int:
+    """Row length of ``B``, once every row of ``A`` has one entry per row of ``B``."""
+    cols = len(B[0]) if B else 0
     if any(len(row) != cols for row in B):
-        raise ValueError("ragged right-hand matrix")
-    exp, log, add = field.exp, field.log, field.add
-    out = [[0] * cols for _ in range(len(A))]
-    for i, Ai in enumerate(A):
-        Oi = out[i]
-        for t in range(inner):
-            a = Ai[t]
-            if a:
+        raise ValueError("right-hand rows differ in length")
+    for row in A:
+        if len(row) != len(B):
+            raise ValueError(
+                f"left-hand row has {len(row)} entries for {len(B)} right-hand rows"
+            )
+    return cols
+
+
+def matmul(field, A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> list:
+    """Matrix product over the field, one whole row of ``B`` at a time.
+
+    Row i of the result is the sum over t of ``A[i][t]`` times row t of
+    ``B``. In GF(2^m) products are log/exp lookups and sums are XORs; in
+    GF(p) both are plain integer arithmetic, reduced once per output row.
+    The rows of ``B`` may be long, such as slabs holding one symbol of
+    every stripe.
+    """
+    cols = _product_width(A, B)
+    if not cols:  # nothing to sum, as in the decoder's symmetry transfer when dbar == kbar
+        return [[] for _ in A]
+    exp, log, q = field.exp, field.log, field.q
+    binary = field.characteristic == 2
+    out = []
+    for Ai in A:
+        acc = [0] * cols
+        for a, Bt in zip(Ai, B):
+            if a and binary:
                 la = log[a]
-                Bt = B[t]
-                for j in range(cols):
-                    v = Bt[j]
-                    if v:
-                        Oi[j] = add(Oi[j], exp[la + log[v]])
+                acc = [s ^ (v and exp[la + log[v]]) for s, v in zip(acc, Bt)]
+            elif a:
+                acc = [s + a * v for s, v in zip(acc, Bt)]
+        out.append(acc if binary else [s % q for s in acc])
     return out
 
 
 def mat_vec(field, A: Sequence[Sequence[int]], x: Sequence[int]) -> list:
-    """Matrix-vector product over the field."""
-    exp, log, add = field.exp, field.log, field.add
-    out = []
-    for row in A:
-        if len(row) != len(x):
-            raise ValueError("vector length does not match matrix width")
-        acc = 0
-        for a, v in zip(row, x):
-            if a and v:
-                acc = add(acc, exp[log[a] + log[v]])
-        out.append(acc)
-    return out
+    """Matrix-vector product over the field: ``dot`` of each row with ``x``."""
+    return [dot(field, row, x) for row in A]
 
 
 def dot(field, xs: Sequence[int], ys: Sequence[int]) -> int:

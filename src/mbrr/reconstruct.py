@@ -38,9 +38,8 @@ from .layout import (
     index_sets,
     node_index,
     unfill_message_matrix,
-    validate_message_matrix,
 )
-from .linalg import BatchInterpolator, dot, matmul, solve_linear
+from .linalg import BatchInterpolator, dot, mat_vec, matmul, solve_linear
 
 __all__ = ["ObservedColumn", "take_columns", "Decoder", "reconstruct", "oracle_reconstruct"]
 
@@ -110,7 +109,7 @@ class Decoder:
             raise ValueError("observed nodes do not match this decoder")
         ordered = [by_id[node] for node in self.ids]
 
-        exp, log, sub = p.field.exp, p.field.log, p.field.sub
+        sub = p.field.sub
         interp = self._interp
         j = self._j
         k = p.k
@@ -129,15 +128,8 @@ class Decoder:
         for i in range(p.kbar):
             mirror = self._mirror_pos[i]
             high = [rows[t][mirror] for t in range(p.kbar, p.dbar)]
-            vals = []
-            for c, sym in enumerate(ordered):
-                v = sym[i]
-                pows = self._high_pow[c]
-                for t_idx, coef in enumerate(high):
-                    if coef:
-                        v = sub(v, exp[log[coef] + log[pows[t_idx]]])
-                vals.append(v)
-            coeffs = interp.interpolate(vals)
+            moved = mat_vec(p.field, self._high_pow, high)
+            coeffs = interp.interpolate([sub(sym[i], v) for sym, v in zip(ordered, moved)])
             row = rows[i]
             for pos, deg in enumerate(j):
                 row[pos] = coeffs[deg] if deg < k else 0
@@ -146,7 +138,7 @@ class Decoder:
 
         M = MessageMatrix(p, rows)
         # Cross-checks the recovered symmetric block; trips on corrupt input.
-        validate_message_matrix(M)
+        unfill_message_matrix(M)
         return M
 
     def decode_slabs(self, kernel, columns: Mapping[NodeId, Sequence[bytes]]) -> list:

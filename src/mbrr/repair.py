@@ -49,8 +49,8 @@ from .layout import (
     evaluation_point,
     node_index,
 )
-from .linalg import BatchInterpolator, poly_eval
-from .reconstruct import ObservedColumn
+from .linalg import BatchInterpolator, dot, poly_eval
+from .reconstruct import ObservedColumn, _check_observation
 
 __all__ = [
     "RepairModelError",
@@ -79,12 +79,6 @@ class BandwidthLedger:
     cross_rack_symbols: int = 0
     intra_rack_symbols: int = 0
     per_helper: dict = dc_field(default_factory=dict)
-
-    def merge(self, other: "BandwidthLedger") -> None:
-        self.cross_rack_symbols += other.cross_rack_symbols
-        self.intra_rack_symbols += other.intra_rack_symbols
-        for rack, count in other.per_helper.items():
-            self.per_helper[rack] = self.per_helper.get(rack, 0) + count
 
 
 @dataclass(frozen=True)
@@ -116,28 +110,21 @@ def local_polynomial_coeffs(M: MessageMatrix, e: int) -> list:
     if not 0 <= e < p.nbar:
         raise ValueError(f"rack {e} outside [0, {p.nbar - 1}]")
     f = p.field
-    exp, log, add = f.exp, f.log, f.add
     cp = column_positions(p)
     xeu = rack_point(p, e)
     powers = [f.pow(xeu, t) for t in range(max(p.dbar, p.kbar + 1))]
     out = []
-    for i in range(p.dbar):
-        row = M.rows[i]
+    for row in M.rows:
         coeffs = []
         for j in range(p.u):
             if j == p.u - 1:
-                trange = range(p.dbar)
+                terms = p.dbar
             elif j < p.u0:
-                trange = range(p.kbar + 1)
+                terms = p.kbar + 1
             else:
-                trange = range(p.kbar)
-            acc = 0
-            for t in trange:
-                v = row[cp[t * p.u + j]]
-                w = powers[t]
-                if v and w:
-                    acc = add(acc, exp[log[v] + log[w]])
-            coeffs.append(acc)
+                terms = p.kbar
+            cells = [row[cp[t * p.u + j]] for t in range(terms)]
+            coeffs.append(dot(f, cells, powers[:terms]))
         out.append(coeffs)
     return out
 
@@ -147,20 +134,10 @@ def _rack_columns_in_order(
 ) -> list:
     if len(cols) != expect:
         raise ValueError(f"expected {expect} columns of rack {e}, got {len(cols)}")
-    by_g = {}
-    for col in cols:
-        node_index(p, col.id)
-        if col.id.e != e:
-            raise ValueError(f"column of node {col.id!r} does not belong to rack {e}")
-        if col.id.g in by_g:
-            raise ValueError(f"duplicate column for node {col.id!r}")
-        if len(col.symbols) != p.alpha:
-            raise ValueError(
-                f"column for node {col.id!r} has {len(col.symbols)} symbols, "
-                f"expected alpha={p.alpha}"
-            )
-        by_g[col.id.g] = col
-    return [by_g[g] for g in sorted(by_g)]
+    for node in _check_observation(p, cols):
+        if node.e != e:
+            raise ValueError(f"column of node {node!r} does not belong to rack {e}")
+    return sorted(cols, key=lambda col: col.id)
 
 
 def rack_leading_vector(

@@ -38,18 +38,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from .linalg import _product_width, matmul
+
 __all__ = ["SlabKernel", "ListSlabKernel"]
-
-
-def _slab_size(matrix: Sequence[Sequence[int]], slabs: Sequence) -> int:
-    """The common length of ``slabs``, once they and ``matrix`` are known to fit."""
-    size = len(slabs[0]) if slabs else 0
-    if any(len(slab) != size for slab in slabs):
-        raise ValueError("slabs differ in length")
-    for row in matrix:
-        if len(row) != len(slabs):
-            raise ValueError(f"map row has {len(row)} entries for {len(slabs)} slabs")
-    return size
 
 
 class SlabKernel:
@@ -92,7 +83,7 @@ class SlabKernel:
 
     def apply(self, matrix: Sequence[Sequence[int]], slabs: Sequence[bytes]) -> list:
         """Output slab r is the sum over j of ``matrix[r][j] * slabs[j]``."""
-        size = _slab_size(matrix, slabs)
+        size = _product_width(matrix, slabs)
         plain = [None] * len(slabs)  # each input slab as an int, for c == 1
         ready = [None] * len(slabs)  # each input slab as _times takes it
         out = []
@@ -160,9 +151,8 @@ class SlabKernel:
 class ListSlabKernel:
     """Applies matrices over any field to equal-length lists of field ints.
 
-    A slab is a list with one symbol per stripe, so ``width`` is 1. Sums
-    are XORs in GF(2^m); in GF(p) they are plain integer sums, reduced once
-    per output slab.
+    A slab is a list with one symbol per stripe, so ``width`` is 1, and a
+    map is the matrix product ``linalg.matmul`` with the slabs as rows.
     """
 
     width = 1
@@ -172,17 +162,4 @@ class ListSlabKernel:
 
     def apply(self, matrix: Sequence[Sequence[int]], slabs: Sequence[list]) -> list:
         """Output slab r is the sum over j of ``matrix[r][j] * slabs[j]``."""
-        size = _slab_size(matrix, slabs)
-        f = self.field
-        exp, log = f.exp, f.log
-        out = []
-        for row in matrix:
-            acc = [0] * size
-            for c, slab in zip(row, slabs):
-                if c and f.characteristic == 2:
-                    lc = log[c]
-                    acc = [a ^ (x and exp[lc + log[x]]) for a, x in zip(acc, slab)]
-                elif c:
-                    acc = [a + c * x for a, x in zip(acc, slab)]
-            out.append([a % f.q for a in acc])
-        return out
+        return matmul(self.field, matrix, slabs)

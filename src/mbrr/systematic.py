@@ -57,7 +57,7 @@ from .layout import (
     unfill_message_matrix,
     validate_data,
 )
-from .linalg import BatchInterpolator, mat_vec, solve_linear
+from .linalg import BatchInterpolator, dot, mat_vec, solve_linear
 from .reconstruct import Decoder, ObservedColumn, reconstruct
 from .repair import LeadingVector, rack_point, repair_local
 
@@ -124,7 +124,6 @@ def systematic_message_matrix(p: CodeParams, data: Sequence[int]):
     """The unique message matrix whose encoding stores ``data`` verbatim."""
     validate_data(p, data)
     f = p.field
-    add, sub = f.add, f.sub
     lay = systematic_layout(p)
     grid = dict(zip(lay.data_positions, data))
 
@@ -138,6 +137,8 @@ def systematic_message_matrix(p: CodeParams, data: Sequence[int]):
             known_lead[(i, e)] = interp.leading_coefficient(vals)
 
     xpts = [rack_point(p, e) for e in range(p.kbar)]
+    # phi_e = (1, x_e, x_e**2, ...); rack e's leading vector is M1 * phi_e.
+    phis = [[f.pow(x, t) for t in range(p.dbar)] for x in xpts]
 
     # Rectangle block of the symmetric core, one bottom row of H at a time.
     T = [[0] * (p.dbar - p.kbar) for _ in range(p.kbar)]
@@ -147,55 +148,31 @@ def systematic_message_matrix(p: CodeParams, data: Sequence[int]):
         for t in range(p.kbar):
             T[t][i - p.kbar] = c[t]
 
-    # Square block of the core, top rows of H, one row at a time.
+    # Square block of the core, top rows of H, one row at a time. Row r of
+    # S holds its entries left of the diagonal, set by the earlier rows, and
+    # zeros where the unknown tail goes, so S[r] + T[r] is the known part.
     S = [[0] * p.kbar for _ in range(p.kbar)]
     for r in range(p.kbar):
-        rhs = []
-        for e in range(r, p.kbar):
-            v = known_lead[(r, e)]
-            x = xpts[e]
-            for t in range(r):
-                w = S[t][r]
-                if w:
-                    v = sub(v, f.mul(w, f.pow(x, t)))
-            for t in range(p.kbar, p.dbar):
-                w = T[r][t - p.kbar]
-                if w:
-                    v = sub(v, f.mul(w, f.pow(x, t)))
-            rhs.append(v)
-        A = [
-            [f.pow(xpts[e], t) for t in range(r, p.kbar)]
+        rhs = [
+            f.sub(known_lead[(r, e)], dot(f, S[r] + T[r], phis[e]))
             for e in range(r, p.kbar)
         ]
+        A = [phis[e][r:p.kbar] for e in range(r, p.kbar)]
         sol = solve_linear(f, A, rhs)
         for off, t in enumerate(range(r, p.kbar)):
             S[r][t] = sol[off]
             S[t][r] = sol[off]
 
-    m1 = [[0] * p.dbar for _ in range(p.dbar)]
-    for i in range(p.dbar):
-        for t in range(p.dbar):
-            if i < p.kbar and t < p.kbar:
-                m1[i][t] = S[i][t]
-            elif i < p.kbar <= t:
-                m1[i][t] = T[i][t - p.kbar]
-            elif t < p.kbar <= i:
-                m1[i][t] = T[t][i - p.kbar]
+    m1 = [S[i] + T[i] for i in range(p.kbar)] + [
+        [T[t][i] for t in range(p.kbar)] + [0] * (p.dbar - p.kbar)
+        for i in range(p.dbar - p.kbar)
+    ]
 
     # Redundant cells: same local finish a repair performs, using the
     # leading vector h_e = M1 * phi_e of each affected rack.
     redundant = set(lay.redundant_positions)
     for e in range(p.kbar - 1):
-        x = xpts[e]
-        h = []
-        for i in range(p.dbar):
-            acc = 0
-            row = m1[i]
-            for t in range(p.dbar):
-                w = row[t]
-                if w:
-                    acc = add(acc, f.mul(w, f.pow(x, t)))
-            h.append(acc)
+        h = mat_vec(f, m1, phis[e])
         surviving = [
             ObservedColumn(
                 NodeId(e, g), tuple(grid[(i, NodeId(e, g))] for i in range(p.dbar))

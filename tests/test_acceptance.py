@@ -15,7 +15,7 @@ from time import perf_counter
 
 from mbrr.cli import main, shard_filename
 from mbrr.cluster import overhead_report
-from mbrr.encode import encode, node_column
+from mbrr.encode import encode
 from mbrr.gf import binary_field
 from mbrr.layout import (
     NodeId,

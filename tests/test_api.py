@@ -1,4 +1,6 @@
 import importlib
+import importlib.util
+import os
 
 import pytest
 
@@ -24,3 +26,21 @@ def test_all_names_exist(name):
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
     assert len(set(module.__all__)) == len(module.__all__)
+
+
+def test_benchmark_trace_targets_resolve():
+    """Every name the benchmark's tracer wraps still exists in the program."""
+    for name in MODULES:
+        importlib.import_module(name)  # the tracer wraps names in loaded modules
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_layers", os.path.join(root, "perfbench", "layers.py")
+    )
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    tracer = layers.Tracer()
+    tracer.install()
+    try:
+        assert tracer.absent == []
+    finally:
+        tracer.uninstall()

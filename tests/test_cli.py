@@ -573,6 +573,14 @@ def test_simulate_parse_errors(tmp_path, capsys):
         ("systematic", "systematic takes on|off"),
         ("params 12 7 3", "params takes n k u dbar [m]"),
         ("params 12 7 3 x", "'x' is not a non-negative integer"),
+        ("params 12 7 3 3 4", "shard files support m in (8, 16), not m=4"),
+        (
+            "params 12 7 3 1",
+            "no byte-framable field admits these parameters ("
+            "m=8: dbar=1 is below the admissible minimum kbar=2; "
+            "m=16: dbar=1 is below the admissible minimum kbar=2); "
+            "u must divide 255 (m=8) or 65535 (m=16)",
+        ),
     ],
 )
 def test_simulate_rejects_malformed_statements(tmp_path, capsys, statement, why):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mbrr.cluster import Cluster, InsufficientSurvivorsError, overhead_report
-from mbrr.encode import encode, node_column
+from mbrr.encode import encode
 from mbrr.gf import binary_field
 from mbrr.layout import (
     CodeMatrix,
@@ -78,6 +78,22 @@ def test_store_validates():
     c.fail_node(NodeId(0, 0))
     with pytest.raises(RepairModelError, match="failed"):
         c.store_stripes([M])
+
+
+@pytest.mark.parametrize("name", ["reference", "quads"])
+def test_store_refuses_non_field_symbols(name):
+    """Stored symbols follow the data-symbol rule: plain ints in [0, q)."""
+    p = params(name)
+    rng = random.Random(405)
+    mats = [encode(fill_message_matrix(p, random_stripe(p, rng))) for _ in range(3)]
+    col = list(all_nodes(p)).index(NodeId(1, 2))
+    for bad in (p.field.q, -1, "7", True, 1.0):
+        rows = [list(row) for row in mats[2].rows]
+        rows[1][col] = bad
+        c = Cluster(p)
+        with pytest.raises(ValueError, match=r"stripe 2: node NodeId\(e=1, g=2\)"):
+            c.store_stripes(mats[:2] + [CodeMatrix(p, rows)])
+        assert c.stripe_count == 0
 
 
 # ---------------------------------------------------------------- failures
@@ -254,7 +270,7 @@ def per_stripe_read(p, mats, survivors, systematic):
     for C in mats:
         M = dec.reconstruct(take_columns(C, survivors))
         if systematic:
-            out.append(read_systematic_data(p, {n: node_column(M, n) for n in systematic_nodes(p)}))
+            out.append(read_systematic_data(p, encode(M).columns(systematic_nodes(p))))
         else:
             out.append(unfill_message_matrix(M))
     return out

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from mbrr.encode import encode, encoding_matrix, node_column, row_polynomial
+from mbrr.encode import encode, encoding_matrix, row_polynomial
 from mbrr.layout import (
     NodeId,
     all_nodes,
@@ -63,16 +63,6 @@ def test_stored_symbols_are_row_evaluations():
             for node in all_nodes(p):
                 want = poly_eval(p.field, coeffs, evaluation_point(p, node))
                 assert C.column(node)[i] == want
-
-
-def test_node_column_agrees_with_full_encode():
-    rng = random.Random(15)
-    for name in PARAM_SETS:
-        p = params(name)
-        M = fill_message_matrix(p, random_stripe(p, rng))
-        C = encode(M)
-        for node in all_nodes(p):
-            assert node_column(M, node) == C.column(node)
 
 
 def test_encoding_is_linear():

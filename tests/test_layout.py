@@ -18,7 +18,6 @@ from mbrr.layout import (
     make_params,
     node_index,
     unfill_message_matrix,
-    validate_message_matrix,
 )
 
 from support import PARAM_SETS, params, random_stripe
@@ -65,8 +64,11 @@ def test_large_overhead_geometries_fit_byte_field():
 
 
 def test_explicit_m_override():
-    p = make_params(12, 7, 3, 3, m=8)
+    """The field, not a separate m, overrides the automatic choice."""
+    p = make_params(12, 7, 3, 3, field=binary_field(8))
     assert p.field.q == 256
+    with pytest.raises(TypeError):
+        make_params(12, 7, 3, 3, m=8)
 
 
 def test_params_validation_errors():
@@ -80,10 +82,8 @@ def test_params_validation_errors():
         make_params(12, 7, 3, 4)  # dbar beyond nbar - 1
     with pytest.raises(ValueError, match="u"):
         make_params(12, 2, 3, 3)  # k below u
-    with pytest.raises(ValueError):
-        make_params(12, 7, 3, 3, m=4, field=binary_field(8))  # both given
     with pytest.raises(ValueError, match="divide"):
-        make_params(8, 5, 2, 3, m=4)  # even u cannot divide 2^4 - 1
+        make_params(8, 5, 2, 3, field=binary_field(4))  # even u cannot divide 2^4 - 1
     with pytest.raises(ValueError, match="more than"):
         make_params(20, 11, 4, 4, field=BinaryField(4))  # q = 16 < n + 1
 
@@ -181,7 +181,7 @@ def test_fill_reuses_symmetric_cells():
         for t in range(p.dbar):
             assert m1[i][t] == m1[t][i]
     assert m1[2][2] == 0  # structural zero corner
-    validate_message_matrix(M)
+    assert unfill_message_matrix(M) == data
 
 
 def test_fill_unfill_round_trip():
@@ -221,24 +221,9 @@ def test_unfill_detects_tampering():
     M.rows[2][pos5] ^= 1  # breaks symmetry with the mirrored cell
     with pytest.raises(IntegrityError, match="symmetry"):
         unfill_message_matrix(M)
-
-
-def test_validate_message_matrix_errors():
-    p = params("reference")
-    rng = random.Random(9)
-    M = fill_message_matrix(p, random_stripe(p, rng))
     M.rows[1].append(0)
     with pytest.raises(ValueError, match="shape"):
-        validate_message_matrix(M)
-    del M.rows[1][-1]
-    M.rows[0][0] = 16
-    with pytest.raises(ValueError, match="element"):
-        validate_message_matrix(M)
-    M.rows[0][0] = 0
-    pos5 = column_positions(p)[5]
-    M.rows[0][pos5] ^= 3
-    with pytest.raises(IntegrityError):
-        validate_message_matrix(M)
+        unfill_message_matrix(M)
 
 
 def test_message_matrix_entry_lookup():

@@ -6,7 +6,6 @@ import pytest
 from mbrr.layout import NodeId, all_nodes, fill_message_matrix
 from mbrr.linalg import mat_vec, poly_eval
 from mbrr.repair import (
-    BandwidthLedger,
     HelperSymbol,
     LeadingVector,
     RepairModelError,
@@ -219,15 +218,6 @@ def test_repair_node_accepts_mapping_with_failed_entry():
     failed = NodeId(0, 1)
     column, _ = repair_node(p, dict(cols), failed)  # failed column ignored
     assert column == cols[failed]
-
-
-def test_ledger_merge_accumulates():
-    a = BandwidthLedger(cross_rack_symbols=3, intra_rack_symbols=6, per_helper={0: 1, 2: 2})
-    b = BandwidthLedger(cross_rack_symbols=1, intra_rack_symbols=2, per_helper={2: 1})
-    a.merge(b)
-    assert a.cross_rack_symbols == 4
-    assert a.intra_rack_symbols == 8
-    assert a.per_helper == {0: 1, 2: 3}
 
 
 def test_leading_vector_is_frozen():

@@ -19,7 +19,7 @@ from mbrr.cli import (
     shard_filename,
     symbols_to_bytes,
 )
-from mbrr.encode import encode, encode_slabs, node_column
+from mbrr.encode import encode, encode_slabs
 from mbrr.gf import binary_field, prime_field
 from mbrr.layout import (
     IntegrityError,
@@ -191,7 +191,7 @@ def per_stripe_decode(p, dec, systematic, columns, stripes):
         obs = [ObservedColumn(n, tuple(columns[n][s * a : (s + 1) * a])) for n in dec.ids]
         M = dec.reconstruct(obs)
         if systematic:
-            out += read_systematic_data(p, {n: node_column(M, n) for n in systematic_nodes(p)})
+            out += read_systematic_data(p, encode(M).columns(systematic_nodes(p)))
         else:
             out += unfill_message_matrix(M)
     return out

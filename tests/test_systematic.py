@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from mbrr.encode import encode, node_column
+from mbrr.encode import encode
 from mbrr.layout import NodeId, all_nodes, fill_message_matrix, unfill_message_matrix
 from mbrr.linalg import mat_vec, solve_linear
 from mbrr.reconstruct import ObservedColumn, reconstruct
@@ -99,9 +99,7 @@ def test_systematic_code_reconstructs_from_any_subset():
     nodes = list(all_nodes(p))
     for picks in combinations(nodes, p.k):
         M = reconstruct(p, [ObservedColumn(x, cols[x]) for x in picks])
-        assert read_systematic_data(
-            p, {x: node_column(M, x) for x in systematic_nodes(p)}
-        ) == data
+        assert read_systematic_data(p, encode(M).columns(systematic_nodes(p))) == data
 
 
 def test_systematic_code_repairs_every_node():
