@@ -45,8 +45,9 @@ applied to whole slabs:
               (u-1)*alpha rows of its u-1 survivors to the alpha rows of the
               lost node
 
-``decode`` checks every given shard's header but loads the payloads of
-only the k shards it reads (see ``systematic.read_nodes``). ``repair``
+``decode`` opens each given shard once and checks its header, then
+loads the payloads of only the k shards it reads (see
+``systematic.read_nodes``) from the handles that check opened. ``repair``
 opens only the shards its two stages read, and its cross-rack ledger
 counts the symbols in the helper slabs it produced.
 """
@@ -59,6 +60,7 @@ import struct
 import sys
 import time
 from array import array
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -193,17 +195,32 @@ def write_payload(path: str, header: ShardHeader, payload: bytes) -> None:
     os.replace(tmp, path)
 
 
+def open_shard(path: str) -> tuple:
+    """Open one shard file and check its header against the file's size.
+
+    Returns (header, binary file handle positioned at the payload); the
+    caller closes the handle.
+    """
+    fh = open(path, "rb")
+    try:
+        return _read_checked_header(path, fh), fh
+    except BaseException:
+        fh.close()
+        raise
+
+
 def read_payload(path: str) -> tuple:
     """Parse one shard file into (header, payload bytes in file byte order)."""
-    with open(path, "rb") as fh:
-        header = _read_checked_header(path, fh)
+    header, fh = open_shard(path)
+    with fh:
         return header, fh.read()
 
 
 def read_header(path: str) -> ShardHeader:
     """Parse one shard file's header, checked against the file's size."""
-    with open(path, "rb") as fh:
-        return _read_checked_header(path, fh)
+    header, fh = open_shard(path)
+    fh.close()
+    return header
 
 
 def _read_checked_header(path: str, fh) -> ShardHeader:
@@ -428,10 +445,19 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    found = _by_node((path, read_header(path)) for path in _shard_paths(args.shards))
-    first = next(iter(found.values()))[0]
-    nodes = read_nodes(_params_from_header(first), found)
-    data = decode_shards({node: read_payload(found[node][1]) for node in nodes})
+    # The header pass keeps every shard open, and the payloads the read
+    # uses come from those same handles.
+    with ExitStack() as stack:
+        handles, headers = {}, []
+        for path in _shard_paths(args.shards):
+            header, handles[path] = open_shard(path)
+            stack.enter_context(handles[path])
+            headers.append((path, header))
+        found = _by_node(headers)
+        first = next(iter(found.values()))[0]
+        nodes = read_nodes(_params_from_header(first), found)
+        loaded = {node: (found[node][0], handles[found[node][1]].read()) for node in nodes}
+    data = decode_shards(loaded)
     tmp = args.out + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(data)

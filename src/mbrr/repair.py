@@ -63,6 +63,7 @@ __all__ = [
     "helper_symbol",
     "recover_leading_vector",
     "repair_local",
+    "local_finish",
     "Repairer",
     "repair_node",
 ]
@@ -251,6 +252,27 @@ def repair_local(
     return out
 
 
+def local_finish(p: CodeParams, lost: NodeId, local: BatchInterpolator) -> tuple:
+    """(w, kappa): the in-rack finish of ``repair_local`` as fixed weights.
+
+    ``local`` interpolates on the points lambda_g of the lost node's u-1
+    rack mates. Row i of the lost column is
+    sum_g w[g] * col_g[i] + kappa * h[i], where h is the rack's leading
+    vector, w[g] is survivor g's Lagrange basis polynomial evaluated at the
+    lost point lam, and kappa = lam**(u-1) - sum_g w[g] * lambda_g**(u-1)
+    gathers the leading term that ``repair_local`` subtracts at each
+    survivor and adds back at lam.
+    """
+    f = p.field
+    lam = evaluation_point(p, lost)
+    basis = local.matrix()
+    weights = [poly_eval(f, [row[g] for row in basis], lam) for g in range(local.t)]
+    kappa = f.pow(lam, p.u - 1)
+    for w, pt in zip(weights, local.points):
+        kappa = f.sub(kappa, f.mul(w, f.pow(pt, p.u - 1)))
+    return weights, kappa
+
+
 def _default_helpers(p: CodeParams, e_star: int) -> tuple:
     return tuple(e for e in range(p.nbar) if e != e_star)[: p.dbar]
 
@@ -349,12 +371,8 @@ class Repairer:
         at the target rack's point x, so the helper map has entry
         lead[g] * x**i at input g*alpha + i. The host recovers
         h_target = V s from the received slabs s, V being the Lagrange matrix
-        on the helpers' rack points. It finishes row i as
-        sum_g w_g * col_g[i] + kappa * h_target[i], where w_g is survivor g's
-        Lagrange basis polynomial evaluated at the lost point lam, and
-        kappa = lam**(u-1) - sum_g w_g * lambda_g**(u-1) gathers the leading
-        term that ``repair_local`` subtracts at each survivor and adds back
-        at lam.
+        on the helpers' rack points, and finishes each row as
+        ``local_finish`` describes.
         """
         p = self.p
         f = p.field
@@ -365,15 +383,7 @@ class Repairer:
             lead = interp.matrix()[p.u - 1]
             helper_maps[e] = [[f.mul(w, v) for w in lead for v in phi]]
 
-        lam = evaluation_point(p, self.failed)
-        local = self._survivor_interp
-        basis = local.matrix()
-        weights = [
-            poly_eval(f, [row[g] for row in basis], lam) for g in range(local.t)
-        ]
-        kappa = f.pow(lam, p.u - 1)
-        for w, pt in zip(weights, local.points):
-            kappa = f.sub(kappa, f.mul(w, f.pow(pt, p.u - 1)))
+        weights, kappa = local_finish(p, self.failed, self._survivor_interp)
         vand = BatchInterpolator(f, [rack_point(p, e) for e in self.helpers]).matrix()
         host = []
         for i in range(p.dbar):

@@ -9,7 +9,11 @@ slabs and interleaving them back only moves whole symbols.
 
 Every file operation of the code (encode, systematic precoding, both
 decoder passes, both repair stages) is a fixed GF(2^m)-linear map, so it
-runs once over slabs instead of once per stripe:
+runs once over slabs instead of once per stripe. The B x B precoding map
+is itself built with slabs: ``systematic.precoding_matrix`` runs the
+systematic transform's five slab steps once over B unit-lane slabs (lane
+j of slab j is 1) and reads row r of the map out of output slab r with
+``unpack``. In the kernel:
 
 * addition is XOR of the slabs read as integers (``int.from_bytes``);
 * in GF(2^8), multiplying by a constant c is ``slab.translate(T_c)``
@@ -36,6 +40,8 @@ and 16 have no byte framing.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from typing import Sequence
 
 from .linalg import _product_width, matmul
@@ -80,6 +86,20 @@ class SlabKernel:
         for r, slab in enumerate(slabs):
             view[r::count] = memoryview(slab).cast(self._format)
         return bytes(out)
+
+    def pack(self, symbols: Sequence[int]) -> bytes:
+        """The slab holding ``symbols``, one per stripe."""
+        a = array(self._format, symbols)
+        if sys.byteorder == "little":
+            a.byteswap()
+        return a.tobytes()
+
+    def unpack(self, slab: bytes) -> list:
+        """The symbols of a slab as field ints; the inverse of ``pack``."""
+        a = array(self._format, slab)
+        if sys.byteorder == "little":
+            a.byteswap()
+        return a.tolist()
 
     def apply(self, matrix: Sequence[Sequence[int]], slabs: Sequence[bytes]) -> list:
         """Output slab r is the sum over j of ``matrix[r][j] * slabs[j]``."""
@@ -159,6 +179,14 @@ class ListSlabKernel:
 
     def __init__(self, field):
         self.field = field
+
+    def pack(self, symbols: Sequence[int]) -> list:
+        """The slab holding ``symbols``, one per stripe."""
+        return list(symbols)
+
+    def unpack(self, slab: list) -> list:
+        """The symbols of a slab as field ints; the inverse of ``pack``."""
+        return list(slab)
 
     def apply(self, matrix: Sequence[Sequence[int]], slabs: Sequence[list]) -> list:
         """Output slab r is the sum over j of ``matrix[r][j] * slabs[j]``."""

@@ -13,28 +13,38 @@ column-major through the systematic columns, node (0,0) rows 0..dbar-1
 first, then (0,1) and so on, skipping the redundant cells.
 
 ``systematic_message_matrix`` finds the unique message matrix consistent
-with such a placement:
+with such a placement in five linear steps. ``systematic_slabs`` runs the
+same steps once over slabs (see ``slab``) that span many stripes, each
+step as the fixed map named in brackets:
 
 1. Within racks 0..kbar-1, every row that avoids the redundant cells is
    fully known, so its local polynomial and hence its leading coefficient
-   follows by interpolation.
+   follows by interpolation [the degree-(u-1) row of the rack's Lagrange
+   matrix].
 2. The leading coefficients satisfy H = M1 * Phi with Phi the moment matrix
    of the rack points x_e = xi**(e*u). The bottom dbar-kbar rows of M1 hold
    the transposed rectangle block next to zeros, so each bottom row of H
-   yields that block row via a kbar-point Vandermonde solve.
+   yields that block row via a kbar-point Vandermonde solve [the Lagrange
+   matrix on the kbar rack points].
 3. The top kbar rows are recovered one at a time: row r of H is known at
    racks e >= r; moving the already-known terms (symmetric entries from
    earlier rows plus the rectangle block) to the right leaves a square
-   system in the unknown tail of row r of the symmetric core.
+   system in the unknown tail of row r of the symmetric core [its matrix
+   is the Vandermonde matrix on x_r .. x_{kbar-1} with row e scaled by
+   x_e**r, so its inverse is a Lagrange matrix with columns scaled back,
+   composed with the map that forms the right-hand side].
 4. With M1 complete, each redundant cell follows the same local step a
    repair uses: leading coefficient plus u-1 known in-rack values pin the
-   local polynomial down.
-5. The completed k columns feed the ordinary any-k decoder.
+   local polynomial down [the weights of ``repair.local_finish``].
+5. The completed k columns feed the ordinary any-k decoder
+   [``Decoder.decode_slabs``].
 
-Every step is linear, so data -> message matrix is an invertible linear map;
-``precoding_matrix`` materializes it by probing with unit vectors, and
-``systematic_encode`` applies that matrix. ``systematic_message_matrix``
-stays as the structured oracle the map is built from and checked against.
+``precoding_matrix`` runs ``systematic_slabs`` once on B unit-lane slabs:
+lane j of output slab r is slot r of the message matrix that the unit data
+vector e_j produces, so output slab r is row r of the B x B map.
+``systematic_encode`` applies that matrix to one stripe.
+``systematic_message_matrix`` stays as the structured oracle the slab form
+is checked against; no production path runs it.
 
 ``read_nodes`` and ``read_slabs`` are the one read policy of the file
 commands and the cluster simulator: read the systematic nodes directly
@@ -54,12 +64,12 @@ from .layout import (
     all_nodes,
     evaluation_point,
     fill_message_matrix,
-    unfill_message_matrix,
     validate_data,
 )
-from .linalg import BatchInterpolator, dot, mat_vec, solve_linear
+from .linalg import BatchInterpolator, dot, mat_vec, matmul, solve_linear
 from .reconstruct import Decoder, ObservedColumn, reconstruct
-from .repair import LeadingVector, rack_point, repair_local
+from .repair import LeadingVector, local_finish, rack_point, repair_local
+from .slab import ListSlabKernel, SlabKernel
 
 __all__ = [
     "SystematicLayout",
@@ -68,6 +78,7 @@ __all__ = [
     "read_systematic_data",
     "systematic_message_matrix",
     "systematic_encode",
+    "systematic_slabs",
     "precoding_matrix",
     "read_nodes",
     "read_slabs",
@@ -204,22 +215,94 @@ def systematic_encode(p: CodeParams, data: Sequence[int]) -> CodeMatrix:
     return encode(fill_message_matrix(p, mat_vec(p.field, precoding_matrix(p), data)))
 
 
+def systematic_slabs(kernel, p: CodeParams, data_slabs: Sequence) -> list:
+    """Slab form of ``unfill_message_matrix(systematic_message_matrix(...))``.
+
+    ``data_slabs`` are B equal-length slabs in placement order, slab j
+    holding data symbol j of every stripe; returns the B slot slabs in fill
+    order. The numbered steps are those of the module docstring, each one
+    fixed map run by ``kernel`` over whole slabs. Step 5's M1 symmetry
+    checks compare whole slabs.
+    """
+    if len(data_slabs) != p.B:
+        raise ValueError(f"expected {p.B} data slabs, got {len(data_slabs)}")
+    f = p.field
+    kbar, dbar, u = p.kbar, p.dbar, p.u
+    grid = dict(zip(systematic_layout(p).data_positions, data_slabs))
+    xs = [rack_point(p, e) for e in range(kbar)]
+    phis = [[f.pow(x, t) for t in range(dbar)] for x in xs]
+
+    def rack_interp(e, count):  # on the first ``count`` nodes of rack e
+        pts = [evaluation_point(p, NodeId(e, g)) for g in range(count)]
+        return BatchInterpolator(f, pts)
+
+    # 1. Leading coefficient of every fully known row of each full rack.
+    lead = {}
+    for e in range(kbar):
+        top = [rack_interp(e, u).matrix()[u - 1]]
+        for i in [*range(e + 1), *range(kbar, dbar)]:
+            lead[(i, e)] = kernel.apply(top, [grid[(i, NodeId(e, g))] for g in range(u)])[0]
+
+    # 2. Rectangle block T, one bottom row of H at a time.
+    T = [[None] * (dbar - kbar) for _ in range(kbar)]
+    vand = BatchInterpolator(f, xs).matrix()
+    for i in range(kbar, dbar):
+        block = kernel.apply(vand, [lead[(i, e)] for e in range(kbar)])
+        for t in range(kbar):
+            T[t][i - kbar] = block[t]
+
+    # 3. Square block S, row r from inputs lead[(r, e >= r)], S[r][:r], T[r]:
+    # the right-hand side lead[(r, e)] - (S[r] + T[r]) . phi_e over the known
+    # entries, scaled by x_e**-r, then the Lagrange matrix on x_r .. x_{kbar-1}.
+    S = [[None] * kbar for _ in range(kbar)]
+    for r in range(kbar):
+        rhs = []
+        for e in range(r, kbar):
+            inv = f.inv(phis[e][r])
+            rhs.append(
+                [inv if e2 == e else 0 for e2 in range(r, kbar)]
+                + [f.neg(f.mul(inv, v)) for v in phis[e][:r] + phis[e][kbar:]]
+            )
+        solve = matmul(f, BatchInterpolator(f, xs[r:]).matrix(), rhs)
+        known = [lead[(r, e)] for e in range(r, kbar)] + S[r][:r] + T[r]
+        for t, slab in zip(range(r, kbar), kernel.apply(solve, known)):
+            S[r][t] = S[t][r] = slab
+
+    # 4. Redundant cells (i, (e, u-1)), e < i < kbar: the repair finish of
+    # node (e, u-1) from its rack mates, with leading vector entry
+    # h_e[i] = M1[i] . phi_e and M1[i] = S[i] + T[i].
+    for e in range(kbar - 1):
+        weights, kappa = local_finish(p, NodeId(e, u - 1), rack_interp(e, u - 1))
+        finish = [[f.mul(kappa, v) for v in phis[e]] + weights]
+        for i in range(e + 1, kbar):
+            mates = [grid[(i, NodeId(e, g))] for g in range(u - 1)]
+            grid[(i, NodeId(e, u - 1))] = kernel.apply(finish, S[i] + T[i] + mates)[0]
+
+    # 5. Any-k decode of the completed systematic columns.
+    front = systematic_nodes(p)
+    columns = {node: [grid[(i, node)] for i in range(dbar)] for node in front}
+    return Decoder(p, front).decode_slabs(kernel, columns)
+
+
 def precoding_matrix(p: CodeParams) -> list:
     """B x B matrix mapping placement-order data to fill-order matrix slots.
 
-    Column j is the slot vector of the message matrix produced by the unit
-    data vector e_j. The map is invertible; filling a message matrix with
-    the product of this matrix and a data vector is the fast equivalent of
+    Row r, column j is slot r of the message matrix that the unit data
+    vector e_j produces. One ``systematic_slabs`` run over B unit-lane
+    slabs (slab j is 1 in lane j) builds it: output slab r is row r. The
+    run uses byte slabs where the field has byte framing and list slabs
+    otherwise. The map is invertible; filling a message matrix with the
+    product of this matrix and a data vector is the fast equivalent of
     ``systematic_message_matrix``.
     """
     got = p._cache.get("precoding_matrix")
     if got is None:
-        cols = []
-        for jj in range(p.B):
-            unit = [0] * p.B
-            unit[jj] = 1
-            cols.append(unfill_message_matrix(systematic_message_matrix(p, unit)))
-        rows = [[cols[jj][r] for jj in range(p.B)] for r in range(p.B)]
+        try:
+            kernel = SlabKernel(p.field)
+        except ValueError:
+            kernel = ListSlabKernel(p.field)
+        lanes = [kernel.pack([0] * j + [1] + [0] * (p.B - 1 - j)) for j in range(p.B)]
+        rows = [kernel.unpack(slab) for slab in systematic_slabs(kernel, p, lanes)]
         got = p._cache.setdefault("precoding_matrix", rows)
     return got
 

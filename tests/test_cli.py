@@ -248,19 +248,41 @@ def test_cmd_decode_loads_only_payloads_it_reads(tmp_path, capsys, monkeypatch, 
     run_cli(capsys, "encode", src, 12, 7, 3, 3, *flags, "--out", shard_dir)
     if lost is not None:
         (shard_dir / shard_filename(*lost)).unlink()
-    read = []
-    real = mbrr.cli.read_payload
+    opened, read = [], []
+    real = mbrr.cli.open_shard
+
+    class Counting:
+        """A shard handle past its header; records the shards whose payload is read."""
+
+        def __init__(self, path, fh):
+            self.path, self.fh = path, fh
+
+        def read(self, *size):
+            read.append(os.path.basename(self.path))
+            return self.fh.read(*size)
+
+        def close(self):
+            self.fh.close()
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.close()
 
     def counting(path):
-        read.append(os.path.basename(path))
-        return real(path)
+        opened.append(os.path.basename(path))
+        header, fh = real(path)
+        return header, Counting(path, fh)
 
-    monkeypatch.setattr(mbrr.cli, "read_payload", counting)
+    monkeypatch.setattr(mbrr.cli, "open_shard", counting)
     dst = tmp_path / "restored.bin"
     rc, out, _ = run_cli(capsys, "decode", shard_dir, "--out", dst)
     assert rc == 0 and dst.read_bytes() == src.read_bytes()
     nodes = [(e, g) for e in range(4) for g in range(3)]
     assert sorted(read) == sorted(shard_filename(*nodes[i]) for i in want)
+    # Each shard is opened once: the header pass's handle serves the payload.
+    assert sorted(opened) == sorted(os.listdir(shard_dir))
     assert f"from {12 - (lost is not None)} shards" in out
 
 
@@ -616,6 +638,20 @@ repair node=(1,1) helpers=0,2,3 cross_rack=9 per_stripe=3 intra_rack=18 ok
 read stripes=3 verified ok
 fail node=(0,2)
 repair node=(0,2) helpers=1,2,3 cross_rack=9 per_stripe=3 intra_rack=18 ok
+read stripes=3 verified ok
+""",
+    "systematic_repair.txt": """\
+params n=12 k=7 u=3 dbar=3 alpha=3 B=20 field=GF(2^8)
+systematic on
+seed 11
+store stripes=3 symbols=60
+read stripes=3 verified ok
+fail node=(0,2)
+read stripes=3 verified ok
+repair node=(0,2) helpers=1,2,3 cross_rack=9 per_stripe=3 intra_rack=18 ok
+read stripes=3 verified ok
+fail node=(2,0)
+repair node=(2,0) helpers=0,1,3 cross_rack=9 per_stripe=3 intra_rack=18 ok
 read stripes=3 verified ok
 """,
 }

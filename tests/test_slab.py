@@ -50,6 +50,9 @@ def test_split_join_round_trip(m):
     assert kernel.join(slabs) == buf
     with pytest.raises(ValueError, match="equal slabs"):
         kernel.split(buf, 4)  # 21 symbols
+    # pack and unpack convert between a slab and its big-endian symbols.
+    symbols = [int.from_bytes(buf[i : i + w], "big") for i in range(0, len(buf), w)]
+    assert kernel.unpack(buf) == symbols and kernel.pack(symbols) == buf
 
 
 @pytest.mark.parametrize("m", [8, 16])

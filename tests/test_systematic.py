@@ -1,13 +1,25 @@
+import hashlib
 import random
+import sys
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mbrr.encode import encode
-from mbrr.layout import NodeId, all_nodes, fill_message_matrix, unfill_message_matrix
+from mbrr.cli import main
+from mbrr.encode import encode, encode_slabs
+from mbrr.gf import binary_field, prime_field
+from mbrr.layout import (
+    NodeId,
+    all_nodes,
+    fill_message_matrix,
+    make_params,
+    unfill_message_matrix,
+)
 from mbrr.linalg import mat_vec, solve_linear
-from mbrr.reconstruct import ObservedColumn, reconstruct
+from mbrr.reconstruct import Decoder, ObservedColumn, reconstruct
 from mbrr.repair import repair_node
+from mbrr.slab import ListSlabKernel, SlabKernel
 from mbrr.systematic import (
     precoding_matrix,
     read_systematic_data,
@@ -15,6 +27,7 @@ from mbrr.systematic import (
     systematic_layout,
     systematic_message_matrix,
     systematic_nodes,
+    systematic_slabs,
 )
 
 from support import PARAM_SETS, params, random_stripe, coded_columns
@@ -154,3 +167,114 @@ def test_precoded_encode_matches_systematic_encode():
             data = random_stripe(p, rng)
             want = encode(systematic_message_matrix(p, data)).rows
             assert systematic_encode(p, data).rows == want
+
+
+# Every PARAM_SETS geometry (GF(2^4), GF(11), GF(29)), GF(13), and the two
+# byte-framed fields, whose cases also run through SlabKernel. (25,13,5,4)
+# has a two-column rectangle block; (12,6,3,3) has u0 = 0.
+SLAB_CASES = [
+    *((geo, None) for geo in PARAM_SETS.values()),
+    ((12, 8, 2, 4), prime_field(13)),
+    ((12, 7, 3, 3), binary_field(8)),
+    ((25, 13, 5, 4), binary_field(8)),
+    ((12, 6, 3, 3), binary_field(16)),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=st.sampled_from(SLAB_CASES),
+    lanes=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_systematic_slabs_match_oracle_lane_by_lane(case, lanes, seed):
+    geo, field = case
+    p = make_params(*geo, field=field)
+    rng = random.Random(seed)
+    data = [random_stripe(p, rng) for _ in range(lanes)]
+    want = [unfill_message_matrix(systematic_message_matrix(p, lane)) for lane in data]
+    kernels = [ListSlabKernel(p.field)]
+    if p.field.q in (256, 65536):
+        kernels.append(SlabKernel(p.field))
+    for kernel in kernels:
+        slabs = [kernel.pack([lane[j] for lane in data]) for j in range(p.B)]
+        slots = [kernel.unpack(slab) for slab in systematic_slabs(kernel, p, slabs)]
+        assert [[slot[lane] for slot in slots] for lane in range(lanes)] == want
+        # Encoding the slot slabs stores the data slabs verbatim.
+        stored = encode_slabs(
+            kernel, p, [kernel.pack(slot) for slot in slots], systematic_nodes(p)
+        )
+        for slab, (i, node) in zip(slabs, systematic_layout(p).data_positions):
+            assert stored[node][i] == slab
+
+
+def test_systematic_slabs_refuses_wrong_slab_count():
+    p = params("reference")
+    with pytest.raises(ValueError, match="expected 20 data slabs"):
+        systematic_slabs(ListSlabKernel(p.field), p, [[0]] * 19)
+
+
+# SHA-256 of repr(precoding_matrix(p)), pinned from the construction that
+# probed systematic_message_matrix with B unit vectors.
+PRECODING_DIGESTS = [
+    ((12, 7, 3, 3), None, "5813b19829fefd951c97c619883dc1bc02b2e45408b1d42559bf3a11a8e7f602"),
+    ((15, 7, 3, 3), None, "5813b19829fefd951c97c619883dc1bc02b2e45408b1d42559bf3a11a8e7f602"),
+    ((12, 6, 3, 3), None, "b194c61f36f2da93a20a090f768975104f55b42df45bc3d6fc47e493d90f04ea"),
+    ((8, 5, 2, 3), None, "793cdab5446e87bea4d18cb8060d36eb3608237235d66d85554b827db72fa6f4"),
+    ((20, 11, 4, 4), None, "509b9cc571adeaba6444d3eaa941ff3ea43cf3252e10da22f875df9c62ba5145"),
+    (
+        (12, 8, 2, 4),
+        prime_field(13),
+        "b0f89371c800e656728777f6774dcf98bf22226b7072c16098e767ca0b92ef44",
+    ),
+    (
+        (50, 44, 5, 8),
+        binary_field(16),
+        "9871231956d56d81ff1ca1189a7db9a1ca08e00869889010c244cb3e8ed79873",
+    ),
+    (
+        (12, 7, 3, 3),
+        binary_field(8),
+        "9987fe37c1606ecb4e55263a5cd114514839e55b5c27466aa8a3f315010d81ed",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "geo, field, digest",
+    PRECODING_DIGESTS,
+    ids=["gf16-ref", "gf16-wide", "gf16-aligned", "gf11", "gf29", "gf13", "gf65536", "gf256"],
+)
+def test_precoding_matrix_matches_pinned_digest(geo, field, digest):
+    P = precoding_matrix(make_params(*geo, field=field))
+    assert hashlib.sha256(repr(P).encode()).hexdigest() == digest
+
+
+def test_production_paths_run_no_per_stripe_oracle(tmp_path, capsys, monkeypatch):
+    """The precoding build and the systematic file commands run slab maps only."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-stripe oracle ran")
+
+    for name, module in list(sys.modules.items()):
+        if name == "mbrr" or name.startswith("mbrr."):
+            for attr in ("systematic_message_matrix", "encode"):
+                if callable(getattr(module, attr, None)):
+                    monkeypatch.setattr(module, attr, refuse)
+    monkeypatch.setattr(Decoder, "reconstruct", refuse)
+
+    p = make_params(50, 44, 5, 8, field=binary_field(16))
+    assert len(precoding_matrix(p)) == p.B
+    p = make_params(12, 8, 2, 4, field=prime_field(13))
+    assert len(precoding_matrix(p)) == p.B
+
+    src = tmp_path / "input.bin"
+    src.write_bytes(random.Random(309).randbytes(3000))
+    shards = tmp_path / "shards"
+    argv = ["encode", str(src), "12", "7", "3", "3", "--systematic", "--out", str(shards)]
+    assert main(argv) == 0
+    (shards / "shard_e0_g2.mbrr").unlink()  # a systematic node: the read decodes
+    out = tmp_path / "out.bin"
+    assert main(["decode", str(shards), "--out", str(out)]) == 0
+    assert out.read_bytes() == src.read_bytes()
+    assert main(["repair", str(shards), "0", "2"]) == 0
