@@ -48,8 +48,8 @@ applied to whole slabs:
 ``decode`` opens each given shard once and checks its header, then
 loads the payloads of only the k shards it reads (see
 ``systematic.read_nodes``) from the handles that check opened. ``repair``
-opens only the shards its two stages read, and its cross-rack ledger
-counts the symbols in the helper slabs it produced.
+opens only the shards its two stages read, each once, and its cross-rack
+ledger counts the symbols in the helper slabs it produced.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ import os
 import struct
 import sys
 import time
-from array import array
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -153,29 +152,20 @@ def symbol_width(m: int) -> int:
     return (m + 7) // 8
 
 
+def _framing_kernel(m: int) -> SlabKernel:
+    if m not in _FILE_FIELD_MS:
+        raise ValueError(f"file framing supports m in {_FILE_FIELD_MS}, not m={m}")
+    return SlabKernel(binary_field(m))
+
+
 def bytes_to_symbols(data: bytes, m: int) -> list:
-    if m == 8:
-        return list(data)
-    if m == 16:
-        if len(data) % 2:
-            data = data + b"\x00"
-        a = array("H")
-        a.frombytes(data)
-        if sys.byteorder == "little":
-            a.byteswap()
-        return a.tolist()
-    raise ValueError(f"file framing supports m in {_FILE_FIELD_MS}, not m={m}")
+    if m == 16 and len(data) % 2:
+        data = data + b"\x00"
+    return _framing_kernel(m).unpack(data)
 
 
 def symbols_to_bytes(symbols: Sequence[int], m: int) -> bytes:
-    if m == 8:
-        return bytes(symbols)
-    if m == 16:
-        a = array("H", symbols)
-        if sys.byteorder == "little":
-            a.byteswap()
-        return a.tobytes()
-    raise ValueError(f"file framing supports m in {_FILE_FIELD_MS}, not m={m}")
+    return _framing_kernel(m).pack(symbols)
 
 
 def shard_filename(e: int, g: int) -> str:
@@ -214,13 +204,6 @@ def read_payload(path: str) -> tuple:
     header, fh = open_shard(path)
     with fh:
         return header, fh.read()
-
-
-def read_header(path: str) -> ShardHeader:
-    """Parse one shard file's header, checked against the file's size."""
-    header, fh = open_shard(path)
-    fh.close()
-    return header
 
 
 def _read_checked_header(path: str, fh) -> ShardHeader:
@@ -479,12 +462,17 @@ def cmd_repair(args) -> int:
         return path
 
     # The code comes from an in-rack survivor's header; racks hold u >= 2
-    # nodes, so (e, 0) or (e, 1) is one.
-    probe = NodeId(failed.e, 1 if failed.g == 0 else 0)
-    p = _params_from_header(read_header(require(probe)))
-    rep = Repairer(p, failed, _parse_helpers(args.helpers))
-    needed = [NodeId(e, g) for e in rep.helpers for g in range(p.u)] + rep.survivors
-    loaded = {path: read_payload(path) for path in map(require, needed)}
+    # nodes, so (e, 0) or (e, 1) is one. Its handle also serves its payload.
+    probe = require(NodeId(failed.e, 1 if failed.g == 0 else 0))
+    probe_header, fh = open_shard(probe)
+    with fh:
+        p = _params_from_header(probe_header)
+        rep = Repairer(p, failed, _parse_helpers(args.helpers))
+        needed = [NodeId(e, g) for e in rep.helpers for g in range(p.u)] + rep.survivors
+        loaded = {
+            path: (probe_header, fh.read()) if path == probe else read_payload(path)
+            for path in map(require, needed)
+        }
     found = _by_node((path, header) for path, (header, _) in loaded.items())
     if sorted(found) != sorted(needed):
         raise ValueError(

@@ -3,12 +3,10 @@
 Node (e, g) stores the dbar values f_i(lambda(e, g)), one per message-matrix
 row polynomial f_i. The whole code matrix is the product of the message
 matrix with a fixed evaluation-power matrix. ``encode`` computes that
-product with the power matrix's logarithms cached on the params, so the
-per-stripe loop is table lookups only; ``linalg.matmul`` with
-``encoding_matrix`` is the generic reference it must agree with, and so
-is Horner evaluation of each ``row_polynomial`` at the node points.
-``encode_slabs`` runs the same product once over slabs that span every
-stripe. All routes agree exactly.
+product with ``linalg.matmul`` and ``encoding_matrix`` (cached on the
+params); Horner evaluation of each ``row_polynomial`` at the node points
+is the reference it must agree with. ``encode_slabs`` runs the same
+product once over slabs that span every stripe. All routes agree exactly.
 """
 
 from __future__ import annotations
@@ -23,6 +21,7 @@ from .layout import (
     index_sets,
     node_index,
 )
+from .linalg import matmul
 
 __all__ = [
     "row_polynomial",
@@ -59,28 +58,7 @@ def encoding_matrix(p: CodeParams) -> list:
 def encode(M: MessageMatrix) -> CodeMatrix:
     """Evaluate every row polynomial at every node point."""
     p = M.params
-    f = p.field
-    exp, log, add = f.exp, f.log, f.add
-    logenc = p._cache.get("encoding_logs")
-    if logenc is None:
-        # Every entry is a power of a nonzero point, so its log exists.
-        logenc = p._cache.setdefault(
-            "encoding_logs", [[log[v] for v in row] for row in encoding_matrix(p)]
-        )
-    width = len(logenc)
-    nn = p.n
-    out = []
-    for mr in M.rows:
-        if len(mr) != width:
-            raise ValueError(f"message row has {len(mr)} entries, expected {width}")
-        orow = [0] * nn
-        for a, lrow in zip(mr, logenc):
-            if a:
-                la = log[a]
-                for j in range(nn):
-                    orow[j] = add(orow[j], exp[la + lrow[j]])
-        out.append(orow)
-    return CodeMatrix(p, out)
+    return CodeMatrix(p, matmul(p.field, M.rows, encoding_matrix(p)))
 
 
 def encode_slabs(kernel, p: CodeParams, slots, nodes=None) -> dict:

@@ -9,10 +9,12 @@ The work horses are ``BatchInterpolator``, which fixes a set of sample
 points once and then interpolates many value vectors against them, and
 ``solve_linear``, plain Gauss-Jordan elimination with first-nonzero
 pivoting that also accepts tall (overdetermined) systems. ``matmul`` is
-the one generic matrix product: it runs the simulator's slab maps (see
-``slab.ListSlabKernel``) and is the reference the byte-slab kernel and
-``encode`` are checked against. ``dot`` is the one inner product, and
-``mat_vec`` applies it to each row.
+the one generic matrix product and ``dot`` the one inner product
+(``mat_vec`` applies it to each row); the per-stripe paths do their field
+products through them. ``matmul`` runs ``encode``, the simulator's slab
+maps (see ``slab.ListSlabKernel``) and every interpolation against a
+``BatchInterpolator``'s basis, and is the reference the byte-slab kernel
+is checked against.
 """
 
 from __future__ import annotations
@@ -54,14 +56,16 @@ def poly_eval(field, coeffs: Sequence[int], x: int) -> int:
 class BatchInterpolator:
     """Lagrange interpolation against a fixed set of distinct sample points.
 
-    Construction precomputes the master polynomial prod(x - x_i), each
-    per-point numerator (master divided by its linear factor) and the
-    matching denominator, all as logarithms. ``interpolate`` then costs
-    O(t^2) table lookups per value vector with no per-call setup, which is
-    what makes reusing one instance across many stripes cheap.
+    Construction builds the Lagrange basis once: row i holds the
+    coefficients of point i's basis polynomial, the master polynomial
+    prod(x - x_j) divided by (x - x_i) and scaled to 1 at x_i. Every query
+    is then a product against that basis: ``interpolate`` is a one-row
+    ``matmul``, ``leading_coefficient`` a ``dot`` with the basis's leading
+    entries and ``matrix`` its transpose. Reusing one instance across many
+    stripes pays for the basis once.
     """
 
-    __slots__ = ("field", "points", "t", "_lognums", "_scale", "_qm1")
+    __slots__ = ("field", "points", "t", "_basis")
 
     def __init__(self, field, points: Sequence[int]):
         t = len(points)
@@ -84,8 +88,7 @@ class BatchInterpolator:
                     if hi:
                         root[j] = add(root[j], exp[lnx + log[hi]])
 
-        lognums = []
-        scale = []
+        basis = []
         for x in points:
             # Synthetic division of the master polynomial by (x - x_i).
             num = [0] * t
@@ -101,33 +104,23 @@ class BatchInterpolator:
             else:
                 for j in range(t - 1, 0, -1):
                     num[j - 1] = root[j]
-            d = poly_eval(field, num, x)
-            # d is nonzero because the points are distinct.
-            scale.append(qm1 - log[d])
-            lognums.append([log[c] if c else None for c in num])
+            # The numerator at x_i is nonzero because the points are distinct.
+            scale = qm1 - log[poly_eval(field, num, x)]
+            basis.append([c and exp[log[c] + scale] for c in num])
 
         self.field = field
         self.points = tuple(points)
         self.t = t
-        self._lognums = lognums
-        self._scale = scale
-        self._qm1 = qm1
+        self._basis = basis
+
+    def _check(self, values: Sequence[int]) -> None:
+        if len(values) != self.t:
+            raise ValueError(f"expected {self.t} values, got {len(values)}")
 
     def interpolate(self, values: Sequence[int]) -> list:
         """Coefficients of the unique polynomial of degree < t through the points."""
-        if len(values) != self.t:
-            raise ValueError(f"expected {self.t} values, got {len(values)}")
-        field = self.field
-        exp, log, add = field.exp, field.log, field.add
-        qm1 = self._qm1
-        out = [0] * self.t
-        for i, y in enumerate(values):
-            if y:
-                f = (log[y] + self._scale[i]) % qm1
-                for j, ln in enumerate(self._lognums[i]):
-                    if ln is not None:
-                        out[j] = add(out[j], exp[ln + f])
-        return out
+        self._check(values)
+        return matmul(self.field, [values], self._basis)[0]
 
     def matrix(self) -> list:
         """The t x t Lagrange matrix: ``interpolate(v)[j] == sum_i L[j][i] * v[i]``.
@@ -135,29 +128,12 @@ class BatchInterpolator:
         Row j holds the degree-j coefficient of every basis polynomial;
         column i belongs to sample point i.
         """
-        exp = self.field.exp
-        out = [[0] * self.t for _ in range(self.t)]
-        for i, (lognum, s) in enumerate(zip(self._lognums, self._scale)):
-            for j, ln in enumerate(lognum):
-                if ln is not None:
-                    out[j][i] = exp[ln + s]
-        return out
+        return [list(row) for row in zip(*self._basis)]
 
     def leading_coefficient(self, values: Sequence[int]) -> int:
-        """Degree-(t-1) coefficient of the interpolant, without the other terms.
-
-        The numerators are monic, so the leading coefficient is just the sum
-        of values scaled by the inverse denominators.
-        """
-        if len(values) != self.t:
-            raise ValueError(f"expected {self.t} values, got {len(values)}")
-        field = self.field
-        exp, log, add = field.exp, field.log, field.add
-        acc = 0
-        for i, y in enumerate(values):
-            if y:
-                acc = add(acc, exp[log[y] + self._scale[i]])
-        return acc
+        """Degree-(t-1) coefficient of the interpolant, without the other terms."""
+        self._check(values)
+        return dot(self.field, values, [row[-1] for row in self._basis])
 
 
 def solve_linear(field, A: Sequence[Sequence[int]], b: Sequence[int]) -> list:

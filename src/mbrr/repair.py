@@ -227,7 +227,6 @@ def repair_local(
     if any(col.id.g == g_star for col in ordered):
         raise ValueError(f"node ({e_star}, {g_star}) cannot survive its own failure")
     f = p.field
-    exp, log, add, sub = f.exp, f.log, f.add, f.sub
     pts = [evaluation_point(p, col.id) for col in ordered]
     if _interp is None:
         _interp = BatchInterpolator(f, pts)
@@ -237,18 +236,9 @@ def repair_local(
     out = []
     for i in range(p.dbar):
         lead = hv.h[i]
-        if lead:
-            llog = log[lead]
-            vals = [
-                sub(col.symbols[i], exp[llog + log[w]])
-                for col, w in zip(ordered, lead_pows)
-            ]
-        else:
-            vals = [col.symbols[i] for col in ordered]
+        vals = [f.sub(col.symbols[i], f.mul(lead, w)) for col, w in zip(ordered, lead_pows)]
         v = poly_eval(f, _interp.interpolate(vals), lam_star)
-        if lead:
-            v = add(v, exp[log[lead] + log[lead_pow_star]])
-        out.append(v)
+        out.append(f.add(v, f.mul(lead, lead_pow_star)))
     return out
 
 

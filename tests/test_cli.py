@@ -286,6 +286,34 @@ def test_cmd_decode_loads_only_payloads_it_reads(tmp_path, capsys, monkeypatch, 
     assert f"from {12 - (lost is not None)} shards" in out
 
 
+@pytest.mark.parametrize("failed", [(1, 0), (2, 2)])
+def test_cmd_repair_opens_each_shard_once(tmp_path, capsys, monkeypatch, failed):
+    """The probe shard whose header gives the code also serves its payload."""
+    import mbrr.cli
+
+    src = tmp_path / "input.bin"
+    src.write_bytes(random.Random(508).randbytes(1500))
+    shard_dir = tmp_path / "shards"
+    run_cli(capsys, "encode", src, 12, 7, 3, 3, "--out", shard_dir)
+    want = (shard_dir / shard_filename(*failed)).read_bytes()
+    (shard_dir / shard_filename(*failed)).unlink()
+    opened = []
+    real = mbrr.cli.open_shard
+
+    def counting(path):
+        opened.append(os.path.basename(path))
+        return real(path)
+
+    monkeypatch.setattr(mbrr.cli, "open_shard", counting)
+    rc, _, _ = run_cli(capsys, "repair", shard_dir, *failed)
+    assert rc == 0 and (shard_dir / shard_filename(*failed)).read_bytes() == want
+    # dbar = 3 helper racks of u = 3 nodes, and the u - 1 = 2 rack mates.
+    e, g = failed
+    helpers = [r for r in range(4) if r != e]
+    needed = [(r, j) for r in helpers for j in range(3)] + [(e, j) for j in range(3) if j != g]
+    assert sorted(opened) == sorted(shard_filename(*node) for node in needed)
+
+
 def test_cmd_decode_checks_unused_shards(tmp_path, capsys):
     """A shard the read does not use still has its header and size checked."""
     src = tmp_path / "input.bin"

@@ -13,7 +13,7 @@ from mbrr.linalg import (
     solve_linear,
 )
 
-FIELDS = [binary_field(4), binary_field(8), prime_field(11), prime_field(29)]
+FIELDS = [binary_field(4), binary_field(8), binary_field(16), prime_field(11), prime_field(29)]
 
 
 def distinct_points(f, t, rng):
@@ -60,23 +60,23 @@ def test_interpolation_round_trip():
 
 
 def test_interpolator_reuse_matches_one_shot():
-    f = binary_field(8)
     rng = random.Random(3)
-    pts = distinct_points(f, 7, rng)
-    bi = BatchInterpolator(f, pts)
-    for _ in range(50):
-        values = [rng.randrange(f.q) for _ in pts]
-        assert bi.interpolate(values) == BatchInterpolator(f, pts).interpolate(values)
+    for f in FIELDS:
+        pts = distinct_points(f, 7, rng)
+        bi = BatchInterpolator(f, pts)
+        for _ in range(50):
+            values = [rng.randrange(f.q) for _ in pts]
+            assert bi.interpolate(values) == BatchInterpolator(f, pts).interpolate(values)
 
 
 def test_leading_coefficient_shortcut():
-    f = binary_field(8)
     rng = random.Random(4)
-    pts = distinct_points(f, 5, rng)
-    bi = BatchInterpolator(f, pts)
-    for _ in range(100):
-        values = [rng.randrange(f.q) for _ in pts]
-        assert bi.leading_coefficient(values) == bi.interpolate(values)[-1]
+    for f in FIELDS:
+        pts = distinct_points(f, 5, rng)
+        bi = BatchInterpolator(f, pts)
+        for _ in range(100):
+            values = [rng.randrange(f.q) for _ in pts]
+            assert bi.leading_coefficient(values) == bi.interpolate(values)[-1]
 
 
 def test_lagrange_matrix_matches_interpolate():
