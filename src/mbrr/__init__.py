@@ -31,13 +31,7 @@ from .layout import (
     unfill_message_matrix,
 )
 from .linalg import SingularMatrixError, solve_linear
-from .reconstruct import (
-    Decoder,
-    ObservedColumn,
-    oracle_reconstruct,
-    reconstruct,
-    take_columns,
-)
+from .reconstruct import Decoder, oracle_reconstruct, reconstruct
 from .repair import (
     BandwidthLedger,
     LeadingVector,
@@ -74,7 +68,6 @@ __all__ = [
     "LeadingVector",
     "MessageMatrix",
     "NodeId",
-    "ObservedColumn",
     "OverheadReport",
     "PrimeField",
     "RepairModelError",
@@ -102,6 +95,5 @@ __all__ = [
     "systematic_layout",
     "systematic_message_matrix",
     "systematic_nodes",
-    "take_columns",
     "unfill_message_matrix",
 ]

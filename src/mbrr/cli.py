@@ -75,7 +75,7 @@ from .layout import (
     make_params,
     unfill_message_matrix,
 )
-from .reconstruct import Decoder, take_columns
+from .reconstruct import Decoder
 from .repair import Repairer, repair_node
 from .slab import SlabKernel
 from .systematic import (
@@ -349,6 +349,8 @@ def decode_shards(loaded: Mapping[NodeId, tuple]) -> bytes:
     returns them; the first header describes the file. Only the payloads
     of the nodes ``read_nodes`` names are used.
     """
+    if not loaded:
+        raise ValueError("no shards given")
     first = next(iter(loaded.values()))[0]
     p = _params_from_header(first)
     nodes = read_nodes(p, loaded)
@@ -381,11 +383,20 @@ def _shard_paths(args_paths: Sequence[str]) -> list:
     return paths
 
 
+def _non_negative_ints(texts: Sequence[str]) -> list:
+    """Each text as a non-negative decimal integer (the simulator's and the
+    rack lists' rule), else ValueError."""
+    for text in texts:
+        if not text.isdecimal():
+            raise ValueError(f"{text!r} is not a non-negative integer")
+    return [int(text) for text in texts]
+
+
 def _parse_helpers(text: str | None) -> list | None:
     if text is None:
         return None
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        return _non_negative_ints(text.split(","))
     except ValueError:
         raise ValueError(
             f"--helpers expects comma-separated rack indices: {text!r}"
@@ -520,10 +531,10 @@ _SIM_ARGS = {
 
 def _sim_ints(lineno: int, line: str, texts: Sequence[str]) -> list:
     """Statement arguments as non-negative ints, or a script error."""
-    for text in texts:
-        if not text.isdecimal():
-            raise _sim_error(lineno, line, f"{text!r} is not a non-negative integer")
-    return [int(text) for text in texts]
+    try:
+        return _non_negative_ints(texts)
+    except ValueError as exc:
+        raise _sim_error(lineno, line, str(exc)) from None
 
 
 def cmd_simulate(args) -> int:
@@ -690,7 +701,7 @@ def _selftest_suites():
             ids = [nodes[i] for i in subset]
             dec = Decoder(p, ids)
             for vec, C in stripes:
-                got = unfill_message_matrix(dec.reconstruct(take_columns(C, ids)))
+                got = unfill_message_matrix(dec.reconstruct(C.columns(ids)))
                 if got != vec:
                     return f"subset {subset} reconstructed wrong data"
                 checked += 1

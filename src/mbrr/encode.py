@@ -16,6 +16,7 @@ from .layout import (
     CodeParams,
     MessageMatrix,
     all_nodes,
+    cached_on_params,
     evaluation_points,
     fill_plan,
     index_sets,
@@ -43,16 +44,12 @@ def row_polynomial(M: MessageMatrix, i: int) -> list:
     return coeffs
 
 
+@cached_on_params
 def encoding_matrix(p: CodeParams) -> list:
     """len(J) x n matrix of point powers lambda(e, g)**j, cached per params."""
-    got = p._cache.get("encoding_matrix")
-    if got is None:
-        f = p.field
-        j = index_sets(p)[2]
-        pts = evaluation_points(p)
-        rows = [[f.pow(lam, deg) for lam in pts] for deg in j]
-        got = p._cache.setdefault("encoding_matrix", rows)
-    return got
+    f = p.field
+    pts = evaluation_points(p)
+    return [[f.pow(lam, deg) for lam in pts] for deg in index_sets(p)[2]]
 
 
 def encode(M: MessageMatrix) -> CodeMatrix:

@@ -31,10 +31,14 @@ inside each column, skipping cells that are structural zeros of M1 and cells
 whose value is already forced by M1's symmetry. Exactly B cells receive a
 symbol. ``unfill_message_matrix`` walks the same order in reverse and checks
 the symmetry and zero constraints as it goes.
+
+What the geometry alone fixes, here and in other modules, is built once per
+``CodeParams`` by functions wrapped in ``cached_on_params``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 from typing import Iterator, NamedTuple, Sequence
 
@@ -46,6 +50,7 @@ __all__ = [
     "NodeId",
     "CodeParams",
     "make_params",
+    "cached_on_params",
     "index_sets",
     "column_positions",
     "evaluation_points",
@@ -78,7 +83,7 @@ class CodeParams:
 
     Instances are immutable and compare by identity; derived artifacts
     (index sets, evaluation points, fill plans, the encoding matrix) are
-    cached on the instance after first use.
+    cached on the instance after first use, by ``cached_on_params``.
     """
 
     n: int
@@ -182,38 +187,46 @@ def make_params(
     )
 
 
+def cached_on_params(fn):
+    """Decorator: cache ``fn(p, *args)`` on the params ``p``, one entry per
+    positional ``args``. Every caller gets the same object, so results must
+    be treated as read-only."""
+
+    @functools.wraps(fn)
+    def cached(p: CodeParams, *args):
+        key = (fn, *args)
+        got = p._cache.get(key)
+        if got is None:
+            got = p._cache.setdefault(key, fn(p, *args))
+        return got
+
+    return cached
+
+
+@cached_on_params
 def index_sets(p: CodeParams) -> tuple:
     """Column degree sets (J1, J2, J), each ascending."""
-    got = p._cache.get("index_sets")
-    if got is None:
-        j1 = tuple(t * p.u + p.u - 1 for t in range(p.dbar))
-        j2 = tuple(j for j in range(p.k) if j % p.u != p.u - 1)
-        j = tuple(sorted(set(j1) | set(j2)))
-        got = p._cache.setdefault("index_sets", (j1, j2, j))
-    return got
+    j1 = tuple(t * p.u + p.u - 1 for t in range(p.dbar))
+    j2 = tuple(j for j in range(p.k) if j % p.u != p.u - 1)
+    return j1, j2, tuple(sorted(set(j1) | set(j2)))
 
 
+@cached_on_params
 def column_positions(p: CodeParams) -> dict:
     """Map from degree j in J to its column position in the message matrix."""
-    got = p._cache.get("column_positions")
-    if got is None:
-        j = index_sets(p)[2]
-        got = p._cache.setdefault("column_positions", {v: i for i, v in enumerate(j)})
-    return got
+    return {v: i for i, v in enumerate(index_sets(p)[2])}
 
 
+@cached_on_params
 def evaluation_points(p: CodeParams) -> tuple:
     """All n node evaluation points, indexed by e * u + g."""
-    got = p._cache.get("evaluation_points")
-    if got is None:
-        f = p.field
-        pts = []
-        for e in range(p.nbar):
-            xe = f.pow(p.xi, e)
-            for g in range(p.u):
-                pts.append(f.mul(xe, f.pow(p.eta, g)))
-        got = p._cache.setdefault("evaluation_points", tuple(pts))
-    return got
+    f = p.field
+    pts = []
+    for e in range(p.nbar):
+        xe = f.pow(p.xi, e)
+        for g in range(p.u):
+            pts.append(f.mul(xe, f.pow(p.eta, g)))
+    return tuple(pts)
 
 
 def node_index(p: CodeParams, node: NodeId) -> int:
@@ -236,6 +249,7 @@ def evaluation_point(p: CodeParams, node: NodeId) -> int:
     return evaluation_points(p)[node_index(p, node)]
 
 
+@cached_on_params
 def fill_plan(p: CodeParams) -> tuple:
     """Per-cell data-slot assignment for the message matrix.
 
@@ -246,9 +260,6 @@ def fill_plan(p: CodeParams) -> tuple:
     top-down); a non-fresh cell repeats the value of its symmetric partner
     inside M1 and must agree with it.
     """
-    got = p._cache.get("fill_plan")
-    if got is not None:
-        return got
     j1, _, j = index_sets(p)
     j1set = set(j1)
     slots: list = [[None] * len(j) for _ in range(p.dbar)]
@@ -275,7 +286,7 @@ def fill_plan(p: CodeParams) -> tuple:
                 nxt += 1
     if nxt != p.B:  # arithmetic identity; cannot fail for validated params
         raise AssertionError(f"fill plan consumed {nxt} slots, expected B={p.B}")
-    return p._cache.setdefault("fill_plan", (slots, fresh))
+    return slots, fresh
 
 
 @dataclass

@@ -18,15 +18,17 @@ high-degree terms.
 equation per observed symbol in the B data unknowns and solves by Gaussian
 elimination. It exists as an independent check on the structured decoder
 and must agree with it bit for bit.
+
+Both per-stripe decoders take a node-keyed map ``{node: column}``, as
+``CodeMatrix.columns(ids)`` builds it, in any order.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 from .encode import encoding_matrix
 from .layout import (
-    CodeMatrix,
     CodeParams,
     IntegrityError,
     MessageMatrix,
@@ -41,34 +43,17 @@ from .layout import (
 )
 from .linalg import BatchInterpolator, dot, mat_vec, matmul, solve_linear
 
-__all__ = ["ObservedColumn", "take_columns", "Decoder", "reconstruct", "oracle_reconstruct"]
+__all__ = ["Decoder", "reconstruct", "oracle_reconstruct"]
 
 
-class ObservedColumn(NamedTuple):
-    """One surviving node column: its label and its alpha stored symbols."""
-
-    id: NodeId
-    symbols: tuple
-
-
-def take_columns(C: CodeMatrix, ids: Sequence[NodeId]) -> list:
-    """Observed columns for the given nodes of a code matrix."""
-    return [ObservedColumn(node, tuple(C.column(node))) for node in ids]
-
-
-def _check_observation(p: CodeParams, cols: Sequence[ObservedColumn]) -> dict:
-    seen = {}
-    for col in cols:
-        node_index(p, col.id)  # range check
-        if col.id in seen:
-            raise ValueError(f"duplicate column for node {col.id!r}")
-        if len(col.symbols) != p.alpha:
+def _check_observation(p: CodeParams, cols: Mapping[NodeId, Sequence[int]]) -> None:
+    for node, col in cols.items():
+        node_index(p, node)  # range check
+        if len(col) != p.alpha:
             raise ValueError(
-                f"column for node {col.id!r} has {len(col.symbols)} symbols, "
+                f"column for node {node!r} has {len(col)} symbols, "
                 f"expected alpha={p.alpha}"
             )
-        seen[col.id] = col.symbols
-    return seen
 
 
 class Decoder:
@@ -101,13 +86,13 @@ class Decoder:
         self._high_pos = [cp[deg] for deg in high_degrees]
         self._slab_maps = None  # built by the first decode_slabs call
 
-    def reconstruct(self, cols: Sequence[ObservedColumn]) -> MessageMatrix:
-        """Recover the message matrix from columns of this decoder's nodes."""
+    def reconstruct(self, cols: Mapping[NodeId, Sequence[int]]) -> MessageMatrix:
+        """Recover the message matrix from ``{node: column}`` for this decoder's nodes."""
         p = self.p
-        by_id = _check_observation(p, cols)
-        if tuple(sorted(by_id)) != self.ids:
+        _check_observation(p, cols)
+        if tuple(sorted(cols)) != self.ids:
             raise ValueError("observed nodes do not match this decoder")
-        ordered = [by_id[node] for node in self.ids]
+        ordered = [cols[node] for node in self.ids]
 
         sub = p.field.sub
         interp = self._interp
@@ -192,12 +177,12 @@ class Decoder:
         return unfill_message_matrix(MessageMatrix(p, rows))
 
 
-def reconstruct(p: CodeParams, cols: Sequence[ObservedColumn]) -> MessageMatrix:
-    """Recover the message matrix from exactly k observed columns."""
-    return Decoder(p, [c.id for c in cols]).reconstruct(cols)
+def reconstruct(p: CodeParams, cols: Mapping[NodeId, Sequence[int]]) -> MessageMatrix:
+    """Recover the message matrix from ``{node: column}`` for exactly k nodes."""
+    return Decoder(p, list(cols)).reconstruct(cols)
 
 
-def oracle_reconstruct(p: CodeParams, cols: Sequence[ObservedColumn]) -> MessageMatrix:
+def oracle_reconstruct(p: CodeParams, cols: Mapping[NodeId, Sequence[int]]) -> MessageMatrix:
     """Structure-blind reference decoder over the raw linear system.
 
     Builds one equation per observed symbol in the B data unknowns, solves
@@ -205,9 +190,9 @@ def oracle_reconstruct(p: CodeParams, cols: Sequence[ObservedColumn]) -> Message
     against the solution. Slow but independent of every decoding trick the
     structured path uses.
     """
-    by_id = _check_observation(p, cols)
-    if len(by_id) < p.k:
-        raise ValueError(f"need at least k={p.k} columns, got {len(by_id)}")
+    _check_observation(p, cols)
+    if len(cols) < p.k:
+        raise ValueError(f"need at least k={p.k} columns, got {len(cols)}")
     slots, _ = fill_plan(p)
     emat = encoding_matrix(p)
     add = p.field.add
@@ -215,7 +200,7 @@ def oracle_reconstruct(p: CodeParams, cols: Sequence[ObservedColumn]) -> Message
 
     rows = []
     rhs = []
-    for node in sorted(by_id):
+    for node in sorted(cols):
         idx = node_index(p, node)
         col_pows = [emat[pos][idx] for pos in range(j_count)]
         for i in range(p.dbar):
@@ -226,7 +211,7 @@ def oracle_reconstruct(p: CodeParams, cols: Sequence[ObservedColumn]) -> Message
                 if s is not None:
                     eq[s] = add(eq[s], col_pows[pos])
             rows.append(eq)
-            rhs.append(by_id[node][i])
+            rhs.append(cols[node][i])
 
     x = solve_linear(p.field, rows, rhs)
     for eq, y in zip(rows, rhs):

@@ -23,6 +23,10 @@ solve recovers it. The replacement node then subtracts the leading term from
 the u-1 surviving in-rack columns, interpolates the residual of degree at
 most u-2, and evaluates at its own point.
 
+The rack steps take columns as a node-keyed map ``{node: column}``, in any
+order. The interpolators on a rack's node points are fixed by the geometry:
+``rack_lagrange`` builds each once per ``CodeParams`` for every step.
+
 ``Repairer.repair_slabs`` runs the same protocol over byte slabs that span
 every stripe of a file. Every step above is linear, so each helper rack's
 contribution is one fixed 1 x (u*alpha) map over its own slabs, and the
@@ -45,12 +49,13 @@ from .layout import (
     CodeParams,
     MessageMatrix,
     NodeId,
+    cached_on_params,
     column_positions,
     evaluation_point,
     node_index,
 )
 from .linalg import BatchInterpolator, dot, poly_eval
-from .reconstruct import ObservedColumn, _check_observation
+from .reconstruct import _check_observation
 
 __all__ = [
     "RepairModelError",
@@ -58,6 +63,7 @@ __all__ = [
     "LeadingVector",
     "HelperSymbol",
     "rack_point",
+    "rack_lagrange",
     "local_polynomial_coeffs",
     "rack_leading_vector",
     "helper_symbol",
@@ -105,6 +111,17 @@ def rack_point(p: CodeParams, e: int) -> int:
     return p.field.pow(p.xi, e * p.u)
 
 
+@cached_on_params
+def rack_lagrange(p: CodeParams, e: int, lost: int | None = None) -> BatchInterpolator:
+    """Lagrange interpolator on rack e's node points lambda(e, g), g ascending,
+    without node (e, lost) when ``lost`` is given (positionally). Cached on
+    ``p``, at most nbar * (u+1) per params, and shared: callers only read it."""
+    if lost is not None:
+        node_index(p, NodeId(e, lost))  # range check
+    pts = [evaluation_point(p, NodeId(e, g)) for g in range(p.u) if g != lost]
+    return BatchInterpolator(p.field, pts)
+
+
 def local_polynomial_coeffs(M: MessageMatrix, e: int) -> list:
     """Coefficients (length u) of every row's local polynomial at rack e."""
     p = M.params
@@ -131,34 +148,28 @@ def local_polynomial_coeffs(M: MessageMatrix, e: int) -> list:
 
 
 def _rack_columns_in_order(
-    p: CodeParams, e: int, cols: Sequence[ObservedColumn], expect: int
+    p: CodeParams, e: int, cols: Mapping[NodeId, Sequence[int]], expect: int
 ) -> list:
     if len(cols) != expect:
         raise ValueError(f"expected {expect} columns of rack {e}, got {len(cols)}")
-    for node in _check_observation(p, cols):
-        if node.e != e:
+    _check_observation(p, cols)
+    for node in cols:
+        if node[0] != e:
             raise ValueError(f"column of node {node!r} does not belong to rack {e}")
-    return sorted(cols, key=lambda col: col.id)
+    return [col for _, col in sorted(cols.items())]
 
 
 def rack_leading_vector(
-    p: CodeParams,
-    e: int,
-    rack_cols: Sequence[ObservedColumn],
-    _interp: BatchInterpolator | None = None,
+    p: CodeParams, e: int, rack_cols: Mapping[NodeId, Sequence[int]]
 ) -> LeadingVector:
     """Leading local coefficients of a fully surviving rack.
 
-    Needs all u columns of the rack; the result does not depend on the
-    order they are handed in.
+    Needs ``{node: column}`` for all u nodes of the rack.
     """
     ordered = _rack_columns_in_order(p, e, rack_cols, p.u)
-    if _interp is None:
-        pts = [evaluation_point(p, NodeId(e, g)) for g in range(p.u)]
-        _interp = BatchInterpolator(p.field, pts)
+    interp = rack_lagrange(p, e)
     h = tuple(
-        _interp.leading_coefficient([col.symbols[i] for col in ordered])
-        for i in range(p.dbar)
+        interp.leading_coefficient([col[i] for col in ordered]) for i in range(p.dbar)
     )
     return LeadingVector(e, h)
 
@@ -208,9 +219,8 @@ def repair_local(
     p: CodeParams,
     e_star: int,
     g_star: int,
-    surviving: Sequence[ObservedColumn],
+    surviving: Mapping[NodeId, Sequence[int]],
     hv: LeadingVector,
-    _interp: BatchInterpolator | None = None,
 ) -> list:
     """Rebuild the lost column from u-1 in-rack survivors and the leading vector.
 
@@ -224,36 +234,35 @@ def repair_local(
     if len(hv.h) != p.dbar:
         raise ValueError(f"leading vector has length {len(hv.h)}, expected {p.dbar}")
     ordered = _rack_columns_in_order(p, e_star, surviving, p.u - 1)
-    if any(col.id.g == g_star for col in ordered):
+    if (e_star, g_star) in surviving:
         raise ValueError(f"node ({e_star}, {g_star}) cannot survive its own failure")
     f = p.field
-    pts = [evaluation_point(p, col.id) for col in ordered]
-    if _interp is None:
-        _interp = BatchInterpolator(f, pts)
+    interp = rack_lagrange(p, e_star, g_star)
     lam_star = evaluation_point(p, NodeId(e_star, g_star))
     lead_pow_star = f.pow(lam_star, p.u - 1)
-    lead_pows = [f.pow(x, p.u - 1) for x in pts]
+    lead_pows = [f.pow(x, p.u - 1) for x in interp.points]
     out = []
     for i in range(p.dbar):
         lead = hv.h[i]
-        vals = [f.sub(col.symbols[i], f.mul(lead, w)) for col, w in zip(ordered, lead_pows)]
-        v = poly_eval(f, _interp.interpolate(vals), lam_star)
+        vals = [f.sub(col[i], f.mul(lead, w)) for col, w in zip(ordered, lead_pows)]
+        v = poly_eval(f, interp.interpolate(vals), lam_star)
         out.append(f.add(v, f.mul(lead, lead_pow_star)))
     return out
 
 
-def local_finish(p: CodeParams, lost: NodeId, local: BatchInterpolator) -> tuple:
+def local_finish(p: CodeParams, lost: NodeId) -> tuple:
     """(w, kappa): the in-rack finish of ``repair_local`` as fixed weights.
 
-    ``local`` interpolates on the points lambda_g of the lost node's u-1
-    rack mates. Row i of the lost column is
-    sum_g w[g] * col_g[i] + kappa * h[i], where h is the rack's leading
-    vector, w[g] is survivor g's Lagrange basis polynomial evaluated at the
-    lost point lam, and kappa = lam**(u-1) - sum_g w[g] * lambda_g**(u-1)
-    gathers the leading term that ``repair_local`` subtracts at each
-    survivor and adds back at lam.
+    The lost node's u-1 rack mates sit at the points lambda_g, and row i
+    of the lost column is sum_g w[g] * col_g[i] + kappa * h[i], where h is
+    the rack's leading vector, w[g] is survivor g's Lagrange basis
+    polynomial evaluated at the lost point lam, and
+    kappa = lam**(u-1) - sum_g w[g] * lambda_g**(u-1) gathers the leading
+    term that ``repair_local`` subtracts at each survivor and adds back at
+    lam.
     """
     f = p.field
+    local = rack_lagrange(p, *lost)
     lam = evaluation_point(p, lost)
     basis = local.matrix()
     weights = [poly_eval(f, [row[g] for row in basis], lam) for g in range(local.t)]
@@ -268,12 +277,11 @@ def _default_helpers(p: CodeParams, e_star: int) -> tuple:
 
 
 class Repairer:
-    """Reusable repair pipeline for one failed node and helper-rack set.
+    """Repair pipeline for one failed node and helper-rack set.
 
-    Point-dependent interpolators are built once, so repairing the same
-    node across many stripes costs only the per-stripe arithmetic.
     ``helpers`` (sorted rack indices) and ``survivors`` (the failed node's
-    u-1 rack mates) name every node a repair reads.
+    u-1 rack mates) name every node a repair reads. The slab maps are built
+    on the first ``repair_slabs`` call and reused.
     """
 
     def __init__(
@@ -299,18 +307,20 @@ class Repairer:
         self.p = p
         self.failed = failed
         self.helpers = helpers
-        f = p.field
-        self._helper_interp = {
-            e: BatchInterpolator(
-                f, [evaluation_point(p, NodeId(e, g)) for g in range(p.u)]
-            )
-            for e in helpers
-        }
         self.survivors = [NodeId(failed.e, g) for g in range(p.u) if g != failed.g]
-        self._survivor_interp = BatchInterpolator(
-            f, [evaluation_point(p, node) for node in self.survivors]
-        )
         self._slab_maps = None  # built by the first repair_slabs call
+
+    def _read(self, columns: Mapping[NodeId, Sequence], node: NodeId) -> Sequence:
+        """``columns[node]``, or RepairModelError naming the role it plays."""
+        col = columns.get(node)
+        if col is None:
+            raise RepairModelError(
+                f"in-rack survivor {node!r} unavailable; cannot repair "
+                f"{self.failed!r} (single-failure model)"
+                if node.e == self.failed.e
+                else f"helper rack {node.e} is incomplete: node {node!r} unavailable"
+            )
+        return col
 
     def repair(self, columns: Mapping[NodeId, Sequence[int]]):
         """Regenerate the failed column; returns (column, BandwidthLedger)."""
@@ -318,38 +328,15 @@ class Repairer:
         ledger = BandwidthLedger()
         received = []
         for e in self.helpers:
-            rack_cols = []
-            for g in range(p.u):
-                node = NodeId(e, g)
-                col = columns.get(node)
-                if col is None:
-                    raise RepairModelError(
-                        f"helper rack {e} is incomplete: node {node!r} unavailable"
-                    )
-                rack_cols.append(ObservedColumn(node, tuple(col)))
-            hv = rack_leading_vector(p, e, rack_cols, _interp=self._helper_interp[e])
+            rack = [NodeId(e, g) for g in range(p.u)]
+            hv = rack_leading_vector(p, e, {node: self._read(columns, node) for node in rack})
             received.append(helper_symbol(p, self.failed.e, hv))
             ledger.cross_rack_symbols += p.beta
             ledger.per_helper[e] = ledger.per_helper.get(e, 0) + p.beta
         hv_star = recover_leading_vector(p, self.failed.e, received)
-        surviving = []
-        for node in self.survivors:
-            col = columns.get(node)
-            if col is None:
-                raise RepairModelError(
-                    f"in-rack survivor {node!r} unavailable; cannot repair "
-                    f"{self.failed!r} (single-failure model)"
-                )
-            surviving.append(ObservedColumn(node, tuple(col)))
-            ledger.intra_rack_symbols += p.alpha
-        column = repair_local(
-            p,
-            self.failed.e,
-            self.failed.g,
-            surviving,
-            hv_star,
-            _interp=self._survivor_interp,
-        )
+        surviving = {node: self._read(columns, node) for node in self.survivors}
+        ledger.intra_rack_symbols += p.alpha * len(surviving)
+        column = repair_local(p, self.failed.e, self.failed.g, surviving, hv_star)
         return column, ledger
 
     def _build_slab_maps(self) -> tuple:
@@ -369,11 +356,11 @@ class Repairer:
         x = rack_point(p, self.failed.e)
         phi = [f.pow(x, i) for i in range(p.dbar)]
         helper_maps = {}
-        for e, interp in self._helper_interp.items():
-            lead = interp.matrix()[p.u - 1]
+        for e in self.helpers:
+            lead = rack_lagrange(p, e).matrix()[p.u - 1]
             helper_maps[e] = [[f.mul(w, v) for w in lead for v in phi]]
 
-        weights, kappa = local_finish(p, self.failed, self._survivor_interp)
+        weights, kappa = local_finish(p, self.failed)
         vand = BatchInterpolator(f, [rack_point(p, e) for e in self.helpers]).matrix()
         host = []
         for i in range(p.dbar):
@@ -397,10 +384,8 @@ class Repairer:
             self._slab_maps = self._build_slab_maps()
         helper_maps, host = self._slab_maps
 
-        def rows_of(node, why):
-            col = columns.get(node)
-            if col is None:
-                raise RepairModelError(why)
+        def rows_of(node):
+            col = self._read(columns, node)
             if len(col) != p.alpha:
                 raise ValueError(
                     f"node {node!r} has {len(col)} slabs, expected alpha={p.alpha}"
@@ -409,20 +394,11 @@ class Repairer:
 
         sent = {}
         for e in self.helpers:
-            slabs = []
-            for g in range(p.u):
-                node = NodeId(e, g)
-                slabs += rows_of(
-                    node, f"helper rack {e} is incomplete: node {node!r} unavailable"
-                )
+            slabs = [slab for g in range(p.u) for slab in rows_of(NodeId(e, g))]
             sent[e] = kernel.apply(helper_maps[e], slabs)[0]
         inputs = [sent[e] for e in self.helpers]
         for node in self.survivors:
-            inputs += rows_of(
-                node,
-                f"in-rack survivor {node!r} unavailable; cannot repair "
-                f"{self.failed!r} (single-failure model)",
-            )
+            inputs += rows_of(node)
         return kernel.apply(host, inputs), sent
 
     def slab_ledger(self, kernel, columns: Mapping[NodeId, Sequence], sent) -> BandwidthLedger:
@@ -444,15 +420,10 @@ def repair_node(
 ):
     """One-shot repair; ``columns`` is a CodeMatrix or a node-keyed mapping.
 
-    The failed node's own column is ignored even if present. Returns the
-    regenerated column and the bandwidth ledger, whose cross-rack count is
-    dbar * beta by construction.
+    The failed node's own column is never read, even if present. Returns
+    the regenerated column and the bandwidth ledger, whose cross-rack count
+    is dbar * beta by construction.
     """
-    failed = NodeId(*failed)
     if isinstance(columns, CodeMatrix):
-        columns = {
-            node: col for node, col in columns.columns().items() if node != failed
-        }
-    else:
-        columns = {NodeId(*node): col for node, col in columns.items() if NodeId(*node) != failed}
+        columns = columns.columns()
     return Repairer(p, failed, helpers).repair(columns)

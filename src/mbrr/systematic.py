@@ -62,13 +62,13 @@ from .layout import (
     CodeParams,
     NodeId,
     all_nodes,
-    evaluation_point,
+    cached_on_params,
     fill_message_matrix,
     validate_data,
 )
 from .linalg import BatchInterpolator, dot, mat_vec, matmul, solve_linear
-from .reconstruct import Decoder, ObservedColumn, reconstruct
-from .repair import LeadingVector, local_finish, rack_point, repair_local
+from .reconstruct import Decoder, reconstruct
+from .repair import LeadingVector, local_finish, rack_lagrange, rack_point, repair_local
 from .slab import ListSlabKernel, SlabKernel
 
 __all__ = [
@@ -98,25 +98,20 @@ def systematic_nodes(p: CodeParams) -> list:
     return [node for _, node in zip(range(p.k), all_nodes(p))]
 
 
+@cached_on_params
 def systematic_layout(p: CodeParams) -> SystematicLayout:
-    got = p._cache.get("systematic_layout")
-    if got is None:
-        redundant = set()
-        for e in range(p.kbar - 1):
-            for i in range(e + 1, p.kbar):
-                redundant.add((i, NodeId(e, p.u - 1)))
-        data = []
-        for node in systematic_nodes(p):
-            for i in range(p.dbar):
-                if (i, node) not in redundant:
-                    data.append((i, node))
-        if len(data) != p.B:  # counting identity; cannot fail for valid params
-            raise AssertionError(f"{len(data)} data cells, expected B={p.B}")
-        got = p._cache.setdefault(
-            "systematic_layout",
-            SystematicLayout(tuple(data), tuple(sorted(redundant))),
-        )
-    return got
+    redundant = set()
+    for e in range(p.kbar - 1):
+        for i in range(e + 1, p.kbar):
+            redundant.add((i, NodeId(e, p.u - 1)))
+    data = []
+    for node in systematic_nodes(p):
+        for i in range(p.dbar):
+            if (i, node) not in redundant:
+                data.append((i, node))
+    if len(data) != p.B:  # counting identity; cannot fail for valid params
+        raise AssertionError(f"{len(data)} data cells, expected B={p.B}")
+    return SystematicLayout(tuple(data), tuple(sorted(redundant)))
 
 
 def read_systematic_data(p: CodeParams, columns: Mapping[NodeId, Sequence[int]]) -> list:
@@ -141,8 +136,7 @@ def systematic_message_matrix(p: CodeParams, data: Sequence[int]):
     # Leading local coefficients of every fully known row per full rack.
     known_lead = {}
     for e in range(p.kbar):
-        pts = [evaluation_point(p, NodeId(e, g)) for g in range(p.u)]
-        interp = BatchInterpolator(f, pts)
+        interp = rack_lagrange(p, e)
         for i in [*range(0, e + 1), *range(p.kbar, p.dbar)]:
             vals = [grid[(i, NodeId(e, g))] for g in range(p.u)]
             known_lead[(i, e)] = interp.leading_coefficient(vals)
@@ -153,9 +147,9 @@ def systematic_message_matrix(p: CodeParams, data: Sequence[int]):
 
     # Rectangle block of the symmetric core, one bottom row of H at a time.
     T = [[0] * (p.dbar - p.kbar) for _ in range(p.kbar)]
-    rack_interp = BatchInterpolator(f, xpts)
+    vand = BatchInterpolator(f, xpts)
     for i in range(p.kbar, p.dbar):
-        c = rack_interp.interpolate([known_lead[(i, e)] for e in range(p.kbar)])
+        c = vand.interpolate([known_lead[(i, e)] for e in range(p.kbar)])
         for t in range(p.kbar):
             T[t][i - p.kbar] = c[t]
 
@@ -184,12 +178,10 @@ def systematic_message_matrix(p: CodeParams, data: Sequence[int]):
     redundant = set(lay.redundant_positions)
     for e in range(p.kbar - 1):
         h = mat_vec(f, m1, phis[e])
-        surviving = [
-            ObservedColumn(
-                NodeId(e, g), tuple(grid[(i, NodeId(e, g))] for i in range(p.dbar))
-            )
+        surviving = {
+            NodeId(e, g): [grid[(i, NodeId(e, g))] for i in range(p.dbar)]
             for g in range(p.u - 1)
-        ]
+        }
         col = repair_local(p, e, p.u - 1, surviving, LeadingVector(e, tuple(h)))
         for i in range(p.dbar):
             cell = (i, NodeId(e, p.u - 1))
@@ -198,10 +190,7 @@ def systematic_message_matrix(p: CodeParams, data: Sequence[int]):
             elif grid[cell] != col[i]:  # construction identity; never trips
                 raise AssertionError(f"systematic completion mismatch at {cell}")
 
-    cols = [
-        ObservedColumn(node, tuple(grid[(i, node)] for i in range(p.dbar)))
-        for node in systematic_nodes(p)
-    ]
+    cols = {node: [grid[(i, node)] for i in range(p.dbar)] for node in systematic_nodes(p)}
     return reconstruct(p, cols)
 
 
@@ -232,14 +221,10 @@ def systematic_slabs(kernel, p: CodeParams, data_slabs: Sequence) -> list:
     xs = [rack_point(p, e) for e in range(kbar)]
     phis = [[f.pow(x, t) for t in range(dbar)] for x in xs]
 
-    def rack_interp(e, count):  # on the first ``count`` nodes of rack e
-        pts = [evaluation_point(p, NodeId(e, g)) for g in range(count)]
-        return BatchInterpolator(f, pts)
-
     # 1. Leading coefficient of every fully known row of each full rack.
     lead = {}
     for e in range(kbar):
-        top = [rack_interp(e, u).matrix()[u - 1]]
+        top = [rack_lagrange(p, e).matrix()[u - 1]]
         for i in [*range(e + 1), *range(kbar, dbar)]:
             lead[(i, e)] = kernel.apply(top, [grid[(i, NodeId(e, g))] for g in range(u)])[0]
 
@@ -272,7 +257,7 @@ def systematic_slabs(kernel, p: CodeParams, data_slabs: Sequence) -> list:
     # node (e, u-1) from its rack mates, with leading vector entry
     # h_e[i] = M1[i] . phi_e and M1[i] = S[i] + T[i].
     for e in range(kbar - 1):
-        weights, kappa = local_finish(p, NodeId(e, u - 1), rack_interp(e, u - 1))
+        weights, kappa = local_finish(p, NodeId(e, u - 1))
         finish = [[f.mul(kappa, v) for v in phis[e]] + weights]
         for i in range(e + 1, kbar):
             mates = [grid[(i, NodeId(e, g))] for g in range(u - 1)]
@@ -284,6 +269,7 @@ def systematic_slabs(kernel, p: CodeParams, data_slabs: Sequence) -> list:
     return Decoder(p, front).decode_slabs(kernel, columns)
 
 
+@cached_on_params
 def precoding_matrix(p: CodeParams) -> list:
     """B x B matrix mapping placement-order data to fill-order matrix slots.
 
@@ -295,16 +281,12 @@ def precoding_matrix(p: CodeParams) -> list:
     product of this matrix and a data vector is the fast equivalent of
     ``systematic_message_matrix``.
     """
-    got = p._cache.get("precoding_matrix")
-    if got is None:
-        try:
-            kernel = SlabKernel(p.field)
-        except ValueError:
-            kernel = ListSlabKernel(p.field)
-        lanes = [kernel.pack([0] * j + [1] + [0] * (p.B - 1 - j)) for j in range(p.B)]
-        rows = [kernel.unpack(slab) for slab in systematic_slabs(kernel, p, lanes)]
-        got = p._cache.setdefault("precoding_matrix", rows)
-    return got
+    try:
+        kernel = SlabKernel(p.field)
+    except ValueError:
+        kernel = ListSlabKernel(p.field)
+    lanes = [kernel.pack([0] * j + [1] + [0] * (p.B - 1 - j)) for j in range(p.B)]
+    return [kernel.unpack(slab) for slab in systematic_slabs(kernel, p, lanes)]
 
 
 def read_nodes(p: CodeParams, available: Collection[NodeId]) -> list:

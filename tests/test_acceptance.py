@@ -26,13 +26,7 @@ from mbrr.layout import (
     unfill_message_matrix,
 )
 from mbrr.linalg import mat_vec, poly_eval
-from mbrr.reconstruct import (
-    Decoder,
-    ObservedColumn,
-    oracle_reconstruct,
-    reconstruct,
-    take_columns,
-)
+from mbrr.reconstruct import Decoder, oracle_reconstruct, reconstruct
 from mbrr.repair import (
     Repairer,
     local_polynomial_coeffs,
@@ -55,10 +49,7 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 
 def _rack_observation(p, cols, e):
-    return [
-        ObservedColumn(NodeId(e, g), tuple(cols[NodeId(e, g)]))
-        for g in range(p.u)
-    ]
+    return {NodeId(e, g): cols[NodeId(e, g)] for g in range(p.u)}
 
 
 # ------------------------------------------------------------ criterion 1
@@ -90,7 +81,7 @@ def test_criterion_2_exhaustive_reconstruction():
     for ids in combinations(nodes, p.k):
         dec = Decoder(p, ids)
         for data, C in stripes:
-            M = dec.reconstruct(take_columns(C, ids))
+            M = dec.reconstruct(C.columns(ids))
             if unfill_message_matrix(M) != data:
                 bad += 1
             done += 1
@@ -223,7 +214,7 @@ def test_criterion_5_oracle_equivalence():
         for _ in range(200):
             data, C, _ = encoded(p, rng)
             ids = rng.sample(nodes, p.k)
-            obs = take_columns(C, ids)
+            obs = C.columns(ids)
             fast = reconstruct(p, obs)
             slow = oracle_reconstruct(p, obs)
             if fast.rows != slow.rows or unfill_message_matrix(slow) != data:
@@ -308,7 +299,7 @@ def test_criterion_6_systematic_transform():
     for ids in combinations(nodes, p.k):
         dec = Decoder(p, ids)
         for data, Mt, C, cols in stripes:
-            got = dec.reconstruct(take_columns(C, ids))
+            got = dec.reconstruct(C.columns(ids))
             if got.rows != Mt.rows:
                 bad += 1
             decodes += 1
@@ -320,7 +311,7 @@ def test_criterion_6_systematic_transform():
         ids = rng.sample(nodes_q, pq.k)
         dec = Decoder(pq, ids)
         for data, Mt, C, cols in stripes_q:
-            if dec.reconstruct(take_columns(C, ids)).rows != Mt.rows:
+            if dec.reconstruct(C.columns(ids)).rows != Mt.rows:
                 bad += 1
             decodes += 1
 

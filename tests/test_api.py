@@ -1,6 +1,8 @@
+import ast
 import importlib
 import importlib.util
 import os
+import re
 
 import pytest
 
@@ -44,3 +46,35 @@ def test_benchmark_trace_targets_resolve():
         assert tracer.absent == []
     finally:
         tracer.uninstall()
+
+
+def test_readme_python_block_runs():
+    """The README's library tour is code that runs as written."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        blocks = re.findall(r"^```python\n(.*?)^```$", fh.read(), re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def test_no_unused_imports():
+    """No module under src/mbrr/ except the package's re-exporting
+    ``__init__`` imports a name it never uses."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "mbrr")
+    unused = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py") or name == "__init__.py":
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    imported[bound] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{name}:{line} {bound}" for bound, line in imported.items() if bound not in used]
+    assert unused == []

@@ -164,6 +164,8 @@ def test_decode_shards_validates():
     few = dict(list(loaded.items())[: p.k - 1])
     with pytest.raises(ValueError, match="k=7"):
         decode_shards(few)
+    with pytest.raises(ValueError, match="no shards"):
+        decode_shards({})
 
 
 # ---------------------------------------------------------------- commands
@@ -364,10 +366,9 @@ def test_cmd_repair_rejects_bad_helpers(tmp_path, capsys):
         capsys, "repair", shard_dir, 0, 0, "--helpers", "1,2"
     )
     assert rc == 2 and "dbar" in err
-    rc, _, err = run_cli(
-        capsys, "repair", shard_dir, 0, 0, "--helpers", "woof"
-    )
-    assert rc == 2 and "comma-separated" in err
+    for bad in ("woof", "1,,2", "1,2,3,"):
+        rc, _, err = run_cli(capsys, "repair", shard_dir, 0, 0, "--helpers", bad)
+        assert rc == 2 and "comma-separated" in err
 
 
 @pytest.mark.parametrize("claimed", [1_262_144, 1, 0])

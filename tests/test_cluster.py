@@ -15,7 +15,7 @@ from mbrr.layout import (
     make_params,
     unfill_message_matrix,
 )
-from mbrr.reconstruct import Decoder, take_columns
+from mbrr.reconstruct import Decoder
 from mbrr.repair import RepairModelError, Repairer
 from mbrr.systematic import read_systematic_data, systematic_encode, systematic_nodes
 
@@ -268,7 +268,7 @@ def per_stripe_read(p, mats, survivors, systematic):
     dec = Decoder(p, survivors)
     out = []
     for C in mats:
-        M = dec.reconstruct(take_columns(C, survivors))
+        M = dec.reconstruct(C.columns(survivors))
         if systematic:
             out.append(read_systematic_data(p, encode(M).columns(systematic_nodes(p))))
         else:

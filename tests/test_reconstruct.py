@@ -5,19 +5,13 @@ import pytest
 
 from mbrr.encode import encode
 from mbrr.layout import IntegrityError, NodeId, all_nodes, fill_message_matrix
-from mbrr.reconstruct import (
-    Decoder,
-    ObservedColumn,
-    oracle_reconstruct,
-    reconstruct,
-    take_columns,
-)
+from mbrr.reconstruct import Decoder, oracle_reconstruct, reconstruct
 
 from support import PARAM_SETS, params, random_stripe, encoded
 
 
 def observe(cols, ids):
-    return [ObservedColumn(n, cols[n]) for n in ids]
+    return {n: cols[n] for n in ids}
 
 
 def test_reconstruct_from_sampled_subsets():
@@ -62,31 +56,20 @@ def test_observation_validation():
     data, C, cols = encoded(p, rng)
     nodes = list(all_nodes(p))
     good = observe(cols, nodes[: p.k])
+    last = nodes[p.k - 1]
     with pytest.raises(ValueError, match="exactly k"):
-        reconstruct(p, good[:-1])
-    dup = good[:-1] + [good[0]]
-    with pytest.raises(ValueError, match="duplicate"):
-        reconstruct(p, dup)
-    short = good[:-1] + [ObservedColumn(good[-1].id, good[-1].symbols[:-1])]
+        reconstruct(p, observe(cols, nodes[: p.k - 1]))
+    short = {**good, last: good[last][:-1]}
     with pytest.raises(ValueError, match="alpha"):
         reconstruct(p, short)
-    bad_node = good[:-1] + [ObservedColumn(NodeId(7, 7), good[-1].symbols)]
+    bad_node = observe(cols, nodes[: p.k - 1])
+    bad_node[NodeId(7, 7)] = good[last]
     with pytest.raises(ValueError):
         reconstruct(p, bad_node)
-    dec = Decoder(p, [c.id for c in good])
+    dec = Decoder(p, list(good))
     other = observe(cols, nodes[1 : p.k + 1])
     with pytest.raises(ValueError, match="do not match"):
         dec.reconstruct(other)
-
-
-def test_take_columns():
-    p = params("reference")
-    rng = random.Random(104)
-    data, C, cols = encoded(p, rng)
-    ids = list(all_nodes(p))[: p.k]
-    obs = take_columns(C, ids)
-    assert [o.id for o in obs] == ids
-    assert all(list(o.symbols) == cols[o.id] for o in obs)
 
 
 # ---------------------------------------------------------------- oracle
@@ -111,7 +94,7 @@ def test_oracle_uses_extra_columns():
     obs = observe(cols, list(all_nodes(p)))  # all n columns
     assert oracle_reconstruct(p, obs).rows == fill_message_matrix(p, data).rows
     with pytest.raises(ValueError, match="at least k"):
-        oracle_reconstruct(p, obs[: p.k - 1])
+        oracle_reconstruct(p, observe(cols, list(all_nodes(p))[: p.k - 1]))
 
 
 def test_oracle_detects_any_single_flip_given_redundancy():

@@ -18,13 +18,13 @@ from mbrr.repair import (
     repair_local,
     repair_node,
 )
-from mbrr.reconstruct import ObservedColumn
+from mbrr.reconstruct import Decoder, oracle_reconstruct
 
 from support import PARAM_SETS, params, random_stripe, encoded
 
 
 def rack_columns(cols, p, e):
-    return [ObservedColumn(NodeId(e, g), cols[NodeId(e, g)]) for g in range(p.u)]
+    return {NodeId(e, g): cols[NodeId(e, g)] for g in range(p.u)}
 
 
 # ---------------------------------------------------------------- locality
@@ -132,11 +132,9 @@ def test_repair_local_rebuilds_any_column():
         for e in range(p.nbar):
             hv = rack_leading_vector(p, e, rack_columns(cols, p, e))
             for g_star in range(p.u):
-                surviving = [
-                    ObservedColumn(NodeId(e, g), cols[NodeId(e, g)])
-                    for g in range(p.u)
-                    if g != g_star
-                ]
+                surviving = {
+                    NodeId(e, g): cols[NodeId(e, g)] for g in range(p.u) if g != g_star
+                }
                 got = repair_local(p, e, g_star, surviving, hv)
                 assert got == cols[NodeId(e, g_star)]
 
@@ -218,6 +216,58 @@ def test_repair_node_accepts_mapping_with_failed_entry():
     failed = NodeId(0, 1)
     column, _ = repair_node(p, dict(cols), failed)  # failed column ignored
     assert column == cols[failed]
+
+
+def test_column_maps_are_order_free():
+    """Every per-stripe step takes {node: column}, and the map's insertion
+    order changes no result. A rack step refuses a column from another rack
+    and a column one symbol short."""
+    rng = random.Random(211)
+    for name in PARAM_SETS:
+        p = params(name)
+        data, C, cols = encoded(p, rng)
+        nodes = list(all_nodes(p))
+
+        def shuffled(ids):
+            ids = list(ids)
+            rng.shuffle(ids)
+            return {n: cols[n] for n in ids}
+
+        ids = sorted(rng.sample(nodes, p.k))
+        e = rng.randrange(p.nbar)
+        rack = [NodeId(e, g) for g in range(p.u)]
+        failed = NodeId(e, rng.randrange(p.u))
+        mates = [n for n in rack if n != failed]
+        others = [n for n in nodes if n != failed]
+        dec = Decoder(p, ids)
+        rep = Repairer(p, failed)
+        hv = rack_leading_vector(p, e, C.columns(rack))
+        want = (
+            dec.reconstruct(C.columns(ids)).rows,
+            oracle_reconstruct(p, C.columns(ids)).rows,
+            hv,
+            repair_local(p, e, failed.g, C.columns(mates), hv),
+            rep.repair(C.columns(others)),
+        )
+        assert want[0] == want[1] == fill_message_matrix(p, data).rows
+        assert want[3] == want[4][0] == cols[failed]
+        for _ in range(3):
+            got = (
+                dec.reconstruct(shuffled(ids)).rows,
+                oracle_reconstruct(p, shuffled(ids)).rows,
+                rack_leading_vector(p, e, shuffled(rack)),
+                repair_local(p, e, failed.g, shuffled(mates), hv),
+                rep.repair(shuffled(others)),
+            )
+            assert got == want
+
+        stranger = NodeId((e + 1) % p.nbar, failed.g)
+        with pytest.raises(ValueError, match="does not belong"):
+            rack_leading_vector(p, e, {**C.columns(rack[1:]), stranger: cols[stranger]})
+        with pytest.raises(ValueError, match="does not belong"):
+            repair_local(p, e, failed.g, {**C.columns(mates[1:]), stranger: cols[stranger]}, hv)
+        with pytest.raises(ValueError, match="alpha"):
+            rack_leading_vector(p, e, {**C.columns(rack), rack[0]: cols[rack[0]][:-1]})
 
 
 def test_leading_vector_is_frozen():

@@ -29,7 +29,7 @@ from mbrr.layout import (
     unfill_message_matrix,
 )
 from mbrr.linalg import mat_vec
-from mbrr.reconstruct import Decoder, ObservedColumn
+from mbrr.reconstruct import Decoder
 from mbrr.repair import Repairer, helper_symbol, rack_leading_vector
 from mbrr.slab import ListSlabKernel, SlabKernel
 from mbrr.systematic import read_systematic_data, systematic_encode, systematic_nodes
@@ -191,7 +191,7 @@ def per_stripe_decode(p, dec, systematic, columns, stripes):
     a = p.alpha
     out = []
     for s in range(stripes):
-        obs = [ObservedColumn(n, tuple(columns[n][s * a : (s + 1) * a])) for n in dec.ids]
+        obs = {n: columns[n][s * a : (s + 1) * a] for n in dec.ids}
         M = dec.reconstruct(obs)
         if systematic:
             out += read_systematic_data(p, encode(M).columns(systematic_nodes(p)))
@@ -240,7 +240,7 @@ def test_slab_paths_match_per_stripe_paths(geo, m, size, systematic, seed):
         col, _ = rep.repair({n: C.column(n) for n in nodes if n != failed})
         want_col += col
         for e in helpers:
-            rack = [ObservedColumn(NodeId(e, g), tuple(C.column(NodeId(e, g)))) for g in range(p.u)]
+            rack = C.columns([NodeId(e, g) for g in range(p.u)])
             want_sent[e].append(helper_symbol(p, failed.e, rack_leading_vector(p, e, rack)).value)
     assert kernel.join(column) == symbols_to_bytes(want_col, m) == payloads[nodes.index(failed)]
     assert {e: bytes_to_symbols(slab, m) for e, slab in sent.items()} == want_sent

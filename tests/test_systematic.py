@@ -17,7 +17,7 @@ from mbrr.layout import (
     unfill_message_matrix,
 )
 from mbrr.linalg import mat_vec, solve_linear
-from mbrr.reconstruct import Decoder, ObservedColumn, reconstruct
+from mbrr.reconstruct import Decoder, reconstruct
 from mbrr.repair import repair_node
 from mbrr.slab import ListSlabKernel, SlabKernel
 from mbrr.systematic import (
@@ -111,7 +111,7 @@ def test_systematic_code_reconstructs_from_any_subset():
     cols = coded_columns(C)
     nodes = list(all_nodes(p))
     for picks in combinations(nodes, p.k):
-        M = reconstruct(p, [ObservedColumn(x, cols[x]) for x in picks])
+        M = reconstruct(p, {x: cols[x] for x in picks})
         assert read_systematic_data(p, encode(M).columns(systematic_nodes(p))) == data
 
 
