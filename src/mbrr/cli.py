@@ -33,8 +33,11 @@ for one-byte symbols) holds that node's symbol i of every stripe. Each
 operation is a GF(2^m)-linear map built once from the structured code and
 applied to whole slabs:
 
-    encode    B file slabs -> (systematic precoding, B x B) -> n*alpha
-              shard rows, one map per message-matrix row
+    encode    B file slabs -> n*alpha shard rows, one map per
+              message-matrix row. A systematic encode keeps each data
+              slab as its cell's row and runs one (n*alpha - B) x B map,
+              the encoding map composed with the systematic precoding,
+              for the other cells
     decode    k*alpha shard rows -> the two-pass decoder with slabs as
               symbols -> B slot slabs; the M1 symmetry checks compare
               slabs. A systematic file is read from the data rows of its
@@ -73,6 +76,7 @@ from .layout import (
     all_nodes,
     fill_message_matrix,
     make_params,
+    node_index,
     unfill_message_matrix,
 )
 from .reconstruct import Decoder
@@ -84,6 +88,8 @@ from .systematic import (
     read_slabs,
     read_systematic_data,
     systematic_encode,
+    systematic_encode_map,
+    systematic_encode_slabs,
     systematic_layout,
     systematic_nodes,
 )
@@ -281,10 +287,15 @@ def encode_file(
     kernel = SlabKernel(p.field)  # refuses fields without byte framing
     width = kernel.width
     stripes = -(-len(data) // (width * p.B))
-    slots = kernel.split(data + bytes(stripes * p.B * width - len(data)), p.B)
+    slabs = kernel.split(data + bytes(stripes * p.B * width - len(data)), p.B)
     if systematic:
-        slots = kernel.apply(precoding_matrix(p), slots)
-    columns = encode_slabs(kernel, p, slots)
+        # The map is composed from precoding_matrix, not from a direct
+        # systematic_slabs run, while the benchmark self-test requires the
+        # precoding build on its systematic workload (ROADMAP item 2).
+        encode_map = systematic_encode_map(p, precoding_matrix(p))
+        columns = systematic_encode_slabs(kernel, p, slabs, encode_map)
+    else:
+        columns = encode_slabs(kernel, p, slabs)
     headers = [
         ShardHeader(
             m=p.field.m,
@@ -461,7 +472,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_repair(args) -> int:
-    failed = NodeId(args.e, args.g)
+    failed = NodeId(*_non_negative_ints([args.e, args.g]))
 
     def require(node):
         path = os.path.join(args.dir, shard_filename(node.e, node.g))
@@ -474,7 +485,17 @@ def cmd_repair(args) -> int:
 
     # The code comes from an in-rack survivor's header; racks hold u >= 2
     # nodes, so (e, 0) or (e, 1) is one. Its handle also serves its payload.
-    probe = require(NodeId(failed.e, 1 if failed.g == 0 else 0))
+    mate = NodeId(failed.e, 1 if failed.g == 0 else 0)
+    if not os.path.isfile(os.path.join(args.dir, shard_filename(*mate))):
+        # Any other shard gives the grid, so that a node outside it is not
+        # reported as missing a rack mate.
+        names = sorted(os.listdir(args.dir)) if os.path.isdir(args.dir) else []
+        others = [name for name in names if name.endswith(".mbrr")]
+        if others:
+            header, fh = open_shard(os.path.join(args.dir, others[0]))
+            fh.close()
+            node_index(_params_from_header(header), failed)
+    probe = require(mate)
     probe_header, fh = open_shard(probe)
     with fh:
         p = _params_from_header(probe_header)
@@ -814,8 +835,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("repair", help="regenerate one lost shard from survivors")
     sp.add_argument("dir", help="directory holding the surviving shards")
-    sp.add_argument("e", type=int, help="rack index of the lost node")
-    sp.add_argument("g", type=int, help="in-rack index of the lost node")
+    sp.add_argument("e", help="rack index of the lost node")
+    sp.add_argument("g", help="in-rack index of the lost node")
     sp.add_argument(
         "--helpers",
         default=None,

@@ -233,7 +233,7 @@ def node_index(p: CodeParams, node: NodeId) -> int:
     """Flat column index of a node, validating its label."""
     e, g = node
     if not (0 <= e < p.nbar and 0 <= g < p.u):
-        raise ValueError(f"node {node!r} outside the {p.nbar} x {p.u} rack grid")
+        raise ValueError(f"node {tuple(node)} outside the {p.nbar} x {p.u} rack grid")
     return e * p.u + g
 
 

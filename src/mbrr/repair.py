@@ -24,8 +24,9 @@ the u-1 surviving in-rack columns, interpolates the residual of degree at
 most u-2, and evaluates at its own point.
 
 The rack steps take columns as a node-keyed map ``{node: column}``, in any
-order. The interpolators on a rack's node points are fixed by the geometry:
-``rack_lagrange`` builds each once per ``CodeParams`` for every step.
+order. The interpolators on a rack's node points and on the rack points
+x_e of a set of racks are fixed by the geometry: ``rack_lagrange`` and
+``rack_points_lagrange`` build each once per ``CodeParams`` for every step.
 
 ``Repairer.repair_slabs`` runs the same protocol over byte slabs that span
 every stripe of a file. Every step above is linear, so each helper rack's
@@ -64,6 +65,7 @@ __all__ = [
     "HelperSymbol",
     "rack_point",
     "rack_lagrange",
+    "rack_points_lagrange",
     "local_polynomial_coeffs",
     "rack_leading_vector",
     "helper_symbol",
@@ -120,6 +122,14 @@ def rack_lagrange(p: CodeParams, e: int, lost: int | None = None) -> BatchInterp
         node_index(p, NodeId(e, lost))  # range check
     pts = [evaluation_point(p, NodeId(e, g)) for g in range(p.u) if g != lost]
     return BatchInterpolator(p.field, pts)
+
+
+@cached_on_params
+def rack_points_lagrange(p: CodeParams, racks: tuple) -> BatchInterpolator:
+    """Lagrange interpolator on the rack points x_e of ``racks``, a tuple of
+    rack indices, in its order. Cached on ``p`` per tuple and shared:
+    callers only read it."""
+    return BatchInterpolator(p.field, [rack_point(p, e) for e in racks])
 
 
 def local_polynomial_coeffs(M: MessageMatrix, e: int) -> list:
@@ -210,8 +220,8 @@ def recover_leading_vector(
             raise ValueError(f"duplicate helper rack {s.helper_rack}")
         seen.add(s.helper_rack)
     ordered = sorted(symbols, key=lambda s: s.helper_rack)
-    pts = [rack_point(p, s.helper_rack) for s in ordered]
-    coeffs = BatchInterpolator(p.field, pts).interpolate([s.value for s in ordered])
+    interp = rack_points_lagrange(p, tuple(s.helper_rack for s in ordered))
+    coeffs = interp.interpolate([s.value for s in ordered])
     return LeadingVector(e_star, tuple(coeffs))
 
 
@@ -361,7 +371,7 @@ class Repairer:
             helper_maps[e] = [[f.mul(w, v) for w in lead for v in phi]]
 
         weights, kappa = local_finish(p, self.failed)
-        vand = BatchInterpolator(f, [rack_point(p, e) for e in self.helpers]).matrix()
+        vand = rack_points_lagrange(p, self.helpers).matrix()
         host = []
         for i in range(p.dbar):
             row = [f.mul(kappa, v) for v in vand[i]]

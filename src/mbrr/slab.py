@@ -7,13 +7,17 @@ stripes is symbols t, t + B, ... of the file. Slabs are ``bytes`` in file
 byte order (big-endian for two-byte symbols), so cutting a buffer into
 slabs and interleaving them back only moves whole symbols.
 
-Every file operation of the code (encode, systematic precoding, both
+Every file operation of the code (encode, systematic encode, both
 decoder passes, both repair stages) is a fixed GF(2^m)-linear map, so it
-runs once over slabs instead of once per stripe. The B x B precoding map
-is itself built with slabs: ``systematic.precoding_matrix`` runs the
-systematic transform's five slab steps once over B unit-lane slabs (lane
-j of slab j is 1) and reads row r of the map out of output slab r with
-``unpack``. In the kernel:
+runs once over slabs instead of once per stripe. The systematic encode's
+map is itself built with slabs, on B lanes, lane j standing for the unit
+data vector e_j: ``systematic.precoding_matrix`` runs the systematic
+transform's five slab steps once over B unit-lane slabs (lane j of slab j
+is 1) and reads row r of the B x B precoding map out of output slab r with
+``unpack``; ``systematic.systematic_encode_map`` packs those rows as
+B-lane slabs and runs the encoding map over them for the cells that hold
+no data symbol, so the file's data slabs go through one
+(n*alpha - B) x B map. In the kernel:
 
 * addition is XOR of the slabs read as integers (``int.from_bytes``);
 * in GF(2^8), multiplying by a constant c is ``slab.translate(T_c)``
@@ -27,9 +31,9 @@ j of slab j is 1) and reads row r of the map out of output slab r with
   A slab's 16 doublings are taken once and grouped into eight 2-bit
   windows (0, x, 2x, 3x times 4**w), so c * slab is eight lookups and
   seven XORs of short integers. Per-constant tables would not pay off
-  here: the geometries that need this field have large maps (45,654
-  nonzero precoding constants at (50,44,5,8)) whose constants are mostly
-  used once per command, and per-symbol log/exp lookups scatter over
+  here: the geometries that need this field have large maps (10,484
+  nonzero systematic-encode constants at (50,44,5,8)) whose constants are
+  mostly used once per command, and per-symbol log/exp lookups scatter over
   tables of 65,536 entries.
 
 ``ListSlabKernel`` applies the same maps, with the same contract, to slabs

@@ -43,6 +43,15 @@ step as the fixed map named in brackets:
 lane j of output slab r is slot r of the message matrix that the unit data
 vector e_j produces, so output slab r is row r of the B x B map.
 ``systematic_encode`` applies that matrix to one stripe.
+
+A systematic code matrix holds the B data symbols verbatim, so only its
+n*alpha - B other cells need arithmetic. ``systematic_encode_map``
+composes the encoding map with the precoding map for just those cells:
+one ``encode_slabs`` run over the B rows of ``precoding_matrix`` packed as
+B-lane slabs, for the nodes that hold such a cell. ``systematic_encode_slabs``
+then encodes many stripes with no per-cell work for the data cells and
+one (n*alpha - B) x B map for the rest.
+
 ``systematic_message_matrix`` stays as the structured oracle the slab form
 is checked against; no production path runs it.
 
@@ -66,9 +75,16 @@ from .layout import (
     fill_message_matrix,
     validate_data,
 )
-from .linalg import BatchInterpolator, dot, mat_vec, matmul, solve_linear
+from .linalg import dot, mat_vec, matmul, solve_linear
 from .reconstruct import Decoder, reconstruct
-from .repair import LeadingVector, local_finish, rack_lagrange, rack_point, repair_local
+from .repair import (
+    LeadingVector,
+    local_finish,
+    rack_lagrange,
+    rack_point,
+    rack_points_lagrange,
+    repair_local,
+)
 from .slab import ListSlabKernel, SlabKernel
 
 __all__ = [
@@ -80,6 +96,8 @@ __all__ = [
     "systematic_encode",
     "systematic_slabs",
     "precoding_matrix",
+    "systematic_encode_map",
+    "systematic_encode_slabs",
     "read_nodes",
     "read_slabs",
 ]
@@ -141,13 +159,12 @@ def systematic_message_matrix(p: CodeParams, data: Sequence[int]):
             vals = [grid[(i, NodeId(e, g))] for g in range(p.u)]
             known_lead[(i, e)] = interp.leading_coefficient(vals)
 
-    xpts = [rack_point(p, e) for e in range(p.kbar)]
     # phi_e = (1, x_e, x_e**2, ...); rack e's leading vector is M1 * phi_e.
-    phis = [[f.pow(x, t) for t in range(p.dbar)] for x in xpts]
+    phis = [[f.pow(rack_point(p, e), t) for t in range(p.dbar)] for e in range(p.kbar)]
 
     # Rectangle block of the symmetric core, one bottom row of H at a time.
     T = [[0] * (p.dbar - p.kbar) for _ in range(p.kbar)]
-    vand = BatchInterpolator(f, xpts)
+    vand = rack_points_lagrange(p, tuple(range(p.kbar)))
     for i in range(p.kbar, p.dbar):
         c = vand.interpolate([known_lead[(i, e)] for e in range(p.kbar)])
         for t in range(p.kbar):
@@ -218,8 +235,7 @@ def systematic_slabs(kernel, p: CodeParams, data_slabs: Sequence) -> list:
     f = p.field
     kbar, dbar, u = p.kbar, p.dbar, p.u
     grid = dict(zip(systematic_layout(p).data_positions, data_slabs))
-    xs = [rack_point(p, e) for e in range(kbar)]
-    phis = [[f.pow(x, t) for t in range(dbar)] for x in xs]
+    phis = [[f.pow(rack_point(p, e), t) for t in range(dbar)] for e in range(kbar)]
 
     # 1. Leading coefficient of every fully known row of each full rack.
     lead = {}
@@ -230,7 +246,7 @@ def systematic_slabs(kernel, p: CodeParams, data_slabs: Sequence) -> list:
 
     # 2. Rectangle block T, one bottom row of H at a time.
     T = [[None] * (dbar - kbar) for _ in range(kbar)]
-    vand = BatchInterpolator(f, xs).matrix()
+    vand = rack_points_lagrange(p, tuple(range(kbar))).matrix()
     for i in range(kbar, dbar):
         block = kernel.apply(vand, [lead[(i, e)] for e in range(kbar)])
         for t in range(kbar):
@@ -248,7 +264,7 @@ def systematic_slabs(kernel, p: CodeParams, data_slabs: Sequence) -> list:
                 [inv if e2 == e else 0 for e2 in range(r, kbar)]
                 + [f.neg(f.mul(inv, v)) for v in phis[e][:r] + phis[e][kbar:]]
             )
-        solve = matmul(f, BatchInterpolator(f, xs[r:]).matrix(), rhs)
+        solve = matmul(f, rack_points_lagrange(p, tuple(range(r, kbar))).matrix(), rhs)
         known = [lead[(r, e)] for e in range(r, kbar)] + S[r][:r] + T[r]
         for t, slab in zip(range(r, kbar), kernel.apply(solve, known)):
             S[r][t] = S[t][r] = slab
@@ -269,6 +285,15 @@ def systematic_slabs(kernel, p: CodeParams, data_slabs: Sequence) -> list:
     return Decoder(p, front).decode_slabs(kernel, columns)
 
 
+def _lane_kernel(field):
+    """The kernel a map build runs its B-lane slabs through: byte slabs
+    where the field has byte framing, list slabs otherwise."""
+    try:
+        return SlabKernel(field)
+    except ValueError:
+        return ListSlabKernel(field)
+
+
 @cached_on_params
 def precoding_matrix(p: CodeParams) -> list:
     """B x B matrix mapping placement-order data to fill-order matrix slots.
@@ -281,12 +306,56 @@ def precoding_matrix(p: CodeParams) -> list:
     product of this matrix and a data vector is the fast equivalent of
     ``systematic_message_matrix``.
     """
-    try:
-        kernel = SlabKernel(p.field)
-    except ValueError:
-        kernel = ListSlabKernel(p.field)
+    kernel = _lane_kernel(p.field)
     lanes = [kernel.pack([0] * j + [1] + [0] * (p.B - 1 - j)) for j in range(p.B)]
     return [kernel.unpack(slab) for slab in systematic_slabs(kernel, p, lanes)]
+
+
+def systematic_encode_map(p: CodeParams, precoding: Sequence[Sequence[int]]) -> tuple:
+    """(cells, matrix): the systematic encode as one map over the data.
+
+    ``precoding`` is ``precoding_matrix(p)``. ``cells`` are the
+    n*alpha - B (row, node) cells of the code matrix that hold no data
+    symbol verbatim, node by node in rack-major order: every row of the
+    n - k parity nodes and the redundant cells of the kbar - 1 nodes
+    (e, u-1). Row c of ``matrix`` maps the B data symbols, in placement
+    order, to cell c. The map is the encoding map composed with
+    ``precoding``: one ``encode_slabs`` run, for the nodes that hold such
+    a cell, over the B rows of ``precoding`` packed as B-lane slabs (lane
+    j is the unit data vector e_j), read back one row per cell.
+    """
+    kernel = _lane_kernel(p.field)
+    data_cells = set(systematic_layout(p).data_positions)
+    nodes = [
+        node
+        for node in all_nodes(p)
+        if any((i, node) not in data_cells for i in range(p.dbar))
+    ]
+    slots = [kernel.pack(row) for row in precoding]
+    cells, matrix = [], []
+    for node, column in encode_slabs(kernel, p, slots, nodes).items():
+        for i, slab in enumerate(column):
+            if (i, node) not in data_cells:
+                cells.append((i, node))
+                matrix.append(kernel.unpack(slab))
+    return cells, matrix
+
+
+def systematic_encode_slabs(kernel, p: CodeParams, data_slabs: Sequence, encode_map) -> dict:
+    """Slab form of ``systematic_encode``, for many stripes at once.
+
+    ``data_slabs`` are B equal-length slabs (see ``slab``) in placement
+    order; ``encode_map`` is ``systematic_encode_map(p, ...)``. Returns
+    ``{node: [alpha slabs]}`` for every node in rack-major order. A data
+    cell's slab is its data slab itself; the other cells come from one
+    ``kernel.apply`` of the map.
+    """
+    if len(data_slabs) != p.B:
+        raise ValueError(f"expected {p.B} data slabs, got {len(data_slabs)}")
+    cells, matrix = encode_map
+    grid = dict(zip(systematic_layout(p).data_positions, data_slabs))
+    grid.update(zip(cells, kernel.apply(matrix, data_slabs)))
+    return {node: [grid[(i, node)] for i in range(p.dbar)] for node in all_nodes(p)}
 
 
 def read_nodes(p: CodeParams, available: Collection[NodeId]) -> list:

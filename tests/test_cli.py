@@ -439,6 +439,27 @@ def test_cmd_repair_names_missing_shard(tmp_path, capsys, lost):
     assert f"node {lost}" in err
 
 
+@pytest.mark.parametrize("failed", [(5, 0), (6, 1), (0, 3), (2, 7)])
+def test_cmd_repair_names_node_outside_grid(tmp_path, capsys, failed):
+    """A node outside the 5 x 3 grid is named as such, with or without a
+    shard file at its would-be rack mate's name."""
+    shard_dir = encode_five_racks(tmp_path, capsys)
+    rc, _, err = run_cli(capsys, "repair", shard_dir, *failed)
+    assert rc == 2
+    assert f"node {failed} outside the 5 x 3 rack grid" in err
+    assert "missing" not in err
+
+
+@pytest.mark.parametrize("failed", [("-1", "0"), ("0", "-1"), ("1", "x"), ("+1", "0")])
+def test_cmd_repair_refuses_non_index_node(tmp_path, capsys, failed):
+    shard_dir = encode_five_racks(tmp_path, capsys)
+    rc, _, err = run_cli(capsys, "repair", shard_dir, *failed)
+    assert rc == 2
+    bad = next(text for text in failed if not text.isdecimal())
+    assert f"{bad!r} is not a non-negative integer" in err
+    assert not os.path.exists(shard_dir / "shard_e-1_g0.mbrr")
+
+
 @pytest.mark.parametrize("field_m, want_stripes", [(8, 150), (16, 75)])
 def test_cmd_repair_ledger_counts_moved_symbols(tmp_path, capsys, field_m, want_stripes):
     shard_dir = encode_five_racks(tmp_path, capsys, field_m)

@@ -3,8 +3,8 @@ from itertools import combinations
 
 import pytest
 
-from mbrr.layout import NodeId, all_nodes, fill_message_matrix
-from mbrr.linalg import mat_vec, poly_eval
+from mbrr.layout import NodeId, all_nodes, fill_message_matrix, make_params
+from mbrr.linalg import BatchInterpolator, mat_vec, poly_eval
 from mbrr.repair import (
     HelperSymbol,
     LeadingVector,
@@ -14,6 +14,7 @@ from mbrr.repair import (
     local_polynomial_coeffs,
     rack_leading_vector,
     rack_point,
+    rack_points_lagrange,
     recover_leading_vector,
     repair_local,
     repair_node,
@@ -185,6 +186,31 @@ def test_repairer_reuse_across_stripes():
         survivors = {n: c for n, c in cols.items() if n != NodeId(2, 1)}
         column, ledger = rep.repair(survivors)
         assert column == cols[NodeId(2, 1)]
+
+
+def test_repairer_builds_no_interpolator_after_first_stripe(monkeypatch):
+    """The interpolators on rack points and node points are cached on the
+    params, so the per-stripe oracle builds none after its first stripe."""
+    p = make_params(*PARAM_SETS["reference"])  # fresh params, empty cache
+    rng = random.Random(209)
+    rep = Repairer(p, NodeId(2, 1))
+    _, _, cols = encoded(p, rng)
+    assert rep.repair(cols)[0] == cols[NodeId(2, 1)]
+    built = []
+    real = BatchInterpolator.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(BatchInterpolator, "__init__", counting)
+    for _ in range(3):
+        _, _, cols = encoded(p, rng)
+        assert rep.repair(cols)[0] == cols[NodeId(2, 1)]
+    assert built == []
+    interp = rack_points_lagrange(p, rep.helpers)
+    assert interp is rack_points_lagrange(p, rep.helpers)
+    assert list(interp.points) == [rack_point(p, e) for e in rep.helpers]
 
 
 def test_repair_model_validation():

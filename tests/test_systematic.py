@@ -6,7 +6,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mbrr.cli import main
+import mbrr.cli
+from mbrr.cli import encode_file, main
 from mbrr.encode import encode, encode_slabs
 from mbrr.gf import binary_field, prime_field
 from mbrr.layout import (
@@ -24,6 +25,8 @@ from mbrr.systematic import (
     precoding_matrix,
     read_systematic_data,
     systematic_encode,
+    systematic_encode_map,
+    systematic_encode_slabs,
     systematic_layout,
     systematic_message_matrix,
     systematic_nodes,
@@ -206,6 +209,99 @@ def test_systematic_slabs_match_oracle_lane_by_lane(case, lanes, seed):
         )
         for slab, (i, node) in zip(slabs, systematic_layout(p).data_positions):
             assert stored[node][i] == slab
+
+
+_CASE_PARAMS = {}
+
+
+def case_params(case):
+    """Params of a SLAB_CASES entry, made once, so its precoding map is
+    built once per test session."""
+    got = _CASE_PARAMS.get(case)
+    if got is None:
+        geo, field = case
+        got = _CASE_PARAMS[case] = make_params(*geo, field=field)
+    return got
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=st.sampled_from(SLAB_CASES),
+    stripes=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_systematic_encode_slabs_match_two_step_path(case, stripes, seed):
+    """One map over the data slabs equals precoding then ``encode_slabs``,
+    and the per-stripe ``systematic_encode`` of every stripe."""
+    p = case_params(case)
+    rng = random.Random(seed)
+    data = [random_stripe(p, rng) for _ in range(stripes)]
+    P = precoding_matrix(p)
+    encode_map = systematic_encode_map(p, P)
+    want = [systematic_encode(p, stripe) for stripe in data]
+    kernels = [ListSlabKernel(p.field)]
+    if p.field.q in (256, 65536):
+        kernels.append(SlabKernel(p.field))
+    for kernel in kernels:
+        slabs = [kernel.pack([stripe[j] for stripe in data]) for j in range(p.B)]
+        got = systematic_encode_slabs(kernel, p, slabs, encode_map)
+        assert got == encode_slabs(kernel, p, kernel.apply(P, slabs))
+        for node, column in got.items():
+            rows = [kernel.unpack(slab) for slab in column]
+            assert [[row[s] for row in rows] for s in range(stripes)] == [
+                C.column(node) for C in want
+            ]
+
+
+def test_systematic_encode_map_covers_the_non_data_cells():
+    for case in SLAB_CASES:
+        p = case_params(case)
+        cells, matrix = systematic_encode_map(p, precoding_matrix(p))
+        data = set(systematic_layout(p).data_positions)
+        assert len(cells) == len(set(cells)) == p.n * p.alpha - p.B
+        assert not data & set(cells)
+        assert len(matrix) == len(cells) and all(len(row) == p.B for row in matrix)
+    p = params("reference")
+    with pytest.raises(ValueError, match="expected 20 data slabs"):
+        systematic_encode_slabs(
+            ListSlabKernel(p.field), p, [[0]] * 19, systematic_encode_map(p, precoding_matrix(p))
+        )
+
+
+def test_encode_file_systematic_runs_one_map_over_non_data_cells(monkeypatch):
+    """At (50,44,5,8) over GF(2^16) the systematic file encode applies one
+    76 x 324 map with 10,484 nonzero coefficients to the data slabs, where
+    precoding then encoding every row applied 45,654 + 17,600; every data
+    cell's slab is the input slab itself."""
+    p = make_params(50, 44, 5, 8, field=binary_field(16))
+    applied = []
+
+    class CountingKernel(SlabKernel):
+        def apply(self, matrix, slabs):
+            applied.append((len(matrix), sum(1 for row in matrix for c in row if c), slabs))
+            return super().apply(matrix, slabs)
+
+    kernel = CountingKernel(p.field)
+    data = random.Random(310).randbytes(2 * p.B * 3)
+    slabs = kernel.split(data, p.B)
+    columns = systematic_encode_slabs(kernel, p, slabs, systematic_encode_map(p, precoding_matrix(p)))
+    assert [(rows, products) for rows, products, _ in applied] == [(76, 10484)]
+    assert applied[0][2] is slabs
+    for slab, (i, node) in zip(slabs, systematic_layout(p).data_positions):
+        assert columns[node][i] is slab
+
+    applied.clear()
+    assert encode_slabs(kernel, p, kernel.apply(precoding_matrix(p), slabs)) == columns
+    assert sum(products for _, products, _ in applied) == 45654 + 17600
+
+    # encode_file makes the same single apply on its own kernel.
+    applied.clear()
+    monkeypatch.setattr(mbrr.cli, "SlabKernel", CountingKernel)
+    headers, payloads = encode_file(data, p, systematic=True)
+    assert [(rows, products) for rows, products, _ in applied] == [(76, 10484)]
+    assert dict(zip(((h.e, h.g) for h in headers), payloads)) == {
+        node: kernel.join(column) for node, column in columns.items()
+    }
 
 
 def test_systematic_slabs_refuses_wrong_slab_count():
