@@ -33,8 +33,8 @@ for one-byte symbols) holds that node's symbol i of every stripe. Each
 operation is a GF(2^m)-linear map built once from the structured code and
 applied to whole slabs:
 
-    encode    B file slabs -> n*alpha shard rows, one map per
-              message-matrix row. A systematic encode keeps each data
+    encode    B file slabs -> n*alpha shard rows, one map of the
+              cells' generator rows. A systematic encode keeps each data
               slab as its cell's row and runs one (n*alpha - B) x B map,
               the encoding map composed with the systematic precoding,
               for the other cells
@@ -147,11 +147,13 @@ class ShardHeader:
             raise ValueError(f"bad magic {magic!r}; not a shard file")
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported shard format version {version}")
-        return cls(m, poly, n, k, u, dbar, bool(syst), e, g, stripes, plen, olen)
+        if syst not in (0, 1):
+            raise ValueError(f"systematic flag {syst} is neither 0 nor 1")
+        return cls(m, poly, n, k, u, dbar, syst == 1, e, g, stripes, plen, olen)
 
     def matches(self, other: "ShardHeader") -> bool:
         """Same code, file and framing; node identity may differ."""
-        return {**vars(self), "e": 0, "g": 0} == {**vars(other), "e": 0, "g": 0}
+        return vars(self) | {"e": 0, "g": 0} == vars(other) | {"e": 0, "g": 0}
 
 
 def symbol_width(m: int) -> int:
@@ -358,7 +360,8 @@ def decode_shards(loaded: Mapping[NodeId, tuple]) -> bytes:
 
     ``loaded`` maps nodes to (header, payload) pairs as ``read_payload``
     returns them; the first header describes the file. Only the payloads
-    of the nodes ``read_nodes`` names are used.
+    of the nodes ``read_nodes`` names are used, and each of their headers
+    must name its node and match the first.
     """
     if not loaded:
         raise ValueError("no shards given")
@@ -368,7 +371,11 @@ def decode_shards(loaded: Mapping[NodeId, tuple]) -> bytes:
     kernel = SlabKernel(p.field)
     columns = {}
     for node in nodes:
-        payload = loaded[node][1]
+        header, payload = loaded[node]
+        if (header.e, header.g) != node:
+            raise ValueError(f"node {tuple(node)}: header is for node ({header.e}, {header.g})")
+        if not header.matches(first):
+            raise ValueError(f"node {tuple(node)}: header disagrees with the first shard's")
         if len(payload) != first.payload_length:
             raise ValueError(
                 f"node {tuple(node)}: payload is {len(payload)} bytes, "

@@ -5,8 +5,14 @@ row polynomial f_i. The whole code matrix is the product of the message
 matrix with a fixed evaluation-power matrix. ``encode`` computes that
 product with ``linalg.matmul`` and ``encoding_matrix`` (cached on the
 params); Horner evaluation of each ``row_polynomial`` at the node points
-is the reference it must agree with. ``encode_slabs`` runs the same
-product once over slabs that span every stripe. All routes agree exactly.
+is the reference it must agree with.
+
+Every stored symbol is thus a fixed linear combination of the B data
+symbols. ``encode_rows`` writes those combinations out: the generator row
+of a (row, node) cell maps the fill-order data vector to that cell.
+``encode_slabs`` is one kernel apply of the generator rows over slabs that
+span every stripe; the elimination oracles of ``reconstruct`` and
+``systematic`` solve systems of them. All routes agree exactly.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ __all__ = [
     "row_polynomial",
     "encoding_matrix",
     "encode",
+    "encode_rows",
     "encode_slabs",
 ]
 
@@ -58,25 +65,39 @@ def encode(M: MessageMatrix) -> CodeMatrix:
     return CodeMatrix(p, matmul(p.field, M.rows, encoding_matrix(p)))
 
 
+def encode_rows(p: CodeParams, cells) -> list:
+    """The generator rows of the (row, node) ``cells``, one B-entry row each.
+
+    Row c maps the B data symbols, in fill order, to the symbol that cell
+    c stores: the encoding-matrix entry of every filled cell of message
+    row i, at the data slot the fill plan gives it. A slot never repeats
+    within one message row (a mirrored M1 cell sits in another row), so
+    each entry is a single power of the node's point.
+    """
+    emat = encoding_matrix(p)
+    slots = fill_plan(p)[0]
+    rows = []
+    for i, node in cells:
+        c = node_index(p, node)
+        row = [0] * p.B
+        for pos, s in enumerate(slots[i]):
+            if s is not None:
+                row[s] = emat[pos][c]
+        rows.append(row)
+    return rows
+
+
 def encode_slabs(kernel, p: CodeParams, slots, nodes=None) -> dict:
     """Slab form of ``encode(fill_message_matrix(p, data))``, for many stripes at once.
 
     ``slots`` are B equal-length slabs (see ``slab``), slab s holding data
     symbol s of every stripe. Returns ``{node: [alpha slabs]}`` for
-    ``nodes`` (default: all, in rack-major order). Row i of the code matrix
-    is one map per message row: the encoding-matrix entries of the row's
-    cells that the fill plan gives a slot, applied by ``kernel``.
+    ``nodes`` (default: all, in rack-major order), from one ``kernel.apply``
+    of the nodes' generator rows.
     """
     if len(slots) != p.B:
         raise ValueError(f"expected {p.B} slot slabs, got {len(slots)}")
     nodes = list(all_nodes(p) if nodes is None else nodes)
-    emat = encoding_matrix(p)
-    idx = [node_index(p, node) for node in nodes]
-    out = {node: [] for node in nodes}
-    for slot_row in fill_plan(p)[0]:
-        cells = [(pos, s) for pos, s in enumerate(slot_row) if s is not None]
-        matrix = [[emat[pos][c] for pos, _ in cells] for c in idx]
-        slabs = kernel.apply(matrix, [slots[s] for _, s in cells])
-        for node, slab in zip(nodes, slabs):
-            out[node].append(slab)
-    return out
+    cells = [(i, node) for node in nodes for i in range(p.alpha)]
+    out = iter(kernel.apply(encode_rows(p, cells), slots))
+    return {node: [next(out) for _ in range(p.alpha)] for node in nodes}

@@ -8,7 +8,9 @@ never mutated and results are deterministic.
 The work horses are ``BatchInterpolator``, which fixes a set of sample
 points once and then interpolates many value vectors against them, and
 ``solve_linear``, plain Gauss-Jordan elimination with first-nonzero
-pivoting that also accepts tall (overdetermined) systems. ``matmul`` is
+pivoting that also accepts tall (overdetermined) systems; it is the one
+elimination, run by both structure-blind oracles over generator rows
+(``oracle_reconstruct``, ``systematic_message_matrix``). ``matmul`` is
 the one generic matrix product and ``dot`` the one inner product
 (``mat_vec`` applies it to each row); the per-stripe paths do their field
 products through them. ``matmul`` runs ``encode``, the simulator's slab

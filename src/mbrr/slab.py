@@ -9,15 +9,12 @@ slabs and interleaving them back only moves whole symbols.
 
 Every file operation of the code (encode, systematic encode, both
 decoder passes, both repair stages) is a fixed GF(2^m)-linear map, so it
-runs once over slabs instead of once per stripe. The systematic encode's
-map is itself built with slabs, on B lanes, lane j standing for the unit
-data vector e_j: ``systematic.precoding_matrix`` runs the systematic
-transform's five slab steps once over B unit-lane slabs (lane j of slab j
-is 1) and reads row r of the B x B precoding map out of output slab r with
-``unpack``; ``systematic.systematic_encode_map`` packs those rows as
-B-lane slabs and runs the encoding map over them for the cells that hold
-no data symbol, so the file's data slabs go through one
-(n*alpha - B) x B map. In the kernel:
+runs once over slabs instead of once per stripe. The maps are built with
+slabs too, on B lanes, lane j standing for the unit data vector e_j:
+``systematic.precoding_matrix`` runs the five steps of the systematic
+transform over B unit-lane slabs, and ``systematic.systematic_encode_map``
+applies the generator rows of the non-data cells (``encode.encode_rows``)
+to the precoding rows packed as B-lane slabs. In the kernel:
 
 * addition is XOR of the slabs read as integers (``int.from_bytes``);
 * in GF(2^8), multiplying by a constant c is ``slab.translate(T_c)``
@@ -108,24 +105,23 @@ class SlabKernel:
     def apply(self, matrix: Sequence[Sequence[int]], slabs: Sequence[bytes]) -> list:
         """Output slab r is the sum over j of ``matrix[r][j] * slabs[j]``."""
         size = _product_width(matrix, slabs)
-        plain = [None] * len(slabs)  # each input slab as an int, for c == 1
-        ready = [None] * len(slabs)  # each input slab as _times takes it
-        out = []
-        for row in matrix:
-            acc = 0
-            for j, c in enumerate(row):
+        acc = [0] * len(matrix)
+        # One input slab at a time into every output, so however many slabs
+        # the map reads, one is held as an int (for c == 1) and as _times takes it.
+        for slab, column in zip(slabs, zip(*matrix)):
+            plain = ready = None
+            for r, c in enumerate(column):
                 if c == 1:
-                    v = plain[j]
-                    if v is None:
-                        v = plain[j] = int.from_bytes(slabs[j], "big")
-                    acc ^= v
+                    if plain is None:
+                        plain = int.from_bytes(slab, "big")
+                    acc[r] ^= plain
                 elif c:
-                    r = ready[j]
-                    if r is None:
-                        r = ready[j] = self._prepare(slabs[j])
-                    acc ^= self._times(c, r)
-            out.append(acc.to_bytes(size, "big"))
-        return out
+                    if ready is None:
+                        ready = self._prepare(slab)
+                    acc[r] ^= self._times(c, ready)
+        for r, v in enumerate(acc):
+            acc[r] = v.to_bytes(size, "big")
+        return acc
 
     # GF(2^8): a slab is multiplied as is, through a 256-byte table.
 

@@ -12,10 +12,9 @@ Data placement (load-bearing convention): the B data symbols run
 column-major through the systematic columns, node (0,0) rows 0..dbar-1
 first, then (0,1) and so on, skipping the redundant cells.
 
-``systematic_message_matrix`` finds the unique message matrix consistent
-with such a placement in five linear steps. ``systematic_slabs`` runs the
-same steps once over slabs (see ``slab``) that span many stripes, each
-step as the fixed map named in brackets:
+``systematic_slabs`` finds the unique message matrix consistent with such
+a placement in five linear steps, run once over slabs (see ``slab``) that
+span many stripes, each step as the fixed map named in brackets:
 
 1. Within racks 0..kbar-1, every row that avoids the redundant cells is
    fully known, so its local polynomial and hence its leading coefficient
@@ -47,13 +46,15 @@ vector e_j produces, so output slab r is row r of the B x B map.
 A systematic code matrix holds the B data symbols verbatim, so only its
 n*alpha - B other cells need arithmetic. ``systematic_encode_map``
 composes the encoding map with the precoding map for just those cells:
-one ``encode_slabs`` run over the B rows of ``precoding_matrix`` packed as
-B-lane slabs, for the nodes that hold such a cell. ``systematic_encode_slabs``
-then encodes many stripes with no per-cell work for the data cells and
-one (n*alpha - B) x B map for the rest.
+one kernel apply of their generator rows (``encode.encode_rows``) over
+the B rows of ``precoding_matrix`` packed as B-lane slabs.
+``systematic_encode_slabs`` then encodes many stripes with no per-cell
+work for the data cells and one (n*alpha - B) x B map for the rest.
 
-``systematic_message_matrix`` stays as the structured oracle the slab form
-is checked against; no production path runs it.
+``systematic_message_matrix`` is the oracle the five steps are checked
+against, and shares none of them: like ``reconstruct.oracle_reconstruct``
+it eliminates over the generator rows, here those of the B data cells. No
+production path runs it.
 
 ``read_nodes`` and ``read_slabs`` are the one read policy of the file
 commands and the cluster simulator: read the systematic nodes directly
@@ -65,7 +66,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Collection, Mapping, Sequence
 
-from .encode import encode, encode_slabs
+from .encode import encode, encode_rows, encode_slabs
 from .layout import (
     CodeMatrix,
     CodeParams,
@@ -75,16 +76,9 @@ from .layout import (
     fill_message_matrix,
     validate_data,
 )
-from .linalg import dot, mat_vec, matmul, solve_linear
-from .reconstruct import Decoder, reconstruct
-from .repair import (
-    LeadingVector,
-    local_finish,
-    rack_lagrange,
-    rack_point,
-    rack_points_lagrange,
-    repair_local,
-)
+from .linalg import mat_vec, matmul, solve_linear
+from .reconstruct import Decoder
+from .repair import local_finish, rack_lagrange, rack_point, rack_points_lagrange
 from .slab import ListSlabKernel, SlabKernel
 
 __all__ = [
@@ -134,81 +128,26 @@ def systematic_layout(p: CodeParams) -> SystematicLayout:
 
 def read_systematic_data(p: CodeParams, columns: Mapping[NodeId, Sequence[int]]) -> list:
     """Data symbols straight out of the systematic columns, placement order."""
-    lay = systematic_layout(p)
-    out = []
-    for i, node in lay.data_positions:
-        col = columns.get(node)
-        if col is None:
+    for node in systematic_nodes(p):
+        if node not in columns:
             raise ValueError(f"systematic node {node!r} missing from the column map")
-        out.append(col[i])
-    return out
+    return [columns[node][i] for i, node in systematic_layout(p).data_positions]
 
 
 def systematic_message_matrix(p: CodeParams, data: Sequence[int]):
-    """The unique message matrix whose encoding stores ``data`` verbatim."""
+    """The unique message matrix whose encoding stores ``data`` verbatim.
+
+    Structure-blind: solves the generator rows of the B data cells for
+    the fill-order data vector by elimination, O(B**3) field operations.
+    The cells go in message-row order, which keeps the elimination sparse:
+    0.7 s a stripe at (50,44,5,8) with CPython 3.11 on a 2-core Xeon,
+    against 2.7 s in placement order. The solution is unique, so the order
+    changes only the cost. ``systematic_encode`` is the fast per-stripe
+    path.
+    """
     validate_data(p, data)
-    f = p.field
-    lay = systematic_layout(p)
-    grid = dict(zip(lay.data_positions, data))
-
-    # Leading local coefficients of every fully known row per full rack.
-    known_lead = {}
-    for e in range(p.kbar):
-        interp = rack_lagrange(p, e)
-        for i in [*range(0, e + 1), *range(p.kbar, p.dbar)]:
-            vals = [grid[(i, NodeId(e, g))] for g in range(p.u)]
-            known_lead[(i, e)] = interp.leading_coefficient(vals)
-
-    # phi_e = (1, x_e, x_e**2, ...); rack e's leading vector is M1 * phi_e.
-    phis = [[f.pow(rack_point(p, e), t) for t in range(p.dbar)] for e in range(p.kbar)]
-
-    # Rectangle block of the symmetric core, one bottom row of H at a time.
-    T = [[0] * (p.dbar - p.kbar) for _ in range(p.kbar)]
-    vand = rack_points_lagrange(p, tuple(range(p.kbar)))
-    for i in range(p.kbar, p.dbar):
-        c = vand.interpolate([known_lead[(i, e)] for e in range(p.kbar)])
-        for t in range(p.kbar):
-            T[t][i - p.kbar] = c[t]
-
-    # Square block of the core, top rows of H, one row at a time. Row r of
-    # S holds its entries left of the diagonal, set by the earlier rows, and
-    # zeros where the unknown tail goes, so S[r] + T[r] is the known part.
-    S = [[0] * p.kbar for _ in range(p.kbar)]
-    for r in range(p.kbar):
-        rhs = [
-            f.sub(known_lead[(r, e)], dot(f, S[r] + T[r], phis[e]))
-            for e in range(r, p.kbar)
-        ]
-        A = [phis[e][r:p.kbar] for e in range(r, p.kbar)]
-        sol = solve_linear(f, A, rhs)
-        for off, t in enumerate(range(r, p.kbar)):
-            S[r][t] = sol[off]
-            S[t][r] = sol[off]
-
-    m1 = [S[i] + T[i] for i in range(p.kbar)] + [
-        [T[t][i] for t in range(p.kbar)] + [0] * (p.dbar - p.kbar)
-        for i in range(p.dbar - p.kbar)
-    ]
-
-    # Redundant cells: same local finish a repair performs, using the
-    # leading vector h_e = M1 * phi_e of each affected rack.
-    redundant = set(lay.redundant_positions)
-    for e in range(p.kbar - 1):
-        h = mat_vec(f, m1, phis[e])
-        surviving = {
-            NodeId(e, g): [grid[(i, NodeId(e, g))] for i in range(p.dbar)]
-            for g in range(p.u - 1)
-        }
-        col = repair_local(p, e, p.u - 1, surviving, LeadingVector(e, tuple(h)))
-        for i in range(p.dbar):
-            cell = (i, NodeId(e, p.u - 1))
-            if cell in redundant:
-                grid[cell] = col[i]
-            elif grid[cell] != col[i]:  # construction identity; never trips
-                raise AssertionError(f"systematic completion mismatch at {cell}")
-
-    cols = {node: [grid[(i, node)] for i in range(p.dbar)] for node in systematic_nodes(p)}
-    return reconstruct(p, cols)
+    cells, values = zip(*sorted(zip(systematic_layout(p).data_positions, data)))
+    return fill_message_matrix(p, solve_linear(p.field, encode_rows(p, cells), values))
 
 
 def systematic_encode(p: CodeParams, data: Sequence[int]) -> CodeMatrix:
@@ -320,25 +259,15 @@ def systematic_encode_map(p: CodeParams, precoding: Sequence[Sequence[int]]) -> 
     n - k parity nodes and the redundant cells of the kbar - 1 nodes
     (e, u-1). Row c of ``matrix`` maps the B data symbols, in placement
     order, to cell c. The map is the encoding map composed with
-    ``precoding``: one ``encode_slabs`` run, for the nodes that hold such
-    a cell, over the B rows of ``precoding`` packed as B-lane slabs (lane
-    j is the unit data vector e_j), read back one row per cell.
+    ``precoding``: one apply of the cells' generator rows over the B rows
+    of ``precoding`` packed as B-lane slabs (lane j is the unit data
+    vector e_j), read back one row per cell.
     """
     kernel = _lane_kernel(p.field)
-    data_cells = set(systematic_layout(p).data_positions)
-    nodes = [
-        node
-        for node in all_nodes(p)
-        if any((i, node) not in data_cells for i in range(p.dbar))
-    ]
+    data = set(systematic_layout(p).data_positions)
+    cells = [(i, node) for node in all_nodes(p) for i in range(p.dbar) if (i, node) not in data]
     slots = [kernel.pack(row) for row in precoding]
-    cells, matrix = [], []
-    for node, column in encode_slabs(kernel, p, slots, nodes).items():
-        for i, slab in enumerate(column):
-            if (i, node) not in data_cells:
-                cells.append((i, node))
-                matrix.append(kernel.unpack(slab))
-    return cells, matrix
+    return cells, [kernel.unpack(slab) for slab in kernel.apply(encode_rows(p, cells), slots)]
 
 
 def systematic_encode_slabs(kernel, p: CodeParams, data_slabs: Sequence, encode_map) -> dict:

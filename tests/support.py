@@ -3,6 +3,7 @@
 import random
 
 from mbrr import all_nodes, encode, fill_message_matrix, make_params
+from mbrr.gf import binary_field, prime_field
 
 # Geometry of every set: n nodes in racks of u, any k readable, dbar helper
 # racks per repair. "pairs" and "quads" have even u and land in prime fields;
@@ -14,6 +15,17 @@ PARAM_SETS = {
     "pairs": (8, 5, 2, 3),
     "quads": (20, 11, 4, 4),
 }
+
+# Every PARAM_SETS geometry (GF(2^4), GF(11), GF(29)), GF(13), and the two
+# byte-framed fields, whose cases also run through SlabKernel. (25,13,5,4)
+# has a two-column rectangle block; (12,6,3,3) has u0 = 0.
+SLAB_CASES = [
+    *((geo, None) for geo in PARAM_SETS.values()),
+    ((12, 8, 2, 4), prime_field(13)),
+    ((12, 7, 3, 3), binary_field(8)),
+    ((25, 13, 5, 4), binary_field(8)),
+    ((12, 6, 3, 3), binary_field(16)),
+]
 
 _cache = {}
 

@@ -3,6 +3,8 @@ import importlib
 import importlib.util
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -78,3 +80,45 @@ def test_no_unused_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{name}:{line} {bound}" for bound, line in imported.items() if bound not in used]
     assert unused == []
+
+
+def test_runtime_imports_only_the_standard_library():
+    """Importing the package and its CLI loads no third-party module. The
+    check diffs ``sys.modules`` around the import in a fresh interpreter,
+    because site hooks may preload other modules before it starts."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "import sys; before = set(sys.modules); import mbrr, mbrr.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    top = {name.split(".")[0] for name in out}
+    assert "mbrr" in top
+    assert sorted(top - set(sys.stdlib_module_names) - {"mbrr"}) == []
+
+
+def test_generator_rows_are_built_in_one_place():
+    """Outside ``layout``, only ``encode.encode`` and ``encode.encode_rows``
+    read the encoding matrix or the fill plan; every other path takes its
+    generator rows from ``encode_rows``."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "mbrr")
+    found = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py") or name == "layout.py":
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            if name == "encode.py" and func.name in ("encode", "encode_rows"):
+                continue
+            found += [
+                f"{name}:{node.lineno} {func.name}"
+                for node in ast.walk(func)
+                if isinstance(node, ast.Name) and node.id in ("encoding_matrix", "fill_plan")
+            ]
+    assert found == []

@@ -62,6 +62,15 @@ def test_header_rejects_garbage():
         ShardHeader.unpack(bytes(blob))
     with pytest.raises(ValueError, match="truncated"):
         ShardHeader.unpack(sample_header().pack()[:20])
+    # The systematic flag is a byte that this format only ever sets to 0 or 1.
+    blob = bytearray(sample_header().pack())
+    assert blob[19] == 0
+    for flag in (2, 255):
+        blob[19] = flag
+        with pytest.raises(ValueError, match="systematic flag"):
+            ShardHeader.unpack(bytes(blob))
+    blob[19] = 1
+    assert ShardHeader.unpack(bytes(blob)) == sample_header(systematic=True)
 
 
 def test_header_matches_ignores_node_identity():
@@ -166,6 +175,22 @@ def test_decode_shards_validates():
         decode_shards(few)
     with pytest.raises(ValueError, match="no shards"):
         decode_shards({})
+
+    # A systematic read checks each header it reads: a payload filed under
+    # another node, or a header from another file, is refused, not decoded
+    # into wrong bytes.
+    data = random.Random(160).randbytes(200)
+    headers, shards = encode_file(data, p, systematic=True)
+    loaded = {NodeId(h.e, h.g): (h, syms) for h, syms in zip(headers, shards)}
+    assert decode_shards(loaded) == data
+    a, b = NodeId(0, 0), NodeId(0, 1)
+    swapped = {**loaded, a: loaded[b], b: loaded[a]}
+    with pytest.raises(ValueError, match=r"node \(0, 0\): header is for node \(0, 1\)"):
+        decode_shards(swapped)
+    h, syms = loaded[b]
+    foreign = {**loaded, b: (sample_header(**{**vars(h), "original_length": 199}), syms)}
+    with pytest.raises(ValueError, match=r"node \(0, 1\): header disagrees"):
+        decode_shards(foreign)
 
 
 # ---------------------------------------------------------------- commands

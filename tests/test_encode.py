@@ -2,17 +2,19 @@ import random
 
 import pytest
 
-from mbrr.encode import encode, encoding_matrix, row_polynomial
+from mbrr.encode import encode, encode_rows, encoding_matrix, row_polynomial
 from mbrr.layout import (
     NodeId,
     all_nodes,
     evaluation_point,
     fill_message_matrix,
+    fill_plan,
     index_sets,
+    make_params,
 )
-from mbrr.linalg import matmul, poly_eval
+from mbrr.linalg import mat_vec, matmul, poly_eval
 
-from support import PARAM_SETS, params, random_stripe
+from support import PARAM_SETS, SLAB_CASES, params, random_stripe
 
 
 def test_encoding_matrix_entries_are_point_powers():
@@ -96,3 +98,28 @@ def test_column_lookup_validates_node():
     C = encode(fill_message_matrix(p, random_stripe(p, rng)))
     with pytest.raises(ValueError):
         C.column(NodeId(9, 0))
+
+
+@pytest.mark.parametrize("geo, field", SLAB_CASES)
+def test_encode_rows_are_the_code(geo, field):
+    """Every cell's generator row, applied to the data vector, gives the
+    symbol ``encode`` stores in that cell."""
+    p = make_params(*geo, field=field)
+    rng = random.Random(19)
+    cells = [(i, node) for node in all_nodes(p) for i in range(p.alpha)]
+    rows = encode_rows(p, cells)
+    assert len(rows) == p.n * p.alpha and all(len(row) == p.B for row in rows)
+    for _ in range(3):
+        data = random_stripe(p, rng)
+        C = encode(fill_message_matrix(p, data))
+        assert mat_vec(p.field, rows, data) == [C.column(node)[i] for i, node in cells]
+
+
+def test_no_data_slot_repeats_within_a_message_row():
+    """Each generator-row entry is one point power, because the mirrored
+    cells of M1 sit in different message rows."""
+    geos = [*PARAM_SETS.values(), (12, 8, 2, 4), (25, 13, 5, 4), (50, 44, 5, 8), (200, 194, 5, 39)]
+    for geo in geos:
+        for slot_row in fill_plan(make_params(*geo))[0]:
+            filled = [s for s in slot_row if s is not None]
+            assert len(filled) == len(set(filled))

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mbrr.cli
+import mbrr.repair
+import mbrr.systematic
 from mbrr.cli import encode_file, main
 from mbrr.encode import encode, encode_slabs
 from mbrr.gf import binary_field, prime_field
@@ -33,7 +35,7 @@ from mbrr.systematic import (
     systematic_slabs,
 )
 
-from support import PARAM_SETS, params, random_stripe, coded_columns
+from support import PARAM_SETS, SLAB_CASES, params, random_stripe, coded_columns
 
 
 def test_layout_counts():
@@ -172,18 +174,6 @@ def test_precoded_encode_matches_systematic_encode():
             assert systematic_encode(p, data).rows == want
 
 
-# Every PARAM_SETS geometry (GF(2^4), GF(11), GF(29)), GF(13), and the two
-# byte-framed fields, whose cases also run through SlabKernel. (25,13,5,4)
-# has a two-column rectangle block; (12,6,3,3) has u0 = 0.
-SLAB_CASES = [
-    *((geo, None) for geo in PARAM_SETS.values()),
-    ((12, 8, 2, 4), prime_field(13)),
-    ((12, 7, 3, 3), binary_field(8)),
-    ((25, 13, 5, 4), binary_field(8)),
-    ((12, 6, 3, 3), binary_field(16)),
-]
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     case=st.sampled_from(SLAB_CASES),
@@ -304,6 +294,43 @@ def test_encode_file_systematic_runs_one_map_over_non_data_cells(monkeypatch):
     }
 
 
+def test_systematic_encode_map_is_one_apply(monkeypatch):
+    """At (50,44,5,8) over GF(2^16) the map build is one apply of the 76
+    non-data cells' generator rows over the 324 precoding rows as slabs."""
+    p = make_params(50, 44, 5, 8, field=binary_field(16))
+    P = precoding_matrix(p)
+    applied = []
+
+    class CountingKernel(SlabKernel):
+        def apply(self, matrix, slabs):
+            applied.append((len(matrix), len(slabs)))
+            return super().apply(matrix, slabs)
+
+    monkeypatch.setattr(mbrr.systematic, "SlabKernel", CountingKernel)
+    cells, matrix = systematic_encode_map(p, P)
+    assert applied == [(p.n * p.alpha - p.B, p.B)] == [(76, 324)]
+    assert len(cells) == len(matrix) == 76
+
+
+def test_systematic_oracle_runs_none_of_the_slab_steps(monkeypatch):
+    """``systematic_message_matrix`` solves the data cells' generator rows
+    and uses none of the five steps' interpolators, finish weights or
+    decoder, so checking ``systematic_slabs`` against it is independent."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle ran a step of the structured transform")
+
+    for attr in ("rack_lagrange", "rack_points_lagrange", "local_finish", "Decoder"):
+        monkeypatch.setattr(mbrr.systematic, attr, refuse)
+    monkeypatch.setattr(mbrr.repair, "repair_local", refuse)
+    rng = random.Random(311)
+    for name in PARAM_SETS:
+        p = params(name)
+        data = random_stripe(p, rng)
+        C = encode(systematic_message_matrix(p, data))
+        assert [C.column(node)[i] for i, node in systematic_layout(p).data_positions] == data
+
+
 def test_systematic_slabs_refuses_wrong_slab_count():
     p = params("reference")
     with pytest.raises(ValueError, match="expected 20 data slabs"):
@@ -344,6 +371,32 @@ PRECODING_DIGESTS = [
 def test_precoding_matrix_matches_pinned_digest(geo, field, digest):
     P = precoding_matrix(make_params(*geo, field=field))
     assert hashlib.sha256(repr(P).encode()).hexdigest() == digest
+
+
+# SHA-256 of repr(systematic_encode_map(p, precoding_matrix(p))) on the
+# PRECODING_DIGESTS geometries, pinned from the build that ran
+# encode_slabs over every row of the nodes holding a non-data cell.
+ENCODE_MAP_DIGESTS = [
+    "c9d16e280a74513dcb4076f1f58b1a810e87a5dce7ee4ec5f043ea44b6f2d87c",
+    "d661b9702fe7aa3a8829386d3b29d172e4fdaa37e0c6a843a9d7118c2da232d6",
+    "e9bf24e61e85ce297bcc073de00894eb3dd4ec597d07d6c3834bbb0730b3a4d4",
+    "958bdd612f60068a56760019a5343a17804d35c51892ebf3e89be7d9e5fbd61d",
+    "f254c3b230258f3c4a65739c032b9ffe09b765ecc37c0f2d316ad8a9157447d8",
+    "bc15077e4a3ecdcdb6548f2774ee99b962997c801ffa6270f93f1765fb9a1f6c",
+    "3e4fe6e6df8c684bf8f4109a553c71182222ea5e284653f6f2016461665ae1b9",
+    "0f062c2a695db75e14a5590975a5adbaa80b5c87aa0bf56b26d1dbfbacc521ea",
+]
+
+
+@pytest.mark.parametrize(
+    "geo, field, digest",
+    [(geo, field, digest) for (geo, field, _), digest in zip(PRECODING_DIGESTS, ENCODE_MAP_DIGESTS)],
+    ids=["gf16-ref", "gf16-wide", "gf16-aligned", "gf11", "gf29", "gf13", "gf65536", "gf256"],
+)
+def test_systematic_encode_map_matches_pinned_digest(geo, field, digest):
+    p = make_params(*geo, field=field)
+    encode_map = systematic_encode_map(p, precoding_matrix(p))
+    assert hashlib.sha256(repr(encode_map).encode()).hexdigest() == digest
 
 
 def test_production_paths_run_no_per_stripe_oracle(tmp_path, capsys, monkeypatch):
