@@ -32,17 +32,7 @@ from .layout import (
 )
 from .linalg import SingularMatrixError, solve_linear
 from .reconstruct import Decoder, oracle_reconstruct, reconstruct
-from .repair import (
-    BandwidthLedger,
-    LeadingVector,
-    RepairModelError,
-    Repairer,
-    helper_symbol,
-    rack_leading_vector,
-    recover_leading_vector,
-    repair_local,
-    repair_node,
-)
+from .repair import BandwidthLedger, RepairModelError, Repairer, repair_node
 from .systematic import (
     precoding_matrix,
     read_systematic_data,
@@ -65,7 +55,6 @@ __all__ = [
     "Field",
     "InsufficientSurvivorsError",
     "IntegrityError",
-    "LeadingVector",
     "MessageMatrix",
     "NodeId",
     "OverheadReport",
@@ -78,17 +67,13 @@ __all__ = [
     "encode",
     "encoding_matrix",
     "fill_message_matrix",
-    "helper_symbol",
     "make_params",
     "oracle_reconstruct",
     "overhead_report",
     "precoding_matrix",
     "prime_field",
-    "rack_leading_vector",
     "read_systematic_data",
     "reconstruct",
-    "recover_leading_vector",
-    "repair_local",
     "repair_node",
     "solve_linear",
     "systematic_encode",

@@ -175,7 +175,9 @@ class BinaryField(Field):
             x <<= 1
             if x & q:
                 x ^= poly
-        if x != 1 or any(log[v] is None for v in range(1, q)):
+        # No repeat among q-1 values, and a zero would repeat or leave x at 0,
+        # so x returning to 1 means every nonzero element was reached.
+        if x != 1:
             raise ValueError(f"0x{poly:X} is not primitive over GF(2^{m})")
         for i in range(qm1, 2 * qm1):
             exp[i] = exp[i - qm1]

@@ -62,9 +62,8 @@ class BatchInterpolator:
     coefficients of point i's basis polynomial, the master polynomial
     prod(x - x_j) divided by (x - x_i) and scaled to 1 at x_i. Every query
     is then a product against that basis: ``interpolate`` is a one-row
-    ``matmul``, ``leading_coefficient`` a ``dot`` with the basis's leading
-    entries and ``matrix`` its transpose. Reusing one instance across many
-    stripes pays for the basis once.
+    ``matmul`` and ``matrix`` its transpose. Reusing one instance across
+    many stripes pays for the basis once.
     """
 
     __slots__ = ("field", "points", "t", "_basis")
@@ -115,13 +114,10 @@ class BatchInterpolator:
         self.t = t
         self._basis = basis
 
-    def _check(self, values: Sequence[int]) -> None:
-        if len(values) != self.t:
-            raise ValueError(f"expected {self.t} values, got {len(values)}")
-
     def interpolate(self, values: Sequence[int]) -> list:
         """Coefficients of the unique polynomial of degree < t through the points."""
-        self._check(values)
+        if len(values) != self.t:
+            raise ValueError(f"expected {self.t} values, got {len(values)}")
         return matmul(self.field, [values], self._basis)[0]
 
     def matrix(self) -> list:
@@ -131,11 +127,6 @@ class BatchInterpolator:
         column i belongs to sample point i.
         """
         return [list(row) for row in zip(*self._basis)]
-
-    def leading_coefficient(self, values: Sequence[int]) -> int:
-        """Degree-(t-1) coefficient of the interpolant, without the other terms."""
-        self._check(values)
-        return dot(self.field, values, [row[-1] for row in self._basis])
 
 
 def solve_linear(field, A: Sequence[Sequence[int]], b: Sequence[int]) -> list:

@@ -2,8 +2,9 @@
 
 import random
 
-from mbrr import all_nodes, encode, fill_message_matrix, make_params
+from mbrr import NodeId, all_nodes, encode, fill_message_matrix, make_params
 from mbrr.gf import binary_field, prime_field
+from mbrr.repair import rack_lagrange
 
 # Geometry of every set: n nodes in racks of u, any k readable, dbar helper
 # racks per repair. "pairs" and "quads" have even u and land in prime fields;
@@ -51,3 +52,13 @@ def encoded(p, rng):
     data = random_stripe(p, rng)
     C = encode(fill_message_matrix(p, data))
     return data, C, coded_columns(C)
+
+
+def leading_vector(p, cols, e):
+    """h_e by definition: row i's degree-(u-1) coefficient through rack e's
+    u stored symbols of that row."""
+    interp = rack_lagrange(p, e)
+    return [
+        interp.interpolate([cols[NodeId(e, g)][i] for g in range(p.u)])[p.u - 1]
+        for i in range(p.dbar)
+    ]

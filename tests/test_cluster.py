@@ -15,7 +15,7 @@ from mbrr.layout import (
     make_params,
     unfill_message_matrix,
 )
-from mbrr.reconstruct import Decoder
+from mbrr.reconstruct import Decoder, oracle_reconstruct
 from mbrr.repair import RepairModelError, Repairer
 from mbrr.systematic import read_systematic_data, systematic_encode, systematic_nodes
 
@@ -264,11 +264,10 @@ def test_systematic_cluster_repairs_systematic_node():
 
 
 def per_stripe_read(p, mats, survivors, systematic):
-    """Per-stripe data through the structured Decoder, the slab read's oracle."""
-    dec = Decoder(p, survivors)
+    """Per-stripe data through ``oracle_reconstruct``, the slab read's oracle."""
     out = []
     for C in mats:
-        M = dec.reconstruct(C.columns(survivors))
+        M = oracle_reconstruct(p, C.columns(survivors))
         if systematic:
             out.append(read_systematic_data(p, encode(M).columns(systematic_nodes(p))))
         else:

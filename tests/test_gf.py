@@ -71,6 +71,12 @@ def test_non_primitive_polynomial_rejected():
     # x^4 + x^2 + 1 is reducible; the orbit revisits elements early
     with pytest.raises(ValueError, match="not primitive"):
         BinaryField(4, primitive_poly=0x15)
+    # x^4 has a zero constant term; the orbit reaches zero
+    with pytest.raises(ValueError, match="not primitive"):
+        BinaryField(4, primitive_poly=0x10)
+    # x^8 + x^4 + x^3 + x + 1 is irreducible but its root has order 51
+    with pytest.raises(ValueError, match="not primitive"):
+        BinaryField(8, primitive_poly=0x11B)
 
 
 def test_tables_consistent_detects_corruption():

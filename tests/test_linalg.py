@@ -69,16 +69,6 @@ def test_interpolator_reuse_matches_one_shot():
             assert bi.interpolate(values) == BatchInterpolator(f, pts).interpolate(values)
 
 
-def test_leading_coefficient_shortcut():
-    rng = random.Random(4)
-    for f in FIELDS:
-        pts = distinct_points(f, 5, rng)
-        bi = BatchInterpolator(f, pts)
-        for _ in range(100):
-            values = [rng.randrange(f.q) for _ in pts]
-            assert bi.leading_coefficient(values) == bi.interpolate(values)[-1]
-
-
 def test_lagrange_matrix_matches_interpolate():
     """matrix() times a value vector is interpolate(), in every field kind."""
     rng = random.Random(5)

@@ -4,28 +4,25 @@ from itertools import combinations
 import pytest
 
 from mbrr.layout import NodeId, all_nodes, fill_message_matrix, make_params
-from mbrr.linalg import BatchInterpolator, mat_vec, poly_eval
+from mbrr.linalg import BatchInterpolator, dot, mat_vec, poly_eval
 from mbrr.repair import (
-    HelperSymbol,
-    LeadingVector,
     RepairModelError,
     Repairer,
-    helper_symbol,
+    local_finish,
     local_polynomial_coeffs,
-    rack_leading_vector,
     rack_point,
     rack_points_lagrange,
-    recover_leading_vector,
-    repair_local,
     repair_node,
 )
 from mbrr.reconstruct import Decoder, oracle_reconstruct
+from mbrr.slab import ListSlabKernel
 
-from support import PARAM_SETS, params, random_stripe, encoded
+from support import PARAM_SETS, params, random_stripe, encoded, leading_vector
 
 
-def rack_columns(cols, p, e):
-    return {NodeId(e, g): cols[NodeId(e, g)] for g in range(p.u)}
+def one_lane(cols):
+    """Node-keyed columns as one-lane slabs, one per symbol."""
+    return {node: [[s] for s in col] for node, col in cols.items()}
 
 
 # ---------------------------------------------------------------- locality
@@ -66,10 +63,8 @@ def test_leading_vectors_factor_through_m1():
             M = fill_message_matrix(p, data)
             m1 = M.m1()
             for e in range(p.nbar):
-                hv = rack_leading_vector(p, e, rack_columns(cols, p, e))
-                assert hv.e == e
                 phi = [f.pow(rack_point(p, e), t) for t in range(p.dbar)]
-                assert list(hv.h) == mat_vec(f, m1, phi)
+                assert leading_vector(p, cols, e) == mat_vec(f, m1, phi)
 
 
 def test_rack_points_are_distinct():
@@ -80,63 +75,53 @@ def test_rack_points_are_distinct():
 
 
 def test_helper_symbol_evaluates_leading_polynomial():
+    """The one symbol rack 1 sends toward rack 3 is rack 1's leading vector,
+    as a polynomial, evaluated at rack 3's point."""
     p = params("reference")
     rng = random.Random(202)
     data, C, cols = encoded(p, rng)
-    hv = rack_leading_vector(p, 1, rack_columns(cols, p, 1))
-    sym = helper_symbol(p, 3, hv)
-    assert isinstance(sym, HelperSymbol)
-    assert sym.helper_rack == 1 and sym.target_rack == 3
-    assert sym.value == poly_eval(p.field, list(hv.h), rack_point(p, 3))
-    with pytest.raises(ValueError):
-        helper_symbol(p, 1, hv)  # a rack cannot help itself
+    failed = NodeId(3, 0)
+    _, sent = Repairer(p, failed, helpers=[0, 1, 2]).repair_slabs(
+        ListSlabKernel(p.field), one_lane(cols)
+    )
+    assert sent[1] == [poly_eval(p.field, leading_vector(p, cols, 1), rack_point(p, 3))]
+    with pytest.raises(ValueError, match="own rack"):
+        Repairer(p, failed, helpers=[1, 2, 3])  # a rack cannot help itself
 
 
 def test_recover_leading_vector_round_trip():
-    """dbar helper evaluations pin down the failed rack's leading vector."""
+    """dbar helper evaluations pin down the failed rack's leading vector:
+    the sent symbols, interpolated on the helpers' rack points, give it."""
     rng = random.Random(203)
     for name in PARAM_SETS:
         p = params(name)
         data, C, cols = encoded(p, rng)
-        M = fill_message_matrix(p, data)
+        kernel = ListSlabKernel(p.field)
         for e_star in range(p.nbar):
-            helpers = [e for e in range(p.nbar) if e != e_star][: p.dbar]
-            received = [
-                helper_symbol(
-                    p, e_star, rack_leading_vector(p, e, rack_columns(cols, p, e))
-                )
-                for e in helpers
-            ]
-            hv = recover_leading_vector(p, e_star, received)
-            want = rack_leading_vector(p, e_star, rack_columns(cols, p, e_star))
-            assert hv.h == want.h
-
-
-def test_recover_leading_vector_validates():
-    p = params("reference")
-    rng = random.Random(204)
-    data, C, cols = encoded(p, rng)
-    hv = rack_leading_vector(p, 0, rack_columns(cols, p, 0))
-    sym = helper_symbol(p, 2, hv)
-    with pytest.raises(ValueError, match="dbar"):
-        recover_leading_vector(p, 2, [sym])
-    with pytest.raises(ValueError, match="duplicate"):
-        recover_leading_vector(p, 2, [sym, sym, sym])
+            rep = Repairer(p, NodeId(e_star, 0))
+            _, sent = rep.repair_slabs(kernel, one_lane(cols))
+            interp = rack_points_lagrange(p, rep.helpers)
+            got = interp.interpolate([sent[e][0] for e in rep.helpers])
+            assert got == leading_vector(p, cols, e_star)
 
 
 def test_repair_local_rebuilds_any_column():
+    """The in-rack finish: the weights of ``local_finish`` rebuild any column
+    from its u-1 rack mates and the rack's leading vector."""
     rng = random.Random(205)
     for name in PARAM_SETS:
         p = params(name)
+        f = p.field
         data, C, cols = encoded(p, rng)
-        M = fill_message_matrix(p, data)
         for e in range(p.nbar):
-            hv = rack_leading_vector(p, e, rack_columns(cols, p, e))
+            h = leading_vector(p, cols, e)
             for g_star in range(p.u):
-                surviving = {
-                    NodeId(e, g): cols[NodeId(e, g)] for g in range(p.u) if g != g_star
-                }
-                got = repair_local(p, e, g_star, surviving, hv)
+                weights, kappa = local_finish(p, NodeId(e, g_star))
+                mates = [cols[NodeId(e, g)] for g in range(p.u) if g != g_star]
+                got = [
+                    f.add(dot(f, weights, [col[i] for col in mates]), f.mul(kappa, h[i]))
+                    for i in range(p.alpha)
+                ]
                 assert got == cols[NodeId(e, g_star)]
 
 
@@ -245,9 +230,9 @@ def test_repair_node_accepts_mapping_with_failed_entry():
 
 
 def test_column_maps_are_order_free():
-    """Every per-stripe step takes {node: column}, and the map's insertion
-    order changes no result. A rack step refuses a column from another rack
-    and a column one symbol short."""
+    """Every per-stripe entry point takes {node: column}, and the map's
+    insertion order changes no result. The decoder and the repairer refuse
+    a column one symbol short."""
     rng = random.Random(211)
     for name in PARAM_SETS:
         p = params(name)
@@ -260,43 +245,27 @@ def test_column_maps_are_order_free():
             return {n: cols[n] for n in ids}
 
         ids = sorted(rng.sample(nodes, p.k))
-        e = rng.randrange(p.nbar)
-        rack = [NodeId(e, g) for g in range(p.u)]
-        failed = NodeId(e, rng.randrange(p.u))
-        mates = [n for n in rack if n != failed]
+        failed = NodeId(rng.randrange(p.nbar), rng.randrange(p.u))
         others = [n for n in nodes if n != failed]
         dec = Decoder(p, ids)
         rep = Repairer(p, failed)
-        hv = rack_leading_vector(p, e, C.columns(rack))
         want = (
             dec.reconstruct(C.columns(ids)).rows,
             oracle_reconstruct(p, C.columns(ids)).rows,
-            hv,
-            repair_local(p, e, failed.g, C.columns(mates), hv),
             rep.repair(C.columns(others)),
         )
         assert want[0] == want[1] == fill_message_matrix(p, data).rows
-        assert want[3] == want[4][0] == cols[failed]
+        assert want[2][0] == cols[failed]
         for _ in range(3):
             got = (
                 dec.reconstruct(shuffled(ids)).rows,
                 oracle_reconstruct(p, shuffled(ids)).rows,
-                rack_leading_vector(p, e, shuffled(rack)),
-                repair_local(p, e, failed.g, shuffled(mates), hv),
                 rep.repair(shuffled(others)),
             )
             assert got == want
 
-        stranger = NodeId((e + 1) % p.nbar, failed.g)
-        with pytest.raises(ValueError, match="does not belong"):
-            rack_leading_vector(p, e, {**C.columns(rack[1:]), stranger: cols[stranger]})
-        with pytest.raises(ValueError, match="does not belong"):
-            repair_local(p, e, failed.g, {**C.columns(mates[1:]), stranger: cols[stranger]}, hv)
         with pytest.raises(ValueError, match="alpha"):
-            rack_leading_vector(p, e, {**C.columns(rack), rack[0]: cols[rack[0]][:-1]})
-
-
-def test_leading_vector_is_frozen():
-    hv = LeadingVector(0, (1, 2, 3))
-    with pytest.raises(AttributeError):
-        hv.e = 1
+            dec.reconstruct({**C.columns(ids), ids[0]: cols[ids[0]][:-1]})
+        for short in (rep.survivors[0], NodeId(rep.helpers[0], 0)):
+            with pytest.raises(ValueError, match="alpha"):
+                rep.repair({**C.columns(others), short: cols[short][:-1]})

@@ -1,8 +1,10 @@
 """The slab kernel and the slab forms of encode, decode and repair.
 
-Each slab path is checked bit for bit against the per-stripe structured
-path it stands in for: ``encode``/``systematic_encode``,
-``Decoder.reconstruct`` and ``Repairer.repair``.
+Each slab path is checked bit for bit against a reference that shares
+none of its maps: encoding against per-stripe ``encode`` of the message
+matrix (the elimination oracle's, for systematic files), decoding against
+the data and ``oracle_reconstruct``, a repaired column against the stored
+one, and each helper rack's sent slab against the M1 symmetry identity.
 """
 
 import random
@@ -28,11 +30,11 @@ from mbrr.layout import (
     fill_message_matrix,
     unfill_message_matrix,
 )
-from mbrr.linalg import mat_vec
-from mbrr.reconstruct import Decoder
-from mbrr.repair import Repairer, helper_symbol, rack_leading_vector
+from mbrr.linalg import dot, mat_vec
+from mbrr.reconstruct import Decoder, oracle_reconstruct
+from mbrr.repair import Repairer, rack_point
 from mbrr.slab import ListSlabKernel, SlabKernel
-from mbrr.systematic import read_systematic_data, systematic_encode, systematic_nodes
+from mbrr.systematic import read_systematic_data, systematic_message_matrix, systematic_nodes
 from support import PARAM_SETS, params
 
 # ---------------------------------------------------------------- kernel
@@ -142,6 +144,19 @@ class ListKernel:
         return [tuple(out[r] for out in per_stripe) for r in range(len(matrix))]
 
 
+def helper_sent(p, target, helpers, messages):
+    """What each helper rack must send toward rack ``target``, per stripe:
+    phi_target . (M1 phi_e), the M1 symmetry identity, with phi_e the
+    powers of rack e's point x_e."""
+    f = p.field
+
+    def phi(e):
+        return [f.pow(rack_point(p, e), i) for i in range(p.dbar)]
+
+    m1s = [M.m1() for M in messages]
+    return {e: [dot(f, phi(target), mat_vec(f, m1, phi(e))) for m1 in m1s] for e in helpers}
+
+
 @pytest.mark.parametrize("name", sorted(PARAM_SETS))
 def test_slab_maps_in_every_field_kind(name):
     """The closed-form maps are field-generic: prime fields included."""
@@ -149,7 +164,8 @@ def test_slab_maps_in_every_field_kind(name):
     rng = random.Random(610)
     kernel = ListKernel(p.field)
     vecs = [[rng.randrange(p.field.q) for _ in range(p.B)] for _ in range(4)]
-    mats = [encode(fill_message_matrix(p, vec)) for vec in vecs]
+    messages = [fill_message_matrix(p, vec) for vec in vecs]
+    mats = [encode(M) for M in messages]
     nodes = list(all_nodes(p))
     columns = encode_slabs(kernel, p, list(zip(*vecs)))
     for node in nodes:
@@ -158,9 +174,10 @@ def test_slab_maps_in_every_field_kind(name):
     assert Decoder(p, ids).decode_slabs(kernel, columns) == list(zip(*vecs))
     for failed in nodes:
         rep = Repairer(p, failed)
-        column, _ = rep.repair_slabs(kernel, columns)
-        want = [rep.repair({n: C.column(n) for n in nodes if n != failed})[0] for C in mats]
-        assert column == list(zip(*want))
+        column, sent = rep.repair_slabs(kernel, columns)
+        assert column == columns[failed]
+        want = helper_sent(p, failed.e, rep.helpers, messages)
+        assert {e: list(slab) for e, slab in sent.items()} == want
 
 
 # ---------------------------------------------------------------- property
@@ -177,22 +194,23 @@ def geometries(draw):
     return n, k, u, dbar
 
 
-def per_stripe_matrices(p, data, m, systematic, stripes):
+def per_stripe_messages(p, data, m, systematic, stripes):
+    """Each stripe's message matrix; a systematic one from the elimination oracle."""
     symbols = bytes_to_symbols(data, m)
     symbols += [0] * (stripes * p.B - len(symbols))
     vecs = [symbols[s * p.B : (s + 1) * p.B] for s in range(stripes)]
     if systematic:
-        return [systematic_encode(p, vec) for vec in vecs]
-    return [encode(fill_message_matrix(p, vec)) for vec in vecs]
+        return [systematic_message_matrix(p, vec) for vec in vecs]
+    return [fill_message_matrix(p, vec) for vec in vecs]
 
 
-def per_stripe_decode(p, dec, systematic, columns, stripes):
-    """The per-stripe Decoder on flat node columns, as the CLI used to run it."""
+def per_stripe_decode(p, ids, systematic, columns, stripes):
+    """Per-stripe data from flat node columns through ``oracle_reconstruct``."""
     a = p.alpha
     out = []
     for s in range(stripes):
-        obs = {n: columns[n][s * a : (s + 1) * a] for n in dec.ids}
-        M = dec.reconstruct(obs)
+        obs = {n: columns[n][s * a : (s + 1) * a] for n in ids}
+        M = oracle_reconstruct(p, obs)
         if systematic:
             out += read_systematic_data(p, encode(M).columns(systematic_nodes(p)))
         else:
@@ -215,7 +233,8 @@ def test_slab_paths_match_per_stripe_paths(geo, m, size, systematic, seed):
     headers, payloads = encode_file(data, p, systematic)
     stripes = headers[0].stripe_count
     nodes = list(all_nodes(p))
-    mats = per_stripe_matrices(p, data, m, systematic, stripes)
+    messages = per_stripe_messages(p, data, m, systematic, stripes)
+    mats = [encode(M) for M in messages]
     flat = {node: [x for C in mats for x in C.column(node)] for node in nodes}
     for node, payload in zip(nodes, payloads):
         assert payload == symbols_to_bytes(flat[node], m)
@@ -224,7 +243,7 @@ def test_slab_paths_match_per_stripe_paths(geo, m, size, systematic, seed):
     loaded = {
         NodeId(h.e, h.g): (h, pl) for h, pl in zip(headers, payloads) if NodeId(h.e, h.g) in ids
     }
-    want = per_stripe_decode(p, Decoder(p, ids), systematic, flat, stripes)
+    want = per_stripe_decode(p, ids, systematic, flat, stripes)
     assert decode_shards(loaded) == symbols_to_bytes(want, m)[:size] == data
 
     failed = rng.choice(nodes)
@@ -234,15 +253,8 @@ def test_slab_paths_match_per_stripe_paths(geo, m, size, systematic, seed):
     columns = {n: kernel.split(pl, p.alpha) for n, pl in zip(nodes, payloads) if n != failed}
     rep = Repairer(p, failed, helpers)
     column, sent = rep.repair_slabs(kernel, columns)
-    want_col = []
-    want_sent = {e: [] for e in helpers}
-    for C in mats:
-        col, _ = rep.repair({n: C.column(n) for n in nodes if n != failed})
-        want_col += col
-        for e in helpers:
-            rack = C.columns([NodeId(e, g) for g in range(p.u)])
-            want_sent[e].append(helper_symbol(p, failed.e, rack_leading_vector(p, e, rack)).value)
-    assert kernel.join(column) == symbols_to_bytes(want_col, m) == payloads[nodes.index(failed)]
+    assert kernel.join(column) == payloads[nodes.index(failed)]
+    want_sent = helper_sent(p, failed.e, helpers, messages)
     assert {e: bytes_to_symbols(slab, m) for e, slab in sent.items()} == want_sent
 
 
@@ -251,14 +263,14 @@ def test_slab_paths_match_per_stripe_paths(geo, m, size, systematic, seed):
 
 @pytest.mark.parametrize("systematic", [False, True])
 def test_corrupt_symbol_outcome_matches_per_stripe_decoder(tmp_path, capsys, systematic):
-    """Single flipped symbols in an exact-k set: same error-or-bytes outcome."""
+    """Single flipped symbols in an exact-k set: the same error-or-bytes
+    outcome as the elimination oracle."""
     p = file_params(12, 7, 3, 3)
     data = random.Random(605).randbytes(4 * p.B - 3)
     headers, payloads = encode_file(data, p, systematic)
     stripes = headers[0].stripe_count
     nodes = list(all_nodes(p))
     ids = nodes[1 : p.k] + nodes[-1:]  # a parity shard stands in for node (0, 0)
-    dec = Decoder(p, ids)
     paths = {}
     for h, payload in zip(headers, payloads):
         node = NodeId(h.e, h.g)
@@ -275,7 +287,7 @@ def test_corrupt_symbol_outcome_matches_per_stripe_decoder(tmp_path, capsys, sys
             bad[node] = list(flat[node])
             bad[node][pos] ^= 0x5A
             try:
-                want = bytes(per_stripe_decode(p, dec, systematic, bad, stripes))[: len(data)]
+                want = bytes(per_stripe_decode(p, ids, systematic, bad, stripes))[: len(data)]
             except IntegrityError:
                 want = None
             paths[node].write_bytes(clean[: -len(flat[node])] + bytes(bad[node]))

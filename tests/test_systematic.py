@@ -322,7 +322,7 @@ def test_systematic_oracle_runs_none_of_the_slab_steps(monkeypatch):
 
     for attr in ("rack_lagrange", "rack_points_lagrange", "local_finish", "Decoder"):
         monkeypatch.setattr(mbrr.systematic, attr, refuse)
-    monkeypatch.setattr(mbrr.repair, "repair_local", refuse)
+    monkeypatch.setattr(mbrr.repair.Repairer, "repair_slabs", refuse)
     rng = random.Random(311)
     for name in PARAM_SETS:
         p = params(name)
