@@ -65,7 +65,7 @@ import time
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .cluster import Cluster, InsufficientSurvivorsError, overhead_report
 from .encode import encode, encode_slabs
@@ -76,7 +76,6 @@ from .layout import (
     all_nodes,
     fill_message_matrix,
     make_params,
-    node_index,
     unfill_message_matrix,
 )
 from .reconstruct import Decoder
@@ -160,20 +159,14 @@ def symbol_width(m: int) -> int:
     return (m + 7) // 8
 
 
-def _framing_kernel(m: int) -> SlabKernel:
-    if m not in _FILE_FIELD_MS:
-        raise ValueError(f"file framing supports m in {_FILE_FIELD_MS}, not m={m}")
-    return SlabKernel(binary_field(m))
-
-
 def bytes_to_symbols(data: bytes, m: int) -> list:
     if m == 16 and len(data) % 2:
         data = data + b"\x00"
-    return _framing_kernel(m).unpack(data)
+    return SlabKernel(binary_field(m)).unpack(data)
 
 
 def symbols_to_bytes(symbols: Sequence[int], m: int) -> bytes:
-    return _framing_kernel(m).pack(symbols)
+    return SlabKernel(binary_field(m)).pack(symbols)
 
 
 def shard_filename(e: int, g: int) -> str:
@@ -207,13 +200,6 @@ def open_shard(path: str) -> tuple:
         raise
 
 
-def read_payload(path: str) -> tuple:
-    """Parse one shard file into (header, payload bytes in file byte order)."""
-    header, fh = open_shard(path)
-    with fh:
-        return header, fh.read()
-
-
 def _read_checked_header(path: str, fh) -> ShardHeader:
     header = ShardHeader.unpack(fh.read(HEADER_SIZE))
     size = os.fstat(fh.fileno()).st_size - HEADER_SIZE
@@ -233,8 +219,8 @@ def _read_checked_header(path: str, fh) -> ShardHeader:
 
 
 # write_shard and read_shard are the symbol-list forms of write_payload and
-# read_payload, for library callers; the commands move payload bytes only.
-# perfbench/layers.py still traces these two names (see ROADMAP item 2).
+# open_shard, for library callers; the commands move payload bytes only.
+# perfbench/layers.py still traces these two names (see ROADMAP item 1).
 
 
 def write_shard(path: str, header: ShardHeader, symbols: Sequence[int]) -> None:
@@ -245,8 +231,9 @@ def write_shard(path: str, header: ShardHeader, symbols: Sequence[int]) -> None:
 
 def read_shard(path: str) -> tuple:
     """Parse one shard file into (header, flat symbol list)."""
-    header, payload = read_payload(path)
-    return header, bytes_to_symbols(payload, header.m)
+    header, fh = open_shard(path)
+    with fh:
+        return header, bytes_to_symbols(fh.read(), header.m)
 
 
 def file_params(n: int, k: int, u: int, dbar: int, m: int | None = None) -> CodeParams:
@@ -293,7 +280,7 @@ def encode_file(
     if systematic:
         # The map is composed from precoding_matrix, not from a direct
         # systematic_slabs run, while the benchmark self-test requires the
-        # precoding build on its systematic workload (ROADMAP item 2).
+        # precoding build on its systematic workload (ROADMAP item 1).
         encode_map = systematic_encode_map(p, precoding_matrix(p))
         columns = systematic_encode_slabs(kernel, p, slabs, encode_map)
     else:
@@ -319,15 +306,12 @@ def encode_file(
 
 
 def _params_from_header(h: ShardHeader) -> CodeParams:
-    if h.m not in _FILE_FIELD_MS:
-        raise ValueError(f"shard files support m in {_FILE_FIELD_MS}, not m={h.m}")
-    f = binary_field(h.m)
-    if f.primitive_poly != h.primitive_poly:
+    p = file_params(h.n, h.k, h.u, h.dbar, h.m)
+    if p.field.primitive_poly != h.primitive_poly:
         raise ValueError(
             f"shard was built over polynomial {h.primitive_poly:#x}, "
-            f"this build uses {f.primitive_poly:#x}"
+            f"this build uses {p.field.primitive_poly:#x}"
         )
-    p = make_params(h.n, h.k, h.u, h.dbar, field=f)
     symbols = -(-h.original_length // symbol_width(h.m))
     if h.original_length <= 0 or h.stripe_count != -(-symbols // p.B):
         raise ValueError(
@@ -337,29 +321,31 @@ def _params_from_header(h: ShardHeader) -> CodeParams:
     return p
 
 
-def _by_node(headers) -> dict:
-    """{NodeId: (header, path)} from (path, header) pairs; headers must agree."""
-    found = {}
-    first = None
-    for path, header in headers:
+def _open_shards(paths: Iterable[str], stack: ExitStack, found: dict | None = None) -> dict:
+    """{NodeId: (header, handle)} for shard files, each opened once through
+    ``open_shard`` and closed by ``stack``.
+
+    Every header must match the first one in ``found`` (which the call
+    extends, when given) and name a node no other shard holds.
+    """
+    found = {} if found is None else found
+    for path in paths:
+        header, fh = open_shard(path)
+        stack.enter_context(fh)
         node = NodeId(header.e, header.g)
-        if first is None:
-            first = header
-        elif not header.matches(first):
+        if found and not header.matches(next(iter(found.values()))[0]):
             raise ValueError(f"{path}: header disagrees with the first shard's")
         if node in found:
             raise ValueError(f"duplicate shard for node {tuple(node)}")
-        found[node] = (header, path)
-    if not found:
-        raise ValueError("no shard files given")
+        found[node] = (header, fh)
     return found
 
 
 def decode_shards(loaded: Mapping[NodeId, tuple]) -> bytes:
     """Original file bytes from any k shards (fewer is an error).
 
-    ``loaded`` maps nodes to (header, payload) pairs as ``read_payload``
-    returns them; the first header describes the file. Only the payloads
+    ``loaded`` maps nodes to (header, payload bytes in file byte order)
+    pairs; the first header describes the file. Only the payloads
     of the nodes ``read_nodes`` names are used, and each of their headers
     must name its node and match the first.
     """
@@ -457,18 +443,13 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    # The header pass keeps every shard open, and the payloads the read
-    # uses come from those same handles.
+    # Every shard's header is checked; the payloads the read uses come from
+    # the same handles.
     with ExitStack() as stack:
-        handles, headers = {}, []
-        for path in _shard_paths(args.shards):
-            header, handles[path] = open_shard(path)
-            stack.enter_context(handles[path])
-            headers.append((path, header))
-        found = _by_node(headers)
+        found = _open_shards(_shard_paths(args.shards), stack)
         first = next(iter(found.values()))[0]
         nodes = read_nodes(_params_from_header(first), found)
-        loaded = {node: (found[node][0], handles[found[node][1]].read()) for node in nodes}
+        loaded = {node: (found[node][0], found[node][1].read()) for node in nodes}
     data = decode_shards(loaded)
     tmp = args.out + ".tmp"
     with open(tmp, "wb") as fh:
@@ -490,38 +471,28 @@ def cmd_repair(args) -> int:
             )
         return path
 
-    # The code comes from an in-rack survivor's header; racks hold u >= 2
-    # nodes, so (e, 0) or (e, 1) is one. Its handle also serves its payload.
+    # The code comes from the header of the probe: an in-rack survivor
+    # (racks hold u >= 2 nodes, so (e, 0) or (e, 1) is one), whose handle
+    # also serves its payload. Without it any other shard gives the grid, so
+    # that a node outside it is not reported as missing a rack mate.
     mate = NodeId(failed.e, 1 if failed.g == 0 else 0)
-    if not os.path.isfile(os.path.join(args.dir, shard_filename(*mate))):
-        # Any other shard gives the grid, so that a node outside it is not
-        # reported as missing a rack mate.
+    probe = os.path.join(args.dir, shard_filename(*mate))
+    if not os.path.isfile(probe):
         names = sorted(os.listdir(args.dir)) if os.path.isdir(args.dir) else []
-        others = [name for name in names if name.endswith(".mbrr")]
-        if others:
-            header, fh = open_shard(os.path.join(args.dir, others[0]))
-            fh.close()
-            node_index(_params_from_header(header), failed)
-    probe = require(mate)
-    probe_header, fh = open_shard(probe)
-    with fh:
-        p = _params_from_header(probe_header)
+        probe = next((os.path.join(args.dir, n) for n in names if n.endswith(".mbrr")), None)
+    with ExitStack() as stack:
+        found = _open_shards([probe or require(mate)], stack)
+        first = next(iter(found.values()))[0]
+        p = _params_from_header(first)
         rep = Repairer(p, failed, _parse_helpers(args.helpers))
-        needed = [NodeId(e, g) for e in rep.helpers for g in range(p.u)] + rep.survivors
-        loaded = {
-            path: (probe_header, fh.read()) if path == probe else read_payload(path)
-            for path in map(require, needed)
-        }
-    found = _by_node((path, header) for path, (header, _) in loaded.items())
-    if sorted(found) != sorted(needed):
-        raise ValueError(
-            f"shard files in {args.dir} do not hold the nodes their names give"
-        )
-    first = next(iter(found.values()))[0]
-    kernel = SlabKernel(p.field)
-    columns = {
-        node: kernel.split(loaded[path][1], p.alpha) for node, (_, path) in found.items()
-    }
+        others = (path for path in map(require, rep.reads) if path != probe)
+        _open_shards(others, stack, found)
+        if set(found) != set(rep.reads):
+            raise ValueError(
+                f"shard files in {args.dir} do not hold the nodes their names give"
+            )
+        kernel = SlabKernel(p.field)
+        columns = {node: kernel.split(fh.read(), p.alpha) for node, (_, fh) in found.items()}
     column, sent = rep.repair_slabs(kernel, columns)
     header = replace(first, e=failed.e, g=failed.g)
     out_dir = args.out if args.out else args.dir

@@ -170,41 +170,29 @@ class Cluster:
         self._failed.add(node)
         self._shards[node] = None
 
-    def _healthy_racks(self) -> list:
-        failed_racks = {n.e for n in self._failed}
-        return [e for e in range(self.params.nbar) if e not in failed_racks]
-
     def repair_failed(self, node, helpers: Sequence[int] | None = None) -> BandwidthLedger:
         """Regenerate a failed node on the helper racks' traffic and rejoin it.
 
         Returns the ledger over all stripes, after checking the defining
         bandwidth identity: dbar * beta cross-rack symbols per stripe, no
-        more, no less.
+        more, no less. ``Repairer`` refuses helpers it cannot use and a
+        repair that would read a failed node.
         """
         p = self.params
         node = NodeId(*node)
         node_index(p, node)
         if node not in self._failed:
             raise ValueError(f"node {node!r} is healthy: nothing to repair")
-        others = [f for f in self._failed if f.e == node.e and f != node]
-        if others:
-            raise RepairModelError(
-                f"host rack {node.e} has further failures {sorted(others)}; "
-                "the repair model covers a single failed node per rack"
-            )
         if helpers is None:
-            candidates = [e for e in self._healthy_racks() if e != node.e]
+            # The host rack holds a failed node, so it is never a candidate.
+            failed_racks = {f.e for f in self._failed}
+            candidates = [e for e in range(p.nbar) if e not in failed_racks]
             if len(candidates) < p.dbar:
                 raise RepairModelError(
                     f"only {len(candidates)} fully healthy helper racks available, "
                     f"need dbar={p.dbar}"
                 )
             helpers = candidates[: p.dbar]
-        else:
-            helpers = sorted(helpers)
-            unhealthy = [e for e in helpers if e not in self._healthy_racks()]
-            if unhealthy:
-                raise RepairModelError(f"helper racks {unhealthy} are not fully healthy")
         rep = Repairer(p, node, helpers)
         column, sent = rep.repair_slabs(self._kernel, self._shards)
         ledger = rep.slab_ledger(self._kernel, self._shards, sent)

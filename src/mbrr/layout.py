@@ -39,6 +39,7 @@ What the geometry alone fixes, here and in other modules, is built once per
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field as dc_field
 from typing import Iterator, NamedTuple, Sequence
 
@@ -329,6 +330,22 @@ def fill_message_matrix(p: CodeParams, data: Sequence[int]) -> MessageMatrix:
     return MessageMatrix(p, rows)
 
 
+def _first_difference(p: CodeParams, a, b) -> str:
+    """'stripe t: x != y' where cells a and b first differ. A cell is a field
+    int (the same in every stripe), a list slab or a byte slab of
+    (m+7)//8-byte symbols (see ``slab``), so the text stays short."""
+    cells = []
+    for cell in (a, b):
+        if isinstance(cell, bytes):
+            w = (p.field.m + 7) // 8
+            cell = [int.from_bytes(cell[j : j + w], "big") for j in range(0, len(cell), w)]
+        cells.append(itertools.repeat(cell) if isinstance(cell, int) else cell)
+    for t, (x, y) in enumerate(zip(*cells)):
+        if x != y:
+            return f"stripe {t}: {x!r} != {y!r}"
+    return "cells differ in length or type"
+
+
 def unfill_message_matrix(M: MessageMatrix) -> list:
     """Recover the data vector from a message matrix, verifying structure.
 
@@ -351,14 +368,15 @@ def unfill_message_matrix(M: MessageMatrix) -> list:
             if s is None:
                 if v != 0:
                     raise IntegrityError(
-                        f"structural zero at row {i}, column {pos} holds {v!r}"
+                        f"structural zero at row {i}, column {pos}, "
+                        f"{_first_difference(p, v, 0)}"
                     )
             elif fresh[i][pos]:
                 out[s] = v
             elif v != out[s]:
                 raise IntegrityError(
-                    f"symmetry violation at row {i}, column {pos}: "
-                    f"{v!r} != {out[s]!r}"
+                    f"symmetry violation at row {i}, column {pos}, "
+                    f"{_first_difference(p, v, out[s])}"
                 )
     return out
 

@@ -106,15 +106,14 @@ class Decoder:
     def reconstruct(self, cols: Mapping[NodeId, Sequence[int]]) -> MessageMatrix:
         """Recover the message matrix from ``{node: column}`` for this decoder's nodes.
 
-        Runs ``decode_slabs`` on one-lane slabs, one per symbol.
+        Runs ``decode_slabs``, which checks the columns, on one-lane slabs,
+        one per symbol.
         """
-        p = self.p
-        _check_observation(p, cols)
         if tuple(sorted(cols)) != self.ids:
             raise ValueError("observed nodes do not match this decoder")
         slabs = {node: [[s] for s in col] for node, col in cols.items()}
         data = self.decode_slabs(self._kernel, slabs)
-        return fill_message_matrix(p, [s[0] for s in data])
+        return fill_message_matrix(self.p, [s[0] for s in data])
 
     def decode_slabs(self, kernel, columns: Mapping[NodeId, Sequence[bytes]]) -> list:
         """The B data slabs, in fill order, from this decoder's nodes' slabs.

@@ -65,7 +65,6 @@ from .layout import (
     node_index,
 )
 from .linalg import BatchInterpolator, dot, poly_eval
-from .reconstruct import _check_observation
 from .slab import ListSlabKernel
 
 __all__ = [
@@ -173,8 +172,9 @@ def _default_helpers(p: CodeParams, e_star: int) -> tuple:
 class Repairer:
     """Repair maps for one failed node and helper-rack set.
 
-    ``helpers`` (sorted rack indices) and ``survivors`` (the failed node's
-    u-1 rack mates) name every node a repair reads. Construction builds
+    ``helpers`` holds the sorted helper rack indices and ``survivors`` the
+    failed node's u-1 rack mates. ``reads`` lists every node a repair
+    reads: the helper racks' nodes, then the survivors. Construction builds
     the maps, so repairing many stripes costs only their application.
     """
 
@@ -202,6 +202,7 @@ class Repairer:
         self.failed = failed
         self.helpers = helpers
         self.survivors = [NodeId(failed.e, g) for g in range(p.u) if g != failed.g]
+        self.reads = [NodeId(e, g) for e in helpers for g in range(p.u)] + self.survivors
         self._helper_maps, self._host = self._build_maps()
         self._kernel = ListSlabKernel(p.field)  # runs the maps for ``repair``
 
@@ -213,21 +214,17 @@ class Repairer:
                 f"in-rack survivor {node!r} unavailable; cannot repair "
                 f"{self.failed!r} (single-failure model)"
                 if node.e == self.failed.e
-                else f"helper rack {node.e} is incomplete: node {node!r} unavailable"
+                else f"helper rack {node.e} is not fully healthy: node {node!r} unavailable"
             )
         return col
 
     def repair(self, columns: Mapping[NodeId, Sequence[int]]):
         """Regenerate the failed column; returns (column, BandwidthLedger).
 
-        Only the helper racks' and the survivors' columns are read. Runs
-        ``repair_slabs`` on one-lane slabs, one per symbol.
+        Only the columns of ``reads`` are read. Runs ``repair_slabs``, which
+        checks them, on one-lane slabs, one per symbol.
         """
-        p = self.p
-        nodes = [NodeId(e, g) for e in self.helpers for g in range(p.u)] + self.survivors
-        read = {node: self._read(columns, node) for node in nodes}
-        _check_observation(p, read)
-        slabs = {node: [[s] for s in col] for node, col in read.items()}
+        slabs = {node: [[s] for s in columns[node]] for node in self.reads if node in columns}
         column, sent = self.repair_slabs(self._kernel, slabs)
         return [s[0] for s in column], self.slab_ledger(self._kernel, slabs, sent)
 
@@ -261,29 +258,26 @@ class Repairer:
         """The lost node's alpha slabs, and the slab each helper rack sent.
 
         ``columns`` maps nodes to their alpha slabs (see ``slab``); only
-        the helper racks and the u-1 in-rack survivors are read. Each helper
-        rack's map runs over that rack's own slabs and yields the one slab
-        it sends across racks; ``sent`` maps each helper rack to that slab.
-        The host map then runs over the received slabs followed by the
-        survivors' slabs.
+        the nodes of ``reads`` are read, and all of them are checked before
+        any map runs. Each helper rack's map runs over that rack's own slabs
+        and yields the one slab it sends across racks; ``sent`` maps each
+        helper rack to that slab. The host map then runs over the received
+        slabs followed by the survivors' slabs.
         """
         p = self.p
-
-        def rows_of(node):
-            col = self._read(columns, node)
+        read = {node: self._read(columns, node) for node in self.reads}
+        for node, col in read.items():
             if len(col) != p.alpha:
                 raise ValueError(
                     f"node {node!r} has {len(col)} slabs, expected alpha={p.alpha}"
                 )
-            return col
-
         sent = {}
         for e in self.helpers:
-            slabs = [slab for g in range(p.u) for slab in rows_of(NodeId(e, g))]
+            slabs = [slab for g in range(p.u) for slab in read[NodeId(e, g)]]
             sent[e] = kernel.apply(self._helper_maps[e], slabs)[0]
         inputs = [sent[e] for e in self.helpers]
         for node in self.survivors:
-            inputs += rows_of(node)
+            inputs += read[node]
         return kernel.apply(self._host, inputs), sent
 
     def slab_ledger(self, kernel, columns: Mapping[NodeId, Sequence], sent) -> BandwidthLedger:

@@ -464,6 +464,40 @@ def test_cmd_repair_names_missing_shard(tmp_path, capsys, lost):
     assert f"node {lost}" in err
 
 
+def test_cmd_repair_checks_shard_identity(tmp_path, capsys):
+    """The header, not the file name, says which node a shard holds; a shard
+    of a node the repair does not read, or of another file, is refused and
+    no shard is written."""
+    shard_dir = encode_five_racks(tmp_path, capsys)
+    victim = shard_dir / shard_filename(0, 0)
+    want = victim.read_bytes()
+    victim.unlink()
+    a, b = shard_dir / shard_filename(1, 0), shard_dir / shard_filename(1, 1)
+    blob_a, blob_b = a.read_bytes(), b.read_bytes()
+    a.write_bytes(blob_b)
+    b.write_bytes(blob_a)
+    rc, _, err = run_cli(capsys, "repair", shard_dir, 0, 0)
+    assert rc == 0, err
+    assert victim.read_bytes() == want
+
+    victim.unlink()
+    a.write_bytes((shard_dir / shard_filename(4, 0)).read_bytes())
+    rc, _, err = run_cli(capsys, "repair", shard_dir, 0, 0)
+    assert rc == 2 and "do not hold the nodes their names give" in err
+    assert not victim.exists()
+    a.write_bytes(blob_a)
+    b.write_bytes(blob_b)
+
+    other = tmp_path / "other.bin"
+    other.write_bytes(random.Random(509).randbytes(2000))
+    run_cli(capsys, "encode", other, 15, 7, 3, 3, "--out", tmp_path / "other")
+    mate = shard_filename(0, 1)
+    (shard_dir / mate).write_bytes((tmp_path / "other" / mate).read_bytes())
+    rc, _, err = run_cli(capsys, "repair", shard_dir, 0, 0)
+    assert rc == 2 and "disagrees" in err
+    assert not victim.exists()
+
+
 @pytest.mark.parametrize("failed", [(5, 0), (6, 1), (0, 3), (2, 7)])
 def test_cmd_repair_names_node_outside_grid(tmp_path, capsys, failed):
     """A node outside the 5 x 3 grid is named as such, with or without a
@@ -515,6 +549,24 @@ def test_cmd_decode_rejects_mixed_headers(tmp_path, capsys):
     rc, _, err = run_cli(capsys, "decode", *mixed, "--out", tmp_path / "out.bin")
     assert rc == 2
     assert "disagrees" in err
+
+
+def test_cmd_decode_names_corrupt_stripe_briefly(tmp_path, capsys):
+    """One flipped payload byte is refused with a short message naming its
+    stripe, not with the whole disagreeing slabs."""
+    src = tmp_path / "input.bin"
+    src.write_bytes(random.Random(510).randbytes(100_000))
+    shard_dir = tmp_path / "shards"
+    run_cli(capsys, "encode", src, 12, 7, 3, 3, "--out", shard_dir)
+    shard = shard_dir / shard_filename(1, 0)
+    blob = bytearray(shard.read_bytes())
+    blob[HEADER_SIZE + 5000] ^= 0x01  # symbol 5,000: row 2 of stripe 1,666
+    shard.write_bytes(bytes(blob))
+    lowest = [shard_dir / shard_filename(e, g) for e, g in
+              [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0)]]
+    rc, _, err = run_cli(capsys, "decode", *lowest, "--out", tmp_path / "out.bin")
+    assert rc == 2
+    assert len(err.encode()) < 200 and "stripe 1666" in err
 
 
 def test_cmd_decode_rejects_duplicate_nodes(tmp_path, capsys):

@@ -211,6 +211,8 @@ def test_explicit_unhealthy_helper_rejected():
     c.fail_node(NodeId(2, 0))
     with pytest.raises(RepairModelError, match="not fully healthy"):
         c.repair_failed(NodeId(0, 0), helpers=[1, 2, 3])
+    with pytest.raises(ValueError, match="own rack"):
+        c.repair_failed(NodeId(0, 0), helpers=[0, 1, 3])
     ledger = c.repair_failed(NodeId(0, 0), helpers=[1, 3, 4])
     assert sorted(ledger.per_helper) == [1, 3, 4]
 
