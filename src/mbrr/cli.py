@@ -353,10 +353,8 @@ def decode_shards(loaded: Mapping[NodeId, tuple]) -> bytes:
         raise ValueError("no shards given")
     first = next(iter(loaded.values()))[0]
     p = _params_from_header(first)
-    nodes = read_nodes(p, loaded)
-    kernel = SlabKernel(p.field)
-    columns = {}
-    for node in nodes:
+    payloads = {}
+    for node in read_nodes(p, loaded):
         header, payload = loaded[node]
         if (header.e, header.g) != node:
             raise ValueError(f"node {tuple(node)}: header is for node ({header.e}, {header.g})")
@@ -367,8 +365,16 @@ def decode_shards(loaded: Mapping[NodeId, tuple]) -> bytes:
                 f"node {tuple(node)}: payload is {len(payload)} bytes, "
                 f"header says {first.payload_length}"
             )
-        columns[node] = kernel.split(payload, p.alpha)
-    data = read_slabs(kernel, p, columns, nodes, first.systematic)
+        payloads[node] = payload
+    return _decode_payloads(p, first, payloads)
+
+
+def _decode_payloads(p: CodeParams, first: ShardHeader, payloads: Mapping[NodeId, bytes]) -> bytes:
+    """The file bytes from the payloads of the nodes ``read_nodes`` names,
+    whose headers the caller has checked against ``first``."""
+    kernel = SlabKernel(p.field)
+    columns = {node: kernel.split(payload, p.alpha) for node, payload in payloads.items()}
+    data = read_slabs(kernel, p, columns, list(payloads), first.systematic)
     return kernel.join(data)[: first.original_length]
 
 
@@ -443,14 +449,14 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    # Every shard's header is checked; the payloads the read uses come from
-    # the same handles.
+    # _open_shards checks every shard's header, once; the payloads the read
+    # uses come from the same handles.
     with ExitStack() as stack:
         found = _open_shards(_shard_paths(args.shards), stack)
         first = next(iter(found.values()))[0]
-        nodes = read_nodes(_params_from_header(first), found)
-        loaded = {node: (found[node][0], found[node][1].read()) for node in nodes}
-    data = decode_shards(loaded)
+        p = _params_from_header(first)
+        payloads = {node: found[node][1].read() for node in read_nodes(p, found)}
+    data = _decode_payloads(p, first, payloads)
     tmp = args.out + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(data)

@@ -14,24 +14,70 @@ slabs too, on B lanes, lane j standing for the unit data vector e_j:
 ``systematic.precoding_matrix`` runs the five steps of the systematic
 transform over B unit-lane slabs, and ``systematic.systematic_encode_map``
 applies the generator rows of the non-data cells (``encode.encode_rows``)
-to the precoding rows packed as B-lane slabs. In the kernel:
+to the precoding rows packed as B-lane slabs.
 
-* addition is XOR of the slabs read as integers (``int.from_bytes``);
-* in GF(2^8), multiplying by a constant c is ``slab.translate(T_c)``
-  with a 256-byte product table T_c, built the first time a map uses c.
-  This is the table multiply of Plank, Greenan and Miller, "Screaming Fast
-  Galois Field Arithmetic Using Intel SIMD Instructions" (FAST 2013), with
-  a single table because a symbol is a single byte;
-* in GF(2^16), a slab read as one big-endian integer holds its symbols
-  in 16-bit lanes, and doubling every lane at once is a masked shift that
-  adds the reduction polynomial to the lanes whose top bit overflowed.
-  A slab's 16 doublings are taken once and grouped into eight 2-bit
-  windows (0, x, 2x, 3x times 4**w), so c * slab is eight lookups and
-  seven XORs of short integers. Per-constant tables would not pay off
-  here: the geometries that need this field have large maps (10,484
-  nonzero systematic-encode constants at (50,44,5,8)) whose constants are
-  mostly used once per command, and per-symbol log/exp lookups scatter over
-  tables of 65,536 entries.
+In the kernel a slab read as one big-endian integer (``int.from_bytes``)
+holds its symbols in m-bit lanes. Addition is XOR of those integers.
+Doubling every lane at once is a masked shift that adds the reduction
+polynomial to the lanes whose top bit overflowed. ``SlabKernel.apply``
+runs a map on one of two schedules:
+
+* **windowed**: each input slab is prepared once, then each non-unit
+  entry c costs one product c * slab. In GF(2^8) the product is
+  ``slab.translate(T_c)`` with a 256-byte table T_c, the table multiply of
+  Plank, Greenan and Miller, "Screaming Fast Galois Field Arithmetic Using
+  Intel SIMD Instructions" (FAST 2013), and preparing is nothing. In
+  GF(2^16) preparing takes the slab's 16 doublings, grouped into eight
+  2-bit windows (0, x, 2x, 3x times 4**w), and a product is eight lookups
+  and seven XORs. Per-constant tables do not pay off there: a 65,536-entry
+  table per constant costs more than the slabs it would multiply.
+* **bit-serial**: no preparation. For each output row, the inputs whose
+  constant has bit b set are XORed into a partial sum s_b, and Horner's
+  rule over the bits from the top, ``acc = 2 * acc + s_b``, gives the row:
+  m doublings per row and one XOR per set bit of each constant.
+
+Windowed pays per input and per product; bit-serial pays per row and per
+set bit. ``apply`` picks the cheaper from counts that cost O(rows) Python
+work (``row.count``): r rows, n nonzero entries of which t are not 1, and
+the inputs, taken as min(columns, t) prepared and min(columns, n) read; a
+constant is taken to have m/2 set bits. With L lanes per slab and each
+cost a + b*L nanoseconds,
+
+    windowed   = min(columns, t) * P + t * T
+    bit-serial = r * m * D + t * (m/2) * X + min(columns, n) * F
+
+P prepares an input, T is one product (in GF(2^8) with its share of
+building the table, as a kernel lives for one command), D is one doubling,
+X one XOR into a partial sum, its fixed part being the interpreter's cost
+per set bit, and F one ``int.from_bytes``. Unit entries cost one XOR on
+either schedule, and a map with t = 0 runs windowed. The constants
+(``_COSTS``) are a non-negative least-squares fit, weighted by relative
+error, to timings of both schedules on fresh kernels, best of 3 to 7: random
+maps from 1 x 5 to 76 x 324 with 1 to 131,072 lanes, and every map the
+CLI applies at (12,7,3,3) and (50,44,5,8), with CPython 3.11.7 on a 2-core
+x86-64 host. Measured there, per apply:
+
+    field     map      lanes    where                        windowed  bit-serial
+    GF(2^16)  1 x 40       51   repair, each helper rack      0.33 ms   0.05 ms
+    GF(2^16)  1 x 40    1,619   the same, 1 MiB file          3.6 ms    0.45 ms
+    GF(2^16)  8 x 40       51   repair, host rack             0.44 ms   0.18 ms
+    GF(2^16)  76 x 324    324   systematic encode map build  15.3 ms    8.1 ms
+    GF(2^16)  76 x 324     51   systematic encode            10.8 ms   10.9 ms
+    GF(2^16)  44 x 44      51   decode, each pass step        1.6 ms    1.8 ms
+    GF(2^16)  36 x 20   1,618   random, 80% nonzero           3.8 ms    5.4 ms
+    GF(2^8)   1 x 9    13,108   repair, each helper rack      0.44 ms   0.25 ms
+    GF(2^8)   36 x 20  13,108   encode                        6.6 ms    5.0 ms
+    GF(2^8)   1 x 9   131,072   random                        2.7 ms    5.0 ms
+
+So bit-serial wins where each input feeds few outputs, above all in the
+minimum-bandwidth repair, where a helper rack's map is one row. In
+GF(2^16) a prepared input costs about what m doublings of an output
+cost, and a product about what m/2 partial-sum XORs cost, so windowed
+wins on maps with more rows than columns and the two tie on square ones.
+In GF(2^8) windowed needs no preparation, but each constant's table is
+built once per kernel, so bit-serial wins on the CLI's maps. The model is
+linear in L and misses what happens once slabs outgrow the cache: it picks
+bit-serial for the last row, where windowed is 1.8x faster.
 
 ``ListSlabKernel`` applies the same maps, with the same contract, to slabs
 that are lists of field ints, over any field. The cluster simulator keeps
@@ -49,12 +95,25 @@ from .linalg import _product_width, matmul
 
 __all__ = ["SlabKernel", "ListSlabKernel"]
 
+# The set bits of each byte value, as bit positions in a constant's low byte
+# and in its high byte: the bit-serial schedule splits a constant into bytes.
+_LOW_BITS = tuple(tuple(b for b in range(8) if v >> b & 1) for v in range(256))
+_HIGH_BITS = tuple(tuple(b + 8 for b in bits) for bits in _LOW_BITS)
+
+# The cost model's (a, b) pairs, a + b*L nanoseconds on L lanes, by m; see
+# the module docstring for the terms and the host they were measured on.
+_COSTS = {
+    8: dict(P=(0, 0), T=(4900, 2.7), D=(710, 1.0), X=(130, 0.1), F=(110, 1.1)),
+    16: dict(P=(4000, 33), T=(650, 1.3), D=(200, 2.2), X=(85, 0.14), F=(250, 2.1)),
+}
+
 
 class SlabKernel:
     """Applies GF(2^8) or GF(2^16) matrices to equal-length byte slabs.
 
-    Product tables and lane masks are built per instance on first use, so
-    a kernel lives as long as the plan that uses it.
+    Product tables and lane masks are built per instance on first use, and
+    the last map's entry counts are kept, so a kernel lives as long as the
+    plan that uses it.
     """
 
     def __init__(self, field):
@@ -64,7 +123,8 @@ class SlabKernel:
         self.width = field.m // 8  # bytes per symbol
         self._format = "B" if field.m == 8 else "H"
         self._tables: dict = {}  # GF(2^8) product table by constant
-        self._masks: dict = {}  # GF(2^16) lane masks by slab length
+        self._masks: dict = {}  # lane masks by slab length
+        self._counted: tuple = (None, 0, 0)  # last map, its nonzero and unit entries
         if field.m == 8:
             self._prepare, self._times = self._prepare8, self._times8
         else:
@@ -105,6 +165,38 @@ class SlabKernel:
     def apply(self, matrix: Sequence[Sequence[int]], slabs: Sequence[bytes]) -> list:
         """Output slab r is the sum over j of ``matrix[r][j] * slabs[j]``."""
         size = _product_width(matrix, slabs)
+        if self._serial_is_cheaper(matrix, size):
+            out = self._apply_serial(matrix, slabs)
+        else:
+            out = self._apply_windowed(matrix, slabs)
+        return [v.to_bytes(size, "big") for v in out]
+
+    def _serial_is_cheaper(self, matrix, size: int) -> bool:
+        """The module docstring's cost model, from O(rows) C-level counts.
+
+        The last map's counts are kept, because plans apply one map to many
+        slab positions in a row (the decoder's 44 x 44 maps 8 times a file),
+        and counting costs about 3% of such a windowed apply. A map changed
+        in place keeps its old counts, which can only pick the slower schedule.
+        """
+        if self._counted[0] is not matrix:
+            nonzero = unit = 0
+            for row in matrix:
+                nonzero += len(row) - row.count(0)
+                unit += row.count(1)
+            self._counted = (matrix, nonzero, unit)
+        _, nonzero, unit = self._counted
+        other = nonzero - unit
+        if not other:
+            return False  # sums only: the same XORs on either schedule
+        m, lanes, cols = self.field.m, size // self.width, len(matrix[0])
+        c = {term: a + b * lanes for term, (a, b) in _COSTS[m].items()}
+        windowed = min(cols, other) * c["P"] + other * c["T"]
+        serial = len(matrix) * m * c["D"] + other * (m // 2) * c["X"] + min(cols, nonzero) * c["F"]
+        return serial < windowed
+
+    def _apply_windowed(self, matrix, slabs) -> list:
+        """Prepare each input once, then one ``_times`` per non-unit entry."""
         acc = [0] * len(matrix)
         # One input slab at a time into every output, so however many slabs
         # the map reads, one is held as an int (for c == 1) and as _times takes it.
@@ -119,9 +211,51 @@ class SlabKernel:
                     if ready is None:
                         ready = self._prepare(slab)
                     acc[r] ^= self._times(c, ready)
-        for r, v in enumerate(acc):
-            acc[r] = v.to_bytes(size, "big")
         return acc
+
+    def _apply_serial(self, matrix, slabs) -> list:
+        """Horner over the bits of each row's constants, from the top bit."""
+        m = self.field.m
+        top, rest, poly = self._lanes(len(slabs[0]) if slabs else 0)
+        shift = m - 1
+        plain = [None] * len(slabs)  # inputs as ints, each converted once
+        out = []
+        for row in matrix:
+            sums = [0] * m  # sums[b]: XOR of the inputs whose constant has bit b
+            for j, c in enumerate(row):
+                if c:
+                    x = plain[j]
+                    if x is None:
+                        x = plain[j] = int.from_bytes(slabs[j], "big")
+                    for b in _LOW_BITS[c & 255]:
+                        sums[b] ^= x
+                    for b in _HIGH_BITS[c >> 8]:
+                        sums[b] ^= x
+            acc = 0
+            for s in reversed(sums):
+                if acc:  # doubling 0 is 0: leading zero sums cost nothing
+                    acc = ((acc & rest) << 1) ^ ((acc & top) >> shift) * poly
+                acc ^= s
+            out.append(acc)
+        return out
+
+    def _lanes(self, size: int) -> tuple:
+        """Masks that double every lane of a ``size``-byte slab at once.
+
+        Doubling is ``((x & rest) << 1) ^ ((x & top) >> (m - 1)) * poly``:
+        ``(x & top) >> (m - 1)`` is 0 or 1 per lane, so multiplying it by
+        poly reduces exactly the lanes whose top bit overflowed.
+        """
+        masks = self._masks.get(size)
+        if masks is None:
+            m, w = self.field.m, self.width
+            lanes = size // w
+            masks = self._masks[size] = (
+                int.from_bytes((1 << m - 1).to_bytes(w, "big") * lanes, "big"),
+                int.from_bytes(((1 << m - 1) - 1).to_bytes(w, "big") * lanes, "big"),
+                self.field.primitive_poly ^ 1 << m,  # x**m reduced
+            )
+        return masks
 
     # GF(2^8): a slab is multiplied as is, through a 256-byte table.
 
@@ -141,20 +275,10 @@ class SlabKernel:
     # GF(2^16): a slab is multiplied through its doublings, all lanes at once.
 
     def _prepare16(self, slab: bytes) -> list:
-        masks = self._masks.get(len(slab))
-        if masks is None:
-            lanes = len(slab) // 2
-            masks = self._masks[len(slab)] = (
-                int.from_bytes(b"\x80\x00" * lanes, "big"),  # each lane's top bit
-                int.from_bytes(b"\x7f\xff" * lanes, "big"),  # the other 15 bits
-                self.field.primitive_poly ^ 0x10000,  # x**16 reduced
-            )
-        top, rest, poly = masks
+        top, rest, poly = self._lanes(len(slab))
         x = int.from_bytes(slab, "big")
         windows = []  # window w: 0, 1, 2, 3 times 4**w * slab
         for _ in range(8):
-            # Double every lane; (x & top) >> 15 is 0 or 1 per lane, so
-            # multiplying it by poly reduces exactly the overflowed lanes.
             x2 = ((x & rest) << 1) ^ ((x & top) >> 15) * poly
             windows.append((0, x, x2, x ^ x2))
             x = ((x2 & rest) << 1) ^ ((x2 & top) >> 15) * poly

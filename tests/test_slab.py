@@ -7,6 +7,7 @@ the data and ``oracle_reconstruct``, a repaired column against the stored
 one, and each helper rack's sent slab against the M1 symmetry identity.
 """
 
+import functools
 import random
 
 import pytest
@@ -21,7 +22,7 @@ from mbrr.cli import (
     shard_filename,
     symbols_to_bytes,
 )
-from mbrr.encode import encode, encode_slabs
+from mbrr.encode import encode, encode_rows, encode_slabs
 from mbrr.gf import binary_field, prime_field
 from mbrr.layout import (
     IntegrityError,
@@ -34,7 +35,13 @@ from mbrr.linalg import dot, mat_vec
 from mbrr.reconstruct import Decoder, oracle_reconstruct
 from mbrr.repair import Repairer, rack_point
 from mbrr.slab import ListSlabKernel, SlabKernel
-from mbrr.systematic import read_systematic_data, systematic_message_matrix, systematic_nodes
+from mbrr.systematic import (
+    precoding_matrix,
+    read_systematic_data,
+    systematic_encode_map,
+    systematic_message_matrix,
+    systematic_nodes,
+)
 from support import PARAM_SETS, params
 
 # ---------------------------------------------------------------- kernel
@@ -80,6 +87,20 @@ def test_apply_matches_field_arithmetic(m):
         assert bytes_to_symbols(slab, m) == want
 
 
+def test_apply_after_a_map_changes_in_place():
+    """The kernel keeps the last map's entry counts for choosing a
+    schedule; a map changed in place between applies still gives exact
+    products on whichever schedule runs."""
+    f = binary_field(16)
+    kernel = SlabKernel(f)
+    slabs = [kernel.pack([3, 0x8000, 0xFFFF]), kernel.pack([7, 1, 0xF006])]
+    matrix = [[1, 1]]
+    assert kernel.unpack(kernel.apply(matrix, slabs)[0]) == [3 ^ 7, 0x8001, 0xFFFF ^ 0xF006]
+    matrix[0][:] = [0xFFFF, 0x8000]
+    want = [f.add(f.mul(0xFFFF, a), f.mul(0x8000, b)) for a, b in zip(*map(kernel.unpack, slabs))]
+    assert kernel.unpack(kernel.apply(matrix, slabs)[0]) == want
+
+
 def test_gf16_multiply_covers_every_bit_and_overflow():
     """Each bit of a GF(2^16) constant picks its own doubling of the slab,
     and every doubling reduces the lanes whose top bit overflows."""
@@ -92,6 +113,101 @@ def test_gf16_multiply_covers_every_bit_and_overflow():
         got = kernel.apply([[c] for c in constants], [symbols_to_bytes(syms, 16)])
         for c, slab in zip(constants, got):
             assert bytes_to_symbols(slab, 16) == [f.mul(c, s) for s in syms]
+
+
+@functools.cache
+def _overflow_lane(m):
+    """The GF(2^m) symbol whose top bit is set before each of m doublings."""
+    f = binary_field(m)
+    for v in range(1, f.q):
+        x = v
+        for _ in range(m):
+            if not x >> (m - 1):
+                break
+            x = f.mul(2, x)
+        else:
+            return v
+    raise AssertionError(f"no GF(2^{m}) symbol overflows at every doubling")
+
+
+@st.composite
+def _schedule_cases(draw):
+    m = draw(st.sampled_from([8, 16]))
+    q = 1 << m
+    special = [0, 1, q - 1, 1 << (m - 1), _overflow_lane(m)]
+    entry = st.one_of(st.sampled_from(special), st.integers(0, q - 1))
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    lanes = draw(st.integers(1, 6))
+    matrix = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    if draw(st.booleans()):
+        matrix[draw(st.integers(0, rows - 1))] = [0] * cols  # an all-zero row
+    if draw(st.booleans()):
+        dead = draw(st.integers(0, cols - 1))
+        for row in matrix:
+            row[dead] = 0  # an all-zero column
+    syms = draw(st.lists(st.lists(entry, min_size=lanes, max_size=lanes), min_size=cols, max_size=cols))
+    return m, matrix, syms
+
+
+@settings(max_examples=150, deadline=None)
+@given(_schedule_cases())
+def test_both_schedules_match_field_arithmetic(case):
+    """The windowed and bit-serial schedules, each run directly, equal
+    f.mul/f.add lane by lane, including the constants q-1 and 2**(m-1)
+    and lanes that overflow at every doubling."""
+    m, matrix, syms = case
+    f = binary_field(m)
+    kernel = SlabKernel(f)
+    slabs = [kernel.pack(col) for col in syms]
+    size = len(slabs[0])
+    want = []
+    for row in matrix:
+        out = []
+        for pos in range(len(syms[0])):
+            acc = 0
+            for c, col in zip(row, syms):
+                acc = f.add(acc, f.mul(c, col[pos]))
+            out.append(acc)
+        want.append(out)
+    for schedule in (kernel._apply_windowed, kernel._apply_serial):
+        got = [kernel.unpack(v.to_bytes(size, "big")) for v in schedule(matrix, slabs)]
+        assert got == want, schedule.__name__
+
+
+def test_cost_model_choices_on_the_cli_maps():
+    """The schedule the cost model picks for the maps the CLI applies, on
+    the benchmark's slab lengths. At (50,44,5,8) over GF(2^16) with 51 lanes
+    (a 32 KiB file), the repair maps and the systematic encode map run
+    bit-serial and the decoder's square maps run windowed. At (12,7,3,3)
+    over GF(2^8) with 13,108 lanes (256 KiB), the repair and encode maps run
+    bit-serial."""
+    p = file_params(50, 44, 5, 8, 16)
+    kernel = SlabKernel(p.field)
+    rep = Repairer(p, NodeId(9, 0))
+    dec = Decoder(p, list(all_nodes(p))[1:44] + [NodeId(9, 4)])
+    _, encode_map = systematic_encode_map(p, precoding_matrix(p))
+    maps = {
+        "helper": [rep._helper_maps[e] for e in rep.helpers],
+        "host": [rep._host],
+        "encode": [encode_map],
+        "decoder": [dec._bottom, dec._top],
+    }
+    shapes = {name: {(len(m), len(m[0])) for m in group} for name, group in maps.items()}
+    assert shapes == {
+        "helper": {(1, 40)}, "host": {(8, 40)}, "encode": {(76, 324)}, "decoder": {(44, 44)}
+    }
+    serial = {"helper", "host", "encode"}
+    for name, group in maps.items():
+        for matrix in group:
+            assert kernel._serial_is_cheaper(matrix, 51 * 2) == (name in serial), name
+    p8 = file_params(12, 7, 3, 3, 8)
+    kernel8 = SlabKernel(p8.field)
+    rep8 = Repairer(p8, NodeId(1, 1))
+    cells = [(i, node) for node in all_nodes(p8) for i in range(p8.alpha)]
+    encode8 = encode_rows(p8, cells)
+    assert [len(encode8), len(encode8[0])] == [36, 20]
+    for matrix in [encode8, rep8._host] + [rep8._helper_maps[e] for e in rep8.helpers]:
+        assert kernel8._serial_is_cheaper(matrix, 13108)
 
 
 def test_kernel_rejects_bad_input():
