@@ -20,64 +20,70 @@ In the kernel a slab read as one big-endian integer (``int.from_bytes``)
 holds its symbols in m-bit lanes. Addition is XOR of those integers.
 Doubling every lane at once is a masked shift that adds the reduction
 polynomial to the lanes whose top bit overflowed. ``SlabKernel.apply``
-runs a map on one of two schedules:
+runs a map over its slabs in chunks of at most ``_CHUNK`` (16 KiB), so
+what a schedule holds stays in the cache and its cost stays linear in the
+slab length, on one of two schedules:
 
-* **windowed**: each input slab is prepared once, then each non-unit
-  entry c costs one product c * slab. In GF(2^8) the product is
-  ``slab.translate(T_c)`` with a 256-byte table T_c, the table multiply of
-  Plank, Greenan and Miller, "Screaming Fast Galois Field Arithmetic Using
-  Intel SIMD Instructions" (FAST 2013), and preparing is nothing. In
-  GF(2^16) preparing takes the slab's 16 doublings, grouped into eight
-  2-bit windows (0, x, 2x, 3x times 4**w), and a product is eight lookups
-  and seven XORs. Per-constant tables do not pay off there: a 65,536-entry
-  table per constant costs more than the slabs it would multiply.
-* **bit-serial**: no preparation. For each output row, the inputs whose
-  constant has bit b set are XORed into a partial sum s_b, and Horner's
-  rule over the bits from the top, ``acc = 2 * acc + s_b``, gives the row:
-  m doublings per row and one XOR per set bit of each constant.
+* **bit-serial**: for each output row, the inputs whose constant has bit
+  b set are XORed into a partial sum s_b, and Horner's rule over the bits
+  from the top, ``acc = 2 * acc + s_b``, gives the row: m doublings per
+  row and one XOR per set bit of each constant, and no preparation.
+* **windowed**, GF(2^16) only: each input slab is prepared once, its 16
+  doublings grouped into eight 2-bit windows (0, x, 2x, 3x times 4**w),
+  then each non-unit entry c costs one product c * slab, eight lookups and
+  seven XORs. Per-constant tables do not pay off: a 65,536-entry table per
+  constant costs more than the slabs it would multiply.
 
-Windowed pays per input and per product; bit-serial pays per row and per
-set bit. ``apply`` picks the cheaper from counts that cost O(rows) Python
-work (``row.count``): r rows, n nonzero entries of which t are not 1, and
-the inputs, taken as min(columns, t) prepared and min(columns, n) read; a
-constant is taken to have m/2 set bits. With L lanes per slab and each
-cost a + b*L nanoseconds,
+GF(2^8) maps always run bit-serial. The windowed alternative there is the
+table multiply of Plank, Greenan and Miller, "Screaming Fast Galois Field
+Arithmetic Using Intel SIMD Instructions" (FAST 2013): ``slab.translate``
+with a 256-byte table per constant, built once per kernel. On the slabs of
+a 256 KiB file at (12,7,3,3) (13,108 lanes) bit-serial was faster on every
+map the CLI applies, 5.0 against 6.6 ms for the 36 x 20 encode map, as
+building the tables costs more than it saves there. On much longer slabs
+the table multiply moves fewer bytes: repairing a 10 MiB file (524,288
+lanes) spent 82 ms in its four maps against 68 ms, while encoding and
+decoding it were 5 to 10% faster bit-serial. With no benchmark workload
+on that side, GF(2^8) keeps one schedule.
+
+Over GF(2^16) windowed pays per input and per product, bit-serial per row
+and per set bit. ``apply`` picks from counts that cost O(rows) Python work
+(``row.count``): r rows, n nonzero entries of which t are not 1, and the
+inputs, taken as min(columns, t) prepared and min(columns, n) read; a
+constant is taken to have 8 set bits. With L lanes per chunk and each cost
+a + b*L nanoseconds,
 
     windowed   = min(columns, t) * P + t * T
-    bit-serial = r * m * D + t * (m/2) * X + min(columns, n) * F
+    bit-serial = r * 16 * D + t * 8 * X + min(columns, n) * F
 
-P prepares an input, T is one product (in GF(2^8) with its share of
-building the table, as a kernel lives for one command), D is one doubling,
-X one XOR into a partial sum, its fixed part being the interpreter's cost
-per set bit, and F one ``int.from_bytes``. Unit entries cost one XOR on
-either schedule, and a map with t = 0 runs windowed. The constants
-(``_COSTS``) are a non-negative least-squares fit, weighted by relative
-error, to timings of both schedules on fresh kernels, best of 3 to 7: random
-maps from 1 x 5 to 76 x 324 with 1 to 131,072 lanes, and every map the
-CLI applies at (12,7,3,3) and (50,44,5,8), with CPython 3.11.7 on a 2-core
-x86-64 host. Measured there, per apply:
+P prepares an input, T is one product, D is one doubling, X one XOR into a
+partial sum, its fixed part being the interpreter's cost per set bit, and
+F one ``int.from_bytes``. Unit entries cost one XOR on either schedule,
+and a map with t = 0 runs windowed. The constants (``_COSTS``) are a non-negative least-squares fit, weighted by
+relative error, to timings of both schedules on fresh kernels, best of 3
+to 7: random maps from 1 x 5 to 76 x 324 with 1 to 131,072 lanes, and
+every map the CLI applies at (50,44,5,8), with CPython 3.11.7 on a 2-core
+x86-64 host. Within one chunk (up to 8,192 lanes), picking by them took
+3.8% longer than always picking the faster schedule, summed over 518
+timings of 40 maps at 1 to 8,192 lanes. Measured there, per apply:
 
-    field     map      lanes    where                        windowed  bit-serial
-    GF(2^16)  1 x 40       51   repair, each helper rack      0.33 ms   0.05 ms
-    GF(2^16)  1 x 40    1,619   the same, 1 MiB file          3.6 ms    0.45 ms
-    GF(2^16)  8 x 40       51   repair, host rack             0.44 ms   0.18 ms
-    GF(2^16)  76 x 324    324   systematic encode map build  15.3 ms    8.1 ms
-    GF(2^16)  76 x 324     51   systematic encode            10.8 ms   10.9 ms
-    GF(2^16)  44 x 44      51   decode, each pass step        1.6 ms    1.8 ms
-    GF(2^16)  36 x 20   1,618   random, 80% nonzero           3.8 ms    5.4 ms
-    GF(2^8)   1 x 9    13,108   repair, each helper rack      0.44 ms   0.25 ms
-    GF(2^8)   36 x 20  13,108   encode                        6.6 ms    5.0 ms
-    GF(2^8)   1 x 9   131,072   random                        2.7 ms    5.0 ms
+    map      lanes    where                        windowed  bit-serial
+    1 x 40       51   repair, each helper rack      0.33 ms   0.05 ms
+    1 x 40    1,619   the same, 1 MiB file          3.6 ms    0.45 ms
+    8 x 40       51   repair, host rack             0.44 ms   0.18 ms
+    76 x 324    324   systematic encode map build  15.3 ms    8.1 ms
+    76 x 324     51   systematic encode            14.4 ms   12.0 ms
+    44 x 44     324   precoding build, decoder      3.4 ms    4.1 ms
+    44 x 44      51   decode, each pass step        2.3 ms    2.2 ms
+    36 x 20   1,618   random, 80% nonzero           3.8 ms    5.4 ms
 
 So bit-serial wins where each input feeds few outputs, above all in the
-minimum-bandwidth repair, where a helper rack's map is one row. In
-GF(2^16) a prepared input costs about what m doublings of an output
-cost, and a product about what m/2 partial-sum XORs cost, so windowed
-wins on maps with more rows than columns and the two tie on square ones.
-In GF(2^8) windowed needs no preparation, but each constant's table is
-built once per kernel, so bit-serial wins on the CLI's maps. The model is
-linear in L and misses what happens once slabs outgrow the cache: it picks
-bit-serial for the last row, where windowed is 1.8x faster.
+minimum-bandwidth repair, where a helper rack's map is one row. A prepared
+input costs about what 16 doublings of an output cost, and a product about
+what 8 partial-sum XORs cost, so windowed wins on maps with more rows than
+columns. Square maps sit on the tie line: the two 44 x 44 rows are
+medians of 25 interleaved runs of their 8 applies, and such maps measure
+either way between runs, so the model cannot rank them.
 
 ``ListSlabKernel`` applies the same maps, with the same contract, to slabs
 that are lists of field ints, over any field. The cluster simulator keeps
@@ -100,20 +106,19 @@ __all__ = ["SlabKernel", "ListSlabKernel"]
 _LOW_BITS = tuple(tuple(b for b in range(8) if v >> b & 1) for v in range(256))
 _HIGH_BITS = tuple(tuple(b + 8 for b in bits) for bits in _LOW_BITS)
 
-# The cost model's (a, b) pairs, a + b*L nanoseconds on L lanes, by m; see
-# the module docstring for the terms and the host they were measured on.
-_COSTS = {
-    8: dict(P=(0, 0), T=(4900, 2.7), D=(710, 1.0), X=(130, 0.1), F=(110, 1.1)),
-    16: dict(P=(4000, 33), T=(650, 1.3), D=(200, 2.2), X=(85, 0.14), F=(250, 2.1)),
-}
+# Bytes of each slab per run of a schedule; see the module docstring.
+_CHUNK = 16384
+
+# The GF(2^16) cost model's (a, b) pairs, a + b*L nanoseconds on L lanes;
+# see the module docstring for the terms and the host they were measured on.
+_COSTS = dict(P=(4000, 33), T=(650, 1.3), D=(200, 2.2), X=(85, 0.14), F=(250, 2.1))
 
 
 class SlabKernel:
     """Applies GF(2^8) or GF(2^16) matrices to equal-length byte slabs.
 
-    Product tables and lane masks are built per instance on first use, and
-    the last map's entry counts are kept, so a kernel lives as long as the
-    plan that uses it.
+    Lane masks are built per instance on first use, and the last map's
+    entry counts are kept, so a kernel lives as long as the plan that uses it.
     """
 
     def __init__(self, field):
@@ -122,13 +127,8 @@ class SlabKernel:
         self.field = field
         self.width = field.m // 8  # bytes per symbol
         self._format = "B" if field.m == 8 else "H"
-        self._tables: dict = {}  # GF(2^8) product table by constant
         self._masks: dict = {}  # lane masks by slab length
         self._counted: tuple = (None, 0, 0)  # last map, its nonzero and unit entries
-        if field.m == 8:
-            self._prepare, self._times = self._prepare8, self._times8
-        else:
-            self._prepare, self._times = self._prepare16, self._times16
 
     def split(self, buf, count: int) -> list:
         """``count`` slabs; slab r holds symbols r, r + count, ... of ``buf``."""
@@ -165,11 +165,17 @@ class SlabKernel:
     def apply(self, matrix: Sequence[Sequence[int]], slabs: Sequence[bytes]) -> list:
         """Output slab r is the sum over j of ``matrix[r][j] * slabs[j]``."""
         size = _product_width(matrix, slabs)
-        if self._serial_is_cheaper(matrix, size):
-            out = self._apply_serial(matrix, slabs)
+        if self._serial_is_cheaper(matrix, min(size, _CHUNK)):
+            schedule = self._apply_serial
         else:
-            out = self._apply_windowed(matrix, slabs)
-        return [v.to_bytes(size, "big") for v in out]
+            schedule = self._apply_windowed
+        parts = [[] for _ in matrix]
+        for lo in range(0, size, _CHUNK):
+            chunk = [slab[lo : lo + _CHUNK] for slab in slabs]  # the slab itself if short
+            length = min(size - lo, _CHUNK)
+            for part, v in zip(parts, schedule(matrix, chunk)):
+                part.append(v.to_bytes(length, "big"))
+        return [b"".join(part) for part in parts]
 
     def _serial_is_cheaper(self, matrix, size: int) -> bool:
         """The module docstring's cost model, from O(rows) C-level counts.
@@ -179,6 +185,8 @@ class SlabKernel:
         and counting costs about 3% of such a windowed apply. A map changed
         in place keeps its old counts, which can only pick the slower schedule.
         """
+        if self.field.m == 8:
+            return True
         if self._counted[0] is not matrix:
             nonzero = unit = 0
             for row in matrix:
@@ -189,34 +197,34 @@ class SlabKernel:
         other = nonzero - unit
         if not other:
             return False  # sums only: the same XORs on either schedule
-        m, lanes, cols = self.field.m, size // self.width, len(matrix[0])
-        c = {term: a + b * lanes for term, (a, b) in _COSTS[m].items()}
+        lanes, cols = size // 2, len(matrix[0])
+        c = {term: a + b * lanes for term, (a, b) in _COSTS.items()}
         windowed = min(cols, other) * c["P"] + other * c["T"]
-        serial = len(matrix) * m * c["D"] + other * (m // 2) * c["X"] + min(cols, nonzero) * c["F"]
+        serial = len(matrix) * 16 * c["D"] + other * 8 * c["X"] + min(cols, nonzero) * c["F"]
         return serial < windowed
 
     def _apply_windowed(self, matrix, slabs) -> list:
-        """Prepare each input once, then one ``_times`` per non-unit entry."""
+        """GF(2^16): prepare each input once, then one ``_times`` per non-unit entry."""
         acc = [0] * len(matrix)
         # One input slab at a time into every output, so however many slabs
-        # the map reads, one is held as an int (for c == 1) and as _times takes it.
+        # the map reads, one is held as an int (for c == 1) and as its windows.
         for slab, column in zip(slabs, zip(*matrix)):
-            plain = ready = None
+            plain = windows = None
             for r, c in enumerate(column):
                 if c == 1:
                     if plain is None:
                         plain = int.from_bytes(slab, "big")
                     acc[r] ^= plain
                 elif c:
-                    if ready is None:
-                        ready = self._prepare(slab)
-                    acc[r] ^= self._times(c, ready)
+                    if windows is None:
+                        windows = self._prepare(slab)
+                    acc[r] ^= self._times(c, windows)
         return acc
 
     def _apply_serial(self, matrix, slabs) -> list:
         """Horner over the bits of each row's constants, from the top bit."""
         m = self.field.m
-        top, rest, poly = self._lanes(len(slabs[0]) if slabs else 0)
+        top, rest, poly = self._lanes(len(slabs[0]))
         shift = m - 1
         plain = [None] * len(slabs)  # inputs as ints, each converted once
         out = []
@@ -257,24 +265,8 @@ class SlabKernel:
             )
         return masks
 
-    # GF(2^8): a slab is multiplied as is, through a 256-byte table.
-
-    def _prepare8(self, slab: bytes) -> bytes:
-        return slab
-
-    def _times8(self, c: int, slab: bytes) -> int:
-        table = self._tables.get(c)
-        if table is None:
-            exp, log = self.field.exp, self.field.log
-            lc = log[c]
-            table = self._tables[c] = bytes(
-                [0] + [exp[lc + log[x]] for x in range(1, 256)]
-            )
-        return int.from_bytes(slab.translate(table), "big")
-
-    # GF(2^16): a slab is multiplied through its doublings, all lanes at once.
-
-    def _prepare16(self, slab: bytes) -> list:
+    def _prepare(self, slab: bytes) -> list:
+        """GF(2^16): a slab's 16 doublings, as eight 2-bit windows."""
         top, rest, poly = self._lanes(len(slab))
         x = int.from_bytes(slab, "big")
         windows = []  # window w: 0, 1, 2, 3 times 4**w * slab
@@ -284,7 +276,8 @@ class SlabKernel:
             x = ((x2 & rest) << 1) ^ ((x2 & top) >> 15) * poly
         return windows
 
-    def _times16(self, c: int, windows: list) -> int:
+    def _times(self, c: int, windows: list) -> int:
+        """c times the prepared slab: one lookup per window."""
         w0, w1, w2, w3, w4, w5, w6, w7 = windows
         return (
             w0[c & 3] ^ w1[c >> 2 & 3] ^ w2[c >> 4 & 3] ^ w3[c >> 6 & 3]

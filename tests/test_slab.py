@@ -9,6 +9,7 @@ one, and each helper rack's sent slab against the M1 symmetry identity.
 
 import functools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +35,7 @@ from mbrr.layout import (
 from mbrr.linalg import dot, mat_vec
 from mbrr.reconstruct import Decoder, oracle_reconstruct
 from mbrr.repair import Repairer, rack_point
+from mbrr import slab
 from mbrr.slab import ListSlabKernel, SlabKernel
 from mbrr.systematic import (
     precoding_matrix,
@@ -150,11 +152,12 @@ def _schedule_cases(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_schedule_cases())
-def test_both_schedules_match_field_arithmetic(case):
-    """The windowed and bit-serial schedules, each run directly, equal
-    f.mul/f.add lane by lane, including the constants q-1 and 2**(m-1)
-    and lanes that overflow at every doubling."""
+@given(_schedule_cases(), st.integers(1, 6))
+def test_both_schedules_match_field_arithmetic(case, chunk):
+    """The bit-serial schedule, and over GF(2^16) the windowed one, each run
+    directly, equal f.mul/f.add lane by lane, including the constants q-1
+    and 2**(m-1) and lanes that overflow at every doubling; so does
+    ``apply`` when slabs run in chunks of ``chunk`` symbols."""
     m, matrix, syms = case
     f = binary_field(m)
     kernel = SlabKernel(f)
@@ -169,45 +172,57 @@ def test_both_schedules_match_field_arithmetic(case):
                 acc = f.add(acc, f.mul(c, col[pos]))
             out.append(acc)
         want.append(out)
-    for schedule in (kernel._apply_windowed, kernel._apply_serial):
+    schedules = [kernel._apply_serial] + ([kernel._apply_windowed] if m == 16 else [])
+    for schedule in schedules:
         got = [kernel.unpack(v.to_bytes(size, "big")) for v in schedule(matrix, slabs)]
         assert got == want, schedule.__name__
+    with mock.patch.object(slab, "_CHUNK", chunk * kernel.width):
+        assert [kernel.unpack(v) for v in kernel.apply(matrix, slabs)] == want
 
 
 def test_cost_model_choices_on_the_cli_maps():
-    """The schedule the cost model picks for the maps the CLI applies, on
-    the benchmark's slab lengths. At (50,44,5,8) over GF(2^16) with 51 lanes
-    (a 32 KiB file), the repair maps and the systematic encode map run
-    bit-serial and the decoder's square maps run windowed. At (12,7,3,3)
-    over GF(2^8) with 13,108 lanes (256 KiB), the repair and encode maps run
-    bit-serial."""
+    """The schedule the cost model picks for the maps the CLI applies at
+    (50,44,5,8) over GF(2^16). With 51 lanes (a 32 KiB file) the repair maps
+    run bit-serial and the decoder's square maps windowed. The systematic
+    encode map is pinned at 324 lanes, the length its build applies it to,
+    where bit-serial measured 8.1 ms against 15.3 ms windowed; at 51 lanes
+    the two measure within run-to-run noise of each other."""
     p = file_params(50, 44, 5, 8, 16)
     kernel = SlabKernel(p.field)
     rep = Repairer(p, NodeId(9, 0))
     dec = Decoder(p, list(all_nodes(p))[1:44] + [NodeId(9, 4)])
     _, encode_map = systematic_encode_map(p, precoding_matrix(p))
-    maps = {
-        "helper": [rep._helper_maps[e] for e in rep.helpers],
-        "host": [rep._host],
-        "encode": [encode_map],
-        "decoder": [dec._bottom, dec._top],
-    }
-    shapes = {name: {(len(m), len(m[0])) for m in group} for name, group in maps.items()}
-    assert shapes == {
-        "helper": {(1, 40)}, "host": {(8, 40)}, "encode": {(76, 324)}, "decoder": {(44, 44)}
-    }
-    serial = {"helper", "host", "encode"}
-    for name, group in maps.items():
-        for matrix in group:
-            assert kernel._serial_is_cheaper(matrix, 51 * 2) == (name in serial), name
-    p8 = file_params(12, 7, 3, 3, 8)
-    kernel8 = SlabKernel(p8.field)
-    rep8 = Repairer(p8, NodeId(1, 1))
-    cells = [(i, node) for node in all_nodes(p8) for i in range(p8.alpha)]
-    encode8 = encode_rows(p8, cells)
-    assert [len(encode8), len(encode8[0])] == [36, 20]
-    for matrix in [encode8, rep8._host] + [rep8._helper_maps[e] for e in rep8.helpers]:
-        assert kernel8._serial_is_cheaper(matrix, 13108)
+    cases = [(m, 51, True) for m in [rep._host] + [rep._helper_maps[e] for e in rep.helpers]]
+    cases += [(m, 51, False) for m in (dec._bottom, dec._top)]
+    cases.append((encode_map, 324, True))
+    shapes = {(len(m), len(m[0])) for m, _, _ in cases}
+    assert shapes == {(1, 40), (8, 40), (44, 44), (76, 324)}
+    for matrix, lanes, serial in cases:
+        assert kernel._serial_is_cheaper(matrix, lanes * 2) == serial, (len(matrix), lanes)
+
+
+def test_gf8_runs_bit_serial_in_chunks():
+    """GF(2^8) maps run bit-serial whatever their shape and length. A repair
+    helper map at (12,7,3,3) on 131,072 lanes (a 2.5 MiB file) runs as
+    eight 16 KiB chunks: on a random 1 x 9 map there, chunked bit-serial
+    took 4.3 ms and the whole slab at once 7.2 ms."""
+    p = file_params(12, 7, 3, 3, 8)
+    kernel = SlabKernel(p.field)
+    rep = Repairer(p, NodeId(1, 1))
+    (helper,) = rep._helper_maps[rep.helpers[0]]
+    assert len(helper) == 9
+    cells = [(i, node) for node in all_nodes(p) for i in range(p.alpha)]
+    for matrix in [[helper], rep._host, encode_rows(p, cells)]:
+        assert kernel._serial_is_cheaper(matrix, 131072)
+    rng = random.Random(630)
+    slabs = [rng.randbytes(131072) for _ in helper]
+    lengths = []
+    with mock.patch.object(kernel, "_apply_serial", wraps=kernel._apply_serial) as serial:
+        (got,) = kernel.apply([helper], slabs)
+        lengths = [len(call.args[1][0]) for call in serial.call_args_list]
+    assert lengths == [slab._CHUNK] * (131072 // slab._CHUNK)
+    want = bytes(ListSlabKernel(p.field).apply([helper], [list(s) for s in slabs])[0])
+    assert got == want
 
 
 def test_kernel_rejects_bad_input():
