@@ -20,9 +20,9 @@ In the kernel a slab read as one big-endian integer (``int.from_bytes``)
 holds its symbols in m-bit lanes. Addition is XOR of those integers.
 Doubling every lane at once is a masked shift that adds the reduction
 polynomial to the lanes whose top bit overflowed. ``SlabKernel.apply``
-runs a map over its slabs in chunks of at most ``_CHUNK`` (16 KiB), so
-what a schedule holds stays in the cache and its cost stays linear in the
-slab length, on one of two schedules:
+runs a map on one of two schedules, over its slabs in chunks of at most
+``_CHUNK`` (16 KiB), so that what a schedule holds stays in the cache and
+its cost stays linear in the slab length:
 
 * **bit-serial**: for each output row, the inputs whose constant has bit
   b set are XORed into a partial sum s_b, and Horner's rule over the bits
@@ -43,7 +43,7 @@ map the CLI applies, 5.0 against 6.6 ms for the 36 x 20 encode map, as
 building the tables costs more than it saves there. On much longer slabs
 the table multiply moves fewer bytes: repairing a 10 MiB file (524,288
 lanes) spent 82 ms in its four maps against 68 ms, while encoding and
-decoding it were 5 to 10% faster bit-serial. With no benchmark workload
+decoding it were about 10% faster bit-serial. With no benchmark workload
 on that side, GF(2^8) keeps one schedule.
 
 Over GF(2^16) windowed pays per input and per product, bit-serial per row
@@ -59,13 +59,14 @@ a + b*L nanoseconds,
 P prepares an input, T is one product, D is one doubling, X one XOR into a
 partial sum, its fixed part being the interpreter's cost per set bit, and
 F one ``int.from_bytes``. Unit entries cost one XOR on either schedule,
-and a map with t = 0 runs windowed. The constants (``_COSTS``) are a non-negative least-squares fit, weighted by
-relative error, to timings of both schedules on fresh kernels, best of 3
-to 7: random maps from 1 x 5 to 76 x 324 with 1 to 131,072 lanes, and
-every map the CLI applies at (50,44,5,8), with CPython 3.11.7 on a 2-core
-x86-64 host. Within one chunk (up to 8,192 lanes), picking by them took
-3.8% longer than always picking the faster schedule, summed over 518
-timings of 40 maps at 1 to 8,192 lanes. Measured there, per apply:
+and a map with t = 0 runs windowed. The constants (``_COSTS``) are a
+non-negative least-squares fit, weighted by relative error, to timings of
+both schedules on fresh kernels, best of 3 to 7: random maps from 1 x 5 to
+76 x 324 with 1 to 131,072 lanes, and every map the CLI applies at
+(50,44,5,8), with CPython 3.11.7 on a 2-core x86-64 host. Within one
+chunk (up to 8,192 lanes), picking by them took 3.8% longer than always
+picking the faster schedule, summed over 518 timings of 61 maps at 1 to
+8,192 lanes. Measured there, per apply:
 
     map      lanes    where                        windowed  bit-serial
     1 x 40       51   repair, each helper rack      0.33 ms   0.05 ms
@@ -81,9 +82,9 @@ So bit-serial wins where each input feeds few outputs, above all in the
 minimum-bandwidth repair, where a helper rack's map is one row. A prepared
 input costs about what 16 doublings of an output cost, and a product about
 what 8 partial-sum XORs cost, so windowed wins on maps with more rows than
-columns. Square maps sit on the tie line: the two 44 x 44 rows are
-medians of 25 interleaved runs of their 8 applies, and such maps measure
-either way between runs, so the model cannot rank them.
+columns. Square maps sit on the tie line and measure either way between
+runs, so the model cannot rank them; the 76 x 324 row at 51 lanes and the
+two 44 x 44 rows are medians of 25 interleaved runs.
 
 ``ListSlabKernel`` applies the same maps, with the same contract, to slabs
 that are lists of field ints, over any field. The cluster simulator keeps
@@ -204,7 +205,7 @@ class SlabKernel:
         return serial < windowed
 
     def _apply_windowed(self, matrix, slabs) -> list:
-        """GF(2^16): prepare each input once, then one ``_times`` per non-unit entry."""
+        """GF(2^16): prepare each input once, one ``_times`` per non-unit entry."""
         acc = [0] * len(matrix)
         # One input slab at a time into every output, so however many slabs
         # the map reads, one is held as an int (for c == 1) and as its windows.

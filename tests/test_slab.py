@@ -216,7 +216,6 @@ def test_gf8_runs_bit_serial_in_chunks():
         assert kernel._serial_is_cheaper(matrix, 131072)
     rng = random.Random(630)
     slabs = [rng.randbytes(131072) for _ in helper]
-    lengths = []
     with mock.patch.object(kernel, "_apply_serial", wraps=kernel._apply_serial) as serial:
         (got,) = kernel.apply([helper], slabs)
         lengths = [len(call.args[1][0]) for call in serial.call_args_list]
