@@ -194,28 +194,17 @@ def open_shard(path: str) -> tuple:
     """
     fh = open(path, "rb")
     try:
-        return _read_checked_header(path, fh), fh
+        header = ShardHeader.unpack(fh.read(HEADER_SIZE))
+        size = os.fstat(fh.fileno()).st_size - HEADER_SIZE
+        if size != header.payload_length:
+            raise ValueError(
+                f"{path}: payload is {size} bytes, "
+                f"header says {header.payload_length}"
+            )
     except BaseException:
         fh.close()
         raise
-
-
-def _read_checked_header(path: str, fh) -> ShardHeader:
-    header = ShardHeader.unpack(fh.read(HEADER_SIZE))
-    size = os.fstat(fh.fileno()).st_size - HEADER_SIZE
-    if size != header.payload_length:
-        raise ValueError(
-            f"{path}: payload is {size} bytes, "
-            f"header says {header.payload_length}"
-        )
-    width = symbol_width(header.m)
-    expected = header.stripe_count * header.dbar * width  # alpha = dbar
-    if header.payload_length != expected:
-        raise ValueError(
-            f"{path}: payload length {header.payload_length} does not match "
-            f"{header.stripe_count} stripes of {header.dbar} symbols"
-        )
-    return header
+    return header, fh
 
 
 # write_shard and read_shard are the symbol-list forms of write_payload and
@@ -317,6 +306,11 @@ def _params_from_header(h: ShardHeader) -> CodeParams:
         raise ValueError(
             f"header claims an original length of {h.original_length} bytes "
             f"in {h.stripe_count} stripes of {p.B} symbols; the two disagree"
+        )
+    if h.payload_length != h.stripe_count * p.alpha * symbol_width(h.m):
+        raise ValueError(
+            f"payload length {h.payload_length} does not match "
+            f"{h.stripe_count} stripes of {p.alpha} symbols"
         )
     return p
 

@@ -37,8 +37,10 @@ Fields are immutable after construction and safe to share across threads.
 The ``add``/``sub``/``neg`` attributes are plain callables chosen per field
 kind (XOR for binary fields); they do not range-check their operands, which
 keeps inner loops fast. Symbols are validated where they enter the system
-(``layout.fill_message_matrix`` and ``systematic.systematic_encode``); the
-``mul``/``inv``/``div``/``pow`` methods check their own operands.
+(``layout.fill_message_matrix``, ``systematic.systematic_encode``,
+``systematic.systematic_message_matrix`` and ``cluster.Cluster.store_stripes``;
+file bytes are always symbols); the ``mul``/``inv``/``div``/``pow`` methods
+check their own operands.
 """
 
 from __future__ import annotations

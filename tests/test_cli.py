@@ -191,6 +191,16 @@ def test_decode_shards_validates():
     foreign = {**loaded, b: (sample_header(**{**vars(h), "original_length": 199}), syms)}
     with pytest.raises(ValueError, match=r"node \(0, 1\): header disagrees"):
         decode_shards(foreign)
+    # Every payload cut by its last stripe, each header's payload_length
+    # lowered to match: the headers still claim 10 stripes, so the read is
+    # refused, not returned 20 bytes short.
+    cut = p.alpha * symbol_width(p.field.m)
+    short = {
+        node: (sample_header(**{**vars(hd), "payload_length": hd.payload_length - cut}), pl[:-cut])
+        for node, (hd, pl) in loaded.items()
+    }
+    with pytest.raises(ValueError, match="payload length 27 does not match 10 stripes"):
+        decode_shards(short)
 
 
 # ---------------------------------------------------------------- commands

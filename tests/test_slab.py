@@ -23,7 +23,7 @@ from mbrr.cli import (
     shard_filename,
     symbols_to_bytes,
 )
-from mbrr.encode import encode, encode_rows, encode_slabs
+from mbrr.encode import encode, encode_slabs
 from mbrr.gf import binary_field, prime_field
 from mbrr.layout import (
     IntegrityError,
@@ -38,9 +38,7 @@ from mbrr.repair import Repairer, rack_point
 from mbrr import slab
 from mbrr.slab import ListSlabKernel, SlabKernel
 from mbrr.systematic import (
-    precoding_matrix,
     read_systematic_data,
-    systematic_encode_map,
     systematic_message_matrix,
     systematic_nodes,
 )
@@ -90,9 +88,8 @@ def test_apply_matches_field_arithmetic(m):
 
 
 def test_apply_after_a_map_changes_in_place():
-    """The kernel keeps the last map's entry counts for choosing a
-    schedule; a map changed in place between applies still gives exact
-    products on whichever schedule runs."""
+    """The kernel keeps nothing of a map between applies, only lane masks
+    by slab length: a map changed in place gives exact products."""
     f = binary_field(16)
     kernel = SlabKernel(f)
     slabs = [kernel.pack([3, 0x8000, 0xFFFF]), kernel.pack([7, 1, 0xF006])]
@@ -133,7 +130,7 @@ def _overflow_lane(m):
 
 
 @st.composite
-def _schedule_cases(draw):
+def _apply_cases(draw):
     m = draw(st.sampled_from([8, 16]))
     q = 1 << m
     special = [0, 1, q - 1, 1 << (m - 1), _overflow_lane(m)]
@@ -152,17 +149,15 @@ def _schedule_cases(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_schedule_cases(), st.integers(1, 6))
-def test_both_schedules_match_field_arithmetic(case, chunk):
-    """The bit-serial schedule, and over GF(2^16) the windowed one, each run
-    directly, equal f.mul/f.add lane by lane, including the constants q-1
-    and 2**(m-1) and lanes that overflow at every doubling; so does
-    ``apply`` when slabs run in chunks of ``chunk`` symbols."""
+@given(_apply_cases(), st.integers(1, 6))
+def test_apply_in_chunks_matches_field_arithmetic(case, chunk):
+    """``apply`` equals f.mul/f.add lane by lane, including the constants
+    q-1 and 2**(m-1) and lanes that overflow at every doubling, when slabs
+    run in chunks of ``chunk`` symbols."""
     m, matrix, syms = case
     f = binary_field(m)
     kernel = SlabKernel(f)
     slabs = [kernel.pack(col) for col in syms]
-    size = len(slabs[0])
     want = []
     for row in matrix:
         out = []
@@ -172,56 +167,33 @@ def test_both_schedules_match_field_arithmetic(case, chunk):
                 acc = f.add(acc, f.mul(c, col[pos]))
             out.append(acc)
         want.append(out)
-    schedules = [kernel._apply_serial] + ([kernel._apply_windowed] if m == 16 else [])
-    for schedule in schedules:
-        got = [kernel.unpack(v.to_bytes(size, "big")) for v in schedule(matrix, slabs)]
-        assert got == want, schedule.__name__
     with mock.patch.object(slab, "_CHUNK", chunk * kernel.width):
         assert [kernel.unpack(v) for v in kernel.apply(matrix, slabs)] == want
 
 
-def test_cost_model_choices_on_the_cli_maps():
-    """The schedule the cost model picks for the maps the CLI applies at
-    (50,44,5,8) over GF(2^16). With 51 lanes (a 32 KiB file) the repair maps
-    run bit-serial and the decoder's square maps windowed. The systematic
-    encode map is pinned at 324 lanes, the length its build applies it to,
-    where bit-serial measured 8.1 ms against 15.3 ms windowed; at 51 lanes
-    the two measure within run-to-run noise of each other."""
-    p = file_params(50, 44, 5, 8, 16)
-    kernel = SlabKernel(p.field)
-    rep = Repairer(p, NodeId(9, 0))
-    dec = Decoder(p, list(all_nodes(p))[1:44] + [NodeId(9, 4)])
-    _, encode_map = systematic_encode_map(p, precoding_matrix(p))
-    cases = [(m, 51, True) for m in [rep._host] + [rep._helper_maps[e] for e in rep.helpers]]
-    cases += [(m, 51, False) for m in (dec._bottom, dec._top)]
-    cases.append((encode_map, 324, True))
-    shapes = {(len(m), len(m[0])) for m, _, _ in cases}
-    assert shapes == {(1, 40), (8, 40), (44, 44), (76, 324)}
-    for matrix, lanes, serial in cases:
-        assert kernel._serial_is_cheaper(matrix, lanes * 2) == serial, (len(matrix), lanes)
-
-
-def test_gf8_runs_bit_serial_in_chunks():
-    """GF(2^8) maps run bit-serial whatever their shape and length. A repair
-    helper map at (12,7,3,3) on 131,072 lanes (a 2.5 MiB file) runs as
-    eight 16 KiB chunks: on a random 1 x 9 map there, chunked bit-serial
-    took 4.3 ms and the whole slab at once 7.2 ms."""
-    p = file_params(12, 7, 3, 3, 8)
+@pytest.mark.parametrize("m, size, chunks", [(8, 131072, 8), (16, 20000, 2)], ids=["8", "16"])
+def test_every_map_runs_bit_serial_in_chunks(m, size, chunks):
+    """Every map runs bit-serial over chunks of at most 16 KiB. At
+    (12,7,3,3) a repair helper map is one row over 9 slabs. Over GF(2^8),
+    131,072 lanes (a 2.5 MiB file) run as eight whole chunks: on a random
+    1 x 9 map there, chunked bit-serial took 4.3 ms and the whole slab at
+    once 7.2 ms. Over GF(2^16), 10,000 lanes (a 400,000-byte file) cross
+    the chunk border once."""
+    p = file_params(12, 7, 3, 3, m)
     kernel = SlabKernel(p.field)
     rep = Repairer(p, NodeId(1, 1))
     (helper,) = rep._helper_maps[rep.helpers[0]]
     assert len(helper) == 9
-    cells = [(i, node) for node in all_nodes(p) for i in range(p.alpha)]
-    for matrix in [[helper], rep._host, encode_rows(p, cells)]:
-        assert kernel._serial_is_cheaper(matrix, 131072)
-    rng = random.Random(630)
-    slabs = [rng.randbytes(131072) for _ in helper]
+    rng = random.Random(630 + m)
+    slabs = [rng.randbytes(size) for _ in helper]
     with mock.patch.object(kernel, "_apply_serial", wraps=kernel._apply_serial) as serial:
         (got,) = kernel.apply([helper], slabs)
         lengths = [len(call.args[1][0]) for call in serial.call_args_list]
-    assert lengths == [slab._CHUNK] * (131072 // slab._CHUNK)
-    want = bytes(ListSlabKernel(p.field).apply([helper], [list(s) for s in slabs])[0])
-    assert got == want
+    assert len(lengths) == chunks
+    assert lengths == [min(slab._CHUNK, size - lo) for lo in range(0, size, slab._CHUNK)]
+    lists = ListSlabKernel(p.field)
+    want = lists.apply([helper], [kernel.unpack(s) for s in slabs])[0]
+    assert got == kernel.pack(want)
 
 
 def test_kernel_rejects_bad_input():
