@@ -80,7 +80,7 @@ from .layout import (
 )
 from .reconstruct import Decoder
 from .repair import Repairer, repair_node
-from .slab import SlabKernel
+from .slab import BYTE_FIELD_MS, SlabKernel
 from .systematic import (
     precoding_matrix,
     read_nodes,
@@ -99,7 +99,6 @@ MAGIC = b"MBRR"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct(">4sHBIHHHHBHHQQQ")
 HEADER_SIZE = _HEADER.size  # 48
-_FILE_FIELD_MS = (8, 16)
 
 
 @dataclass(frozen=True)
@@ -155,14 +154,9 @@ class ShardHeader:
         return vars(self) | {"e": 0, "g": 0} == vars(other) | {"e": 0, "g": 0}
 
 
-def symbol_width(m: int) -> int:
-    return (m + 7) // 8
-
-
 def bytes_to_symbols(data: bytes, m: int) -> list:
-    if m == 16 and len(data) % 2:
-        data = data + b"\x00"
-    return SlabKernel(binary_field(m)).unpack(data)
+    kernel = SlabKernel(binary_field(m))
+    return kernel.unpack(data + bytes(-len(data) % kernel.width))
 
 
 def symbols_to_bytes(symbols: Sequence[int], m: int) -> bytes:
@@ -232,13 +226,13 @@ def file_params(n: int, k: int, u: int, dbar: int, m: int | None = None) -> Code
     u | q - 1). Other fields work in-library but have no shard framing.
     """
     if m is not None:
-        if m not in _FILE_FIELD_MS:
+        if m not in BYTE_FIELD_MS:
             raise ValueError(
-                f"shard files support m in {_FILE_FIELD_MS}, not m={m}"
+                f"shard files support m in {BYTE_FIELD_MS}, not m={m}"
             )
         return make_params(n, k, u, dbar, field=binary_field(m))
     errs = []
-    for mm in _FILE_FIELD_MS:
+    for mm in BYTE_FIELD_MS:
         try:
             return make_params(n, k, u, dbar, field=binary_field(mm))
         except ValueError as exc:
@@ -301,13 +295,13 @@ def _params_from_header(h: ShardHeader) -> CodeParams:
             f"shard was built over polynomial {h.primitive_poly:#x}, "
             f"this build uses {p.field.primitive_poly:#x}"
         )
-    symbols = -(-h.original_length // symbol_width(h.m))
-    if h.original_length <= 0 or h.stripe_count != -(-symbols // p.B):
+    width = SlabKernel(p.field).width
+    if h.original_length <= 0 or h.stripe_count != -(-h.original_length // (width * p.B)):
         raise ValueError(
             f"header claims an original length of {h.original_length} bytes "
             f"in {h.stripe_count} stripes of {p.B} symbols; the two disagree"
         )
-    if h.payload_length != h.stripe_count * p.alpha * symbol_width(h.m):
+    if h.payload_length != h.stripe_count * p.alpha * width:
         raise ValueError(
             f"payload length {h.payload_length} does not match "
             f"{h.stripe_count} stripes of {p.alpha} symbols"
@@ -493,13 +487,12 @@ def cmd_repair(args) -> int:
             )
         kernel = SlabKernel(p.field)
         columns = {node: kernel.split(fh.read(), p.alpha) for node, (_, fh) in found.items()}
-    column, sent = rep.repair_slabs(kernel, columns)
+    column, _, ledger = rep.repair_slabs(kernel, columns)
     header = replace(first, e=failed.e, g=failed.g)
     out_dir = args.out if args.out else args.dir
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, shard_filename(failed.e, failed.g))
     write_payload(path, header, kernel.join(column))
-    ledger = rep.slab_ledger(kernel, columns, sent)
     print(f"repaired node ({failed.e}, {failed.g}) -> {path}")
     print(f"stripes {first.stripe_count}")
     print(f"cross_rack_symbols {ledger.cross_rack_symbols} ({p.dbar * p.beta} per stripe)")

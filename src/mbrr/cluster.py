@@ -12,7 +12,7 @@ Policies (overridable per call):
   reads   the k lowest healthy node ids (``systematic.read_nodes``); those
           are the systematic nodes when all of them are healthy, and a
           systematic cluster then reads their symbols without decoding
-  repairs the dbar lowest fully healthy racks outside the host rack
+  repairs the dbar lowest fully healthy racks outside the host rack (``helper_racks``)
 
 A repair moves exactly beta symbols out of each helper rack, so the ledger,
 counted from the slabs the repair moved, must show dbar * beta cross-rack
@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .layout import CodeMatrix, CodeParams, NodeId, all_nodes, node_index
-from .repair import BandwidthLedger, RepairModelError, Repairer
+from .repair import BandwidthLedger, RepairModelError, Repairer, helper_racks
 from .slab import ListSlabKernel
 from .systematic import read_nodes, read_slabs
 
@@ -175,8 +175,9 @@ class Cluster:
 
         Returns the ledger over all stripes, after checking the defining
         bandwidth identity: dbar * beta cross-rack symbols per stripe, no
-        more, no less. ``Repairer`` refuses helpers it cannot use and a
-        repair that would read a failed node.
+        more, no less. Without ``helpers``, ``helper_racks`` picks them
+        among the healthy nodes. ``Repairer`` refuses helpers it cannot use
+        and a repair that would read a failed node.
         """
         p = self.params
         node = NodeId(*node)
@@ -184,18 +185,9 @@ class Cluster:
         if node not in self._failed:
             raise ValueError(f"node {node!r} is healthy: nothing to repair")
         if helpers is None:
-            # The host rack holds a failed node, so it is never a candidate.
-            failed_racks = {f.e for f in self._failed}
-            candidates = [e for e in range(p.nbar) if e not in failed_racks]
-            if len(candidates) < p.dbar:
-                raise RepairModelError(
-                    f"only {len(candidates)} fully healthy helper racks available, "
-                    f"need dbar={p.dbar}"
-                )
-            helpers = candidates[: p.dbar]
+            helpers = helper_racks(p, node, self.healthy_nodes())
         rep = Repairer(p, node, helpers)
-        column, sent = rep.repair_slabs(self._kernel, self._shards)
-        ledger = rep.slab_ledger(self._kernel, self._shards, sent)
+        column, _, ledger = rep.repair_slabs(self._kernel, self._shards)
         expected = p.dbar * p.beta * self._stripes
         if ledger.cross_rack_symbols != expected:
             raise RuntimeError(

@@ -45,6 +45,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from . import gf
 from .gf import Field
+from .slab import SlabKernel
 
 __all__ = [
     "IntegrityError",
@@ -332,13 +333,12 @@ def fill_message_matrix(p: CodeParams, data: Sequence[int]) -> MessageMatrix:
 
 def _first_difference(p: CodeParams, a, b) -> str:
     """'stripe t: x != y' where cells a and b first differ. A cell is a field
-    int (the same in every stripe), a list slab or a byte slab of
-    (m+7)//8-byte symbols (see ``slab``), so the text stays short."""
+    int (the same in every stripe), a list slab or a byte slab (see
+    ``slab``), so the text stays short."""
     cells = []
     for cell in (a, b):
         if isinstance(cell, bytes):
-            w = (p.field.m + 7) // 8
-            cell = [int.from_bytes(cell[j : j + w], "big") for j in range(0, len(cell), w)]
+            cell = SlabKernel(p.field).unpack(cell)
         cells.append(itertools.repeat(cell) if isinstance(cell, int) else cell)
     for t, (x, y) in enumerate(zip(*cells)):
         if x != y:

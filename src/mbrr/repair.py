@@ -44,9 +44,9 @@ on the rack points of a set of racks are fixed by the geometry:
 ``CodeParams``.
 
 Traffic per repair: dbar * beta symbols cross racks (one per helper) and
-(u-1) * dbar symbols are read inside the target rack. ``BandwidthLedger``
-records both; the cross-rack count is the quantity the construction
-minimizes.
+(u-1) * dbar symbols are read inside the target rack. ``repair_slabs``
+counts both in a ``BandwidthLedger``; the cross-rack count is the quantity
+the construction minimizes. ``helper_racks`` picks the default helper racks.
 """
 
 from __future__ import annotations
@@ -75,6 +75,7 @@ __all__ = [
     "rack_points_lagrange",
     "local_polynomial_coeffs",
     "local_finish",
+    "helper_racks",
     "Repairer",
     "repair_node",
 ]
@@ -165,17 +166,26 @@ def local_finish(p: CodeParams, lost: NodeId) -> tuple:
     return weights, kappa
 
 
-def _default_helpers(p: CodeParams, e_star: int) -> tuple:
-    return tuple(e for e in range(p.nbar) if e != e_star)[: p.dbar]
+def helper_racks(p: CodeParams, failed: NodeId, available=None) -> tuple:
+    """The dbar lowest racks, besides the failed node's, with all their nodes
+    in ``available`` (all nodes when None); RepairModelError if fewer qualify."""
+    racks = [e for e in range(p.nbar) if e != failed.e and (
+        available is None or all(NodeId(e, g) in available for g in range(p.u)))]
+    if len(racks) < p.dbar:
+        raise RepairModelError(
+            f"only {len(racks)} fully healthy helper racks available, need dbar={p.dbar}"
+        )
+    return tuple(racks[: p.dbar])
 
 
 class Repairer:
     """Repair maps for one failed node and helper-rack set.
 
-    ``helpers`` holds the sorted helper rack indices and ``survivors`` the
-    failed node's u-1 rack mates. ``reads`` lists every node a repair
-    reads: the helper racks' nodes, then the survivors. Construction builds
-    the maps, so repairing many stripes costs only their application.
+    ``helpers`` holds the sorted helper rack indices (by default
+    ``helper_racks``) and ``survivors`` the failed node's u-1 rack mates.
+    ``reads`` lists every node a repair reads: the helper racks' nodes, then
+    the survivors. Construction builds the maps, so repairing many stripes
+    costs only their application.
     """
 
     def __init__(
@@ -187,7 +197,7 @@ class Repairer:
         failed = NodeId(*failed)
         node_index(p, failed)
         if helpers is None:
-            helpers = _default_helpers(p, failed.e)
+            helpers = helper_racks(p, failed)
         helpers = tuple(sorted(helpers))
         if len(set(helpers)) != len(helpers):
             raise ValueError("duplicate helper racks")
@@ -225,8 +235,8 @@ class Repairer:
         checks them, on one-lane slabs, one per symbol.
         """
         slabs = {node: [[s] for s in columns[node]] for node in self.reads if node in columns}
-        column, sent = self.repair_slabs(self._kernel, slabs)
-        return [s[0] for s in column], self.slab_ledger(self._kernel, slabs, sent)
+        column, _, ledger = self.repair_slabs(self._kernel, slabs)
+        return [s[0] for s in column], ledger
 
     def _build_maps(self) -> tuple:
         """(helper maps by rack, host map): stage 1, and stages 2 and 3 composed.
@@ -255,14 +265,16 @@ class Repairer:
         return helper_maps, host
 
     def repair_slabs(self, kernel, columns: Mapping[NodeId, Sequence[bytes]]):
-        """The lost node's alpha slabs, and the slab each helper rack sent.
+        """(column, sent, ledger): the lost node's alpha slabs, the slab each
+        helper rack sent, and the BandwidthLedger of both.
 
         ``columns`` maps nodes to their alpha slabs (see ``slab``); only
         the nodes of ``reads`` are read, and all of them are checked before
         any map runs. Each helper rack's map runs over that rack's own slabs
         and yields the one slab it sends across racks; ``sent`` maps each
         helper rack to that slab. The host map then runs over the received
-        slabs followed by the survivors' slabs.
+        slabs followed by the survivors' slabs. The ledger counts the sent
+        slabs' symbols as cross-rack and the survivors' as intra-rack.
         """
         p = self.p
         read = {node: self._read(columns, node) for node in self.reads}
@@ -278,17 +290,10 @@ class Repairer:
         inputs = [sent[e] for e in self.helpers]
         for node in self.survivors:
             inputs += read[node]
-        return kernel.apply(self._host, inputs), sent
-
-    def slab_ledger(self, kernel, columns: Mapping[NodeId, Sequence], sent) -> BandwidthLedger:
-        """The ledger of a ``repair_slabs`` run, counted from the slabs it moved.
-
-        Each helper rack's ``sent`` slab crossed racks, and the survivors'
-        slabs in ``columns`` were read inside the host rack.
-        """
         per_helper = {e: len(slab) // kernel.width for e, slab in sent.items()}
-        intra = sum(len(slab) for node in self.survivors for slab in columns[node])
-        return BandwidthLedger(sum(per_helper.values()), intra // kernel.width, per_helper)
+        intra = sum(len(slab) for node in self.survivors for slab in read[node])
+        ledger = BandwidthLedger(sum(per_helper.values()), intra // kernel.width, per_helper)
+        return kernel.apply(self._host, inputs), sent, ledger
 
 
 def repair_node(

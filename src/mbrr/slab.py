@@ -57,7 +57,10 @@ from typing import Sequence
 
 from .linalg import _product_width, matmul
 
-__all__ = ["SlabKernel", "ListSlabKernel"]
+__all__ = ["BYTE_FIELD_MS", "SlabKernel", "ListSlabKernel"]
+
+# The m of the fields GF(2^m) of byte slabs and shard files.
+BYTE_FIELD_MS = (8, 16)
 
 # The set bits of each byte value, as bit positions in a constant's low byte
 # and in its high byte: the kernel splits a constant into bytes.
@@ -76,7 +79,7 @@ class SlabKernel:
     """
 
     def __init__(self, field):
-        if getattr(field, "characteristic", None) != 2 or field.m not in (8, 16):
+        if getattr(field, "characteristic", None) != 2 or field.m not in BYTE_FIELD_MS:
             raise ValueError(f"byte slabs need GF(2^8) or GF(2^16), not {field!r}")
         self.field = field
         self.width = field.m // 8  # bytes per symbol
@@ -85,11 +88,11 @@ class SlabKernel:
 
     def split(self, buf, count: int) -> list:
         """``count`` slabs; slab r holds symbols r, r + count, ... of ``buf``."""
-        view = memoryview(buf).cast(self._format)
-        if len(view) % count:
+        if len(buf) % (count * self.width):
             raise ValueError(
-                f"{len(view)} symbols do not split into {count} equal slabs"
+                f"{len(buf)} bytes do not split into {count} equal slabs of whole symbols"
             )
+        view = memoryview(buf).cast(self._format)
         return [view[r::count].tobytes() for r in range(count)]
 
     def join(self, slabs: Sequence[bytes]) -> bytes:
@@ -118,6 +121,8 @@ class SlabKernel:
     def apply(self, matrix: Sequence[Sequence[int]], slabs: Sequence[bytes]) -> list:
         """Output slab r is the sum over j of ``matrix[r][j] * slabs[j]``."""
         size = _product_width(matrix, slabs)
+        if size % self.width:
+            raise ValueError(f"slabs of {size} bytes are not whole symbols")
         parts = [[] for _ in matrix]
         for lo in range(0, size, _CHUNK):
             chunk = [slab[lo : lo + _CHUNK] for slab in slabs]  # the slab itself if short

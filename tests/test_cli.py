@@ -16,11 +16,12 @@ from mbrr.cli import (
     main,
     read_shard,
     shard_filename,
-    symbol_width,
     symbols_to_bytes,
     write_shard,
 )
+from mbrr.gf import binary_field
 from mbrr.layout import NodeId
+from mbrr.slab import SlabKernel
 
 
 def sample_header(**overrides):
@@ -82,7 +83,8 @@ def test_header_matches_ignores_node_identity():
 
 
 def test_symbol_framing_round_trip():
-    assert symbol_width(8) == 1 and symbol_width(16) == 2
+    assert SlabKernel(binary_field(8)).width == 1
+    assert SlabKernel(binary_field(16)).width == 2
     data = bytes(range(256)) * 3
     assert symbols_to_bytes(bytes_to_symbols(data, 8), 8) == data
     syms16 = bytes_to_symbols(data, 16)
@@ -144,7 +146,7 @@ def test_encode_decode_round_trip_memory():
     p8 = file_params(12, 7, 3, 3)
     p16 = file_params(12, 7, 3, 3, 16)
     for p in (p8, p16):
-        width = symbol_width(p.field.m)
+        width = SlabKernel(p.field).width
         stripe_bytes = p.B * width
         for size in (1, 2, stripe_bytes - 1, stripe_bytes, stripe_bytes + 1, 4096):
             data = rng.randbytes(size)
@@ -194,7 +196,7 @@ def test_decode_shards_validates():
     # Every payload cut by its last stripe, each header's payload_length
     # lowered to match: the headers still claim 10 stripes, so the read is
     # refused, not returned 20 bytes short.
-    cut = p.alpha * symbol_width(p.field.m)
+    cut = p.alpha * SlabKernel(p.field).width
     short = {
         node: (sample_header(**{**vars(hd), "payload_length": hd.payload_length - cut}), pl[:-cut])
         for node, (hd, pl) in loaded.items()
@@ -752,6 +754,20 @@ def test_simulate_rejects_malformed_statements(tmp_path, capsys, statement, why)
 
 
 SCENARIO_OUTPUT = {
+    "degraded_helpers.txt": """\
+params n=15 k=7 u=3 dbar=3 alpha=3 B=20 field=GF(2^8)
+seed 5
+store stripes=3 symbols=60
+read stripes=3 verified ok
+fail node=(2,0)
+fail node=(0,0)
+repair node=(0,0) helpers=1,3,4 cross_rack=9 per_stripe=3 intra_rack=18 ok
+read stripes=3 verified ok
+fail node=(4,1)
+fail node=(1,2)
+repair node=(1,2) error: only 2 fully healthy helper racks available, need dbar=3
+read stripes=3 verified ok
+""",
     "overload.txt": """\
 params n=12 k=7 u=3 dbar=3 alpha=3 B=20 field=GF(2^8)
 seed 7

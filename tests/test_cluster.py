@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,7 @@ from mbrr.layout import (
     unfill_message_matrix,
 )
 from mbrr.reconstruct import Decoder, oracle_reconstruct
-from mbrr.repair import RepairModelError, Repairer
+from mbrr.repair import RepairModelError, Repairer, helper_racks
 from mbrr.systematic import read_systematic_data, systematic_encode, systematic_nodes
 
 from support import PARAM_SETS, params, random_stripe
@@ -180,7 +181,7 @@ def test_repair_rejects_second_failure_in_rack():
         c.repair_failed(NodeId(2, 0))
 
 
-def test_default_helpers_skip_unhealthy_racks():
+def test_default_helper_racks_skip_unhealthy_racks():
     """Failures elsewhere shrink the helper pool; the policy must choose
     only fully healthy racks."""
     p = params("wide")  # 5 racks, dbar = 3
@@ -215,6 +216,43 @@ def test_explicit_unhealthy_helper_rejected():
         c.repair_failed(NodeId(0, 0), helpers=[0, 1, 3])
     ledger = c.repair_failed(NodeId(0, 0), helpers=[1, 3, 4])
     assert sorted(ledger.per_helper) == [1, 3, 4]
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(PARAM_SETS)), seed=st.integers(0, 2**32 - 1), draw=st.data())
+def test_helper_racks_is_the_one_default_policy(name, seed, draw):
+    """``helper_racks`` is the least dbar-subset of fully healthy racks
+    outside the host rack, and ``Cluster.repair_failed`` repairs with it."""
+    p = params(name)
+    nodes = list(all_nodes(p))
+    failed = draw.draw(
+        st.lists(st.sampled_from(nodes), unique=True, min_size=1, max_size=p.n - p.k)
+    )
+    target, healthy = failed[0], [n for n in nodes if n not in failed]
+    assert helper_racks(p, target) == min(
+        c for c in combinations(range(p.nbar), p.dbar) if target.e not in c
+    )
+    whole = [e for e in range(p.nbar) if e != target.e and not any(f.e == e for f in failed)]
+    choices = list(combinations(whole, p.dbar))
+    if choices:
+        assert helper_racks(p, target, healthy) == min(choices)
+    else:
+        with pytest.raises(
+            RepairModelError,
+            match=f"only {len(whole)} fully healthy helper racks available, need dbar={p.dbar}",
+        ):
+            helper_racks(p, target, healthy)
+
+    data, c = loaded_cluster(p, random.Random(seed), stripes=2)
+    for node in failed:
+        c.fail_node(node)
+    if choices and not any(f.e == target.e for f in failed[1:]):
+        ledger = c.repair_failed(target)
+        assert tuple(sorted(ledger.per_helper)) == helper_racks(p, target, healthy)
+        assert c.read_data() == data
+    else:
+        with pytest.raises(RepairModelError):
+            c.repair_failed(target)
 
 
 def test_deterministic_replay():

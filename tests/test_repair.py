@@ -81,7 +81,7 @@ def test_helper_symbol_evaluates_leading_polynomial():
     rng = random.Random(202)
     data, C, cols = encoded(p, rng)
     failed = NodeId(3, 0)
-    _, sent = Repairer(p, failed, helpers=[0, 1, 2]).repair_slabs(
+    _, sent, _ = Repairer(p, failed, helpers=[0, 1, 2]).repair_slabs(
         ListSlabKernel(p.field), one_lane(cols)
     )
     assert sent[1] == [poly_eval(p.field, leading_vector(p, cols, 1), rack_point(p, 3))]
@@ -99,7 +99,7 @@ def test_recover_leading_vector_round_trip():
         kernel = ListSlabKernel(p.field)
         for e_star in range(p.nbar):
             rep = Repairer(p, NodeId(e_star, 0))
-            _, sent = rep.repair_slabs(kernel, one_lane(cols))
+            _, sent, _ = rep.repair_slabs(kernel, one_lane(cols))
             interp = rack_points_lagrange(p, rep.helpers)
             got = interp.interpolate([sent[e][0] for e in rep.helpers])
             assert got == leading_vector(p, cols, e_star)

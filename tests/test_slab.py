@@ -206,6 +206,12 @@ def test_kernel_rejects_bad_input():
         kernel.apply([[1, 1]], [b"ab", b"a"])
     with pytest.raises(ValueError, match="entries"):
         kernel.apply([[1]], [b"ab", b"cd"])
+    # GF(2^16) bytes that are not whole two-byte symbols: refused, not cut.
+    kernel = SlabKernel(binary_field(16))
+    with pytest.raises(ValueError, match="whole symbols"):
+        kernel.apply([[2]], [b"\x81\x02\x03"])
+    with pytest.raises(ValueError, match="whole symbols"):
+        kernel.split(b"\x81\x02\x03", 1)
 
 
 @pytest.mark.parametrize(
@@ -237,6 +243,8 @@ def test_list_slab_kernel_matches_field_arithmetic(field):
 
 class ListKernel:
     """Reference kernel over any field: a slab is a tuple of field elements."""
+
+    width = 1
 
     def __init__(self, field):
         self.field = field
@@ -276,7 +284,7 @@ def test_slab_maps_in_every_field_kind(name):
     assert Decoder(p, ids).decode_slabs(kernel, columns) == list(zip(*vecs))
     for failed in nodes:
         rep = Repairer(p, failed)
-        column, sent = rep.repair_slabs(kernel, columns)
+        column, sent, _ = rep.repair_slabs(kernel, columns)
         assert column == columns[failed]
         want = helper_sent(p, failed.e, rep.helpers, messages)
         assert {e: list(slab) for e, slab in sent.items()} == want
@@ -354,7 +362,7 @@ def test_slab_paths_match_per_stripe_paths(geo, m, size, systematic, seed):
     kernel = SlabKernel(p.field)
     columns = {n: kernel.split(pl, p.alpha) for n, pl in zip(nodes, payloads) if n != failed}
     rep = Repairer(p, failed, helpers)
-    column, sent = rep.repair_slabs(kernel, columns)
+    column, sent, _ = rep.repair_slabs(kernel, columns)
     assert kernel.join(column) == payloads[nodes.index(failed)]
     want_sent = helper_sent(p, failed.e, helpers, messages)
     assert {e: bytes_to_symbols(slab, m) for e, slab in sent.items()} == want_sent
