@@ -38,8 +38,9 @@ The ``add``/``sub``/``neg`` attributes are plain callables chosen per field
 kind (XOR for binary fields); they do not range-check their operands, which
 keeps inner loops fast. Symbols are validated where they enter the system
 (``layout.fill_message_matrix``, ``systematic.systematic_encode``,
-``systematic.systematic_message_matrix`` and ``cluster.Cluster.store_stripes``;
-file bytes are always symbols); the ``mul``/``inv``/``div``/``pow`` methods
+``systematic.systematic_message_matrix``, ``cluster.Cluster.store_stripes``,
+``reconstruct.Decoder.reconstruct`` and ``repair.Repairer.repair``; file
+bytes are always symbols); the ``mul``/``inv``/``div``/``pow`` methods
 check their own operands.
 """
 

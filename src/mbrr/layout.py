@@ -63,6 +63,7 @@ __all__ = [
     "fill_message_matrix",
     "unfill_message_matrix",
     "MessageMatrix",
+    "validate_symbols",
     "validate_data",
     "CodeMatrix",
 ]
@@ -306,18 +307,26 @@ class MessageMatrix:
         return [[row[c] for c in pos] for row in self.rows]
 
 
-def validate_data(p: CodeParams, data: Sequence[int]) -> None:
-    """Raise ValueError unless ``data`` is B field elements: plain ints in [0, q).
+def validate_symbols(p: CodeParams, symbols: Sequence[int], node: NodeId | None = None) -> None:
+    """Raise ValueError unless every one of ``symbols`` is a field element: a
+    plain int in [0, q). The error names ``node`` as their holder, or calls
+    them data symbols.
 
     ``bool`` and other int subclasses are refused along with everything else
     that is not exactly ``int``.
     """
+    q = p.field.q
+    for v in symbols:
+        if type(v) is not int or not 0 <= v < q:
+            holder = "data" if node is None else f"node {node!r}"
+            raise ValueError(f"{holder} symbol {v!r} is not an element of {p.field!r}")
+
+
+def validate_data(p: CodeParams, data: Sequence[int]) -> None:
+    """Raise ValueError unless ``data`` is B field elements (``validate_symbols``)."""
     if len(data) != p.B:
         raise ValueError(f"expected {p.B} data symbols, got {len(data)}")
-    q = p.field.q
-    for v in data:
-        if type(v) is not int or not 0 <= v < q:
-            raise ValueError(f"data symbol {v!r} is not an element of {p.field!r}")
+    validate_symbols(p, data)
 
 
 def fill_message_matrix(p: CodeParams, data: Sequence[int]) -> MessageMatrix:

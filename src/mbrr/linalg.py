@@ -13,10 +13,11 @@ elimination, run by both structure-blind oracles over generator rows
 (``oracle_reconstruct``, ``systematic_message_matrix``). ``matmul`` is
 the one generic matrix product and ``dot`` the one inner product
 (``mat_vec`` applies it to each row); the per-stripe paths do their field
-products through them. ``matmul`` runs ``encode``, the simulator's slab
-maps (see ``slab.ListSlabKernel``) and every interpolation against a
-``BatchInterpolator``'s basis, and is the reference the byte-slab kernel
-is checked against.
+products through them. ``matmul`` runs ``encode`` and every interpolation
+against a ``BatchInterpolator``'s basis, and is the reference both slab
+kernels are checked against. ``slab.ListSlabKernel`` runs the simulator's
+slab maps through it only over binary fields (and for a row too long for
+its packed lanes); over GF(p) it packs each slab into one integer instead.
 """
 
 from __future__ import annotations

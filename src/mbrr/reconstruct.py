@@ -52,6 +52,7 @@ from .layout import (
     index_sets,
     node_index,
     unfill_message_matrix,
+    validate_symbols,
 )
 from .linalg import BatchInterpolator, mat_vec, matmul, solve_linear
 from .slab import ListSlabKernel
@@ -106,11 +107,14 @@ class Decoder:
     def reconstruct(self, cols: Mapping[NodeId, Sequence[int]]) -> MessageMatrix:
         """Recover the message matrix from ``{node: column}`` for this decoder's nodes.
 
-        Runs ``decode_slabs``, which checks the columns, on one-lane slabs,
-        one per symbol.
+        Every symbol must be a field element (``validate_symbols``). Runs
+        ``decode_slabs``, which checks the columns' lengths, on one-lane
+        slabs, one per symbol.
         """
         if tuple(sorted(cols)) != self.ids:
             raise ValueError("observed nodes do not match this decoder")
+        for node, col in cols.items():
+            validate_symbols(self.p, col, node)
         slabs = {node: [[s] for s in col] for node, col in cols.items()}
         data = self.decode_slabs(self._kernel, slabs)
         return fill_message_matrix(self.p, [s[0] for s in data])

@@ -63,6 +63,7 @@ from .layout import (
     column_positions,
     evaluation_point,
     node_index,
+    validate_symbols,
 )
 from .linalg import BatchInterpolator, dot, poly_eval
 from .slab import ListSlabKernel
@@ -231,10 +232,16 @@ class Repairer:
     def repair(self, columns: Mapping[NodeId, Sequence[int]]):
         """Regenerate the failed column; returns (column, BandwidthLedger).
 
-        Only the columns of ``reads`` are read. Runs ``repair_slabs``, which
-        checks them, on one-lane slabs, one per symbol.
+        Only the columns of ``reads`` are read, and every symbol of them
+        must be a field element (``validate_symbols``). Runs
+        ``repair_slabs``, which checks their presence and lengths, on
+        one-lane slabs, one per symbol.
         """
-        slabs = {node: [[s] for s in columns[node]] for node in self.reads if node in columns}
+        slabs = {}
+        for node in self.reads:
+            if node in columns:
+                validate_symbols(self.p, columns[node], node)
+                slabs[node] = [[s] for s in columns[node]]
         column, _, ledger = self.repair_slabs(self._kernel, slabs)
         return [s[0] for s in column], ledger
 

@@ -46,7 +46,22 @@ at (12,7,3,3). On 51 lanes (a 32 KiB file at (50,44,5,8)) the decoder's
 ``ListSlabKernel`` applies the same maps, with the same contract, to slabs
 that are lists of field ints, over any field. The cluster simulator keeps
 its shards that way, because prime fields and GF(2^m) with m other than 8
-and 16 have no byte framing.
+and 16 have no byte framing. Over GF(p) it packs lanes the same way: each
+input slab, on its first nonzero entry, becomes one integer with a w-byte
+lane per stripe, and an output row is the plain integer sum of
+``c * x`` over the row's nonzero entries, one big-integer multiply and add
+per entry, reduced mod p once per row as it is unpacked. Inputs are field
+elements below p, so no lane sum exceeds (p-1)**2 times the input count;
+w is the smallest of 1, 2, 4 and 8 bytes that holds that bound, so no
+lane carries into the next. Packing and unpacking both go through
+``array`` in native byte order and read the bytes as an integer in
+``sys.byteorder``, so lane i sits in the same bits on the way in and out
+on either endianness, with no byteswap. Binary fields, and a row too long
+for 8-byte lanes (no field ``make_params`` picks reaches one), run through
+``linalg.matmul``, the reference the kernel is checked against. The kernel
+does not check its inputs: symbols enter through ``Cluster.store_stripes``,
+``Decoder.reconstruct`` and ``Repairer.repair``, which refuse anything but
+field elements, and every output is reduced.
 """
 
 from __future__ import annotations
@@ -69,6 +84,9 @@ _HIGH_BITS = tuple(tuple(b + 8 for b in bits) for bits in _LOW_BITS)
 
 # Bytes of each slab per run of the kernel; see the module docstring.
 _CHUNK = 16384
+
+# (bytes, array format) of the lanes ``ListSlabKernel`` packs GF(p) slabs in.
+_LANES = tuple((array(fmt).itemsize, fmt) for fmt in "BHIQ")
 
 
 class SlabKernel:
@@ -98,6 +116,9 @@ class SlabKernel:
     def join(self, slabs: Sequence[bytes]) -> bytes:
         """Interleave slabs symbol by symbol; the inverse of ``split``."""
         count = len(slabs)
+        for slab in slabs:
+            if len(slab) % self.width:
+                raise ValueError(f"a slab of {len(slab)} bytes is not whole symbols")
         out = bytearray(sum(map(len, slabs)))
         view = memoryview(out).cast(self._format)
         for r, slab in enumerate(slabs):
@@ -179,8 +200,9 @@ class SlabKernel:
 class ListSlabKernel:
     """Applies matrices over any field to equal-length lists of field ints.
 
-    A slab is a list with one symbol per stripe, so ``width`` is 1, and a
-    map is the matrix product ``linalg.matmul`` with the slabs as rows.
+    A slab is a list with one symbol per stripe, so ``width`` is 1. Over
+    GF(p) a map runs on packed lanes (see the module docstring); otherwise
+    it is the matrix product ``linalg.matmul`` with the slabs as rows.
     """
 
     width = 1
@@ -198,4 +220,26 @@ class ListSlabKernel:
 
     def apply(self, matrix: Sequence[Sequence[int]], slabs: Sequence[list]) -> list:
         """Output slab r is the sum over j of ``matrix[r][j] * slabs[j]``."""
-        return matmul(self.field, matrix, slabs)
+        f = self.field
+        top = (f.q - 1) ** 2 * len(slabs)  # the largest lane sum
+        lane = next(((w, fmt) for w, fmt in _LANES if top < 1 << 8 * w), None)
+        if f.characteristic == 2 or lane is None:
+            return matmul(f, matrix, slabs)
+        cols = _product_width(matrix, slabs)
+        w, fmt = lane
+        q, order = f.q, sys.byteorder
+        packed = [None] * len(slabs)  # inputs as ints, each converted once
+        out = []
+        for row in matrix:
+            acc = 0
+            for j, c in enumerate(row):
+                if c:
+                    x = packed[j]
+                    if x is None:
+                        x = packed[j] = int.from_bytes(array(fmt, slabs[j]).tobytes(), order)
+                    acc += c * x
+            if acc:
+                out.append([v % q for v in memoryview(acc.to_bytes(cols * w, order)).cast(fmt)])
+            else:
+                out.append([0] * cols)
+        return out

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from mbrr.cluster import Cluster, InsufficientSurvivorsError, overhead_report
 from mbrr.encode import encode
-from mbrr.gf import binary_field
+from mbrr.gf import binary_field, prime_field
 from mbrr.layout import (
     CodeMatrix,
     NodeId,
@@ -161,6 +161,26 @@ def test_repair_restores_bit_exact_state():
         assert ledger.cross_rack_symbols == p.dbar * p.beta * c.stripe_count
         assert sum(ledger.per_helper.values()) == ledger.cross_rack_symbols
         assert c.read_data() == data
+
+
+@pytest.mark.parametrize("q", [257, 65537])
+def test_wide_prime_field_round_trips(q):
+    """(12,8,2,4) over GF(257) and GF(65537) runs every map on four- and
+    eight-byte packed lanes: a healthy read, a read with a node down and
+    that node's repair give back what was stored, with a stripe of all
+    q-1 among random ones."""
+    p = make_params(12, 8, 2, 4, prime_field(q))
+    rng = random.Random(q)
+    data = [random_stripe(p, rng) for _ in range(30)] + [[q - 1] * p.B]
+    c = Cluster(p)
+    c.store_stripes([encode(fill_message_matrix(p, d)) for d in data])
+    assert c.read_data() == data
+    victim = NodeId(0, 1)  # one of the k nodes a healthy read uses
+    before = c.node_shard(victim)
+    c.fail_node(victim)
+    assert c.read_data() == data
+    c.repair_failed(victim)
+    assert c.node_shard(victim) == before
 
 
 def test_repair_requires_failed_node():

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -70,6 +71,24 @@ def test_observation_validation():
     other = observe(cols, nodes[1 : p.k + 1])
     with pytest.raises(ValueError, match="do not match"):
         dec.reconstruct(other)
+
+
+@pytest.mark.parametrize("name", ["reference", "pairs"])  # GF(2^4), GF(11)
+def test_decoder_refuses_non_field_symbols(name):
+    """A column symbol that is not a plain int in [0, q) is refused, not
+    reduced: over a prime field, v + q would otherwise decode as v."""
+    p = params(name)
+    rng = random.Random(104)
+    data, C, cols = encoded(p, rng)
+    ids = list(all_nodes(p))[: p.k]
+    node = ids[1]
+    for bad in (cols[node][0] + p.field.q, p.field.q, -1, "7", True, 1.0):
+        obs = observe(cols, ids)
+        obs[node] = [bad, *obs[node][1:]]
+        with pytest.raises(ValueError, match=re.escape(f"node {node!r} symbol {bad!r} is not")):
+            reconstruct(p, obs)
+        with pytest.raises(ValueError, match="is not an element"):
+            Decoder(p, ids).reconstruct(obs)
 
 
 # ---------------------------------------------------------------- oracle

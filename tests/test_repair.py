@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -218,6 +219,26 @@ def test_repair_model_validation():
     no_survivor = {n: c for n, c in cols.items() if n.e != 1}
     with pytest.raises(RepairModelError, match="survivor"):
         rep.repair(no_survivor)
+
+
+@pytest.mark.parametrize("name", ["reference", "pairs"])  # GF(2^4), GF(11)
+def test_repair_refuses_non_field_symbols(name):
+    """A symbol the repair reads, from a helper rack or an in-rack
+    survivor, must be a plain int in [0, q); the failed node's own
+    column is never read, so it is not checked."""
+    p = params(name)
+    data, C, cols = encoded(p, random.Random(212))
+    failed = NodeId(1, 0)
+    rep = Repairer(p, failed)
+    for node in (NodeId(1, 1), NodeId(rep.helpers[-1], 0)):
+        for bad in (cols[node][0] + p.field.q, -1, "7", True, 1.0):
+            bad_cols = {**cols, node: [bad, *cols[node][1:]]}
+            with pytest.raises(ValueError, match=re.escape(f"node {node!r} symbol {bad!r} is not")):
+                rep.repair(bad_cols)
+            with pytest.raises(ValueError, match="is not an element"):
+                repair_node(p, bad_cols, failed)
+    column, _ = rep.repair({**cols, failed: ["junk"] * p.alpha})
+    assert column == cols[failed]
 
 
 def test_repair_node_accepts_mapping_with_failed_entry():

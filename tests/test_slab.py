@@ -9,6 +9,7 @@ one, and each helper rack's sent slab against the M1 symmetry identity.
 
 import functools
 import random
+from array import array
 from unittest import mock
 
 import pytest
@@ -32,7 +33,7 @@ from mbrr.layout import (
     fill_message_matrix,
     unfill_message_matrix,
 )
-from mbrr.linalg import dot, mat_vec
+from mbrr.linalg import dot, mat_vec, matmul
 from mbrr.reconstruct import Decoder, oracle_reconstruct
 from mbrr.repair import Repairer, rack_point
 from mbrr import slab
@@ -212,6 +213,8 @@ def test_kernel_rejects_bad_input():
         kernel.apply([[2]], [b"\x81\x02\x03"])
     with pytest.raises(ValueError, match="whole symbols"):
         kernel.split(b"\x81\x02\x03", 1)
+    with pytest.raises(ValueError, match="whole symbols"):
+        kernel.join([b"\x81\x02\x03"])
 
 
 @pytest.mark.parametrize(
@@ -236,6 +239,83 @@ def test_list_slab_kernel_matches_field_arithmetic(field):
         kernel.apply([[1, 1]], [[1, 2], [1]])
     with pytest.raises(ValueError, match="entries"):
         kernel.apply([[1]], [[1], [2]])
+
+
+# ---------------------------------------------------------------- packed lanes
+
+
+@st.composite
+def _prime_cases(draw):
+    q = draw(st.sampled_from([3, 13, 29, 257, 65537]))
+    entry = st.one_of(st.sampled_from([0, 1, q - 1]), st.integers(0, q - 1))
+    rows, inputs, lanes = draw(st.integers(0, 5)), draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    matrix = draw(st.lists(st.lists(entry, min_size=inputs, max_size=inputs), min_size=rows, max_size=rows))
+    slabs = draw(st.lists(st.lists(entry, min_size=lanes, max_size=lanes), min_size=inputs, max_size=inputs))
+    return q, matrix, slabs
+
+
+@settings(max_examples=200, deadline=None)
+@given(_prime_cases())
+def test_packed_lanes_match_matmul(case):
+    """Over GF(p) the packed kernel equals ``matmul``, on one-, two-,
+    four- and eight-byte lanes, with zero rows, no rows and empty slabs."""
+    q, matrix, slabs = case
+    f = prime_field(q)
+    assert ListSlabKernel(f).apply(matrix, slabs) == matmul(f, matrix, slabs)
+
+
+@pytest.mark.parametrize("lanes", [0, 1, 9])
+@pytest.mark.parametrize(
+    "q, inputs, width",
+    [(3, 63, 1), (3, 64, 2), (13, 1, 1), (13, 455, 2), (13, 456, 4), (257, 1, 4), (65537, 3, 8)],
+)
+def test_packed_lanes_at_their_borders(q, inputs, width, lanes):
+    """The kernel packs in the narrowest lane that holds (q-1)**2 times the
+    input count: over GF(13), 455 inputs fill two-byte lanes (65,520) and
+    456 need four. Entries and symbols of q-1 make every lane sum reach
+    that bound, so a lane one size too narrow would carry into the next."""
+    f = prime_field(q)
+    top = q - 1
+    slabs = [[top] * lanes for _ in range(inputs)]
+    if lanes:
+        slabs[0][0] = 1
+    matrix = [[top] * inputs, [0] * inputs, [1] * inputs, [top] + [0] * (inputs - 1)]
+    with mock.patch.object(slab, "array", wraps=array) as packs:
+        got = ListSlabKernel(f).apply(matrix, slabs)
+    formats = {call.args[0] for call in packs.call_args_list}
+    assert formats == ({dict(slab._LANES)[width]} if inputs else set())
+    assert got == matmul(f, matrix, slabs)
+    assert got[0][1:] == [top * top * inputs % q] * (lanes - 1)
+    assert got[1] == [0] * lanes
+
+
+class _LargePrimeStandIn:
+    """GF(2**61 - 1) as far as ``matmul``'s prime branch reads it: ``q``."""
+
+    q = characteristic = 2**61 - 1
+    exp = log = None
+
+
+@pytest.mark.parametrize(
+    "field", [_LargePrimeStandIn(), binary_field(4), binary_field(8)], ids=["large-prime", "4", "8"]
+)
+def test_rows_outside_packed_lanes_run_matmul(field):
+    """Binary fields, and a row whose lane sums 8-byte lanes cannot hold
+    (no field ``make_params`` picks has one), run ``matmul``."""
+    rng = random.Random(640)
+    top = field.q - 1
+    slabs = [[rng.choice([0, 1, top, rng.randrange(field.q)]) for _ in range(7)] for _ in range(5)]
+    matrix = [[top] * 5, [rng.randrange(field.q) for _ in range(5)], [0] * 5]
+    with mock.patch.object(slab, "matmul", wraps=slab.matmul) as products:
+        got = ListSlabKernel(field).apply(matrix, slabs)
+    assert products.call_count == 1
+    if field.characteristic == 2:
+        want = [[mat_vec(field, [row], list(col))[0] for col in zip(*slabs)] for row in matrix]
+    else:
+        want = [
+            [sum(c * x for c, x in zip(row, col)) % field.q for col in zip(*slabs)] for row in matrix
+        ]
+    assert got == want
 
 
 # ---------------------------------------------------------------- maps
