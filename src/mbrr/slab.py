@@ -16,52 +16,43 @@ transform over B unit-lane slabs, and ``systematic.systematic_encode_map``
 applies the generator rows of the non-data cells (``encode.encode_rows``)
 to the precoding rows packed as B-lane slabs.
 
-In the kernel a slab read as one big-endian integer (``int.from_bytes``)
-holds its symbols in m-bit lanes. Addition is XOR of those integers.
-Doubling every lane at once is a masked shift that adds the reduction
-polynomial to the lanes whose top bit overflowed. ``SlabKernel.apply``
-runs every map bit-serial, over its slabs in chunks of at most ``_CHUNK``
-(16 KiB), so that what it holds stays in the cache and its cost stays
-linear in the slab length: for each output row, the inputs whose constant
-has bit b set are XORed into a partial sum s_b, and Horner's rule over the
-bits from the top, ``acc = 2 * acc + s_b``, gives the row. That is m
-doublings per row and one XOR per set bit of each constant, with no
-preparation, so its cost follows the rows and the set bits, not the inputs.
-The minimum-bandwidth repair sends one symbol per helper rack (beta = 1),
-so its helper maps are one row each, the shape this schedule suits best.
+Both kernels run a map on one core, over packed lanes: a slab read as one
+integer holds its symbols in w-byte lanes, one lane per stripe. Over
+GF(2^m) addition is XOR of those integers, and doubling every lane at once
+is a masked shift that adds the reduction polynomial to the lanes whose
+top bit overflowed (``_lane_masks``). ``_horner`` runs every map
+bit-serial: for each output row, the inputs whose constant has bit b set
+are XORed into a partial sum s_b, and Horner's rule over the bits from the
+top, ``acc = 2 * acc + s_b``, gives the row. That is m doublings per row
+and one XOR per set bit of each constant, with no preparation, so its cost
+follows the rows and the set bits, not the inputs. The minimum-bandwidth
+repair sends one symbol per helper rack (beta = 1), so its helper maps are
+one row each, the shape this schedule suits best. No second schedule is
+kept: the GF(2^16) windowed one and the GF(2^8) table multiply of Plank,
+Greenan and Miller (FAST 2013) win only on slabs longer than any benchmark
+workload's (the README has the measurements).
 
-No second schedule is kept, because none wins on a benchmark workload:
-the GF(2^16) windowed one (each input prepared once as eight 2-bit windows
-of its doublings, eight lookups per product) and the GF(2^8) table
-multiply of Plank, Greenan and Miller, FAST 2013 (``bytes.translate``, a
-256-byte table per constant). They win only on long slabs, measured with
-CPython 3.11.7 on a 2-core x86-64 host (best single applies, the two
-schedules interleaved): at 8,192 lanes windowed took 5.4 against 6.9 ms
-for the plain 36 x 20 GF(2^16) encode map at (12,7,3,3) and 5.5 against
-8.4 ms for the decoder's 8 x 324 re-encode at (50,44,5,8); table
-multiplies took 68 against 82 ms for the four repair maps of a 10 MiB file
-at (12,7,3,3). On 51 lanes (a 32 KiB file at (50,44,5,8)) the decoder's
-44 x 44 maps were even, 1.42-1.48 ms windowed against 1.40-1.44 ms.
-
-``ListSlabKernel`` applies the same maps, with the same contract, to slabs
-that are lists of field ints, over any field. The cluster simulator keeps
-its shards that way, because prime fields and GF(2^m) with m other than 8
-and 16 have no byte framing. Over GF(p) it packs lanes the same way: each
-input slab, on its first nonzero entry, becomes one integer with a w-byte
-lane per stripe, and an output row is the plain integer sum of
-``c * x`` over the row's nonzero entries, one big-integer multiply and add
-per entry, reduced mod p once per row as it is unpacked. Inputs are field
-elements below p, so no lane sum exceeds (p-1)**2 times the input count;
-w is the smallest of 1, 2, 4 and 8 bytes that holds that bound, so no
-lane carries into the next. Packing and unpacking both go through
-``array`` in native byte order and read the bytes as an integer in
-``sys.byteorder``, so lane i sits in the same bits on the way in and out
-on either endianness, with no byteswap. Binary fields, and a row too long
-for 8-byte lanes (no field ``make_params`` picks reaches one), run through
-``linalg.matmul``, the reference the kernel is checked against. The kernel
-does not check its inputs: symbols enter through ``Cluster.store_stripes``,
-``Decoder.reconstruct`` and ``Repairer.repair``, which refuse anything but
-field elements, and every output is reduced.
+The kernels differ only in framing. ``SlabKernel`` reads GF(2^8) and
+GF(2^16) byte slabs as big-endian integers, so a lane is a symbol in file
+order, in chunks of at most ``_CHUNK`` (16 KiB), so that what it holds
+stays in the cache and its cost stays linear in the slab length; it keeps
+the lane masks of each chunk length. ``ListSlabKernel`` runs the same maps
+on slabs that are lists of field ints, over any field, as the cluster
+simulator keeps them: prime fields and GF(2^m) with m other than 8 and 16
+have no byte framing. It packs a slab through ``array`` in native byte
+order and reads the bytes as an integer in ``sys.byteorder``, so lane i
+sits in the same bits on the way in and out on either endianness. Its
+lanes are the narrowest of 1, 2, 4 and 8 bytes that hold the largest lane
+value: q - 1 over GF(2^m) (one byte up to m = 8, two up to 16), and
+(p-1)**2 times the input count over GF(p), where an output row is the
+plain integer sum of ``c * x`` over the row's nonzero entries, reduced mod
+p as it is unpacked. Only a GF(p) row too long for 8-byte lanes (no field
+``make_params`` picks has one) runs ``linalg.matmul``, the reference the
+kernels are checked against. A kernel packs each input once per apply
+(per chunk): no map the program builds has an input that no row reads.
+The kernels do not check their symbols: they enter as file bytes, or
+through ``Cluster.store_stripes``, ``Decoder.reconstruct`` and
+``Repairer.repair``, which refuse anything but field elements.
 """
 
 from __future__ import annotations
@@ -78,15 +69,53 @@ __all__ = ["BYTE_FIELD_MS", "SlabKernel", "ListSlabKernel"]
 BYTE_FIELD_MS = (8, 16)
 
 # The set bits of each byte value, as bit positions in a constant's low byte
-# and in its high byte: the kernel splits a constant into bytes.
+# and in its high byte: ``_horner`` splits a constant into bytes.
 _LOW_BITS = tuple(tuple(b for b in range(8) if v >> b & 1) for v in range(256))
 _HIGH_BITS = tuple(tuple(b + 8 for b in bits) for bits in _LOW_BITS)
 
-# Bytes of each slab per run of the kernel; see the module docstring.
+# Bytes of each slab per run of ``SlabKernel``; see the module docstring.
 _CHUNK = 16384
 
-# (bytes, array format) of the lanes ``ListSlabKernel`` packs GF(p) slabs in.
+# (bytes, array format) of the lanes ``ListSlabKernel`` packs slabs in.
 _LANES = tuple((array(fmt).itemsize, fmt) for fmt in "BHIQ")
+
+
+def _horner(m: int, masks: tuple, matrix, inputs: Sequence[int]) -> list:
+    """Each row of a GF(2^m) ``matrix`` applied to packed ``inputs``, by
+    Horner's rule over the bits of its constants, from the top bit;
+    ``masks`` are ``_lane_masks`` of the inputs' lanes."""
+    top, rest, poly = masks
+    shift = m - 1
+    out = []
+    for row in matrix:
+        sums = [0] * m  # sums[b]: XOR of the inputs whose constant has bit b
+        for c, x in zip(row, inputs):
+            if c:
+                for b in _LOW_BITS[c & 255]:
+                    sums[b] ^= x
+                for b in _HIGH_BITS[c >> 8]:
+                    sums[b] ^= x
+        acc = 0
+        for s in reversed(sums):
+            if acc:  # doubling 0 is 0: leading zero sums cost nothing
+                acc = ((acc & rest) << 1) ^ ((acc & top) >> shift) * poly
+            acc ^= s
+        out.append(acc)
+    return out
+
+
+def _lane_masks(field, lanes: int, width: int) -> tuple:
+    """Masks that double every lane of ``lanes`` GF(2^m) symbols packed in
+    ``width``-byte lanes. Every lane holds the same mask, so they are the
+    same integer whichever byte order the lanes were read in.
+
+    Doubling is ``((x & rest) << 1) ^ ((x & top) >> (m - 1)) * poly``:
+    ``(x & top) >> (m - 1)`` is 0 or 1 per lane, so multiplying it by
+    poly reduces exactly the lanes whose top bit overflowed.
+    """
+    m = field.m
+    ones = int.from_bytes((1).to_bytes(width, "big") * lanes, "big")  # 1 in every lane
+    return ones << m - 1, ones * ((1 << m - 1) - 1), field.primitive_poly ^ 1 << m
 
 
 class SlabKernel:
@@ -146,63 +175,28 @@ class SlabKernel:
             raise ValueError(f"slabs of {size} bytes are not whole symbols")
         parts = [[] for _ in matrix]
         for lo in range(0, size, _CHUNK):
-            chunk = [slab[lo : lo + _CHUNK] for slab in slabs]  # the slab itself if short
             length = min(size - lo, _CHUNK)
-            for part, v in zip(parts, self._apply_serial(matrix, chunk)):
+            # A slice of a slab no longer than a chunk is the slab itself.
+            inputs = [int.from_bytes(s[lo : lo + _CHUNK], "big") for s in slabs]
+            for part, v in zip(parts, _horner(self.field.m, self._lanes(length), matrix, inputs)):
                 part.append(v.to_bytes(length, "big"))
         return [b"".join(part) for part in parts]
 
-    def _apply_serial(self, matrix, slabs) -> list:
-        """Horner over the bits of each row's constants, from the top bit."""
-        m = self.field.m
-        top, rest, poly = self._lanes(len(slabs[0]))
-        shift = m - 1
-        plain = [None] * len(slabs)  # inputs as ints, each converted once
-        out = []
-        for row in matrix:
-            sums = [0] * m  # sums[b]: XOR of the inputs whose constant has bit b
-            for j, c in enumerate(row):
-                if c:
-                    x = plain[j]
-                    if x is None:
-                        x = plain[j] = int.from_bytes(slabs[j], "big")
-                    for b in _LOW_BITS[c & 255]:
-                        sums[b] ^= x
-                    for b in _HIGH_BITS[c >> 8]:
-                        sums[b] ^= x
-            acc = 0
-            for s in reversed(sums):
-                if acc:  # doubling 0 is 0: leading zero sums cost nothing
-                    acc = ((acc & rest) << 1) ^ ((acc & top) >> shift) * poly
-                acc ^= s
-            out.append(acc)
-        return out
-
     def _lanes(self, size: int) -> tuple:
-        """Masks that double every lane of a ``size``-byte slab at once.
-
-        Doubling is ``((x & rest) << 1) ^ ((x & top) >> (m - 1)) * poly``:
-        ``(x & top) >> (m - 1)`` is 0 or 1 per lane, so multiplying it by
-        poly reduces exactly the lanes whose top bit overflowed.
-        """
+        """The lane masks of a ``size``-byte slab, built once per length."""
         masks = self._masks.get(size)
         if masks is None:
-            m, w = self.field.m, self.width
-            lanes = size // w
-            masks = self._masks[size] = (
-                int.from_bytes((1 << m - 1).to_bytes(w, "big") * lanes, "big"),
-                int.from_bytes(((1 << m - 1) - 1).to_bytes(w, "big") * lanes, "big"),
-                self.field.primitive_poly ^ 1 << m,  # x**m reduced
-            )
+            masks = self._masks[size] = _lane_masks(self.field, size // self.width, self.width)
         return masks
 
 
 class ListSlabKernel:
     """Applies matrices over any field to equal-length lists of field ints.
 
-    A slab is a list with one symbol per stripe, so ``width`` is 1. Over
-    GF(p) a map runs on packed lanes (see the module docstring); otherwise
-    it is the matrix product ``linalg.matmul`` with the slabs as rows.
+    A slab is a list with one symbol per stripe, so ``width`` is 1. A map
+    runs on the packed-lane core both kernels share, framed in native byte
+    order: ``_horner`` over GF(2^m), one multiply-add per entry over GF(p)
+    (see the module docstring).
     """
 
     width = 1
@@ -221,25 +215,28 @@ class ListSlabKernel:
     def apply(self, matrix: Sequence[Sequence[int]], slabs: Sequence[list]) -> list:
         """Output slab r is the sum over j of ``matrix[r][j] * slabs[j]``."""
         f = self.field
-        top = (f.q - 1) ** 2 * len(slabs)  # the largest lane sum
-        lane = next(((w, fmt) for w, fmt in _LANES if top < 1 << 8 * w), None)
-        if f.characteristic == 2 or lane is None:
-            return matmul(f, matrix, slabs)
         cols = _product_width(matrix, slabs)
+        binary = f.characteristic == 2
+        top = f.q - 1 if binary else (f.q - 1) ** 2 * len(slabs)  # the largest lane value
+        lane = next(((w, fmt) for w, fmt in _LANES if top < 1 << 8 * w), None)
+        if lane is None:
+            return matmul(f, matrix, slabs)
         w, fmt = lane
-        q, order = f.q, sys.byteorder
-        packed = [None] * len(slabs)  # inputs as ints, each converted once
+        order = sys.byteorder
+        inputs = [int.from_bytes(array(fmt, s).tobytes(), order) for s in slabs]
+        if binary:
+            rows = _horner(f.m, _lane_masks(f, cols, w), matrix, inputs)
+        else:
+            rows = []
+            for row in matrix:
+                acc = 0
+                for c, x in zip(row, inputs):
+                    if c:
+                        acc += c * x
+                rows.append(acc)
+        q = f.q
         out = []
-        for row in matrix:
-            acc = 0
-            for j, c in enumerate(row):
-                if c:
-                    x = packed[j]
-                    if x is None:
-                        x = packed[j] = int.from_bytes(array(fmt, slabs[j]).tobytes(), order)
-                    acc += c * x
-            if acc:
-                out.append([v % q for v in memoryview(acc.to_bytes(cols * w, order)).cast(fmt)])
-            else:
-                out.append([0] * cols)
+        for v in rows:
+            lanes = memoryview(v.to_bytes(cols * w, order)).cast(fmt)
+            out.append(lanes.tolist() if binary else [x % q for x in lanes])
         return out

@@ -163,15 +163,11 @@ def test_repair_restores_bit_exact_state():
         assert c.read_data() == data
 
 
-@pytest.mark.parametrize("q", [257, 65537])
-def test_wide_prime_field_round_trips(q):
-    """(12,8,2,4) over GF(257) and GF(65537) runs every map on four- and
-    eight-byte packed lanes: a healthy read, a read with a node down and
-    that node's repair give back what was stored, with a stripe of all
-    q-1 among random ones."""
-    p = make_params(12, 8, 2, 4, prime_field(q))
-    rng = random.Random(q)
-    data = [random_stripe(p, rng) for _ in range(30)] + [[q - 1] * p.B]
+def _round_trip(p, seed):
+    """A healthy read, a read with node (0,1) down and that node's repair
+    give back what was stored, with a stripe of all q-1 among random ones."""
+    rng = random.Random(seed)
+    data = [random_stripe(p, rng) for _ in range(30)] + [[p.field.q - 1] * p.B]
     c = Cluster(p)
     c.store_stripes([encode(fill_message_matrix(p, d)) for d in data])
     assert c.read_data() == data
@@ -181,6 +177,21 @@ def test_wide_prime_field_round_trips(q):
     assert c.read_data() == data
     c.repair_failed(victim)
     assert c.node_shard(victim) == before
+
+
+@pytest.mark.parametrize("q", [257, 65537])
+def test_wide_prime_field_round_trips(q):
+    """(12,8,2,4) over GF(257) and GF(65537) runs every map on four- and
+    eight-byte packed lanes."""
+    _round_trip(make_params(12, 8, 2, 4, prime_field(q)), q)
+
+
+@pytest.mark.parametrize("m", [4, 10, 16])
+def test_binary_field_round_trips(m):
+    """(12,7,3,3) over GF(2^4), GF(2^10) and GF(2^16) runs every map
+    bit-serial on one- and two-byte packed lanes, GF(2^10) filling only
+    ten bits of its two bytes."""
+    _round_trip(make_params(12, 7, 3, 3, binary_field(m)), m)
 
 
 def test_repair_requires_failed_node():

@@ -187,10 +187,12 @@ def test_every_map_runs_bit_serial_in_chunks(m, size, chunks):
     assert len(helper) == 9
     rng = random.Random(630 + m)
     slabs = [rng.randbytes(size) for _ in helper]
-    with mock.patch.object(kernel, "_apply_serial", wraps=kernel._apply_serial) as serial:
+    with mock.patch.object(slab, "_horner", wraps=slab._horner) as serial, mock.patch.object(
+        kernel, "_lanes", wraps=kernel._lanes
+    ) as masks:
         (got,) = kernel.apply([helper], slabs)
-        lengths = [len(call.args[1][0]) for call in serial.call_args_list]
-    assert len(lengths) == chunks
+        lengths = [call.args[0] for call in masks.call_args_list]
+    assert serial.call_count == len(lengths) == chunks
     assert lengths == [min(slab._CHUNK, size - lo) for lo in range(0, size, slab._CHUNK)]
     lists = ListSlabKernel(p.field)
     want = lists.apply([helper], [kernel.unpack(s) for s in slabs])[0]
@@ -300,15 +302,16 @@ class _LargePrimeStandIn:
     "field", [_LargePrimeStandIn(), binary_field(4), binary_field(8)], ids=["large-prime", "4", "8"]
 )
 def test_rows_outside_packed_lanes_run_matmul(field):
-    """Binary fields, and a row whose lane sums 8-byte lanes cannot hold
-    (no field ``make_params`` picks has one), run ``matmul``."""
+    """Only a row whose lane sums 8-byte lanes cannot hold (no field
+    ``make_params`` picks has one) runs ``matmul``; binary fields run on
+    packed lanes, with the exact product."""
     rng = random.Random(640)
     top = field.q - 1
     slabs = [[rng.choice([0, 1, top, rng.randrange(field.q)]) for _ in range(7)] for _ in range(5)]
     matrix = [[top] * 5, [rng.randrange(field.q) for _ in range(5)], [0] * 5]
     with mock.patch.object(slab, "matmul", wraps=slab.matmul) as products:
         got = ListSlabKernel(field).apply(matrix, slabs)
-    assert products.call_count == 1
+    assert products.call_count == (0 if field.characteristic == 2 else 1)
     if field.characteristic == 2:
         want = [[mat_vec(field, [row], list(col))[0] for col in zip(*slabs)] for row in matrix]
     else:
@@ -316,6 +319,41 @@ def test_rows_outside_packed_lanes_run_matmul(field):
             [sum(c * x for c, x in zip(row, col)) % field.q for col in zip(*slabs)] for row in matrix
         ]
     assert got == want
+
+
+@st.composite
+def _binary_cases(draw, m):
+    q = 1 << m
+    special = [0, 1, q - 1, 1 << (m - 1)] + ([_overflow_lane(m)] if m > 1 else [])
+    entry = st.one_of(st.sampled_from(special), st.integers(0, q - 1))
+    if draw(st.booleans()):
+        entry = st.just(q - 1)  # every constant and symbol q - 1
+    rows, inputs = draw(st.integers(0, 5)), draw(st.integers(0, 6))
+    lanes = draw(st.one_of(st.sampled_from([0, 1]), st.integers(2, 40)))
+    matrix = draw(st.lists(st.lists(entry, min_size=inputs, max_size=inputs), min_size=rows, max_size=rows))
+    if rows and draw(st.booleans()):
+        matrix[draw(st.integers(0, rows - 1))] = [0] * inputs  # an all-zero row
+    slabs = draw(st.lists(st.lists(entry, min_size=lanes, max_size=lanes), min_size=inputs, max_size=inputs))
+    return matrix, slabs
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_binary_list_slabs_match_matmul(m, data):
+    """Over every GF(2^m) the list kernel equals ``matmul`` without calling
+    it, on one-byte lanes up to m = 8 and two-byte lanes from m = 9, with
+    constants and symbols of q-1, zero rows, and slabs of 0, 1 and many
+    lanes."""
+    matrix, slabs = data.draw(_binary_cases(m))
+    f = binary_field(m)
+    with mock.patch.object(slab, "matmul") as products, mock.patch.object(
+        slab, "array", wraps=array
+    ) as packs:
+        got = ListSlabKernel(f).apply(matrix, slabs)
+    assert not products.called
+    assert {call.args[0] for call in packs.call_args_list} <= {"B" if m <= 8 else "H"}
+    assert got == matmul(f, matrix, slabs)
 
 
 # ---------------------------------------------------------------- maps
