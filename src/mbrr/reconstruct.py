@@ -20,10 +20,11 @@ less than k through them. The decoder needs two maps built from L.
 
 Both maps are fixed by the node set, so ``Decoder`` builds them once and
 ``Decoder.decode_slabs`` runs them over byte or list slabs that span every
-stripe of a file (see ``slab``). The repeated cells of the recovered matrix
-are then compared (``unfill_message_matrix``); on corrupt input they
-disagree and IntegrityError is raised. ``Decoder.reconstruct`` and
-``reconstruct`` decode one stripe by running the same maps on one-lane
+stripe of a file (see ``slab``), each map in one ``apply_groups`` over all
+its message rows: two applies per decode. The repeated cells of the
+recovered matrix are then compared (``unfill_message_matrix``); on corrupt
+input they disagree and IntegrityError is raised. ``Decoder.reconstruct``
+and ``reconstruct`` decode one stripe by running the same maps on one-lane
 slabs.
 
 ``oracle_reconstruct`` ignores all of that structure: each observed symbol
@@ -140,16 +141,17 @@ class Decoder:
             ordered.append(col)
 
         rows = [[0] * len(self._j) for _ in range(p.dbar)]
-        for i in range(p.kbar, p.dbar):
-            coeffs = kernel.apply(self._bottom, [col[i] for col in ordered])
+        bottom = range(p.kbar, p.dbar)
+        groups = [[col[i] for col in ordered] for i in bottom]
+        for i, coeffs in zip(bottom, kernel.apply_groups(self._bottom, groups)):
             for pos, deg in self._low:
                 rows[i][pos] = coeffs[deg]
-        for i in range(p.kbar):
-            high = [rows[t][self._mirror_pos[i]] for t in range(p.kbar, p.dbar)]
-            coeffs = kernel.apply(self._top, [col[i] for col in ordered] + high)
+        highs = [[rows[t][self._mirror_pos[i]] for t in bottom] for i in range(p.kbar)]
+        groups = [[col[i] for col in ordered] + high for i, high in enumerate(highs)]
+        for i, coeffs in enumerate(kernel.apply_groups(self._top, groups)):
             for pos, deg in self._low:
                 rows[i][pos] = coeffs[deg]
-            for pos, slab in zip(self._high_pos, high):
+            for pos, slab in zip(self._high_pos, highs[i]):
                 rows[i][pos] = slab
         return unfill_message_matrix(MessageMatrix(p, rows))
 

@@ -14,7 +14,9 @@ first, then (0,1) and so on, skipping the redundant cells.
 
 ``systematic_slabs`` finds the unique message matrix consistent with such
 a placement in five linear steps, run once over slabs (see ``slab``) that
-span many stripes, each step as the fixed map named in brackets:
+span many stripes, each step as the fixed map named in brackets. Steps 1,
+2 and 4 apply each map once over all the rows it serves (``apply_groups``);
+step 3 stays one apply per row, because row r reads S[r][:r]:
 
 1. Within racks 0..kbar-1, every row that avoids the redundant cells is
    fully known, so its local polynomial and hence its leading coefficient
@@ -180,16 +182,17 @@ def systematic_slabs(kernel, p: CodeParams, data_slabs: Sequence) -> list:
     lead = {}
     for e in range(kbar):
         top = [rack_lagrange(p, e).matrix()[u - 1]]
-        for i in [*range(e + 1), *range(kbar, dbar)]:
-            lead[(i, e)] = kernel.apply(top, [grid[(i, NodeId(e, g))] for g in range(u)])[0]
+        known = [*range(e + 1), *range(kbar, dbar)]
+        groups = [[grid[(i, NodeId(e, g))] for g in range(u)] for i in known]
+        lead.update(((i, e), slab) for i, (slab,) in zip(known, kernel.apply_groups(top, groups)))
 
-    # 2. Rectangle block T, one bottom row of H at a time.
+    # 2. Rectangle block T, from every bottom row of H in one grouped apply.
     T = [[None] * (dbar - kbar) for _ in range(kbar)]
     vand = rack_points_lagrange(p, tuple(range(kbar))).matrix()
-    for i in range(kbar, dbar):
-        block = kernel.apply(vand, [lead[(i, e)] for e in range(kbar)])
+    groups = [[lead[(i, e)] for e in range(kbar)] for i in range(kbar, dbar)]
+    for i, block in enumerate(kernel.apply_groups(vand, groups)):
         for t in range(kbar):
-            T[t][i - kbar] = block[t]
+            T[t][i] = block[t]
 
     # 3. Square block S, row r from inputs lead[(r, e >= r)], S[r][:r], T[r]:
     # the right-hand side lead[(r, e)] - (S[r] + T[r]) . phi_e over the known
@@ -214,9 +217,10 @@ def systematic_slabs(kernel, p: CodeParams, data_slabs: Sequence) -> list:
     for e in range(kbar - 1):
         weights, kappa = local_finish(p, NodeId(e, u - 1))
         finish = [[f.mul(kappa, v) for v in phis[e]] + weights]
-        for i in range(e + 1, kbar):
-            mates = [grid[(i, NodeId(e, g))] for g in range(u - 1)]
-            grid[(i, NodeId(e, u - 1))] = kernel.apply(finish, S[i] + T[i] + mates)[0]
+        rows = range(e + 1, kbar)
+        groups = [S[i] + T[i] + [grid[(i, NodeId(e, g))] for g in range(u - 1)] for i in rows]
+        for i, (slab,) in zip(rows, kernel.apply_groups(finish, groups)):
+            grid[(i, NodeId(e, u - 1))] = slab
 
     # 5. Any-k decode of the completed systematic columns.
     front = systematic_nodes(p)

@@ -199,6 +199,99 @@ def test_every_map_runs_bit_serial_in_chunks(m, size, chunks):
     assert got == kernel.pack(want)
 
 
+@st.composite
+def _group_cases(draw):
+    """A field, a map, and groups of slabs of different lengths: byte
+    slabs over GF(2^8) and GF(2^16), list slabs over GF(13) and GF(2^4)."""
+    field = draw(st.sampled_from([binary_field(8), binary_field(16), prime_field(13), binary_field(4)]))
+    q = field.q
+    entry = st.one_of(st.sampled_from([0, 1, q - 1]), st.integers(0, q - 1))
+    rows, inputs = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    matrix = draw(st.lists(st.lists(entry, min_size=inputs, max_size=inputs), min_size=rows, max_size=rows))
+    lengths = draw(st.lists(st.integers(0, 9), min_size=1, max_size=6))
+    groups = [
+        draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=inputs, max_size=inputs))
+        for n in lengths
+    ]
+    return field, matrix, groups
+
+
+@settings(max_examples=200, deadline=None)
+@given(_group_cases(), st.integers(1, 6))
+def test_apply_groups_equals_per_group_apply(case, chunk):
+    """``apply_groups`` equals one ``apply`` per group, and ``matmul``, bit
+    for bit: with chunks of ``chunk`` symbols the groups split into several
+    runs, share runs, and run longer than a chunk; one group is ``apply``."""
+    field, matrix, groups = case
+    if field.characteristic == 2 and field.m in slab.BYTE_FIELD_MS:
+        kernel = SlabKernel(field)
+        slab_groups = [[kernel.pack(col) for col in group] for group in groups]
+    else:
+        kernel = ListSlabKernel(field)
+        slab_groups = groups
+    with mock.patch.object(slab, "_CHUNK", chunk * kernel.width):
+        got = kernel.apply_groups(matrix, slab_groups)
+        assert got == [kernel.apply(matrix, group) for group in slab_groups]
+    assert [[kernel.unpack(v) for v in out] for out in got] == [
+        matmul(field, matrix, group) for group in groups
+    ]
+
+
+def test_apply_groups_lays_pieces_end_to_end():
+    """With 4-symbol chunks, groups of 3, 1, 2, 9, 0 and 4 GF(2^16) symbols
+    run as 3+1 | 2 | 4 | 4 | 1 | 4 symbols: a group that does not fit the
+    open run opens the next, and a group longer than a chunk runs as whole
+    chunks and a last piece, which the next group joins only if it fits.
+    Per-group applies would make 7 runs."""
+    f = binary_field(16)
+    kernel = SlabKernel(f)
+    rng = random.Random(640)
+    matrix = [[rng.randrange(f.q) for _ in range(3)] for _ in range(2)]
+    groups = [[rng.randbytes(2 * n) for _ in range(3)] for n in (3, 1, 2, 9, 0, 4)]
+    with mock.patch.object(slab, "_CHUNK", 8), mock.patch.object(
+        kernel, "_lanes", wraps=kernel._lanes
+    ) as masks:
+        got = kernel.apply_groups(matrix, groups)
+        runs = [call.args[0] for call in masks.call_args_list]
+        assert got == [kernel.apply(matrix, group) for group in groups]
+    assert runs == [8, 4, 8, 8, 2, 8]
+    assert got[4] == [b"", b""]
+    assert kernel.apply_groups(matrix, []) == []
+
+
+@pytest.mark.parametrize(
+    "geo, m, lanes, runs",
+    [
+        ((50, 44, 5, 8), 16, 51, [816]),
+        ((50, 44, 5, 8), 16, 1500, [15000, 9000]),
+        ((12, 7, 3, 3), 8, 13108, [13108] * 3),
+    ],
+    ids=["gf16-51", "gf16-1500", "gf8-13108"],
+)
+def test_decode_runs_each_map_once_per_chunk(geo, m, lanes, runs):
+    """``decode_slabs`` applies its two maps once each over all their
+    message rows, so the bit-serial loop runs once per 16 KiB of row
+    groups, not once per row. At (50,44,5,8) over GF(2^16) the 8 top rows
+    (dbar = kbar) of 102-byte slabs fit one run, where per-row applies made
+    8, and 3,000-byte slabs run as 5 + 3 rows. At (12,7,3,3) over GF(2^8)
+    (the stream-gf8 shape), two 13,108-byte slabs do not fit one chunk, so
+    its 1 bottom and 2 top rows still make 3 runs."""
+    p = file_params(*geo, m)
+    kernel = SlabKernel(p.field)
+    rng = random.Random(lanes)
+    data = [rng.randbytes(lanes * kernel.width) for _ in range(p.B)]
+    columns = encode_slabs(kernel, p, data)
+    nodes = list(all_nodes(p))
+    dec = Decoder(p, nodes[1 : p.k] + nodes[-1:])
+    with mock.patch.object(slab, "_horner", wraps=slab._horner) as serial, mock.patch.object(
+        kernel, "_lanes", wraps=kernel._lanes
+    ) as masks:
+        got = dec.decode_slabs(kernel, columns)
+        lengths = [call.args[0] for call in masks.call_args_list]
+    assert got == data
+    assert serial.call_count == len(runs) and lengths == runs
+
+
 def test_kernel_rejects_bad_input():
     with pytest.raises(ValueError, match="GF"):
         SlabKernel(prime_field(13))
@@ -370,6 +463,9 @@ class ListKernel:
     def apply(self, matrix, slabs):
         per_stripe = [mat_vec(self.field, matrix, list(vec)) for vec in zip(*slabs)]
         return [tuple(out[r] for out in per_stripe) for r in range(len(matrix))]
+
+    def apply_groups(self, matrix, groups):
+        return [self.apply(matrix, g) for g in groups]
 
 
 def helper_sent(p, target, helpers, messages):

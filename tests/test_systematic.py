@@ -2,12 +2,14 @@ import hashlib
 import random
 import sys
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import mbrr.cli
 import mbrr.repair
+import mbrr.slab
 import mbrr.systematic
 from mbrr.cli import encode_file, main
 from mbrr.encode import encode, encode_slabs
@@ -310,6 +312,43 @@ def test_systematic_encode_map_is_one_apply(monkeypatch):
     cells, matrix = systematic_encode_map(p, P)
     assert applied == [(p.n * p.alpha - p.B, p.B)] == [(76, 324)]
     assert len(cells) == len(matrix) == 76
+
+
+def test_precoding_build_runs_each_grouped_map_once_per_chunk():
+    """At (50,44,5,8) over GF(2^16) the precoding build (324-lane slabs,
+    648 bytes) runs the bit-serial loop 24 times: one run per rack in step
+    1 (36 rows), none in step 2 (dbar = kbar), one per row in step 3 (8),
+    one per rack e in step 4 (28 rows) and one for the decoder's 8 top
+    rows. One apply per row made 36 + 8 + 28 + 8 = 80 runs."""
+    p = make_params(50, 44, 5, 8, field=binary_field(16))
+    with mock.patch.object(mbrr.slab, "_horner", wraps=mbrr.slab._horner) as serial:
+        P = precoding_matrix.__wrapped__(p)
+    assert serial.call_count == 24
+    assert P == precoding_matrix(p)
+
+
+def test_systematic_slabs_across_a_chunk_border():
+    """At (50,44,5,8) over GF(2^16), 1,500 stripes make 3,000-byte slabs,
+    so up to five row groups of one map share a 16 KiB run and the rest
+    open the next (the decoder's 8 top rows run as 5 + 3). Every stripe
+    stores its data verbatim, matches the precoding map, and sampled
+    stripes match the structure-blind oracle."""
+    p = make_params(50, 44, 5, 8, field=binary_field(16))
+    kernel = SlabKernel(p.field)
+    rng = random.Random(318)
+    lanes = 1500
+    slabs = [rng.randbytes(2 * lanes) for _ in range(p.B)]
+    with mock.patch.object(mbrr.slab, "_horner", wraps=mbrr.slab._horner) as serial:
+        slots = systematic_slabs(kernel, p, slabs)
+    assert serial.call_count == 11 + 8 + 9 + 2  # steps 1, 3, 4 and 5; 80 one row at a time
+    assert slots == kernel.apply(precoding_matrix(p), slabs)
+    stored = encode_slabs(kernel, p, slots, systematic_nodes(p))
+    for slab, (i, node) in zip(slabs, systematic_layout(p).data_positions):
+        assert stored[node][i] == slab
+    data, got = [kernel.unpack(s) for s in slabs], [kernel.unpack(s) for s in slots]
+    for lane in (0, rng.randrange(1, lanes - 1), lanes - 1):
+        want = unfill_message_matrix(systematic_message_matrix(p, [col[lane] for col in data]))
+        assert [slot[lane] for slot in got] == want
 
 
 def test_systematic_oracle_runs_none_of_the_slab_steps(monkeypatch):
