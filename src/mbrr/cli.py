@@ -50,7 +50,8 @@ applied to whole slabs:
 
 ``decode`` opens each given shard once and checks its header, then
 loads the payloads of only the k shards it reads (see
-``systematic.read_nodes``) from the handles that check opened. ``repair``
+``systematic.read_nodes``) from the handles that check opened, and
+decodes them through ``decode_shards``. ``repair``
 opens only the shards its two stages read, each once, and its cross-rack
 ledger counts the symbols in the helper slabs it produced.
 """
@@ -80,7 +81,7 @@ from .layout import (
 )
 from .reconstruct import Decoder
 from .repair import Repairer, repair_node
-from .slab import BYTE_FIELD_MS, SlabKernel
+from .slab import SlabKernel
 from .systematic import (
     precoding_matrix,
     read_nodes,
@@ -99,6 +100,9 @@ MAGIC = b"MBRR"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct(">4sHBIHHHHBHHQQQ")
 HEADER_SIZE = _HEADER.size  # 48
+
+# The m of the fields GF(2^m) that shard files frame.
+BYTE_FIELD_MS = (8, 16)
 
 
 @dataclass(frozen=True)
@@ -154,13 +158,21 @@ class ShardHeader:
         return vars(self) | {"e": 0, "g": 0} == vars(other) | {"e": 0, "g": 0}
 
 
+def file_kernel(field) -> SlabKernel:
+    """The slab kernel of shard files, whose v1 format frames only GF(2^8)
+    and GF(2^16) symbols, one or two bytes each."""
+    if field.characteristic != 2 or field.m not in BYTE_FIELD_MS:
+        raise ValueError(f"shard files need GF(2^8) or GF(2^16), not {field!r}")
+    return SlabKernel(field)
+
+
 def bytes_to_symbols(data: bytes, m: int) -> list:
-    kernel = SlabKernel(binary_field(m))
+    kernel = file_kernel(binary_field(m))
     return kernel.unpack(data + bytes(-len(data) % kernel.width))
 
 
 def symbols_to_bytes(symbols: Sequence[int], m: int) -> bytes:
-    return SlabKernel(binary_field(m)).pack(symbols)
+    return file_kernel(binary_field(m)).pack(symbols)
 
 
 def shard_filename(e: int, g: int) -> str:
@@ -256,7 +268,7 @@ def encode_file(
     """
     if not data:
         raise ValueError("refusing to encode an empty file")
-    kernel = SlabKernel(p.field)  # refuses fields without byte framing
+    kernel = file_kernel(p.field)
     width = kernel.width
     stripes = -(-len(data) // (width * p.B))
     slabs = kernel.split(data + bytes(stripes * p.B * width - len(data)), p.B)
@@ -295,7 +307,7 @@ def _params_from_header(h: ShardHeader) -> CodeParams:
             f"shard was built over polynomial {h.primitive_poly:#x}, "
             f"this build uses {p.field.primitive_poly:#x}"
         )
-    width = SlabKernel(p.field).width
+    width = file_kernel(p.field).width
     if h.original_length <= 0 or h.stripe_count != -(-h.original_length // (width * p.B)):
         raise ValueError(
             f"header claims an original length of {h.original_length} bytes "
@@ -333,15 +345,16 @@ def decode_shards(loaded: Mapping[NodeId, tuple]) -> bytes:
     """Original file bytes from any k shards (fewer is an error).
 
     ``loaded`` maps nodes to (header, payload bytes in file byte order)
-    pairs; the first header describes the file. Only the payloads
-    of the nodes ``read_nodes`` names are used, and each of their headers
-    must name its node and match the first.
+    pairs; the first header describes the file. Only the payloads of the
+    nodes ``read_nodes`` names are used, and each of their headers must name
+    its node and match the first; ``mbrr decode`` passes the k it reads.
     """
     if not loaded:
         raise ValueError("no shards given")
     first = next(iter(loaded.values()))[0]
     p = _params_from_header(first)
-    payloads = {}
+    kernel = file_kernel(p.field)
+    columns = {}
     for node in read_nodes(p, loaded):
         header, payload = loaded[node]
         if (header.e, header.g) != node:
@@ -353,16 +366,8 @@ def decode_shards(loaded: Mapping[NodeId, tuple]) -> bytes:
                 f"node {tuple(node)}: payload is {len(payload)} bytes, "
                 f"header says {first.payload_length}"
             )
-        payloads[node] = payload
-    return _decode_payloads(p, first, payloads)
-
-
-def _decode_payloads(p: CodeParams, first: ShardHeader, payloads: Mapping[NodeId, bytes]) -> bytes:
-    """The file bytes from the payloads of the nodes ``read_nodes`` names,
-    whose headers the caller has checked against ``first``."""
-    kernel = SlabKernel(p.field)
-    columns = {node: kernel.split(payload, p.alpha) for node, payload in payloads.items()}
-    data = read_slabs(kernel, p, columns, list(payloads), first.systematic)
+        columns[node] = kernel.split(payload, p.alpha)
+    data = read_slabs(kernel, p, columns, list(columns), first.systematic)
     return kernel.join(data)[: first.original_length]
 
 
@@ -437,14 +442,13 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    # _open_shards checks every shard's header, once; the payloads the read
-    # uses come from the same handles.
+    # _open_shards checks every shard's header and size; decode_shards checks
+    # the headers of those it reads, whose payloads come from the same handles.
     with ExitStack() as stack:
         found = _open_shards(_shard_paths(args.shards), stack)
-        first = next(iter(found.values()))[0]
-        p = _params_from_header(first)
-        payloads = {node: found[node][1].read() for node in read_nodes(p, found)}
-    data = _decode_payloads(p, first, payloads)
+        p = _params_from_header(next(iter(found.values()))[0])
+        loaded = {node: (found[node][0], found[node][1].read()) for node in read_nodes(p, found)}
+    data = decode_shards(loaded)
     tmp = args.out + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(data)
@@ -485,7 +489,7 @@ def cmd_repair(args) -> int:
             raise ValueError(
                 f"shard files in {args.dir} do not hold the nodes their names give"
             )
-        kernel = SlabKernel(p.field)
+        kernel = file_kernel(p.field)
         columns = {node: kernel.split(fh.read(), p.alpha) for node, (_, fh) in found.items()}
     column, _, ledger = rep.repair_slabs(kernel, columns)
     header = replace(first, e=failed.e, g=failed.g)

@@ -1,10 +1,10 @@
 """In-memory rack-aware cluster simulator.
 
 Nodes are arranged in nbar racks of u; each healthy node holds one
-alpha-symbol column per stored stripe, kept as alpha slabs (see ``slab``):
-slab i lists the node's symbol i of every stripe. Reads and repairs run the
-file commands' linear maps once over those slabs through
-``slab.ListSlabKernel``, never stripe by stripe. The simulator is
+alpha-symbol column per stored stripe, kept as alpha byte slabs (see
+``slab``): slab i holds the node's symbol i of every stripe. Reads and
+repairs run the file commands' linear maps once over those slabs through
+``slab.SlabKernel``, over any field, never stripe by stripe. The simulator is
 deterministic and single-threaded: the same store/fail/repair/read script
 always produces the same final state and the same bandwidth ledgers.
 
@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 from .layout import CodeMatrix, CodeParams, NodeId, all_nodes, node_index
 from .repair import BandwidthLedger, RepairModelError, Repairer, helper_racks
-from .slab import ListSlabKernel
+from .slab import SlabKernel
 from .systematic import read_nodes, read_slabs
 
 __all__ = [
@@ -95,8 +95,8 @@ class Cluster:
     def __init__(self, params: CodeParams, systematic: bool = False):
         self.params = params
         self.systematic = bool(systematic)
-        self._kernel = ListSlabKernel(params.field)
-        self._shards = {node: [[] for _ in range(params.alpha)] for node in all_nodes(params)}
+        self._kernel = SlabKernel(params.field)
+        self._shards = {node: [b""] * params.alpha for node in all_nodes(params)}
         self._failed = set()
         self._stripes = 0
 
@@ -121,7 +121,9 @@ class Cluster:
         node_index(self.params, node)
         if node in self._failed:
             raise RepairModelError(f"node {node!r} has failed: shard unavailable")
-        return [list(col) for col in zip(*self._shards[node])]
+        flat = self._kernel.unpack(self._kernel.join(self._shards[node]))
+        a = self.params.alpha
+        return [flat[i : i + a] for i in range(0, len(flat), a)]
 
     def store_stripes(self, matrices: Iterable[CodeMatrix]) -> None:
         """Place column (e,g) of every stripe on node (e,g), replacing any
@@ -158,7 +160,7 @@ class Cluster:
                     f"stripe {at // p.alpha}: node {node!r} holds {col[at]!r}, "
                     f"which is not an element of {p.field!r}"
                 )
-            shards[node] = [list(col[i :: p.alpha]) for i in range(p.alpha)]
+            shards[node] = self._kernel.split(self._kernel.pack(col), p.alpha)
         self._shards = shards
         self._stripes = stripes
 
@@ -219,4 +221,5 @@ class Cluster:
                 if n in self._failed:
                     raise RepairModelError(f"requested survivor {n!r} has failed")
         data = read_slabs(self._kernel, p, self._shards, nodes, self.systematic)
-        return [list(stripe) for stripe in zip(*data)]
+        flat = self._kernel.unpack(self._kernel.join(data))
+        return [flat[i : i + p.B] for i in range(0, len(flat), p.B)]

@@ -342,8 +342,8 @@ def fill_message_matrix(p: CodeParams, data: Sequence[int]) -> MessageMatrix:
 
 def _first_difference(p: CodeParams, a, b) -> str:
     """'stripe t: x != y' where cells a and b first differ. A cell is a field
-    int (the same in every stripe), a list slab or a byte slab (see
-    ``slab``), so the text stays short."""
+    int (the same in every stripe) or a byte slab (see ``slab``), so the
+    text stays short."""
     cells = []
     for cell in (a, b):
         if isinstance(cell, bytes):

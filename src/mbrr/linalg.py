@@ -184,13 +184,11 @@ def solve_linear(field, A: Sequence[Sequence[int]], b: Sequence[int]) -> list:
 def _product_width(A: Sequence[Sequence], B: Sequence[Sequence]) -> int:
     """Row length of ``B``, once every row of ``A`` has one entry per row of ``B``."""
     cols = len(B[0]) if B else 0
-    if any(len(row) != cols for row in B):
+    if len(set(map(len, B))) > 1:
         raise ValueError("right-hand rows differ in length")
-    for row in A:
-        if len(row) != len(B):
-            raise ValueError(
-                f"left-hand row has {len(row)} entries for {len(B)} right-hand rows"
-            )
+    bad = set(map(len, A)) - {len(B)}
+    if bad:
+        raise ValueError(f"left-hand row has {bad.pop()} entries for {len(B)} right-hand rows")
     return cols
 
 

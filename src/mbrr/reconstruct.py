@@ -19,9 +19,9 @@ less than k through them. The decoder needs two maps built from L.
   followed by the moved values.
 
 Both maps are fixed by the node set, so ``Decoder`` builds them once and
-``Decoder.decode_slabs`` runs them over byte or list slabs that span every
-stripe of a file (see ``slab``), each map in one ``apply_groups`` over all
-its message rows: two applies per decode. The repeated cells of the
+``Decoder.decode_slabs`` runs them over byte slabs that span every stripe
+of a file or cluster (see ``slab``), each map in one ``apply_groups`` over
+all its message rows: two applies per decode. The repeated cells of the
 recovered matrix are then compared (``unfill_message_matrix``); on corrupt
 input they disagree and IntegrityError is raised. ``Decoder.reconstruct``
 and ``reconstruct`` decode one stripe by running the same maps on one-lane
@@ -56,7 +56,7 @@ from .layout import (
     validate_symbols,
 )
 from .linalg import BatchInterpolator, mat_vec, matmul, solve_linear
-from .slab import ListSlabKernel
+from .slab import SlabKernel
 
 __all__ = ["Decoder", "reconstruct", "oracle_reconstruct"]
 
@@ -103,7 +103,7 @@ class Decoder:
         # Column position of degree i*u + u-1 for each top row i < kbar.
         self._mirror_pos = [cp[i * p.u + p.u - 1] for i in range(p.kbar)]
         self._high_pos = [cp[deg] for deg in high_degrees]
-        self._kernel = ListSlabKernel(f)  # runs the maps for ``reconstruct``
+        self._kernel = SlabKernel(f)  # runs the maps for ``reconstruct``
 
     def reconstruct(self, cols: Mapping[NodeId, Sequence[int]]) -> MessageMatrix:
         """Recover the message matrix from ``{node: column}`` for this decoder's nodes.
@@ -116,9 +116,10 @@ class Decoder:
             raise ValueError("observed nodes do not match this decoder")
         for node, col in cols.items():
             validate_symbols(self.p, col, node)
-        slabs = {node: [[s] for s in col] for node, col in cols.items()}
-        data = self.decode_slabs(self._kernel, slabs)
-        return fill_message_matrix(self.p, [s[0] for s in data])
+        kernel = self._kernel
+        slabs = {node: [kernel.pack((s,)) for s in col] for node, col in cols.items()}
+        data = self.decode_slabs(kernel, slabs)
+        return fill_message_matrix(self.p, kernel.unpack(b"".join(data)))
 
     def decode_slabs(self, kernel, columns: Mapping[NodeId, Sequence[bytes]]) -> list:
         """The B data slabs, in fill order, from this decoder's nodes' slabs.

@@ -35,8 +35,8 @@ linear maps:
 
 ``Repairer`` composes stages 2 and 3 into one host map, alpha x
 (dbar + (u-1)*alpha), over the received symbols followed by the
-survivors' columns. ``Repairer.repair_slabs`` runs the maps over byte or
-list slabs that span every stripe of a file (see ``slab``);
+survivors' columns. ``Repairer.repair_slabs`` runs the maps over byte
+slabs that span every stripe of a file or cluster (see ``slab``);
 ``Repairer.repair`` and ``repair_node`` repair one stripe by running the
 same maps on one-lane slabs. The interpolators on a rack's node points and
 on the rack points of a set of racks are fixed by the geometry:
@@ -66,7 +66,7 @@ from .layout import (
     validate_symbols,
 )
 from .linalg import BatchInterpolator, dot, poly_eval
-from .slab import ListSlabKernel
+from .slab import SlabKernel
 
 __all__ = [
     "RepairModelError",
@@ -215,7 +215,7 @@ class Repairer:
         self.survivors = [NodeId(failed.e, g) for g in range(p.u) if g != failed.g]
         self.reads = [NodeId(e, g) for e in helpers for g in range(p.u)] + self.survivors
         self._helper_maps, self._host = self._build_maps()
-        self._kernel = ListSlabKernel(p.field)  # runs the maps for ``repair``
+        self._kernel = SlabKernel(p.field)  # runs the maps for ``repair``
 
     def _read(self, columns: Mapping[NodeId, Sequence], node: NodeId) -> Sequence:
         """``columns[node]``, or RepairModelError naming the role it plays."""
@@ -237,13 +237,14 @@ class Repairer:
         ``repair_slabs``, which checks their presence and lengths, on
         one-lane slabs, one per symbol.
         """
+        kernel = self._kernel
         slabs = {}
         for node in self.reads:
             if node in columns:
                 validate_symbols(self.p, columns[node], node)
-                slabs[node] = [[s] for s in columns[node]]
-        column, _, ledger = self.repair_slabs(self._kernel, slabs)
-        return [s[0] for s in column], ledger
+                slabs[node] = [kernel.pack((s,)) for s in columns[node]]
+        column, _, ledger = self.repair_slabs(kernel, slabs)
+        return kernel.unpack(b"".join(column)), ledger
 
     def _build_maps(self) -> tuple:
         """(helper maps by rack, host map): stage 1, and stages 2 and 3 composed.

@@ -1,60 +1,51 @@
-"""Slab kernels: linear maps over whole shard rows, as bytes or as lists.
+"""Slab kernel: linear maps over whole shard rows, as byte slabs.
 
 A slab holds one symbol position of every stripe. Row i of a shard whose
-payload carries alpha symbols per stripe is symbols i, i + alpha,
-i + 2*alpha, ... of that payload; symbol t of a file cut into B-symbol
-stripes is symbols t, t + B, ... of the file. Slabs are ``bytes`` in file
-byte order (big-endian for two-byte symbols), so cutting a buffer into
-slabs and interleaving them back only moves whole symbols.
+payload carries alpha symbols per stripe is symbols i, i + alpha, ... of
+that payload; symbol t of a file cut into B-symbol stripes is symbols t,
+t + B, ... of the file. A slab is ``bytes`` with one lane per stripe: a
+big-endian symbol in ``width`` bytes, the narrowest of 1, 2, 4 and 8 that
+holds q - 1. Over GF(2^8) and GF(2^16) that is file byte order, so cutting
+a buffer into slabs and interleaving them back only moves whole symbols.
 
-Every file operation of the code (encode, systematic encode, both
-decoder passes, both repair stages) is a fixed GF(2^m)-linear map, so it
-runs once over slabs instead of once per stripe. The maps are built with
-slabs too, on B lanes, lane j standing for the unit data vector e_j:
-``systematic.precoding_matrix`` runs the five steps of the systematic
-transform over B unit-lane slabs, and ``systematic.systematic_encode_map``
-applies the generator rows of the non-data cells (``encode.encode_rows``)
-to the precoding rows packed as B-lane slabs.
+Every operation of the code (encode, systematic encode, both decoder
+passes, both repair stages) is a fixed linear map, run once over slabs
+instead of once per stripe: by the file commands, by the cluster
+simulator, and on one-lane slabs by the per-stripe ``Decoder.reconstruct``
+and ``Repairer.repair``. The maps are built with slabs too, on B lanes,
+lane j standing for the unit data vector e_j (``systematic``).
 
-Both kernels run a map on one core, over packed lanes: a slab read as one
-integer holds its symbols in w-byte lanes, one lane per stripe. Over
-GF(2^m) addition is XOR of those integers, and doubling every lane at once
-is a masked shift that adds the reduction polynomial to the lanes whose
-top bit overflowed (``_lane_masks``). ``_horner`` runs every map
-bit-serial: for each output row, the inputs whose constant has bit b set
-are XORed into a partial sum s_b, and Horner's rule over the bits from the
-top, ``acc = 2 * acc + s_b``, gives the row. That is m doublings per row
-and one XOR per set bit of each constant, with no preparation, so its cost
-follows the rows and the set bits, not the inputs. The minimum-bandwidth
-repair sends one symbol per helper rack (beta = 1), so its helper maps are
-one row each, the shape this schedule suits best. No second schedule is
-kept: the GF(2^16) windowed one and the GF(2^8) table multiply of Plank,
-Greenan and Miller (FAST 2013) win only on slabs longer than any benchmark
-workload's (the README has the measurements).
+The kernel reads a slab as one big-endian integer. Over GF(2^m) addition
+is XOR of those integers, and doubling every lane at once is a masked
+shift that adds the reduction polynomial to the lanes whose top bit
+overflowed (``_lane_masks``). ``_horner`` runs every map bit-serial: for
+each output row, the inputs whose constant has bit b set are XORed into a
+partial sum s_b, and Horner's rule over the bits from the top,
+``acc = 2 * acc + s_b``, gives the row: m doublings per row and one XOR
+per set bit, so one-row maps such as the repair's helper maps (beta = 1)
+cost least. The GF(2^16) windowed schedule and the GF(2^8) table multiply
+of Plank, Greenan and Miller (FAST 2013) win only on slabs longer than any
+benchmark workload's (the README has the measurements).
 
-The kernels differ only in framing. ``SlabKernel`` reads GF(2^8) and
-GF(2^16) byte slabs as big-endian integers, so a lane is a symbol in file
-order, in runs of at most ``_CHUNK`` (16 KiB), so that what it holds stays
-in the cache and its cost stays linear in the slab length; it keeps the
-lane masks of each run length. A run costs a Python step per row, input
+Over GF(p) an output row is the plain integer sum of ``c * x`` over its
+nonzero entries (``_multiply_add``), so each input is first widened to
+accumulation lanes that hold any lane sum: the narrowest of 1, 2, 4 and 8
+bytes that holds (p - 1) * (256**w - 1) times the input count. One strided
+byte-slice assignment puts every w-byte symbol in the low bytes of a
+zeroed accumulation lane, at C speed, where building an ``array`` from a
+list of ints cost a Python object per symbol. The bound covers every byte
+a symbol lane can carry, so a symbol that is not a field element spoils
+only its own stripe. The sums are read back as big-endian lanes, reduced
+mod p and packed to w bytes again. Only a map whose sums 8-byte lanes
+cannot hold (no field ``make_params`` picks has one) runs
+``linalg.matmul``, the reference the kernel is checked against.
+
+A map runs over runs of at most ``_CHUNK`` (16 KiB) of each slab, so its
+working set stays in the cache. A run costs a Python step per row, input
 and set bit whatever its length, so ``apply_groups`` lays the row groups
 of one map (the decoder's and the systematic transform's message rows)
-end to end: a chunk may hold several. ``ListSlabKernel`` runs the same
-maps on slabs that are lists of field ints, over any field, as the cluster
-simulator keeps them: prime fields and GF(2^m) with m other than 8 and 16
-have no byte framing. It packs a slab through ``array`` in native byte
-order and reads the bytes as an integer in ``sys.byteorder``, so lane i
-sits in the same bits on the way in and out on either endianness. Its
-lanes are the narrowest of 1, 2, 4 and 8 bytes that hold the largest lane
-value: q - 1 over GF(2^m) (one byte up to m = 8, two up to 16), and
-(p-1)**2 times the input count over GF(p), where an output row is the
-plain integer sum of ``c * x`` over the row's nonzero entries, reduced mod
-p as it is unpacked. Only a GF(p) row too long for 8-byte lanes (no field
-``make_params`` picks has one) runs ``linalg.matmul``, the reference the
-kernels are checked against. A kernel packs each input once per apply
-(per run): no map the program builds has an input that no row reads.
-The kernels do not check their symbols: they enter as file bytes, or
-through ``Cluster.store_stripes``, ``Decoder.reconstruct`` and
+end to end. The kernel does not check its symbols: they enter as file
+bytes, or through ``Cluster.store_stripes``, ``Decoder.reconstruct`` and
 ``Repairer.repair``, which refuse anything but field elements.
 """
 
@@ -66,10 +57,7 @@ from typing import Sequence
 
 from .linalg import _product_width, matmul
 
-__all__ = ["BYTE_FIELD_MS", "SlabKernel", "ListSlabKernel"]
-
-# The m of the fields GF(2^m) of byte slabs and shard files.
-BYTE_FIELD_MS = (8, 16)
+__all__ = ["SlabKernel"]
 
 # The set bits of each byte value, as bit positions in a constant's low byte
 # and in its high byte: ``_horner`` splits a constant into bytes.
@@ -79,8 +67,21 @@ _HIGH_BITS = tuple(tuple(b + 8 for b in bits) for bits in _LOW_BITS)
 # Bytes of each slab per run of ``SlabKernel``; see the module docstring.
 _CHUNK = 16384
 
-# (bytes, array format) of the lanes ``ListSlabKernel`` packs slabs in.
-_LANES = tuple((array(fmt).itemsize, fmt) for fmt in "BHIQ")
+# The ``array`` format of each lane width, narrowest first.
+_FORMATS = {array(fmt).itemsize: fmt for fmt in "BHIQ"}
+
+
+def _lane_width(top: int) -> int | None:
+    """The narrowest lane of ``_FORMATS`` that holds ``top``, or None."""
+    return next((w for w in _FORMATS if top < 1 << 8 * w), None)
+
+
+def _lanes_of(fmt: str, buf) -> array:
+    """The big-endian ``fmt`` lanes of ``buf`` as an array of ints."""
+    a = array(fmt, buf)
+    if sys.byteorder == "little":
+        a.byteswap()
+    return a
 
 
 def _horner(m: int, masks: tuple, matrix, inputs: Sequence[int]) -> list:
@@ -107,10 +108,22 @@ def _horner(m: int, masks: tuple, matrix, inputs: Sequence[int]) -> list:
     return out
 
 
+def _multiply_add(matrix, inputs: Sequence[int]) -> list:
+    """Each row of a GF(p) ``matrix`` applied to packed ``inputs`` as plain
+    integer sums of products, unreduced; the lanes must hold the sums."""
+    out = []
+    for row in matrix:
+        acc = 0
+        for c, x in zip(row, inputs):
+            if c:
+                acc += c * x
+        out.append(acc)
+    return out
+
+
 def _lane_masks(field, lanes: int, width: int) -> tuple:
     """Masks that double every lane of ``lanes`` GF(2^m) symbols packed in
-    ``width``-byte lanes. Every lane holds the same mask, so they are the
-    same integer whichever byte order the lanes were read in.
+    ``width``-byte lanes.
 
     Doubling is ``((x & rest) << 1) ^ ((x & top) >> (m - 1)) * poly``:
     ``(x & top) >> (m - 1)`` is 0 or 1 per lane, so multiplying it by
@@ -122,18 +135,19 @@ def _lane_masks(field, lanes: int, width: int) -> tuple:
 
 
 class SlabKernel:
-    """Applies GF(2^8) or GF(2^16) matrices to equal-length byte slabs.
+    """Applies matrices over any field to equal-length byte slabs.
 
     Lane masks are built per instance on first use and kept by slab
     length, so a kernel lives as long as the plan that uses it.
     """
 
     def __init__(self, field):
-        if getattr(field, "characteristic", None) != 2 or field.m not in BYTE_FIELD_MS:
-            raise ValueError(f"byte slabs need GF(2^8) or GF(2^16), not {field!r}")
+        width = _lane_width(field.q - 1)
+        if width is None:
+            raise ValueError(f"no lane of at most 8 bytes holds the symbols of {field!r}")
         self.field = field
-        self.width = field.m // 8  # bytes per symbol
-        self._format = "B" if field.m == 8 else "H"
+        self.width = width  # bytes per symbol
+        self._format = _FORMATS[width]
         self._masks: dict = {}  # lane masks by slab length
 
     def split(self, buf, count: int) -> list:
@@ -159,17 +173,16 @@ class SlabKernel:
 
     def pack(self, symbols: Sequence[int]) -> bytes:
         """The slab holding ``symbols``, one per stripe."""
+        if self.width == 1:
+            return bytes(symbols)  # a third of the time ``array`` takes
         a = array(self._format, symbols)
         if sys.byteorder == "little":
             a.byteswap()
         return a.tobytes()
 
     def unpack(self, slab: bytes) -> list:
-        """The symbols of a slab as field ints; the inverse of ``pack``."""
-        a = array(self._format, slab)
-        if sys.byteorder == "little":
-            a.byteswap()
-        return a.tolist()
+        """The symbols of a slab as ints; the inverse of ``pack``."""
+        return _lanes_of(self._format, slab).tolist()
 
     def apply(self, matrix: Sequence[Sequence[int]], slabs: Sequence[bytes]) -> list:
         """Output slab r is the sum over j of ``matrix[r][j] * slabs[j]``."""
@@ -177,96 +190,62 @@ class SlabKernel:
 
     def apply_groups(self, matrix: Sequence[Sequence[int]], groups: Sequence) -> list:
         """``[self.apply(matrix, g) for g in groups]``, bit for bit: the groups
-        are cut into pieces of at most ``_CHUNK`` bytes and laid end to end
-        in runs of at most ``_CHUNK`` bytes, one ``_horner`` call per run,
-        whose output rows are cut back into the pieces. A piece alone in its
+        are cut into pieces of at most ``_CHUNK`` bytes and laid end to end,
+        in order, in runs of at most ``_CHUNK`` bytes, one ``_run`` per run.
+        Row r of the runs' outputs, end to end, is row r of every group in
+        order, and is cut back by the groups' lengths. A group alone in its
         run is passed as it is, uncopied."""
-        runs, used = [], _CHUNK  # the first piece opens a run
-        for g, slabs in enumerate(groups):
+        sizes, runs, used = [], [], _CHUNK  # the first piece opens a run
+        for slabs in groups:
             size = _product_width(matrix, slabs)
             if size % self.width:
                 raise ValueError(f"slabs of {size} bytes are not whole symbols")
+            sizes.append(size)
             for lo in range(0, size, _CHUNK):
                 n = min(size - lo, _CHUNK)
                 if used + n > _CHUNK:
                     runs.append([])
                     used = 0
-                runs[-1].append((g, lo, n, used))  # piece at offset ``used`` of the run
+                runs[-1].append(slabs if n == size else [s[lo : lo + n] for s in slabs])
                 used += n
-        parts = [[[] for _ in matrix] for _ in groups]
+        rows = [[] for _ in matrix]
         for run in runs:
-            size = run[-1][2] + run[-1][3]
             # Input j of the run is slab j of every piece, end to end.
-            pieces = zip(*([s[lo : lo + n] for s in groups[g]] for g, lo, n, _ in run))
-            inputs = [int.from_bytes(b"".join(piece), "big") for piece in pieces]
-            for r, v in enumerate(_horner(self.field.m, self._lanes(size), matrix, inputs)):
-                out = v.to_bytes(size, "big")
-                for g, _, n, at in run:
-                    parts[g][r].append(out[at : at + n])
-        return [[b"".join(part) for part in group] for group in parts]
+            inputs = run[0] if len(run) == 1 else [b"".join(piece) for piece in zip(*run)]
+            for row, out in zip(rows, self._run(matrix, inputs, len(inputs[0]))):
+                row.append(out)
+        rows = [b"".join(row) for row in rows]
+        out, at = [], 0
+        for size in sizes:
+            out.append([row[at : at + size] for row in rows])
+            at += size
+        return out
+
+    def _run(self, matrix, inputs: Sequence[bytes], size: int) -> list:
+        """The output slabs of ``matrix`` over one run of ``size``-byte ``inputs``."""
+        f = self.field
+        if f.characteristic == 2:
+            ints = [int.from_bytes(x, "big") for x in inputs]
+            return [v.to_bytes(size, "big") for v in _horner(f.m, self._lanes(size), matrix, ints)]
+        w, fmt, q = self.width, self._format, f.q
+        acc = _lane_width((q - 1) * ((1 << 8 * w) - 1) * len(inputs))
+        if acc is None:
+            rows = matmul(f, matrix, [self.unpack(x) for x in inputs])
+            return [self.pack(row) for row in rows]
+        # Widen every input at once: symbol lane i goes to the low bytes of
+        # accumulation lane i, the other bytes stay 0.
+        step = acc // w  # symbol lanes per accumulation lane, at least 2
+        wide = size * step
+        lanes = bytearray(wide * len(inputs))
+        memoryview(lanes).cast(fmt)[step - 1 :: step] = memoryview(b"".join(inputs)).cast(fmt)
+        ints = [int.from_bytes(lanes[i : i + wide], "big") for i in range(0, len(lanes), wide)]
+        # Narrow row by row, so that only one row's lane sums exist as ints.
+        rows = (v.to_bytes(wide, "big") for v in _multiply_add(matrix, ints))
+        return [self.pack([s % q for s in _lanes_of(_FORMATS[acc], row)]) for row in rows]
 
     def _lanes(self, size: int) -> tuple:
-        """The lane masks of a ``size``-byte slab, built once per length."""
+        """The GF(2^m) lane masks of a ``size``-byte slab, built once per length."""
         masks = self._masks.get(size)
         if masks is None:
             masks = self._masks[size] = _lane_masks(self.field, size // self.width, self.width)
         return masks
-
-
-class ListSlabKernel:
-    """Applies matrices over any field to equal-length lists of field ints.
-
-    A slab is a list with one symbol per stripe, so ``width`` is 1. A map
-    runs on the packed-lane core both kernels share, framed in native byte
-    order: ``_horner`` over GF(2^m), one multiply-add per entry over GF(p)
-    (see the module docstring).
-    """
-
-    width = 1
-
-    def __init__(self, field):
-        self.field = field
-
-    def pack(self, symbols: Sequence[int]) -> list:
-        """The slab holding ``symbols``, one per stripe."""
-        return list(symbols)
-
-    def unpack(self, slab: list) -> list:
-        """The symbols of a slab as field ints; the inverse of ``pack``."""
-        return list(slab)
-
-    def apply_groups(self, matrix: Sequence[Sequence[int]], groups: Sequence) -> list:
-        """``[self.apply(matrix, g) for g in groups]``, group by group: the
-        per-lane unpack (``% q`` over GF(p)) dominates a list apply, so laying
-        groups end to end only adds copies (it made ``Cluster.read_data``
-        over GF(13) at 1,000 lanes 8-10% slower)."""
-        return [self.apply(matrix, g) for g in groups]
-
-    def apply(self, matrix: Sequence[Sequence[int]], slabs: Sequence[list]) -> list:
-        """Output slab r is the sum over j of ``matrix[r][j] * slabs[j]``."""
-        f = self.field
-        cols = _product_width(matrix, slabs)
-        binary = f.characteristic == 2
-        top = f.q - 1 if binary else (f.q - 1) ** 2 * len(slabs)  # the largest lane value
-        lane = next(((w, fmt) for w, fmt in _LANES if top < 1 << 8 * w), None)
-        if lane is None:
-            return matmul(f, matrix, slabs)
-        w, fmt = lane
-        order = sys.byteorder
-        inputs = [int.from_bytes(array(fmt, s).tobytes(), order) for s in slabs]
-        if binary:
-            rows = _horner(f.m, _lane_masks(f, cols, w), matrix, inputs)
-        else:
-            rows = []
-            for row in matrix:
-                acc = 0
-                for c, x in zip(row, inputs):
-                    if c:
-                        acc += c * x
-                rows.append(acc)
-        q = f.q
-        out = []
-        for v in rows:
-            lanes = memoryview(v.to_bytes(cols * w, order)).cast(fmt)
-            out.append(lanes.tolist() if binary else [x % q for x in lanes])
-        return out

@@ -81,7 +81,7 @@ from .layout import (
 from .linalg import mat_vec, matmul, solve_linear
 from .reconstruct import Decoder
 from .repair import local_finish, rack_lagrange, rack_point, rack_points_lagrange
-from .slab import ListSlabKernel, SlabKernel
+from .slab import SlabKernel
 
 __all__ = [
     "SystematicLayout",
@@ -228,15 +228,6 @@ def systematic_slabs(kernel, p: CodeParams, data_slabs: Sequence) -> list:
     return Decoder(p, front).decode_slabs(kernel, columns)
 
 
-def _lane_kernel(field):
-    """The kernel a map build runs its B-lane slabs through: byte slabs
-    where the field has byte framing, list slabs otherwise."""
-    try:
-        return SlabKernel(field)
-    except ValueError:
-        return ListSlabKernel(field)
-
-
 @cached_on_params
 def precoding_matrix(p: CodeParams) -> list:
     """B x B matrix mapping placement-order data to fill-order matrix slots.
@@ -244,12 +235,11 @@ def precoding_matrix(p: CodeParams) -> list:
     Row r, column j is slot r of the message matrix that the unit data
     vector e_j produces. One ``systematic_slabs`` run over B unit-lane
     slabs (slab j is 1 in lane j) builds it: output slab r is row r. The
-    run uses byte slabs where the field has byte framing and list slabs
-    otherwise. The map is invertible; filling a message matrix with the
-    product of this matrix and a data vector is the fast equivalent of
+    map is invertible; filling a message matrix with the product of this
+    matrix and a data vector is the fast equivalent of
     ``systematic_message_matrix``.
     """
-    kernel = _lane_kernel(p.field)
+    kernel = SlabKernel(p.field)
     lanes = [kernel.pack([0] * j + [1] + [0] * (p.B - 1 - j)) for j in range(p.B)]
     return [kernel.unpack(slab) for slab in systematic_slabs(kernel, p, lanes)]
 
@@ -267,7 +257,7 @@ def systematic_encode_map(p: CodeParams, precoding: Sequence[Sequence[int]]) -> 
     of ``precoding`` packed as B-lane slabs (lane j is the unit data
     vector e_j), read back one row per cell.
     """
-    kernel = _lane_kernel(p.field)
+    kernel = SlabKernel(p.field)
     data = set(systematic_layout(p).data_positions)
     cells = [(i, node) for node in all_nodes(p) for i in range(p.dbar) if (i, node) not in data]
     slots = [kernel.pack(row) for row in precoding]

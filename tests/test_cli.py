@@ -768,6 +768,16 @@ fail node=(1,2)
 repair node=(1,2) error: only 2 fully healthy helper racks available, need dbar=3
 read stripes=3 verified ok
 """,
+    "gf16_systematic.txt": """\
+params n=12 k=7 u=3 dbar=3 alpha=3 B=20 field=GF(2^16)
+systematic on
+seed 16
+store stripes=4 symbols=80
+fail node=(1,0)
+read stripes=4 verified ok
+repair node=(1,0) helpers=0,2,3 cross_rack=12 per_stripe=3 intra_rack=24 ok
+read stripes=4 verified ok
+""",
     "overload.txt": """\
 params n=12 k=7 u=3 dbar=3 alpha=3 B=20 field=GF(2^8)
 seed 7

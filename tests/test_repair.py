@@ -16,14 +16,14 @@ from mbrr.repair import (
     repair_node,
 )
 from mbrr.reconstruct import Decoder, oracle_reconstruct
-from mbrr.slab import ListSlabKernel
+from mbrr.slab import SlabKernel
 
 from support import PARAM_SETS, params, random_stripe, encoded, leading_vector
 
 
-def one_lane(cols):
-    """Node-keyed columns as one-lane slabs, one per symbol."""
-    return {node: [[s] for s in col] for node, col in cols.items()}
+def one_lane(kernel, cols):
+    """Node-keyed columns as one-lane byte slabs, one per symbol."""
+    return {node: [kernel.pack([s]) for s in col] for node, col in cols.items()}
 
 
 # ---------------------------------------------------------------- locality
@@ -82,10 +82,11 @@ def test_helper_symbol_evaluates_leading_polynomial():
     rng = random.Random(202)
     data, C, cols = encoded(p, rng)
     failed = NodeId(3, 0)
-    _, sent, _ = Repairer(p, failed, helpers=[0, 1, 2]).repair_slabs(
-        ListSlabKernel(p.field), one_lane(cols)
-    )
-    assert sent[1] == [poly_eval(p.field, leading_vector(p, cols, 1), rack_point(p, 3))]
+    kernel = SlabKernel(p.field)
+    rep = Repairer(p, failed, helpers=[0, 1, 2])
+    _, sent, _ = rep.repair_slabs(kernel, one_lane(kernel, cols))
+    want = poly_eval(p.field, leading_vector(p, cols, 1), rack_point(p, 3))
+    assert kernel.unpack(sent[1]) == [want]
     with pytest.raises(ValueError, match="own rack"):
         Repairer(p, failed, helpers=[1, 2, 3])  # a rack cannot help itself
 
@@ -97,12 +98,12 @@ def test_recover_leading_vector_round_trip():
     for name in PARAM_SETS:
         p = params(name)
         data, C, cols = encoded(p, rng)
-        kernel = ListSlabKernel(p.field)
+        kernel = SlabKernel(p.field)
         for e_star in range(p.nbar):
             rep = Repairer(p, NodeId(e_star, 0))
-            _, sent, _ = rep.repair_slabs(kernel, one_lane(cols))
+            _, sent, _ = rep.repair_slabs(kernel, one_lane(kernel, cols))
             interp = rack_points_lagrange(p, rep.helpers)
-            got = interp.interpolate([sent[e][0] for e in rep.helpers])
+            got = interp.interpolate([kernel.unpack(sent[e])[0] for e in rep.helpers])
             assert got == leading_vector(p, cols, e_star)
 
 

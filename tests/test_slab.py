@@ -9,7 +9,6 @@ one, and each helper rack's sent slab against the M1 symmetry identity.
 
 import functools
 import random
-from array import array
 from unittest import mock
 
 import pytest
@@ -31,13 +30,14 @@ from mbrr.layout import (
     NodeId,
     all_nodes,
     fill_message_matrix,
+    make_params,
     unfill_message_matrix,
 )
 from mbrr.linalg import dot, mat_vec, matmul
 from mbrr.reconstruct import Decoder, oracle_reconstruct
 from mbrr.repair import Repairer, rack_point
 from mbrr import slab
-from mbrr.slab import ListSlabKernel, SlabKernel
+from mbrr.slab import SlabKernel
 from mbrr.systematic import (
     read_systematic_data,
     systematic_message_matrix,
@@ -194,15 +194,14 @@ def test_every_map_runs_bit_serial_in_chunks(m, size, chunks):
         lengths = [call.args[0] for call in masks.call_args_list]
     assert serial.call_count == len(lengths) == chunks
     assert lengths == [min(slab._CHUNK, size - lo) for lo in range(0, size, slab._CHUNK)]
-    lists = ListSlabKernel(p.field)
-    want = lists.apply([helper], [kernel.unpack(s) for s in slabs])[0]
+    (want,) = matmul(p.field, [helper], [kernel.unpack(s) for s in slabs])
     assert got == kernel.pack(want)
 
 
 @st.composite
 def _group_cases(draw):
-    """A field, a map, and groups of slabs of different lengths: byte
-    slabs over GF(2^8) and GF(2^16), list slabs over GF(13) and GF(2^4)."""
+    """A field, a map, and groups of symbol lists of different lengths, over
+    GF(2^8), GF(2^16), GF(13) and GF(2^4)."""
     field = draw(st.sampled_from([binary_field(8), binary_field(16), prime_field(13), binary_field(4)]))
     q = field.q
     entry = st.one_of(st.sampled_from([0, 1, q - 1]), st.integers(0, q - 1))
@@ -223,12 +222,8 @@ def test_apply_groups_equals_per_group_apply(case, chunk):
     for bit: with chunks of ``chunk`` symbols the groups split into several
     runs, share runs, and run longer than a chunk; one group is ``apply``."""
     field, matrix, groups = case
-    if field.characteristic == 2 and field.m in slab.BYTE_FIELD_MS:
-        kernel = SlabKernel(field)
-        slab_groups = [[kernel.pack(col) for col in group] for group in groups]
-    else:
-        kernel = ListSlabKernel(field)
-        slab_groups = groups
+    kernel = SlabKernel(field)
+    slab_groups = [[kernel.pack(col) for col in group] for group in groups]
     with mock.patch.object(slab, "_CHUNK", chunk * kernel.width):
         got = kernel.apply_groups(matrix, slab_groups)
         assert got == [kernel.apply(matrix, group) for group in slab_groups]
@@ -293,10 +288,8 @@ def test_decode_runs_each_map_once_per_chunk(geo, m, lanes, runs):
 
 
 def test_kernel_rejects_bad_input():
-    with pytest.raises(ValueError, match="GF"):
-        SlabKernel(prime_field(13))
-    with pytest.raises(ValueError, match="GF"):
-        SlabKernel(binary_field(4))
+    with pytest.raises(ValueError, match="no lane of at most 8 bytes"):
+        SlabKernel(_HugePrimeStandIn())
     kernel = SlabKernel(binary_field(8))
     with pytest.raises(ValueError, match="length"):
         kernel.apply([[1, 1]], [b"ab", b"a"])
@@ -312,28 +305,78 @@ def test_kernel_rejects_bad_input():
         kernel.join([b"\x81\x02\x03"])
 
 
+class _HugePrimeStandIn:
+    """A prime field too large for 8-byte lanes, as far as ``SlabKernel``
+    reads it: ``q``."""
+
+    q = characteristic = 2**64 + 13
+
+
+def test_shard_files_refuse_fields_without_framing():
+    """The kernel takes every field; shard format v1 frames only GF(2^8)
+    and GF(2^16), so the file layer refuses the others."""
+    for geo, field in (((12, 7, 3, 3), binary_field(4)), ((12, 8, 2, 4), prime_field(13))):
+        p = make_params(*geo, field=field)
+        with pytest.raises(ValueError, match="GF"):
+            encode_file(b"data", p)
+    with pytest.raises(ValueError, match="GF"):
+        bytes_to_symbols(b"data", 4)
+    with pytest.raises(ValueError, match="GF"):
+        symbols_to_bytes([1, 2], 4)
+
+
+@pytest.mark.parametrize(
+    "field, width",
+    [
+        (binary_field(4), 1),
+        (binary_field(10), 2),
+        (prime_field(13), 1),
+        (prime_field(257), 2),
+        (prime_field(65537), 4),
+    ],
+    ids=repr,
+)
+def test_symbol_width_follows_the_field(field, width):
+    """A symbol takes the narrowest of 1, 2, 4 and 8 bytes that holds q-1,
+    big-endian; slabs of 0 and q-1 symbols survive pack, split, join and
+    unpack."""
+    kernel = SlabKernel(field)
+    assert kernel.width == width
+    top = field.q - 1
+    symbols = [0, top, top, 0, 1, top]
+    buf = kernel.pack(symbols)
+    assert buf == b"".join(s.to_bytes(width, "big") for s in symbols)
+    slabs = kernel.split(buf, 2)
+    assert [kernel.unpack(s) for s in slabs] == [symbols[0::2], symbols[1::2]]
+    assert kernel.join(slabs) == buf and kernel.unpack(buf) == symbols
+    assert kernel.unpack(kernel.pack([])) == []
+
+
 @pytest.mark.parametrize(
     "field", [binary_field(4), binary_field(8), prime_field(13), prime_field(29)], ids=repr
 )
 def test_list_slab_kernel_matches_field_arithmetic(field):
-    kernel = ListSlabKernel(field)
+    """The cases the list-slab kernel ran, through byte slabs of one-byte
+    symbols: slabs of 0, 1 and 9 stripes, constants and symbols of 0, 1
+    and q-1, and an all-zero row."""
+    kernel = SlabKernel(field)
     assert kernel.width == 1
     rng = random.Random(620 + field.q)
     top = field.q - 1
     for stripes in (0, 1, 9):
-        slabs = [[rng.choice([0, 1, top, rng.randrange(field.q)]) for _ in range(stripes)] for _ in range(4)]
+        syms = [[rng.choice([0, 1, top, rng.randrange(field.q)]) for _ in range(stripes)] for _ in range(4)]
         matrix = [[rng.choice([0, 1, top, rng.randrange(field.q)]) for _ in range(4)] for _ in range(3)]
         matrix.append([0] * 4)
-        got = kernel.apply(matrix, slabs)
-        want = [[mat_vec(field, [row], list(col))[0] for col in zip(*slabs)] for row in matrix]
+        got = [kernel.unpack(v) for v in kernel.apply(matrix, [kernel.pack(s) for s in syms])]
+        want = [[mat_vec(field, [row], list(col))[0] for col in zip(*syms)] for row in matrix]
         if not stripes:
             want = [[] for _ in matrix]
         assert got == want
-    assert kernel.apply([[]], []) == [[]]
+    assert kernel.apply([[]], []) == [b""]
     with pytest.raises(ValueError, match="length"):
-        kernel.apply([[1, 1]], [[1, 2], [1]])
+        kernel.apply([[1, 1]], [kernel.pack([1, 2]), kernel.pack([1])])
     with pytest.raises(ValueError, match="entries"):
-        kernel.apply([[1]], [[1], [2]])
+        kernel.apply([[1]], [kernel.pack([1]), kernel.pack([2])])
 
 
 # ---------------------------------------------------------------- packed lanes
@@ -352,11 +395,26 @@ def _prime_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(_prime_cases())
 def test_packed_lanes_match_matmul(case):
-    """Over GF(p) the packed kernel equals ``matmul``, on one-, two-,
-    four- and eight-byte lanes, with zero rows, no rows and empty slabs."""
-    q, matrix, slabs = case
+    """Over GF(p) the packed kernel equals ``matmul``, on one-, two- and
+    four-byte symbols, with zero rows, no rows and empty slabs."""
+    q, matrix, syms = case
     f = prime_field(q)
-    assert ListSlabKernel(f).apply(matrix, slabs) == matmul(f, matrix, slabs)
+    kernel = SlabKernel(f)
+    got = kernel.apply(matrix, [kernel.pack(s) for s in syms])
+    assert [kernel.unpack(v) for v in got] == matmul(f, matrix, syms)
+
+
+def _apply_recording_lanes(kernel, matrix, slabs):
+    """(output slabs, the accumulation lane width of each run) of one apply."""
+    widths = []
+    lane_width = slab._lane_width
+
+    def record(top):
+        widths.append(lane_width(top))
+        return widths[-1]
+
+    with mock.patch.object(slab, "_lane_width", record):
+        return kernel.apply(matrix, slabs), widths
 
 
 @pytest.mark.parametrize("lanes", [0, 1, 9])
@@ -365,23 +423,76 @@ def test_packed_lanes_match_matmul(case):
     [(3, 63, 1), (3, 64, 2), (13, 1, 1), (13, 455, 2), (13, 456, 4), (257, 1, 4), (65537, 3, 8)],
 )
 def test_packed_lanes_at_their_borders(q, inputs, width, lanes):
-    """The kernel packs in the narrowest lane that holds (q-1)**2 times the
-    input count: over GF(13), 455 inputs fill two-byte lanes (65,520) and
-    456 need four. Entries and symbols of q-1 make every lane sum reach
-    that bound, so a lane one size too narrow would carry into the next."""
+    """The cases sit at the borders of the lane a sum of field elements
+    needs, ``width``, the narrowest that holds (q-1)**2 times the input
+    count: over GF(13), 455 inputs fill two-byte lanes (65,520) and 456
+    need four. The kernel sums in the narrowest lane that holds any byte
+    content of its w-byte symbol lanes, (q-1) * (256**w - 1) times the
+    input count, which is never narrower. Entries and symbols of q-1 make
+    every lane sum reach the field-element bound, so a lane too narrow
+    for it would carry into the next."""
     f = prime_field(q)
+    kernel = SlabKernel(f)
     top = q - 1
-    slabs = [[top] * lanes for _ in range(inputs)]
+    syms = [[top] * lanes for _ in range(inputs)]
     if lanes:
-        slabs[0][0] = 1
+        syms[0][0] = 1
     matrix = [[top] * inputs, [0] * inputs, [1] * inputs, [top] + [0] * (inputs - 1)]
-    with mock.patch.object(slab, "array", wraps=array) as packs:
-        got = ListSlabKernel(f).apply(matrix, slabs)
-    formats = {call.args[0] for call in packs.call_args_list}
-    assert formats == ({dict(slab._LANES)[width]} if inputs else set())
-    assert got == matmul(f, matrix, slabs)
+    got, widths = _apply_recording_lanes(kernel, matrix, [kernel.pack(s) for s in syms])
+    framing = (q - 1) * (256**kernel.width - 1) * inputs
+    lane = min(w for w in (1, 2, 4, 8) if framing < 256**w)
+    assert lane >= width
+    assert widths == ([lane] if lanes else [])
+    got = [kernel.unpack(v) for v in got]
+    assert got == matmul(f, matrix, syms)
     assert got[0][1:] == [top * top * inputs % q] * (lanes - 1)
     assert got[1] == [0] * lanes
+
+
+@pytest.mark.parametrize(
+    "q, inputs, lane",
+    [(3, 128, 2), (3, 129, 4), (13, 21, 2), (13, 22, 4), (257, 256, 4), (257, 257, 8)],
+)
+def test_accumulation_lanes_hold_any_symbol_bytes(q, inputs, lane):
+    """At the borders of (q-1) * (256**w - 1) times the input count, with
+    every symbol lane at its largest byte content (not a field element),
+    each lane's sum stays in its lane: the output is the sum reduced mod
+    q, as ``matmul`` gives it for the same ints."""
+    f = prime_field(q)
+    kernel = SlabKernel(f)
+    full = 256**kernel.width - 1
+    syms = [[full, 1, full] for _ in range(inputs)]
+    slabs = [b"".join(s.to_bytes(kernel.width, "big") for s in col) for col in syms]
+    matrix = [[q - 1] * inputs, [1] * inputs]
+    got, widths = _apply_recording_lanes(kernel, matrix, slabs)
+    assert widths == [lane]
+    assert [kernel.unpack(v) for v in got] == matmul(f, matrix, syms)
+
+
+def test_non_field_symbol_stays_in_its_stripe():
+    """A symbol that is not a field element changes only its own stripe's
+    output. Over GF(13), 22 inputs of 255 under constant 12 sum to 67,320
+    in the last lane (the least significant): a two-byte lane, enough for
+    field elements ((q-1)**2 * 22 = 3,168), would carry into the lane
+    before it. Over GF(2^4), high bits in a one-byte lane stay there."""
+    f = prime_field(13)
+    kernel = SlabKernel(f)
+    rng = random.Random(650)
+    syms = [[rng.randrange(13) for _ in range(5)] for _ in range(22)]
+    slabs = [kernel.pack(col) + b"\xff" for col in syms]
+    (got,) = kernel.apply([[12] * 22], slabs)
+    assert kernel.unpack(got)[:5] == matmul(f, [[12] * 22], syms)[0]
+
+    f = binary_field(4)
+    kernel = SlabKernel(f)
+    syms = [[rng.randrange(16) for _ in range(6)] for _ in range(4)]
+    matrix = [[rng.randrange(1, 16) for _ in range(4)] for _ in range(3)]
+    slabs = [kernel.pack(col) for col in syms]
+    slabs[2] = slabs[2][:3] + bytes([slabs[2][3] | 0xF0]) + slabs[2][4:]
+    want = matmul(f, matrix, syms)
+    for row, out in zip(want, kernel.apply(matrix, slabs)):
+        got = kernel.unpack(out)
+        assert got[:3] + got[4:] == row[:3] + row[4:]
 
 
 class _LargePrimeStandIn:
@@ -402,8 +513,9 @@ def test_rows_outside_packed_lanes_run_matmul(field):
     top = field.q - 1
     slabs = [[rng.choice([0, 1, top, rng.randrange(field.q)]) for _ in range(7)] for _ in range(5)]
     matrix = [[top] * 5, [rng.randrange(field.q) for _ in range(5)], [0] * 5]
+    kernel = SlabKernel(field)
     with mock.patch.object(slab, "matmul", wraps=slab.matmul) as products:
-        got = ListSlabKernel(field).apply(matrix, slabs)
+        got = [kernel.unpack(v) for v in kernel.apply(matrix, [kernel.pack(s) for s in slabs])]
     assert products.call_count == (0 if field.characteristic == 2 else 1)
     if field.characteristic == 2:
         want = [[mat_vec(field, [row], list(col))[0] for col in zip(*slabs)] for row in matrix]
@@ -434,38 +546,21 @@ def _binary_cases(draw, m):
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_binary_list_slabs_match_matmul(m, data):
-    """Over every GF(2^m) the list kernel equals ``matmul`` without calling
-    it, on one-byte lanes up to m = 8 and two-byte lanes from m = 9, with
+    """Over every GF(2^m) the kernel equals ``matmul`` without calling it,
+    on one-byte lanes up to m = 8 and two-byte lanes from m = 9, with
     constants and symbols of q-1, zero rows, and slabs of 0, 1 and many
-    lanes."""
-    matrix, slabs = data.draw(_binary_cases(m))
-    f = binary_field(m)
-    with mock.patch.object(slab, "matmul") as products, mock.patch.object(
-        slab, "array", wraps=array
-    ) as packs:
-        got = ListSlabKernel(f).apply(matrix, slabs)
+    lanes. These are the cases the list-slab kernel ran."""
+    matrix, syms = data.draw(_binary_cases(m))
+    kernel = SlabKernel(binary_field(m))
+    assert kernel.width == (1 if m <= 8 else 2)
+    slabs = [kernel.pack(s) for s in syms]
+    with mock.patch.object(slab, "matmul") as products:
+        got = [kernel.unpack(v) for v in kernel.apply(matrix, slabs)]
     assert not products.called
-    assert {call.args[0] for call in packs.call_args_list} <= {"B" if m <= 8 else "H"}
-    assert got == matmul(f, matrix, slabs)
+    assert got == matmul(kernel.field, matrix, syms)
 
 
 # ---------------------------------------------------------------- maps
-
-
-class ListKernel:
-    """Reference kernel over any field: a slab is a tuple of field elements."""
-
-    width = 1
-
-    def __init__(self, field):
-        self.field = field
-
-    def apply(self, matrix, slabs):
-        per_stripe = [mat_vec(self.field, matrix, list(vec)) for vec in zip(*slabs)]
-        return [tuple(out[r] for out in per_stripe) for r in range(len(matrix))]
-
-    def apply_groups(self, matrix, groups):
-        return [self.apply(matrix, g) for g in groups]
 
 
 def helper_sent(p, target, helpers, messages):
@@ -486,22 +581,23 @@ def test_slab_maps_in_every_field_kind(name):
     """The closed-form maps are field-generic: prime fields included."""
     p = params(name)
     rng = random.Random(610)
-    kernel = ListKernel(p.field)
+    kernel = SlabKernel(p.field)
     vecs = [[rng.randrange(p.field.q) for _ in range(p.B)] for _ in range(4)]
     messages = [fill_message_matrix(p, vec) for vec in vecs]
     mats = [encode(M) for M in messages]
     nodes = list(all_nodes(p))
-    columns = encode_slabs(kernel, p, list(zip(*vecs)))
+    data = [kernel.pack(col) for col in zip(*vecs)]
+    columns = encode_slabs(kernel, p, data)
     for node in nodes:
-        assert columns[node] == list(zip(*(C.column(node) for C in mats)))
+        assert columns[node] == [kernel.pack(row) for row in zip(*(C.column(node) for C in mats))]
     ids = sorted(rng.sample(nodes, p.k))
-    assert Decoder(p, ids).decode_slabs(kernel, columns) == list(zip(*vecs))
+    assert Decoder(p, ids).decode_slabs(kernel, columns) == data
     for failed in nodes:
         rep = Repairer(p, failed)
         column, sent, _ = rep.repair_slabs(kernel, columns)
         assert column == columns[failed]
         want = helper_sent(p, failed.e, rep.helpers, messages)
-        assert {e: list(slab) for e, slab in sent.items()} == want
+        assert {e: kernel.unpack(slab) for e, slab in sent.items()} == want
 
 
 # ---------------------------------------------------------------- property

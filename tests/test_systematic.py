@@ -24,7 +24,7 @@ from mbrr.layout import (
 from mbrr.linalg import mat_vec, solve_linear
 from mbrr.reconstruct import Decoder, reconstruct
 from mbrr.repair import repair_node
-from mbrr.slab import ListSlabKernel, SlabKernel
+from mbrr.slab import SlabKernel
 from mbrr.systematic import (
     precoding_matrix,
     read_systematic_data,
@@ -188,19 +188,14 @@ def test_systematic_slabs_match_oracle_lane_by_lane(case, lanes, seed):
     rng = random.Random(seed)
     data = [random_stripe(p, rng) for _ in range(lanes)]
     want = [unfill_message_matrix(systematic_message_matrix(p, lane)) for lane in data]
-    kernels = [ListSlabKernel(p.field)]
-    if p.field.q in (256, 65536):
-        kernels.append(SlabKernel(p.field))
-    for kernel in kernels:
-        slabs = [kernel.pack([lane[j] for lane in data]) for j in range(p.B)]
-        slots = [kernel.unpack(slab) for slab in systematic_slabs(kernel, p, slabs)]
-        assert [[slot[lane] for slot in slots] for lane in range(lanes)] == want
-        # Encoding the slot slabs stores the data slabs verbatim.
-        stored = encode_slabs(
-            kernel, p, [kernel.pack(slot) for slot in slots], systematic_nodes(p)
-        )
-        for slab, (i, node) in zip(slabs, systematic_layout(p).data_positions):
-            assert stored[node][i] == slab
+    kernel = SlabKernel(p.field)
+    slabs = [kernel.pack([lane[j] for lane in data]) for j in range(p.B)]
+    slots = [kernel.unpack(slab) for slab in systematic_slabs(kernel, p, slabs)]
+    assert [[slot[lane] for slot in slots] for lane in range(lanes)] == want
+    # Encoding the slot slabs stores the data slabs verbatim.
+    stored = encode_slabs(kernel, p, [kernel.pack(slot) for slot in slots], systematic_nodes(p))
+    for slab, (i, node) in zip(slabs, systematic_layout(p).data_positions):
+        assert stored[node][i] == slab
 
 
 _CASE_PARAMS = {}
@@ -231,18 +226,13 @@ def test_systematic_encode_slabs_match_two_step_path(case, stripes, seed):
     P = precoding_matrix(p)
     encode_map = systematic_encode_map(p, P)
     want = [systematic_encode(p, stripe) for stripe in data]
-    kernels = [ListSlabKernel(p.field)]
-    if p.field.q in (256, 65536):
-        kernels.append(SlabKernel(p.field))
-    for kernel in kernels:
-        slabs = [kernel.pack([stripe[j] for stripe in data]) for j in range(p.B)]
-        got = systematic_encode_slabs(kernel, p, slabs, encode_map)
-        assert got == encode_slabs(kernel, p, kernel.apply(P, slabs))
-        for node, column in got.items():
-            rows = [kernel.unpack(slab) for slab in column]
-            assert [[row[s] for row in rows] for s in range(stripes)] == [
-                C.column(node) for C in want
-            ]
+    kernel = SlabKernel(p.field)
+    slabs = [kernel.pack([stripe[j] for stripe in data]) for j in range(p.B)]
+    got = systematic_encode_slabs(kernel, p, slabs, encode_map)
+    assert got == encode_slabs(kernel, p, kernel.apply(P, slabs))
+    for node, column in got.items():
+        rows = [kernel.unpack(slab) for slab in column]
+        assert [[row[s] for row in rows] for s in range(stripes)] == [C.column(node) for C in want]
 
 
 def test_systematic_encode_map_covers_the_non_data_cells():
@@ -256,7 +246,7 @@ def test_systematic_encode_map_covers_the_non_data_cells():
     p = params("reference")
     with pytest.raises(ValueError, match="expected 20 data slabs"):
         systematic_encode_slabs(
-            ListSlabKernel(p.field), p, [[0]] * 19, systematic_encode_map(p, precoding_matrix(p))
+            SlabKernel(p.field), p, [b"\0"] * 19, systematic_encode_map(p, precoding_matrix(p))
         )
 
 
@@ -373,7 +363,7 @@ def test_systematic_oracle_runs_none_of_the_slab_steps(monkeypatch):
 def test_systematic_slabs_refuses_wrong_slab_count():
     p = params("reference")
     with pytest.raises(ValueError, match="expected 20 data slabs"):
-        systematic_slabs(ListSlabKernel(p.field), p, [[0]] * 19)
+        systematic_slabs(SlabKernel(p.field), p, [b"\0"] * 19)
 
 
 # SHA-256 of repr(precoding_matrix(p)), pinned from the construction that
