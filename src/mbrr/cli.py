@@ -48,12 +48,12 @@ applied to whole slabs:
               (u-1)*alpha rows of its u-1 survivors to the alpha rows of the
               lost node
 
-``decode`` opens each given shard once and checks its header, then
-loads the payloads of only the k shards it reads (see
-``systematic.read_nodes``) from the handles that check opened, and
-decodes them through ``decode_shards``. ``repair``
-opens only the shards its two stages read, each once, and its cross-rack
-ledger counts the symbols in the helper slabs it produced.
+``decode`` opens each given shard once, checks its size and header against
+the first shard's, builds the params once, and decodes the payloads of
+only the k shards it reads (see ``systematic.read_nodes``), read from
+those handles. ``repair`` opens only the shards its two stages read, each
+once, and its cross-rack ledger counts the symbols in the helper slabs it
+produced. Every map runs on the params' kernel (``CodeParams.kernel``).
 """
 
 from __future__ import annotations
@@ -121,22 +121,8 @@ class ShardHeader:
     original_length: int
 
     def pack(self) -> bytes:
-        return _HEADER.pack(
-            MAGIC,
-            FORMAT_VERSION,
-            self.m,
-            self.primitive_poly,
-            self.n,
-            self.k,
-            self.u,
-            self.dbar,
-            1 if self.systematic else 0,
-            self.e,
-            self.g,
-            self.stripe_count,
-            self.payload_length,
-            self.original_length,
-        )
+        # The fields are in header order; the systematic flag packs as 0 or 1.
+        return _HEADER.pack(MAGIC, FORMAT_VERSION, *vars(self).values())
 
     @classmethod
     def unpack(cls, blob: bytes) -> "ShardHeader":
@@ -158,11 +144,15 @@ class ShardHeader:
         return vars(self) | {"e": 0, "g": 0} == vars(other) | {"e": 0, "g": 0}
 
 
-def file_kernel(field) -> SlabKernel:
-    """The slab kernel of shard files, whose v1 format frames only GF(2^8)
-    and GF(2^16) symbols, one or two bytes each."""
+def _check_framed(field) -> None:
+    """Shard format v1 frames only GF(2^8) and GF(2^16), one or two bytes a symbol."""
     if field.characteristic != 2 or field.m not in BYTE_FIELD_MS:
         raise ValueError(f"shard files need GF(2^8) or GF(2^16), not {field!r}")
+
+
+def file_kernel(field) -> SlabKernel:
+    """The slab kernel of the symbol-list shims, which have no params."""
+    _check_framed(field)
     return SlabKernel(field)
 
 
@@ -268,7 +258,8 @@ def encode_file(
     """
     if not data:
         raise ValueError("refusing to encode an empty file")
-    kernel = file_kernel(p.field)
+    _check_framed(p.field)
+    kernel = p.kernel
     width = kernel.width
     stripes = -(-len(data) // (width * p.B))
     slabs = kernel.split(data + bytes(stripes * p.B * width - len(data)), p.B)
@@ -277,9 +268,9 @@ def encode_file(
         # systematic_slabs run, while the benchmark self-test requires the
         # precoding build on its systematic workload (ROADMAP item 1).
         encode_map = systematic_encode_map(p, precoding_matrix(p))
-        columns = systematic_encode_slabs(kernel, p, slabs, encode_map)
+        columns = systematic_encode_slabs(p, slabs, encode_map)
     else:
-        columns = encode_slabs(kernel, p, slabs)
+        columns = encode_slabs(p, slabs)
     headers = [
         ShardHeader(
             m=p.field.m,
@@ -307,7 +298,7 @@ def _params_from_header(h: ShardHeader) -> CodeParams:
             f"shard was built over polynomial {h.primitive_poly:#x}, "
             f"this build uses {p.field.primitive_poly:#x}"
         )
-    width = file_kernel(p.field).width
+    width = p.kernel.width
     if h.original_length <= 0 or h.stripe_count != -(-h.original_length // (width * p.B)):
         raise ValueError(
             f"header claims an original length of {h.original_length} bytes "
@@ -347,14 +338,13 @@ def decode_shards(loaded: Mapping[NodeId, tuple]) -> bytes:
     ``loaded`` maps nodes to (header, payload bytes in file byte order)
     pairs; the first header describes the file. Only the payloads of the
     nodes ``read_nodes`` names are used, and each of their headers must name
-    its node and match the first; ``mbrr decode`` passes the k it reads.
+    its node and match the first.
     """
     if not loaded:
         raise ValueError("no shards given")
     first = next(iter(loaded.values()))[0]
     p = _params_from_header(first)
-    kernel = file_kernel(p.field)
-    columns = {}
+    payloads = {}
     for node in read_nodes(p, loaded):
         header, payload = loaded[node]
         if (header.e, header.g) != node:
@@ -366,9 +356,15 @@ def decode_shards(loaded: Mapping[NodeId, tuple]) -> bytes:
                 f"node {tuple(node)}: payload is {len(payload)} bytes, "
                 f"header says {first.payload_length}"
             )
-        columns[node] = kernel.split(payload, p.alpha)
-    data = read_slabs(kernel, p, columns, list(columns), first.systematic)
-    return kernel.join(data)[: first.original_length]
+        payloads[node] = payload
+    return _decode_payloads(p, first, payloads)
+
+
+def _decode_payloads(p: CodeParams, first: ShardHeader, payloads: Mapping) -> bytes:
+    """The file bytes from the payloads of the k nodes a read uses; their
+    headers were checked against ``first``, which built ``p``."""
+    columns = {node: p.kernel.split(payload, p.alpha) for node, payload in payloads.items()}
+    return p.kernel.join(read_slabs(p, columns, first.systematic))[: first.original_length]
 
 
 def _shard_paths(args_paths: Sequence[str]) -> list:
@@ -442,13 +438,14 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    # _open_shards checks every shard's header and size; decode_shards checks
-    # the headers of those it reads, whose payloads come from the same handles.
+    # _open_shards compares every shard's header with the first one's and
+    # checks its size, so the payloads read from its handles need no check.
     with ExitStack() as stack:
         found = _open_shards(_shard_paths(args.shards), stack)
-        p = _params_from_header(next(iter(found.values()))[0])
-        loaded = {node: (found[node][0], found[node][1].read()) for node in read_nodes(p, found)}
-    data = decode_shards(loaded)
+        first = next(iter(found.values()))[0]
+        p = _params_from_header(first)
+        payloads = {node: found[node][1].read() for node in read_nodes(p, found)}
+    data = _decode_payloads(p, first, payloads)
     tmp = args.out + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(data)
@@ -489,14 +486,13 @@ def cmd_repair(args) -> int:
             raise ValueError(
                 f"shard files in {args.dir} do not hold the nodes their names give"
             )
-        kernel = file_kernel(p.field)
-        columns = {node: kernel.split(fh.read(), p.alpha) for node, (_, fh) in found.items()}
-    column, _, ledger = rep.repair_slabs(kernel, columns)
+        columns = {node: p.kernel.split(fh.read(), p.alpha) for node, (_, fh) in found.items()}
+    column, _, ledger = rep.repair_slabs(columns)
     header = replace(first, e=failed.e, g=failed.g)
     out_dir = args.out if args.out else args.dir
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, shard_filename(failed.e, failed.g))
-    write_payload(path, header, kernel.join(column))
+    write_payload(path, header, p.kernel.join(column))
     print(f"repaired node ({failed.e}, {failed.g}) -> {path}")
     print(f"stripes {first.stripe_count}")
     print(f"cross_rack_symbols {ledger.cross_rack_symbols} ({p.dbar * p.beta} per stripe)")

@@ -3,10 +3,11 @@
 Nodes are arranged in nbar racks of u; each healthy node holds one
 alpha-symbol column per stored stripe, kept as alpha byte slabs (see
 ``slab``): slab i holds the node's symbol i of every stripe. Reads and
-repairs run the file commands' linear maps once over those slabs through
-``slab.SlabKernel``, over any field, never stripe by stripe. The simulator is
-deterministic and single-threaded: the same store/fail/repair/read script
-always produces the same final state and the same bandwidth ledgers.
+repairs run the file commands' maps once over those slabs, on the params'
+kernel (``CodeParams.kernel``), over any field, never stripe by stripe.
+The simulator is deterministic and single-threaded: the same
+store/fail/repair/read script always produces the same final state and
+the same bandwidth ledgers.
 
 Policies (overridable per call):
   reads   the k lowest healthy node ids (``systematic.read_nodes``); those
@@ -28,7 +29,6 @@ from typing import Iterable, Sequence
 
 from .layout import CodeMatrix, CodeParams, NodeId, all_nodes, node_index
 from .repair import BandwidthLedger, RepairModelError, Repairer, helper_racks
-from .slab import SlabKernel
 from .systematic import read_nodes, read_slabs
 
 __all__ = [
@@ -95,7 +95,6 @@ class Cluster:
     def __init__(self, params: CodeParams, systematic: bool = False):
         self.params = params
         self.systematic = bool(systematic)
-        self._kernel = SlabKernel(params.field)
         self._shards = {node: [b""] * params.alpha for node in all_nodes(params)}
         self._failed = set()
         self._stripes = 0
@@ -121,9 +120,9 @@ class Cluster:
         node_index(self.params, node)
         if node in self._failed:
             raise RepairModelError(f"node {node!r} has failed: shard unavailable")
-        flat = self._kernel.unpack(self._kernel.join(self._shards[node]))
-        a = self.params.alpha
-        return [flat[i : i + a] for i in range(0, len(flat), a)]
+        p = self.params
+        flat = p.kernel.unpack(p.kernel.join(self._shards[node]))
+        return [flat[i : i + p.alpha] for i in range(0, len(flat), p.alpha)]
 
     def store_stripes(self, matrices: Iterable[CodeMatrix]) -> None:
         """Place column (e,g) of every stripe on node (e,g), replacing any
@@ -160,7 +159,7 @@ class Cluster:
                     f"stripe {at // p.alpha}: node {node!r} holds {col[at]!r}, "
                     f"which is not an element of {p.field!r}"
                 )
-            shards[node] = self._kernel.split(self._kernel.pack(col), p.alpha)
+            shards[node] = p.kernel.split(p.kernel.pack(col), p.alpha)
         self._shards = shards
         self._stripes = stripes
 
@@ -189,7 +188,7 @@ class Cluster:
         if helpers is None:
             helpers = helper_racks(p, node, self.healthy_nodes())
         rep = Repairer(p, node, helpers)
-        column, _, ledger = rep.repair_slabs(self._kernel, self._shards)
+        column, _, ledger = rep.repair_slabs(self._shards)
         expected = p.dbar * p.beta * self._stripes
         if ledger.cross_rack_symbols != expected:
             raise RuntimeError(
@@ -217,9 +216,12 @@ class Cluster:
             nodes = read_nodes(p, healthy)
         else:
             nodes = [NodeId(*n) for n in survivors]
+            if len(set(nodes)) != len(nodes):
+                raise ValueError("duplicate survivors")
             for n in nodes:
+                node_index(p, n)
                 if n in self._failed:
                     raise RepairModelError(f"requested survivor {n!r} has failed")
-        data = read_slabs(self._kernel, p, self._shards, nodes, self.systematic)
-        flat = self._kernel.unpack(self._kernel.join(data))
+        data = read_slabs(p, {n: self._shards[n] for n in nodes}, self.systematic)
+        flat = p.kernel.unpack(p.kernel.join(data))
         return [flat[i : i + p.B] for i in range(0, len(flat), p.B)]

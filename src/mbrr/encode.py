@@ -10,9 +10,10 @@ is the reference it must agree with.
 Every stored symbol is thus a fixed linear combination of the B data
 symbols. ``encode_rows`` writes those combinations out: the generator row
 of a (row, node) cell maps the fill-order data vector to that cell.
-``encode_slabs`` is one kernel apply of the generator rows over slabs that
-span every stripe; the elimination oracles of ``reconstruct`` and
-``systematic`` solve systems of them. All routes agree exactly.
+``encode_slabs`` is one apply of the generator rows, on the params'
+kernel (``CodeParams.kernel``), over slabs that span every stripe; the
+elimination oracles of ``reconstruct`` and ``systematic`` solve systems of
+them. All routes agree exactly.
 """
 
 from __future__ import annotations
@@ -87,17 +88,17 @@ def encode_rows(p: CodeParams, cells) -> list:
     return rows
 
 
-def encode_slabs(kernel, p: CodeParams, slots, nodes=None) -> dict:
+def encode_slabs(p: CodeParams, slots, nodes=None) -> dict:
     """Slab form of ``encode(fill_message_matrix(p, data))``, for many stripes at once.
 
     ``slots`` are B equal-length slabs (see ``slab``), slab s holding data
     symbol s of every stripe. Returns ``{node: [alpha slabs]}`` for
-    ``nodes`` (default: all, in rack-major order), from one ``kernel.apply``
+    ``nodes`` (default: all, in rack-major order), from one ``p.kernel.apply``
     of the nodes' generator rows.
     """
     if len(slots) != p.B:
         raise ValueError(f"expected {p.B} slot slabs, got {len(slots)}")
     nodes = list(all_nodes(p) if nodes is None else nodes)
     cells = [(i, node) for node in nodes for i in range(p.alpha)]
-    out = iter(kernel.apply(encode_rows(p, cells), slots))
+    out = iter(p.kernel.apply(encode_rows(p, cells), slots))
     return {node: [next(out) for _ in range(p.alpha)] for node in nodes}

@@ -87,6 +87,8 @@ class CodeParams:
     Instances are immutable and compare by identity; derived artifacts
     (index sets, evaluation points, fill plans, the encoding matrix) are
     cached on the instance after first use, by ``cached_on_params``.
+    ``kernel``, the ``slab.SlabKernel`` of the field, runs every slab map of
+    the code; its lane masks live as long as the params.
     """
 
     n: int
@@ -102,6 +104,7 @@ class CodeParams:
     field: Field
     xi: int
     eta: int
+    kernel: SlabKernel = dc_field(repr=False)
     _cache: dict = dc_field(default_factory=dict, init=False, repr=False)
 
     def __str__(self):
@@ -187,6 +190,7 @@ def make_params(
         field=field,
         xi=field.primitive_element(),
         eta=field.element_of_order(u),
+        kernel=SlabKernel(field),
     )
 
 
@@ -347,7 +351,7 @@ def _first_difference(p: CodeParams, a, b) -> str:
     cells = []
     for cell in (a, b):
         if isinstance(cell, bytes):
-            cell = SlabKernel(p.field).unpack(cell)
+            cell = p.kernel.unpack(cell)
         cells.append(itertools.repeat(cell) if isinstance(cell, int) else cell)
     for t, (x, y) in enumerate(zip(*cells)):
         if x != y:

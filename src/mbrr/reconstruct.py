@@ -19,13 +19,13 @@ less than k through them. The decoder needs two maps built from L.
   followed by the moved values.
 
 Both maps are fixed by the node set, so ``Decoder`` builds them once and
-``Decoder.decode_slabs`` runs them over byte slabs that span every stripe
-of a file or cluster (see ``slab``), each map in one ``apply_groups`` over
-all its message rows: two applies per decode. The repeated cells of the
-recovered matrix are then compared (``unfill_message_matrix``); on corrupt
-input they disagree and IntegrityError is raised. ``Decoder.reconstruct``
-and ``reconstruct`` decode one stripe by running the same maps on one-lane
-slabs.
+``Decoder.decode_slabs`` runs them on the params' kernel
+(``CodeParams.kernel``) over byte slabs that span every stripe of a file
+or cluster (see ``slab``), each map in one ``apply_groups`` over all its
+message rows: two applies per decode. The repeated cells of the recovered
+matrix are then compared (``unfill_message_matrix``); on corrupt input
+they disagree and IntegrityError is raised. ``Decoder.reconstruct`` and
+``reconstruct`` decode one stripe by running the same maps on one-lane slabs.
 
 ``oracle_reconstruct`` ignores all of that structure: each observed symbol
 is one equation, its cell's generator row (``encode.encode_rows``) in the
@@ -56,7 +56,6 @@ from .layout import (
     validate_symbols,
 )
 from .linalg import BatchInterpolator, mat_vec, matmul, solve_linear
-from .slab import SlabKernel
 
 __all__ = ["Decoder", "reconstruct", "oracle_reconstruct"]
 
@@ -103,7 +102,6 @@ class Decoder:
         # Column position of degree i*u + u-1 for each top row i < kbar.
         self._mirror_pos = [cp[i * p.u + p.u - 1] for i in range(p.kbar)]
         self._high_pos = [cp[deg] for deg in high_degrees]
-        self._kernel = SlabKernel(f)  # runs the maps for ``reconstruct``
 
     def reconstruct(self, cols: Mapping[NodeId, Sequence[int]]) -> MessageMatrix:
         """Recover the message matrix from ``{node: column}`` for this decoder's nodes.
@@ -116,12 +114,12 @@ class Decoder:
             raise ValueError("observed nodes do not match this decoder")
         for node, col in cols.items():
             validate_symbols(self.p, col, node)
-        kernel = self._kernel
+        kernel = self.p.kernel
         slabs = {node: [kernel.pack((s,)) for s in col] for node, col in cols.items()}
-        data = self.decode_slabs(kernel, slabs)
+        data = self.decode_slabs(slabs)
         return fill_message_matrix(self.p, kernel.unpack(b"".join(data)))
 
-    def decode_slabs(self, kernel, columns: Mapping[NodeId, Sequence[bytes]]) -> list:
+    def decode_slabs(self, columns: Mapping[NodeId, Sequence[bytes]]) -> list:
         """The B data slabs, in fill order, from this decoder's nodes' slabs.
 
         ``columns`` maps each of this decoder's nodes to its alpha slabs
@@ -144,12 +142,12 @@ class Decoder:
         rows = [[0] * len(self._j) for _ in range(p.dbar)]
         bottom = range(p.kbar, p.dbar)
         groups = [[col[i] for col in ordered] for i in bottom]
-        for i, coeffs in zip(bottom, kernel.apply_groups(self._bottom, groups)):
+        for i, coeffs in zip(bottom, p.kernel.apply_groups(self._bottom, groups)):
             for pos, deg in self._low:
                 rows[i][pos] = coeffs[deg]
         highs = [[rows[t][self._mirror_pos[i]] for t in bottom] for i in range(p.kbar)]
         groups = [[col[i] for col in ordered] + high for i, high in enumerate(highs)]
-        for i, coeffs in enumerate(kernel.apply_groups(self._top, groups)):
+        for i, coeffs in enumerate(p.kernel.apply_groups(self._top, groups)):
             for pos, deg in self._low:
                 rows[i][pos] = coeffs[deg]
             for pos, slab in zip(self._high_pos, highs[i]):

@@ -35,13 +35,13 @@ linear maps:
 
 ``Repairer`` composes stages 2 and 3 into one host map, alpha x
 (dbar + (u-1)*alpha), over the received symbols followed by the
-survivors' columns. ``Repairer.repair_slabs`` runs the maps over byte
-slabs that span every stripe of a file or cluster (see ``slab``);
-``Repairer.repair`` and ``repair_node`` repair one stripe by running the
-same maps on one-lane slabs. The interpolators on a rack's node points and
-on the rack points of a set of racks are fixed by the geometry:
-``rack_lagrange`` and ``rack_points_lagrange`` build each once per
-``CodeParams``.
+survivors' columns. ``Repairer.repair_slabs`` runs the maps on the params'
+kernel (``CodeParams.kernel``) over byte slabs that span every stripe of a
+file or cluster (see ``slab``); ``Repairer.repair`` and ``repair_node``
+repair one stripe by running the same maps on one-lane slabs. The
+interpolators on a rack's node points and on the rack points of a set of
+racks are fixed by the geometry: ``rack_lagrange`` and
+``rack_points_lagrange`` build each once per ``CodeParams``.
 
 Traffic per repair: dbar * beta symbols cross racks (one per helper) and
 (u-1) * dbar symbols are read inside the target rack. ``repair_slabs``
@@ -66,7 +66,6 @@ from .layout import (
     validate_symbols,
 )
 from .linalg import BatchInterpolator, dot, poly_eval
-from .slab import SlabKernel
 
 __all__ = [
     "RepairModelError",
@@ -215,7 +214,6 @@ class Repairer:
         self.survivors = [NodeId(failed.e, g) for g in range(p.u) if g != failed.g]
         self.reads = [NodeId(e, g) for e in helpers for g in range(p.u)] + self.survivors
         self._helper_maps, self._host = self._build_maps()
-        self._kernel = SlabKernel(p.field)  # runs the maps for ``repair``
 
     def _read(self, columns: Mapping[NodeId, Sequence], node: NodeId) -> Sequence:
         """``columns[node]``, or RepairModelError naming the role it plays."""
@@ -237,13 +235,13 @@ class Repairer:
         ``repair_slabs``, which checks their presence and lengths, on
         one-lane slabs, one per symbol.
         """
-        kernel = self._kernel
+        kernel = self.p.kernel
         slabs = {}
         for node in self.reads:
             if node in columns:
                 validate_symbols(self.p, columns[node], node)
                 slabs[node] = [kernel.pack((s,)) for s in columns[node]]
-        column, _, ledger = self.repair_slabs(kernel, slabs)
+        column, _, ledger = self.repair_slabs(slabs)
         return kernel.unpack(b"".join(column)), ledger
 
     def _build_maps(self) -> tuple:
@@ -272,7 +270,7 @@ class Repairer:
             host.append(row)
         return helper_maps, host
 
-    def repair_slabs(self, kernel, columns: Mapping[NodeId, Sequence[bytes]]):
+    def repair_slabs(self, columns: Mapping[NodeId, Sequence[bytes]]):
         """(column, sent, ledger): the lost node's alpha slabs, the slab each
         helper rack sent, and the BandwidthLedger of both.
 
@@ -284,7 +282,7 @@ class Repairer:
         slabs followed by the survivors' slabs. The ledger counts the sent
         slabs' symbols as cross-rack and the survivors' as intra-rack.
         """
-        p = self.p
+        p, kernel = self.p, self.p.kernel
         read = {node: self._read(columns, node) for node in self.reads}
         for node, col in read.items():
             if len(col) != p.alpha:

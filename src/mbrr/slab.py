@@ -13,7 +13,9 @@ passes, both repair stages) is a fixed linear map, run once over slabs
 instead of once per stripe: by the file commands, by the cluster
 simulator, and on one-lane slabs by the per-stripe ``Decoder.reconstruct``
 and ``Repairer.repair``. The maps are built with slabs too, on B lanes,
-lane j standing for the unit data vector e_j (``systematic``).
+lane j standing for the unit data vector e_j (``systematic``). Every map
+of a code runs on its params' one kernel, ``CodeParams.kernel``, which
+``make_params`` builds; no entry point takes a kernel.
 
 The kernel reads a slab as one big-endian integer. Over GF(2^m) addition
 is XOR of those integers, and doubling every lane at once is a masked
@@ -138,7 +140,7 @@ class SlabKernel:
     """Applies matrices over any field to equal-length byte slabs.
 
     Lane masks are built per instance on first use and kept by slab
-    length, so a kernel lives as long as the plan that uses it.
+    length, so a kernel lives as long as the params that own it.
     """
 
     def __init__(self, field):

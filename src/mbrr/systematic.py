@@ -14,8 +14,9 @@ first, then (0,1) and so on, skipping the redundant cells.
 
 ``systematic_slabs`` finds the unique message matrix consistent with such
 a placement in five linear steps, run once over slabs (see ``slab``) that
-span many stripes, each step as the fixed map named in brackets. Steps 1,
-2 and 4 apply each map once over all the rows it serves (``apply_groups``);
+span many stripes, each step as the fixed map named in brackets, on the
+params' kernel (``CodeParams.kernel``) like every map here. Steps 1, 2
+and 4 apply each map once over all the rows it serves (``apply_groups``);
 step 3 stays one apply per row, because row r reads S[r][:r]:
 
 1. Within racks 0..kbar-1, every row that avoids the redundant cells is
@@ -48,8 +49,8 @@ vector e_j produces, so output slab r is row r of the B x B map.
 A systematic code matrix holds the B data symbols verbatim, so only its
 n*alpha - B other cells need arithmetic. ``systematic_encode_map``
 composes the encoding map with the precoding map for just those cells:
-one kernel apply of their generator rows (``encode.encode_rows``) over
-the B rows of ``precoding_matrix`` packed as B-lane slabs.
+one apply of their generator rows (``encode.encode_rows``) over the B
+rows of ``precoding_matrix`` packed as B-lane slabs.
 ``systematic_encode_slabs`` then encodes many stripes with no per-cell
 work for the data cells and one (n*alpha - B) x B map for the rest.
 
@@ -61,6 +62,7 @@ production path runs it.
 ``read_nodes`` and ``read_slabs`` are the one read policy of the file
 commands and the cluster simulator: read the systematic nodes directly
 when a systematic code has them all, else decode the k lowest node ids.
+``read_slabs`` reads the nodes its column map holds.
 """
 
 from __future__ import annotations
@@ -81,7 +83,6 @@ from .layout import (
 from .linalg import mat_vec, matmul, solve_linear
 from .reconstruct import Decoder
 from .repair import local_finish, rack_lagrange, rack_point, rack_points_lagrange
-from .slab import SlabKernel
 
 __all__ = [
     "SystematicLayout",
@@ -162,18 +163,18 @@ def systematic_encode(p: CodeParams, data: Sequence[int]) -> CodeMatrix:
     return encode(fill_message_matrix(p, mat_vec(p.field, precoding_matrix(p), data)))
 
 
-def systematic_slabs(kernel, p: CodeParams, data_slabs: Sequence) -> list:
+def systematic_slabs(p: CodeParams, data_slabs: Sequence) -> list:
     """Slab form of ``unfill_message_matrix(systematic_message_matrix(...))``.
 
     ``data_slabs`` are B equal-length slabs in placement order, slab j
     holding data symbol j of every stripe; returns the B slot slabs in fill
     order. The numbered steps are those of the module docstring, each one
-    fixed map run by ``kernel`` over whole slabs. Step 5's M1 symmetry
+    fixed map run by ``p.kernel`` over whole slabs. Step 5's M1 symmetry
     checks compare whole slabs.
     """
     if len(data_slabs) != p.B:
         raise ValueError(f"expected {p.B} data slabs, got {len(data_slabs)}")
-    f = p.field
+    f, kernel = p.field, p.kernel
     kbar, dbar, u = p.kbar, p.dbar, p.u
     grid = dict(zip(systematic_layout(p).data_positions, data_slabs))
     phis = [[f.pow(rack_point(p, e), t) for t in range(dbar)] for e in range(kbar)]
@@ -225,7 +226,7 @@ def systematic_slabs(kernel, p: CodeParams, data_slabs: Sequence) -> list:
     # 5. Any-k decode of the completed systematic columns.
     front = systematic_nodes(p)
     columns = {node: [grid[(i, node)] for i in range(dbar)] for node in front}
-    return Decoder(p, front).decode_slabs(kernel, columns)
+    return Decoder(p, front).decode_slabs(columns)
 
 
 @cached_on_params
@@ -239,9 +240,8 @@ def precoding_matrix(p: CodeParams) -> list:
     matrix and a data vector is the fast equivalent of
     ``systematic_message_matrix``.
     """
-    kernel = SlabKernel(p.field)
-    lanes = [kernel.pack([0] * j + [1] + [0] * (p.B - 1 - j)) for j in range(p.B)]
-    return [kernel.unpack(slab) for slab in systematic_slabs(kernel, p, lanes)]
+    lanes = [p.kernel.pack([0] * j + [1] + [0] * (p.B - 1 - j)) for j in range(p.B)]
+    return [p.kernel.unpack(slab) for slab in systematic_slabs(p, lanes)]
 
 
 def systematic_encode_map(p: CodeParams, precoding: Sequence[Sequence[int]]) -> tuple:
@@ -257,27 +257,26 @@ def systematic_encode_map(p: CodeParams, precoding: Sequence[Sequence[int]]) -> 
     of ``precoding`` packed as B-lane slabs (lane j is the unit data
     vector e_j), read back one row per cell.
     """
-    kernel = SlabKernel(p.field)
     data = set(systematic_layout(p).data_positions)
     cells = [(i, node) for node in all_nodes(p) for i in range(p.dbar) if (i, node) not in data]
-    slots = [kernel.pack(row) for row in precoding]
-    return cells, [kernel.unpack(slab) for slab in kernel.apply(encode_rows(p, cells), slots)]
+    slabs = p.kernel.apply(encode_rows(p, cells), [p.kernel.pack(row) for row in precoding])
+    return cells, [p.kernel.unpack(slab) for slab in slabs]
 
 
-def systematic_encode_slabs(kernel, p: CodeParams, data_slabs: Sequence, encode_map) -> dict:
+def systematic_encode_slabs(p: CodeParams, data_slabs: Sequence, encode_map) -> dict:
     """Slab form of ``systematic_encode``, for many stripes at once.
 
     ``data_slabs`` are B equal-length slabs (see ``slab``) in placement
     order; ``encode_map`` is ``systematic_encode_map(p, ...)``. Returns
     ``{node: [alpha slabs]}`` for every node in rack-major order. A data
     cell's slab is its data slab itself; the other cells come from one
-    ``kernel.apply`` of the map.
+    ``p.kernel.apply`` of the map.
     """
     if len(data_slabs) != p.B:
         raise ValueError(f"expected {p.B} data slabs, got {len(data_slabs)}")
     cells, matrix = encode_map
     grid = dict(zip(systematic_layout(p).data_positions, data_slabs))
-    grid.update(zip(cells, kernel.apply(matrix, data_slabs)))
+    grid.update(zip(cells, p.kernel.apply(matrix, data_slabs)))
     return {node: [grid[(i, node)] for i in range(p.dbar)] for node in all_nodes(p)}
 
 
@@ -290,24 +289,24 @@ def read_nodes(p: CodeParams, available: Collection[NodeId]) -> list:
     return sorted(available)[: p.k]
 
 
-def read_slabs(kernel, p: CodeParams, columns: Mapping, nodes: Sequence, systematic: bool) -> list:
-    """The B data slabs (see ``slab``) read from the alpha slabs ``columns``
-    holds for each of the k ``nodes``, in placement order for a systematic
-    code and fill order otherwise.
+def read_slabs(p: CodeParams, columns: Mapping, systematic: bool) -> list:
+    """The B data slabs (see ``slab``) read from ``columns``, which maps
+    each of the k nodes the read uses to its alpha slabs; in placement order
+    for a systematic code and fill order otherwise.
 
     The systematic nodes are read directly. Other nodes are decoded, and a
     systematic code then encodes its systematic nodes that were not read.
     """
     front = systematic_nodes(p)
-    if systematic and sorted(nodes) == front:
+    if systematic and sorted(columns) == front:
         return read_systematic_data(p, columns)
-    dec = Decoder(p, nodes)
-    data = dec.decode_slabs(kernel, columns)
+    dec = Decoder(p, list(columns))
+    data = dec.decode_slabs(columns)
     if not systematic:
         return data
     # A decoded node's column equals its observed one, so only the
     # systematic nodes outside the decode set are encoded.
     front_cols = {node: columns[node] for node in front if node in dec.ids}
     missing = [node for node in front if node not in dec.ids]
-    front_cols.update(encode_slabs(kernel, p, data, missing))
+    front_cols.update(encode_slabs(p, data, missing))
     return read_systematic_data(p, front_cols)

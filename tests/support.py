@@ -5,6 +5,7 @@ import random
 from mbrr import NodeId, all_nodes, encode, fill_message_matrix, make_params
 from mbrr.gf import binary_field, prime_field
 from mbrr.repair import rack_lagrange
+from mbrr.slab import SlabKernel
 
 # Geometry of every set: n nodes in racks of u, any k readable, dbar helper
 # racks per repair. "pairs" and "quads" have even u and land in prime fields;
@@ -62,3 +63,16 @@ def leading_vector(p, cols, e):
         interp.interpolate([cols[NodeId(e, g)][i] for g in range(p.u)])[p.u - 1]
         for i in range(p.dbar)
     ]
+
+
+def count_kernel_builds(monkeypatch):
+    """A list that records the field of every ``SlabKernel`` built from now on."""
+    built = []
+    real = SlabKernel.__init__
+
+    def counting(self, field):
+        built.append(field)
+        real(self, field)
+
+    monkeypatch.setattr(SlabKernel, "__init__", counting)
+    return built

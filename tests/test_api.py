@@ -1,6 +1,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import re
 import subprocess
@@ -122,3 +123,42 @@ def test_generator_rows_are_built_in_one_place():
                 if isinstance(node, ast.Name) and node.id in ("encoding_matrix", "fill_plan")
             ]
     assert found == []
+
+
+def test_slab_kernels_are_built_in_one_place():
+    """``make_params`` builds the one kernel each params own; only
+    ``cli.file_kernel`` builds another, for the symbol-list shims, which
+    have no params. No slab entry point takes a kernel, and ``read_slabs``
+    takes its nodes from its column map."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "mbrr")
+    found = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                found += [
+                    f"{name} {func.name}"
+                    for node in ast.walk(func)
+                    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "SlabKernel"
+                ]
+    assert found == ["cli.py file_kernel", "layout.py make_params"]
+
+    from mbrr.encode import encode_slabs
+    from mbrr.reconstruct import Decoder
+    from mbrr.repair import Repairer
+    from mbrr.systematic import read_slabs, systematic_encode_slabs, systematic_slabs
+
+    entry_points = (
+        encode_slabs,
+        systematic_slabs,
+        systematic_encode_slabs,
+        read_slabs,
+        Decoder.decode_slabs,
+        Repairer.repair_slabs,
+    )
+    for fn in entry_points:
+        assert "kernel" not in inspect.signature(fn).parameters, fn.__qualname__
+    assert list(inspect.signature(read_slabs).parameters) == ["p", "columns", "systematic"]

@@ -23,6 +23,8 @@ from mbrr.gf import binary_field
 from mbrr.layout import NodeId
 from mbrr.slab import SlabKernel
 
+from support import count_kernel_builds
+
 
 def sample_header(**overrides):
     fields = dict(
@@ -118,8 +120,10 @@ def test_read_shard_validates_consistency(tmp_path):
     h = sample_header(stripe_count=2, payload_length=6, original_length=5)
     path = str(tmp_path / "x.mbrr")
     write_shard(path, h, [1, 2, 3, 4, 5, 6])
-    blob = open(path, "rb").read()
-    open(path, "wb").write(blob[:-1])  # truncate payload
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(blob[:-1])  # truncate payload
     with pytest.raises(ValueError, match="payload"):
         read_shard(path)
 
@@ -366,6 +370,65 @@ def test_cmd_decode_checks_unused_shards(tmp_path, capsys):
     unused.write_bytes(b"MBRX" + bytes(60))
     rc, _, err = run_cli(capsys, "decode", shard_dir, "--out", tmp_path / "out.bin")
     assert rc == 2 and "magic" in err
+
+
+@pytest.mark.parametrize("lost", [None, (0, 1)])
+def test_cmd_decode_compares_each_header_once(tmp_path, capsys, monkeypatch, lost):
+    """A directory decode compares every shard's header with one other, the
+    first shard's, and builds the params once."""
+    import mbrr.cli
+
+    src = tmp_path / "input.bin"
+    src.write_bytes(random.Random(509).randbytes(1500))
+    shard_dir = tmp_path / "shards"
+    run_cli(capsys, "encode", src, 12, 7, 3, 3, "--systematic", "--out", shard_dir)
+    if lost is not None:
+        (shard_dir / shard_filename(*lost)).unlink()
+    compared, built = [], []
+    matches, make_params = ShardHeader.matches, mbrr.cli.make_params
+
+    def counting_matches(self, other):
+        compared.append(((self.e, self.g), (other.e, other.g)))
+        return matches(self, other)
+
+    def counting_make_params(*args, **kwargs):
+        built.append(args)
+        return make_params(*args, **kwargs)
+
+    monkeypatch.setattr(ShardHeader, "matches", counting_matches)
+    monkeypatch.setattr(mbrr.cli, "make_params", counting_make_params)
+    dst = tmp_path / "restored.bin"
+    rc, _, _ = run_cli(capsys, "decode", shard_dir, "--out", dst)
+    assert rc == 0 and dst.read_bytes() == src.read_bytes()
+    shards = len(os.listdir(shard_dir))
+    assert len(compared) == shards - 1
+    assert len(set(compared)) == shards - 1 and len({other for _, other in compared}) == 1
+    assert built == [(12, 7, 3, 3)]
+
+
+def test_each_command_builds_one_kernel(tmp_path, capsys, monkeypatch):
+    """A command's params own its one slab kernel: the systematic encode's
+    precoding and map builds, the decoder, the encode of unread systematic
+    nodes and the repair all run on it."""
+    src = tmp_path / "input.bin"
+    src.write_bytes(random.Random(510).randbytes(1500))
+    shard_dir = tmp_path / "shards"
+    built = count_kernel_builds(monkeypatch)
+
+    def kernels(*argv):
+        built.clear()
+        rc, _, err = run_cli(capsys, *argv)
+        assert rc == 0, err
+        return built
+
+    gf8 = [binary_field(8)]
+    assert kernels("encode", src, 12, 7, 3, 3, "--systematic", "--out", shard_dir) == gf8
+    assert kernels("decode", shard_dir, "--out", tmp_path / "healthy.bin") == gf8
+    (shard_dir / shard_filename(0, 1)).unlink()
+    assert kernels("decode", shard_dir, "--out", tmp_path / "degraded.bin") == gf8
+    assert kernels("repair", shard_dir, 0, 1) == gf8
+    for name in ("healthy.bin", "degraded.bin"):
+        assert (tmp_path / name).read_bytes() == src.read_bytes()
 
 
 def test_cmd_encode_systematic_places_raw_bytes(tmp_path, capsys):

@@ -20,7 +20,7 @@ from mbrr.reconstruct import Decoder, oracle_reconstruct
 from mbrr.repair import RepairModelError, Repairer, helper_racks
 from mbrr.systematic import read_systematic_data, systematic_encode, systematic_nodes
 
-from support import PARAM_SETS, params, random_stripe
+from support import PARAM_SETS, count_kernel_builds, params, random_stripe
 
 
 def loaded_cluster(p, rng, stripes=4, systematic=False):
@@ -139,9 +139,32 @@ def test_read_with_explicit_survivors():
     data, c = loaded_cluster(p, rng)
     nodes = list(all_nodes(p))
     assert c.read_data(survivors=nodes[-p.k :]) == data
+    # The read takes its nodes from the column map it builds, where a
+    # repeated survivor would collapse into fewer than k nodes: refused.
+    for survivors in (nodes[-p.k : -1] + nodes[-2:-1], nodes[: p.k - 1] + nodes[:1]):
+        with pytest.raises(ValueError, match="duplicate"):
+            c.read_data(survivors=survivors)
+    with pytest.raises(ValueError, match="outside"):
+        c.read_data(survivors=nodes[: p.k - 1] + [NodeId(p.nbar, 0)])
     c.fail_node(NodeId(0, 0))
     with pytest.raises(RepairModelError, match="failed"):
         c.read_data(survivors=nodes[: p.k])
+
+
+def test_cluster_cycle_builds_one_kernel(monkeypatch):
+    """The params own the one slab kernel of a cluster's whole life: a
+    store, read, fail, degraded read, repair, read cycle over GF(13) builds
+    no other."""
+    built = count_kernel_builds(monkeypatch)
+    p = make_params(12, 8, 2, 4)
+    data, c = loaded_cluster(p, random.Random(412))
+    assert c.read_data() == data
+    c.fail_node(NodeId(0, 0))
+    assert c.read_data() == data
+    c.repair_failed(NodeId(0, 0))
+    assert c.read_data() == data
+    assert built == [prime_field(13)]
+    assert p.kernel.field is p.field
 
 
 # ---------------------------------------------------------------- repair

@@ -16,7 +16,6 @@ from mbrr.repair import (
     repair_node,
 )
 from mbrr.reconstruct import Decoder, oracle_reconstruct
-from mbrr.slab import SlabKernel
 
 from support import PARAM_SETS, params, random_stripe, encoded, leading_vector
 
@@ -82,9 +81,9 @@ def test_helper_symbol_evaluates_leading_polynomial():
     rng = random.Random(202)
     data, C, cols = encoded(p, rng)
     failed = NodeId(3, 0)
-    kernel = SlabKernel(p.field)
+    kernel = p.kernel
     rep = Repairer(p, failed, helpers=[0, 1, 2])
-    _, sent, _ = rep.repair_slabs(kernel, one_lane(kernel, cols))
+    _, sent, _ = rep.repair_slabs(one_lane(kernel, cols))
     want = poly_eval(p.field, leading_vector(p, cols, 1), rack_point(p, 3))
     assert kernel.unpack(sent[1]) == [want]
     with pytest.raises(ValueError, match="own rack"):
@@ -98,10 +97,10 @@ def test_recover_leading_vector_round_trip():
     for name in PARAM_SETS:
         p = params(name)
         data, C, cols = encoded(p, rng)
-        kernel = SlabKernel(p.field)
+        kernel = p.kernel
         for e_star in range(p.nbar):
             rep = Repairer(p, NodeId(e_star, 0))
-            _, sent, _ = rep.repair_slabs(kernel, one_lane(kernel, cols))
+            _, sent, _ = rep.repair_slabs(one_lane(kernel, cols))
             interp = rack_points_lagrange(p, rep.helpers)
             got = interp.interpolate([kernel.unpack(sent[e])[0] for e in rep.helpers])
             assert got == leading_vector(p, cols, e_star)

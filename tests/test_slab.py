@@ -272,16 +272,16 @@ def test_decode_runs_each_map_once_per_chunk(geo, m, lanes, runs):
     (the stream-gf8 shape), two 13,108-byte slabs do not fit one chunk, so
     its 1 bottom and 2 top rows still make 3 runs."""
     p = file_params(*geo, m)
-    kernel = SlabKernel(p.field)
+    kernel = p.kernel
     rng = random.Random(lanes)
     data = [rng.randbytes(lanes * kernel.width) for _ in range(p.B)]
-    columns = encode_slabs(kernel, p, data)
+    columns = encode_slabs(p, data)
     nodes = list(all_nodes(p))
     dec = Decoder(p, nodes[1 : p.k] + nodes[-1:])
     with mock.patch.object(slab, "_horner", wraps=slab._horner) as serial, mock.patch.object(
         kernel, "_lanes", wraps=kernel._lanes
     ) as masks:
-        got = dec.decode_slabs(kernel, columns)
+        got = dec.decode_slabs(columns)
         lengths = [call.args[0] for call in masks.call_args_list]
     assert got == data
     assert serial.call_count == len(runs) and lengths == runs
@@ -581,20 +581,20 @@ def test_slab_maps_in_every_field_kind(name):
     """The closed-form maps are field-generic: prime fields included."""
     p = params(name)
     rng = random.Random(610)
-    kernel = SlabKernel(p.field)
+    kernel = p.kernel
     vecs = [[rng.randrange(p.field.q) for _ in range(p.B)] for _ in range(4)]
     messages = [fill_message_matrix(p, vec) for vec in vecs]
     mats = [encode(M) for M in messages]
     nodes = list(all_nodes(p))
     data = [kernel.pack(col) for col in zip(*vecs)]
-    columns = encode_slabs(kernel, p, data)
+    columns = encode_slabs(p, data)
     for node in nodes:
         assert columns[node] == [kernel.pack(row) for row in zip(*(C.column(node) for C in mats))]
     ids = sorted(rng.sample(nodes, p.k))
-    assert Decoder(p, ids).decode_slabs(kernel, columns) == data
+    assert Decoder(p, ids).decode_slabs(columns) == data
     for failed in nodes:
         rep = Repairer(p, failed)
-        column, sent, _ = rep.repair_slabs(kernel, columns)
+        column, sent, _ = rep.repair_slabs(columns)
         assert column == columns[failed]
         want = helper_sent(p, failed.e, rep.helpers, messages)
         assert {e: kernel.unpack(slab) for e, slab in sent.items()} == want
@@ -669,10 +669,10 @@ def test_slab_paths_match_per_stripe_paths(geo, m, size, systematic, seed):
     failed = rng.choice(nodes)
     others = [e for e in range(p.nbar) if e != failed.e]
     helpers = sorted(rng.sample(others, p.dbar))
-    kernel = SlabKernel(p.field)
+    kernel = p.kernel
     columns = {n: kernel.split(pl, p.alpha) for n, pl in zip(nodes, payloads) if n != failed}
     rep = Repairer(p, failed, helpers)
-    column, sent, _ = rep.repair_slabs(kernel, columns)
+    column, sent, _ = rep.repair_slabs(columns)
     assert kernel.join(column) == payloads[nodes.index(failed)]
     want_sent = helper_sent(p, failed.e, helpers, messages)
     assert {e: bytes_to_symbols(slab, m) for e, slab in sent.items()} == want_sent

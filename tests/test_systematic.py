@@ -7,7 +7,6 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import mbrr.cli
 import mbrr.repair
 import mbrr.slab
 import mbrr.systematic
@@ -24,7 +23,6 @@ from mbrr.layout import (
 from mbrr.linalg import mat_vec, solve_linear
 from mbrr.reconstruct import Decoder, reconstruct
 from mbrr.repair import repair_node
-from mbrr.slab import SlabKernel
 from mbrr.systematic import (
     precoding_matrix,
     read_systematic_data,
@@ -188,12 +186,12 @@ def test_systematic_slabs_match_oracle_lane_by_lane(case, lanes, seed):
     rng = random.Random(seed)
     data = [random_stripe(p, rng) for _ in range(lanes)]
     want = [unfill_message_matrix(systematic_message_matrix(p, lane)) for lane in data]
-    kernel = SlabKernel(p.field)
+    kernel = p.kernel
     slabs = [kernel.pack([lane[j] for lane in data]) for j in range(p.B)]
-    slots = [kernel.unpack(slab) for slab in systematic_slabs(kernel, p, slabs)]
+    slots = [kernel.unpack(slab) for slab in systematic_slabs(p, slabs)]
     assert [[slot[lane] for slot in slots] for lane in range(lanes)] == want
     # Encoding the slot slabs stores the data slabs verbatim.
-    stored = encode_slabs(kernel, p, [kernel.pack(slot) for slot in slots], systematic_nodes(p))
+    stored = encode_slabs(p, [kernel.pack(slot) for slot in slots], systematic_nodes(p))
     for slab, (i, node) in zip(slabs, systematic_layout(p).data_positions):
         assert stored[node][i] == slab
 
@@ -226,10 +224,10 @@ def test_systematic_encode_slabs_match_two_step_path(case, stripes, seed):
     P = precoding_matrix(p)
     encode_map = systematic_encode_map(p, P)
     want = [systematic_encode(p, stripe) for stripe in data]
-    kernel = SlabKernel(p.field)
+    kernel = p.kernel
     slabs = [kernel.pack([stripe[j] for stripe in data]) for j in range(p.B)]
-    got = systematic_encode_slabs(kernel, p, slabs, encode_map)
-    assert got == encode_slabs(kernel, p, kernel.apply(P, slabs))
+    got = systematic_encode_slabs(p, slabs, encode_map)
+    assert got == encode_slabs(p, kernel.apply(P, slabs))
     for node, column in got.items():
         rows = [kernel.unpack(slab) for slab in column]
         assert [[row[s] for row in rows] for s in range(stripes)] == [C.column(node) for C in want]
@@ -245,62 +243,57 @@ def test_systematic_encode_map_covers_the_non_data_cells():
         assert len(matrix) == len(cells) and all(len(row) == p.B for row in matrix)
     p = params("reference")
     with pytest.raises(ValueError, match="expected 20 data slabs"):
-        systematic_encode_slabs(
-            SlabKernel(p.field), p, [b"\0"] * 19, systematic_encode_map(p, precoding_matrix(p))
-        )
+        systematic_encode_slabs(p, [b"\0"] * 19, systematic_encode_map(p, precoding_matrix(p)))
 
 
-def test_encode_file_systematic_runs_one_map_over_non_data_cells(monkeypatch):
+def kernel_applies(p, run):
+    """``run()`` and the (rows, nonzero entries, slabs) of every apply it
+    made on the params' kernel."""
+    with mock.patch.object(p.kernel, "apply", wraps=p.kernel.apply) as spy:
+        got = run()
+    calls = [call.args for call in spy.call_args_list]
+    return got, [(len(m), sum(1 for row in m for c in row if c), slabs) for m, slabs in calls]
+
+
+def test_encode_file_systematic_runs_one_map_over_non_data_cells():
     """At (50,44,5,8) over GF(2^16) the systematic file encode applies one
     76 x 324 map with 10,484 nonzero coefficients to the data slabs, where
     precoding then encoding every row applied 45,654 + 17,600; every data
     cell's slab is the input slab itself."""
     p = make_params(50, 44, 5, 8, field=binary_field(16))
-    applied = []
-
-    class CountingKernel(SlabKernel):
-        def apply(self, matrix, slabs):
-            applied.append((len(matrix), sum(1 for row in matrix for c in row if c), slabs))
-            return super().apply(matrix, slabs)
-
-    kernel = CountingKernel(p.field)
+    encode_map = systematic_encode_map(p, precoding_matrix(p))
     data = random.Random(310).randbytes(2 * p.B * 3)
-    slabs = kernel.split(data, p.B)
-    columns = systematic_encode_slabs(kernel, p, slabs, systematic_encode_map(p, precoding_matrix(p)))
+    slabs = p.kernel.split(data, p.B)
+    columns, applied = kernel_applies(p, lambda: systematic_encode_slabs(p, slabs, encode_map))
     assert [(rows, products) for rows, products, _ in applied] == [(76, 10484)]
     assert applied[0][2] is slabs
     for slab, (i, node) in zip(slabs, systematic_layout(p).data_positions):
         assert columns[node][i] is slab
 
-    applied.clear()
-    assert encode_slabs(kernel, p, kernel.apply(precoding_matrix(p), slabs)) == columns
+    two_step, applied = kernel_applies(
+        p, lambda: encode_slabs(p, p.kernel.apply(precoding_matrix(p), slabs))
+    )
+    assert two_step == columns
     assert sum(products for _, products, _ in applied) == 45654 + 17600
 
-    # encode_file makes the same single apply on its own kernel.
-    applied.clear()
-    monkeypatch.setattr(mbrr.cli, "SlabKernel", CountingKernel)
-    headers, payloads = encode_file(data, p, systematic=True)
-    assert [(rows, products) for rows, products, _ in applied] == [(76, 10484)]
+    # encode_file builds the map (one apply over slabs of B two-byte lanes),
+    # then makes the same single apply over the data.
+    (headers, payloads), applied = kernel_applies(p, lambda: encode_file(data, p, systematic=True))
+    assert [(rows, len(slabs[0])) for rows, _, slabs in applied] == [(76, 2 * p.B), (76, 6)]
+    assert applied[1][1] == 10484
     assert dict(zip(((h.e, h.g) for h in headers), payloads)) == {
-        node: kernel.join(column) for node, column in columns.items()
+        node: p.kernel.join(column) for node, column in columns.items()
     }
 
 
-def test_systematic_encode_map_is_one_apply(monkeypatch):
+def test_systematic_encode_map_is_one_apply():
     """At (50,44,5,8) over GF(2^16) the map build is one apply of the 76
     non-data cells' generator rows over the 324 precoding rows as slabs."""
     p = make_params(50, 44, 5, 8, field=binary_field(16))
     P = precoding_matrix(p)
-    applied = []
-
-    class CountingKernel(SlabKernel):
-        def apply(self, matrix, slabs):
-            applied.append((len(matrix), len(slabs)))
-            return super().apply(matrix, slabs)
-
-    monkeypatch.setattr(mbrr.systematic, "SlabKernel", CountingKernel)
-    cells, matrix = systematic_encode_map(p, P)
-    assert applied == [(p.n * p.alpha - p.B, p.B)] == [(76, 324)]
+    (cells, matrix), applied = kernel_applies(p, lambda: systematic_encode_map(p, P))
+    shapes = [(rows, len(slabs)) for rows, _, slabs in applied]
+    assert shapes == [(p.n * p.alpha - p.B, p.B)] == [(76, 324)]
     assert len(cells) == len(matrix) == 76
 
 
@@ -324,15 +317,15 @@ def test_systematic_slabs_across_a_chunk_border():
     stores its data verbatim, matches the precoding map, and sampled
     stripes match the structure-blind oracle."""
     p = make_params(50, 44, 5, 8, field=binary_field(16))
-    kernel = SlabKernel(p.field)
+    kernel = p.kernel
     rng = random.Random(318)
     lanes = 1500
     slabs = [rng.randbytes(2 * lanes) for _ in range(p.B)]
     with mock.patch.object(mbrr.slab, "_horner", wraps=mbrr.slab._horner) as serial:
-        slots = systematic_slabs(kernel, p, slabs)
+        slots = systematic_slabs(p, slabs)
     assert serial.call_count == 11 + 8 + 9 + 2  # steps 1, 3, 4 and 5; 80 one row at a time
     assert slots == kernel.apply(precoding_matrix(p), slabs)
-    stored = encode_slabs(kernel, p, slots, systematic_nodes(p))
+    stored = encode_slabs(p, slots, systematic_nodes(p))
     for slab, (i, node) in zip(slabs, systematic_layout(p).data_positions):
         assert stored[node][i] == slab
     data, got = [kernel.unpack(s) for s in slabs], [kernel.unpack(s) for s in slots]
@@ -363,7 +356,7 @@ def test_systematic_oracle_runs_none_of_the_slab_steps(monkeypatch):
 def test_systematic_slabs_refuses_wrong_slab_count():
     p = params("reference")
     with pytest.raises(ValueError, match="expected 20 data slabs"):
-        systematic_slabs(SlabKernel(p.field), p, [b"\0"] * 19)
+        systematic_slabs(p, [b"\0"] * 19)
 
 
 # SHA-256 of repr(precoding_matrix(p)), pinned from the construction that
