@@ -6,7 +6,8 @@ that payload; symbol t of a file cut into B-symbol stripes is symbols t,
 t + B, ... of the file. A slab is ``bytes`` with one lane per stripe: a
 big-endian symbol in ``width`` bytes, the narrowest of 1, 2, 4 and 8 that
 holds q - 1. Over GF(2^8) and GF(2^16) that is file byte order, so cutting
-a buffer into slabs and interleaving them back only moves whole symbols.
+a buffer into slabs and interleaving them back only moves whole symbols,
+by slicing in C.
 
 Every operation of the code (encode, systematic encode, both decoder
 passes, both repair stages) is a fixed linear map, run once over slabs
@@ -32,15 +33,19 @@ benchmark workload's (the README has the measurements).
 Over GF(p) an output row is the plain integer sum of ``c * x`` over its
 nonzero entries (``_multiply_add``), so each input is first widened to
 accumulation lanes that hold any lane sum: the narrowest of 1, 2, 4 and 8
-bytes that holds (p - 1) * (256**w - 1) times the input count. One strided
-byte-slice assignment puts every w-byte symbol in the low bytes of a
-zeroed accumulation lane, at C speed, where building an ``array`` from a
-list of ints cost a Python object per symbol. The bound covers every byte
-a symbol lane can carry, so a symbol that is not a field element spoils
-only its own stripe. The sums are read back as big-endian lanes, reduced
-mod p and packed to w bytes again. Only a map whose sums 8-byte lanes
-cannot hold (no field ``make_params`` picks has one) runs
-``linalg.matmul``, the reference the kernel is checked against.
+bytes that holds (p - 1) * (256**w - 1) times the input count. Byte b of
+every w-byte symbol goes to byte acc - w + b of a zeroed acc-byte lane by
+one strided ``bytearray`` slice assignment, so widening is w copies at C
+speed. The bound covers every byte a symbol lane can carry, so a symbol
+that is not a field element spoils only its own stripe. The sums are read
+back as big-endian lanes and reduced mod p to w bytes again. One-byte
+symbols whose lanes hold acc * (p - 1) < 256 narrow by ``bytes.translate``:
+table j maps byte v of a lane's stride j to v * 256**(acc - 1 - j) mod p,
+the acc translated strides add as big integers with no carry between
+lanes, and one last table reduces each sum mod p. Other fields reduce
+every lane sum with ``% p``. Only a map whose sums 8-byte lanes cannot
+hold (no field ``make_params`` picks has one) runs ``linalg.matmul``, the
+reference the kernel is checked against.
 
 A map runs over runs of at most ``_CHUNK`` (16 KiB) of each slab, so its
 working set stays in the cache. A run costs a Python step per row, input
@@ -151,27 +156,39 @@ class SlabKernel:
         self.width = width  # bytes per symbol
         self._format = _FORMATS[width]
         self._masks: dict = {}  # lane masks by slab length
+        self._tables: dict = {}  # GF(p) translate tables by accumulation lane width
 
     def split(self, buf, count: int) -> list:
-        """``count`` slabs; slab r holds symbols r, r + count, ... of ``buf``."""
+        """``count`` slabs; slab r holds symbols r, r + count, ... of ``buf``.
+        Whole lanes only move, so wider symbols slice a native ``array``."""
+        if count < 1:
+            raise ValueError(f"cannot split into {count} slabs")
         if len(buf) % (count * self.width):
             raise ValueError(
                 f"{len(buf)} bytes do not split into {count} equal slabs of whole symbols"
             )
-        view = memoryview(buf).cast(self._format)
-        return [view[r::count].tobytes() for r in range(count)]
+        if self.width == 1:
+            return [bytes(buf[r::count]) for r in range(count)]
+        a = array(self._format, buf)
+        return [a[r::count].tobytes() for r in range(count)]
 
     def join(self, slabs: Sequence[bytes]) -> bytes:
         """Interleave slabs symbol by symbol; the inverse of ``split``."""
-        count = len(slabs)
+        count, size = len(slabs), len(slabs[0]) if slabs else 0
         for slab in slabs:
             if len(slab) % self.width:
                 raise ValueError(f"a slab of {len(slab)} bytes is not whole symbols")
-        out = bytearray(sum(map(len, slabs)))
-        view = memoryview(out).cast(self._format)
+            if len(slab) != size:
+                raise ValueError(f"slabs of {size} and {len(slab)} bytes do not interleave")
+        if self.width == 1:
+            out = bytearray(size * count)
+            for r, slab in enumerate(slabs):
+                out[r::count] = slab
+            return bytes(out)
+        out = array(self._format, bytes(size * count))
         for r, slab in enumerate(slabs):
-            view[r::count] = memoryview(slab).cast(self._format)
-        return bytes(out)
+            out[r::count] = array(self._format, slab)
+        return out.tobytes()
 
     def pack(self, symbols: Sequence[int]) -> bytes:
         """The slab holding ``symbols``, one per stripe."""
@@ -229,20 +246,33 @@ class SlabKernel:
         if f.characteristic == 2:
             ints = [int.from_bytes(x, "big") for x in inputs]
             return [v.to_bytes(size, "big") for v in _horner(f.m, self._lanes(size), matrix, ints)]
-        w, fmt, q = self.width, self._format, f.q
+        w, q = self.width, f.q
         acc = _lane_width((q - 1) * ((1 << 8 * w) - 1) * len(inputs))
         if acc is None:
             rows = matmul(f, matrix, [self.unpack(x) for x in inputs])
             return [self.pack(row) for row in rows]
-        # Widen every input at once: symbol lane i goes to the low bytes of
-        # accumulation lane i, the other bytes stay 0.
-        step = acc // w  # symbol lanes per accumulation lane, at least 2
-        wide = size * step
-        lanes = bytearray(wide * len(inputs))
-        memoryview(lanes).cast(fmt)[step - 1 :: step] = memoryview(b"".join(inputs)).cast(fmt)
+        # Widen every input at once: byte b of symbol lane i goes to byte
+        # acc - w + b of accumulation lane i, the other bytes stay 0.
+        joined, wide = b"".join(inputs), size // w * acc
+        lanes = bytearray(len(joined) // w * acc)
+        for b in range(w):
+            lanes[acc - w + b :: acc] = joined[b::w]
         ints = [int.from_bytes(lanes[i : i + wide], "big") for i in range(0, len(lanes), wide)]
         # Narrow row by row, so that only one row's lane sums exist as ints.
         rows = (v.to_bytes(wide, "big") for v in _multiply_add(matrix, ints))
+        if w == 1 and acc * (q - 1) < 256:
+            # Table j maps v to v * 256**(acc-1-j) mod q, so no sum of acc carries.
+            tables = self._tables.get(acc)
+            if tables is None:
+                shifts = [256 ** (acc - 1 - j) for j in range(acc)] + [1]
+                tables = self._tables[acc] = [bytes(v * s % q for v in range(256)) for s in shifts]
+            *tables, last = tables
+            return [
+                sum(int.from_bytes(row[j::acc].translate(t), "big") for j, t in enumerate(tables))
+                .to_bytes(size, "big")
+                .translate(last)
+                for row in rows
+            ]
         return [self.pack([s % q for s in _lanes_of(_FORMATS[acc], row)]) for row in rows]
 
     def _lanes(self, size: int) -> tuple:

@@ -76,3 +76,22 @@ def count_kernel_builds(monkeypatch):
 
     monkeypatch.setattr(SlabKernel, "__init__", counting)
     return built
+
+
+def reference_split(kernel, buf, count):
+    """The reference definition of ``kernel.split``: slab r is lanes r,
+    r + count, ... of a ``memoryview`` cast to the kernel's symbol lanes."""
+    view = memoryview(buf).cast(kernel._format)
+    return [view[r::count].tobytes() for r in range(count)]
+
+
+def reference_join(kernel, slabs):
+    """The reference definition of ``kernel.join``: equal slabs interleaved
+    lane by lane through ``memoryview`` casts; the inverse of
+    ``reference_split``."""
+    count = len(slabs)
+    out = bytearray(sum(map(len, slabs)))
+    view = memoryview(out).cast(kernel._format)
+    for r, slab in enumerate(slabs):
+        view[r::count] = memoryview(slab).cast(kernel._format)
+    return bytes(out)

@@ -43,7 +43,7 @@ from mbrr.systematic import (
     systematic_message_matrix,
     systematic_nodes,
 )
-from support import PARAM_SETS, params
+from support import PARAM_SETS, params, reference_join, reference_split
 
 # ---------------------------------------------------------------- kernel
 
@@ -303,6 +303,15 @@ def test_kernel_rejects_bad_input():
         kernel.split(b"\x81\x02\x03", 1)
     with pytest.raises(ValueError, match="whole symbols"):
         kernel.join([b"\x81\x02\x03"])
+    # Slabs of unequal length have no interleaving that split inverts, and
+    # a buffer splits into at least one slab.
+    with pytest.raises(ValueError, match="do not interleave"):
+        kernel.join([b"abcd", b"ef"])
+    kernel = SlabKernel(binary_field(8))
+    with pytest.raises(ValueError, match="do not interleave"):
+        kernel.join([b"ab", b"c"])
+    with pytest.raises(ValueError, match="0 slabs"):
+        kernel.split(b"abc", 0)
 
 
 class _HugePrimeStandIn:
@@ -524,6 +533,75 @@ def test_rows_outside_packed_lanes_run_matmul(field):
             [sum(c * x for c, x in zip(row, col)) % field.q for col in zip(*slabs)] for row in matrix
         ]
     assert got == want
+
+
+# A field of each symbol width; the copies move lanes whatever their bytes.
+_FIELD_OF_WIDTH = {
+    1: binary_field(8),
+    2: binary_field(16),
+    4: prime_field(65537),
+    8: _LargePrimeStandIn(),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_FIELD_OF_WIDTH)), st.integers(1, 6), st.integers(0, 9), st.data())
+def test_split_join_match_the_reference(width, count, lanes, data):
+    """``split`` and ``join`` give the bytes of the ``memoryview`` reference
+    at every symbol width, with one slab and with empty slabs."""
+    kernel = SlabKernel(_FIELD_OF_WIDTH[width])
+    assert kernel.width == width
+    size = width * count * lanes
+    buf = data.draw(st.binary(min_size=size, max_size=size))
+    slabs = kernel.split(buf, count)
+    assert slabs == reference_split(kernel, buf, count)
+    assert all(type(s) is bytes and len(s) == width * lanes for s in slabs)
+    assert kernel.join(slabs) == reference_join(kernel, slabs) == buf
+    assert kernel.join([]) == reference_join(kernel, []) == b""
+
+
+# q, input counts, accumulation lane, narrowed by translate: acc * (q - 1)
+# < 256 for GF(13) and for GF(127) on two-byte lanes (2 * 126 = 252), not
+# for GF(131) on two-byte lanes (2 * 130 = 260), GF(127) on four, GF(257).
+_NARROWING_CASES = [
+    (13, (1, 21), 2, True),
+    (13, (22, 30), 4, True),
+    (127, (1, 2), 2, True),
+    (131, (1, 1), 2, False),
+    (127, (3, 8), 4, False),
+    (257, (1, 6), 4, False),
+]
+
+
+@st.composite
+def _narrowing_cases(draw):
+    q, (lo, hi), lane, translate = draw(st.sampled_from(_NARROWING_CASES))
+    inputs, rows, lanes = draw(st.integers(lo, hi)), draw(st.integers(1, 4)), draw(st.integers(1, 9))
+    top = 256 ** (1 if q < 256 else 2) - 1  # the largest lane, not a field element
+    entry = st.one_of(st.sampled_from([0, 1, q - 1]), st.integers(0, q - 1))
+    symbol = st.one_of(st.sampled_from([0, 1, q - 1, top]), st.integers(0, top))
+    matrix = draw(st.lists(st.lists(entry, min_size=inputs, max_size=inputs), min_size=rows, max_size=rows))
+    syms = draw(st.lists(st.lists(symbol, min_size=lanes, max_size=lanes), min_size=inputs, max_size=inputs))
+    return q, lane, translate, matrix, syms
+
+
+@settings(max_examples=300, deadline=None)
+@given(_narrowing_cases())
+def test_narrowing_sides_match_matmul(case):
+    """Both sides of the narrowing rule equal ``matmul`` over the symbols'
+    ints, with symbols that are not field elements (up to 0xFF in a
+    one-byte lane): ``bytes.translate`` where acc * (q - 1) < 256 on
+    one-byte symbols, ``% q`` (which reads the lanes with ``_lanes_of``)
+    otherwise. Each case runs the side it names and builds tables only there."""
+    q, lane, translate, matrix, syms = case
+    f = prime_field(q)
+    kernel = SlabKernel(f)
+    slabs = [b"".join(x.to_bytes(kernel.width, "big") for x in col) for col in syms]
+    with mock.patch.object(slab, "_lanes_of", wraps=slab._lanes_of) as modulo:
+        got, widths = _apply_recording_lanes(kernel, matrix, slabs)
+    assert widths == [lane] and modulo.called is not translate
+    assert list(kernel._tables) == ([lane] if translate else [])
+    assert [kernel.unpack(v) for v in got] == matmul(f, matrix, syms)
 
 
 @st.composite
