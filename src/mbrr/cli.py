@@ -54,19 +54,23 @@ only the k shards it reads (see ``systematic.read_nodes``), read from
 those handles. ``repair`` opens only the shards its two stages read, each
 once, and its cross-rack ledger counts the symbols in the helper slabs it
 produced. Every map runs on the params' kernel (``CodeParams.kernel``).
+
+``selftest`` checks the field tables, then runs ``check_code`` on every
+code that ``admissible_geometries(SELFTEST_MAX_N)`` yields.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
+import random
 import struct
 import sys
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
-from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .cluster import Cluster, InsufficientSurvivorsError, overhead_report
 from .encode import encode, encode_slabs
@@ -74,27 +78,26 @@ from .gf import binary_field, tables_consistent
 from .layout import (
     CodeParams,
     NodeId,
-    all_nodes,
     fill_message_matrix,
     make_params,
     unfill_message_matrix,
 )
-from .reconstruct import Decoder
-from .repair import Repairer, repair_node
+from .reconstruct import Decoder, oracle_reconstruct
+from .repair import Repairer
 from .slab import SlabKernel
 from .systematic import (
     precoding_matrix,
     read_nodes,
     read_slabs,
-    read_systematic_data,
     systematic_encode,
     systematic_encode_map,
     systematic_encode_slabs,
-    systematic_layout,
+    systematic_message_matrix,
     systematic_nodes,
+    systematic_slabs,
 )
 
-__all__ = ["ShardHeader", "main"]
+__all__ = ["ShardHeader", "admissible_geometries", "check_code", "main"]
 
 MAGIC = b"MBRR"
 FORMAT_VERSION = 1
@@ -547,8 +550,6 @@ def cmd_simulate(args) -> int:
     fail/repair/read are reported as lines, not crashes, so scripts can
     demonstrate failure cases.
     """
-    import random
-
     with open(args.script, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
     p = None
@@ -651,101 +652,98 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------- selftest
 
 
-def _selftest_suites():
-    from itertools import combinations
-    import random
+SELFTEST_MAX_N = 16
+CHECK_LANES = 8
 
-    def suite_field_tables():
-        for m in range(1, 17):
-            f = binary_field(m)
-            if not tables_consistent(f.exp, f.log, f.q):
-                return f"GF(2^{m}) tables inconsistent"
-        f = binary_field(8)
-        exp = list(f.exp)
-        exp[37] ^= 1
-        if tables_consistent(exp, f.log, f.q):
-            return "corrupted exp table not detected"
-        log = list(f.log)
-        log[200] = (log[200] + 1) % (f.q - 1)
-        if tables_consistent(f.exp, log, f.q):
-            return "corrupted log table not detected"
-        return None
 
-    def suite_params():
-        p = make_params(12, 7, 3, 3)
-        if (p.alpha, p.B) != (3, 20):
-            return f"(12,7,3,3) gave alpha={p.alpha} B={p.B}, want 3, 20"
-        rep = overhead_report(make_params(50, 44, 5, 9, field=binary_field(8)))
-        if rep.storage_overhead != Fraction(450, 368):
-            return f"(50,44,5,9) overhead {rep.storage_overhead}, want 450/368"
-        return None
+def admissible_geometries(max_n: int) -> Iterator[tuple]:
+    """Every (n, k, u, dbar) with n <= max_n that ``make_params`` accepts:
+    u >= 2 divides n, u <= k < n and k // u <= dbar <= n // u - 1."""
+    for n in range(2, max_n + 1):
+        for u in range(2, n + 1):
+            if n % u == 0:
+                for k in range(u, n):
+                    for dbar in range(k // u, n // u):
+                        yield n, k, u, dbar
 
-    def suite_reconstruction():
-        p = make_params(12, 7, 3, 3)
-        rng = random.Random(20260816)
-        stripes = []
-        for _ in range(3):
-            vec = [rng.randrange(p.field.q) for _ in range(p.B)]
-            stripes.append((vec, encode(fill_message_matrix(p, vec))))
-        nodes = list(all_nodes(p))
-        checked = 0
-        for subset in combinations(range(p.n), p.k):
-            ids = [nodes[i] for i in subset]
-            dec = Decoder(p, ids)
-            for vec, C in stripes:
-                got = unfill_message_matrix(dec.reconstruct(C.columns(ids)))
-                if got != vec:
-                    return f"subset {subset} reconstructed wrong data"
-                checked += 1
-        if checked != 792 * 3:
-            return f"ran {checked} reconstructions, expected {792 * 3}"
-        return None
 
-    def suite_repair():
-        p = make_params(12, 7, 3, 3)
-        rng = random.Random(613)
-        for _ in range(3):
-            vec = [rng.randrange(p.field.q) for _ in range(p.B)]
-            C = encode(fill_message_matrix(p, vec))
-            for failed in all_nodes(p):
-                column, ledger = repair_node(p, C, failed)
-                if column != C.column(failed):
-                    return f"repair of {tuple(failed)} not bit-exact"
-                if ledger.cross_rack_symbols != p.dbar * p.beta:
-                    return (
-                        f"repair of {tuple(failed)} moved "
-                        f"{ledger.cross_rack_symbols} cross-rack symbols, "
-                        f"want {p.dbar * p.beta}"
-                    )
-        return None
+def check_code(p: CodeParams, rng: random.Random) -> str | None:
+    """None if the code ``p`` keeps the paper's claims on CHECK_LANES random
+    stripes, else the first claim it breaks: the closed forms of alpha, beta
+    and B; decodes from the k lowest, the k highest and k random ids; every
+    node's repair from dbar*beta cross-rack symbols a stripe; the systematic
+    read; and stripe 0 against the elimination oracles."""
+    kbar = p.k // p.u
+    want = (p.dbar, 1, p.k * p.dbar - kbar * (kbar - 1) // 2)
+    if (p.alpha, p.beta, p.B) != want:
+        return f"(alpha, beta, B) = {(p.alpha, p.beta, p.B)}, want {want}"
+    kernel, cross = p.kernel, p.dbar * p.beta * CHECK_LANES
+    stripes = [[rng.randrange(p.field.q) for _ in range(p.B)] for _ in range(CHECK_LANES)]
+    data = [kernel.pack(symbols) for symbols in zip(*stripes)]
+    columns = encode_slabs(p, data)
+    nodes = list(columns)
+    for ids in (nodes[: p.k], nodes[-p.k :], rng.sample(nodes, p.k)):
+        if Decoder(p, ids).decode_slabs(columns) != data:
+            return f"decode from nodes {sorted(map(tuple, ids))} gave wrong data"
+    # Stripe 0 (lane 0 of each slab) of the random subset, by elimination.
+    observed = {node: kernel.unpack(b"".join(columns[node]))[::CHECK_LANES] for node in ids}
+    if unfill_message_matrix(oracle_reconstruct(p, observed)) != stripes[0]:
+        return f"elimination from nodes {sorted(map(tuple, ids))} gave wrong data"
+    for failed in nodes:
+        column, _, ledger = Repairer(p, failed).repair_slabs(columns)
+        if column != columns[failed]:
+            return f"repair of node {tuple(failed)} not bit-exact"
+        if ledger.cross_rack_symbols != cross:
+            return f"repair of node {tuple(failed)}: {ledger.cross_rack_symbols} cross-rack symbols"
+    slots = systematic_slabs(p, data)
+    oracle = unfill_message_matrix(systematic_message_matrix(p, stripes[0]))
+    if kernel.unpack(b"".join(slots))[::CHECK_LANES] != oracle:
+        return "systematic slots disagree with the elimination oracle"
+    stored = encode_slabs(p, slots)
+    for ids in (systematic_nodes(p), nodes[-p.k :]):
+        if read_slabs(p, {node: stored[node] for node in ids}, True) != data:
+            return f"systematic read from nodes {sorted(map(tuple, ids))} gave wrong data"
+    return None
 
-    def suite_systematic():
-        p = make_params(12, 7, 3, 3)
-        rng = random.Random(99)
-        lay = systematic_layout(p)
-        for _ in range(3):
-            vec = [rng.randrange(p.field.q) for _ in range(p.B)]
-            C = systematic_encode(p, vec)
-            placed = [C.column(node)[i] for i, node in lay.data_positions]
-            if placed != vec:
-                return "systematic placement does not hold the data uncoded"
-            got = read_systematic_data(p, C.columns(systematic_nodes(p)))
-            if got != vec:
-                return "systematic read-back mismatch"
-        return None
 
-    return [
-        ("field tables", suite_field_tables),
-        ("parameter derivation", suite_params),
-        ("reconstruction, all 792 subsets x 3 stripes", suite_reconstruction),
-        ("repair, all 12 nodes x 3 stripes", suite_repair),
-        ("systematic placement", suite_systematic),
-    ]
+def _suite_field_tables() -> str | None:
+    for m in range(1, 17):
+        f = binary_field(m)
+        if not tables_consistent(f.exp, f.log, f.q):
+            return f"GF(2^{m}) tables inconsistent"
+    f = binary_field(8)
+    exp = list(f.exp)
+    exp[37] ^= 1
+    if tables_consistent(exp, f.log, f.q):
+        return "corrupted exp table not detected"
+    log = list(f.log)
+    log[200] = (log[200] + 1) % (f.q - 1)
+    if tables_consistent(f.exp, log, f.q):
+        return "corrupted log table not detected"
+    return None
+
+
+def _suite_codes() -> str | None:
+    """The first code with n <= SELFTEST_MAX_N that ``check_code`` fails, and why."""
+    rng = random.Random(SELFTEST_MAX_N)
+    for geometry in admissible_geometries(SELFTEST_MAX_N):
+        p = make_params(*geometry)
+        try:
+            why = check_code(p, rng)
+        except Exception as exc:
+            why = f"{type(exc).__name__}: {exc}"
+        if why is not None:
+            return f"{p}: {why}"
+    return None
 
 
 def cmd_selftest(args) -> int:
+    count = sum(1 for _ in admissible_geometries(SELFTEST_MAX_N))
+    suites = [
+        ("field tables", _suite_field_tables),
+        (f"every admissible code with n <= {SELFTEST_MAX_N} ({count} geometries)", _suite_codes),
+    ]
     failures = 0
-    suites = _selftest_suites()
     for name, fn in suites:
         t0 = time.perf_counter()
         why = fn()
@@ -762,6 +760,7 @@ def cmd_selftest(args) -> int:
 # ---------------------------------------------------------------- main
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="mbrr",

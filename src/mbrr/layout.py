@@ -149,9 +149,9 @@ def make_params(
 
     ``field`` fixes the field, e.g. ``gf.binary_field(8)`` for GF(2^8) or
     ``gf.prime_field(13)``; it must have more than n elements and an element
-    of order u. Without it, the smallest usable field is chosen: GF(2^m)
-    with m <= 16 when one exists, otherwise the smallest adequate prime
-    field.
+    of order u. Without it, the smallest such GF(2^m) with m <= 16 is
+    chosen when one exists (never for even u), even where a smaller prime
+    field would fit; otherwise the smallest such prime field.
     """
     for name, v in (("n", n), ("k", k), ("u", u), ("dbar", dbar)):
         if not isinstance(v, int) or isinstance(v, bool):

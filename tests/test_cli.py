@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import random
@@ -9,7 +10,9 @@ import pytest
 from mbrr.cli import (
     HEADER_SIZE,
     ShardHeader,
+    _build_parser,
     bytes_to_symbols,
+    check_code,
     decode_shards,
     encode_file,
     file_params,
@@ -20,7 +23,9 @@ from mbrr.cli import (
     write_shard,
 )
 from mbrr.gf import binary_field
-from mbrr.layout import NodeId
+from mbrr.layout import IntegrityError, NodeId, make_params
+from mbrr.reconstruct import Decoder
+from mbrr.repair import Repairer
 from mbrr.slab import SlabKernel
 
 from support import count_kernel_builds
@@ -229,6 +234,19 @@ def test_cmd_params_reports_geometry(capsys):
     rc, out, err = run_cli(capsys, "params", 12, 7, 3, 1)
     assert rc == 2
     assert "dbar" in err
+
+
+def test_main_builds_its_parser_once(capsys):
+    """``main`` reuses one parser: after a usage error (argparse's
+    SystemExit(2)) and after an option, a call prints what it printed first."""
+    first = run_cli(capsys, "params", 12, 7, 3, 3)
+    with pytest.raises(SystemExit) as exc:
+        main(["params", "12", "7"])
+    assert exc.value.code == 2
+    assert "usage: mbrr params" in capsys.readouterr().err
+    assert "GF(2^16)" in run_cli(capsys, "params", 12, 7, 3, 3, "--field-m", 16)[1]
+    assert run_cli(capsys, "params", 12, 7, 3, 3) == first
+    assert _build_parser() is _build_parser()
 
 
 def test_cmd_encode_decode_repair_cycle(tmp_path, capsys):
@@ -897,13 +915,58 @@ def test_shipped_scenarios_match_golden_output(capsys, name):
 def test_selftest_passes(capsys):
     rc, out, _ = run_cli(capsys, "selftest")
     assert rc == 0
-    assert "5/5 suites passed" in out
+    assert "2/2 suites passed" in out
     assert "FAIL" not in out
-    for name in (
-        "field tables",
-        "parameter derivation",
-        "reconstruction, all 792 subsets x 3 stripes",
-        "repair, all 12 nodes x 3 stripes",
-        "systematic placement",
-    ):
+    for name in ("field tables", "every admissible code with n <= 16 (309 geometries)"):
         assert f"PASS {name} (" in out
+
+
+def _flip_one_byte(column, ledger):
+    return [bytes([column[0][0] ^ 1]) + column[0][1:], *column[1:]], ledger
+
+
+def _one_more_cross_rack_symbol(column, ledger):
+    return column, dataclasses.replace(ledger, cross_rack_symbols=ledger.cross_rack_symbols + 1)
+
+
+@pytest.mark.parametrize(
+    "corrupt, why",
+    [
+        (_flip_one_byte, "repair of node (0, 0) not bit-exact"),
+        (_one_more_cross_rack_symbol, "repair of node (0, 0): 9 cross-rack symbols"),
+    ],
+)
+def test_selftest_names_the_geometry_and_node_of_a_failure(capsys, monkeypatch, corrupt, why):
+    repair_slabs = Repairer.repair_slabs
+
+    def corrupted(self, columns):
+        column, sent, ledger = repair_slabs(self, columns)
+        column, ledger = corrupt(column, ledger)
+        return column, sent, ledger
+
+    monkeypatch.setattr(Repairer, "repair_slabs", corrupted)
+    rc, out, _ = run_cli(capsys, "selftest")
+    assert rc == 1
+    assert "PASS field tables (" in out
+    (fail,) = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert fail.startswith("FAIL every admissible code with n <= 16 (309 geometries) (")
+    assert fail.endswith(f"(n=4, k=2, u=2, dbar=1) over GF(5): {why}")
+    assert "selftest: 1/2 suites passed" in out
+
+
+def test_selftest_reports_an_exception_as_a_failure(capsys, monkeypatch):
+    def refuse(self, columns):
+        raise IntegrityError("stripe 3 is inconsistent")
+
+    monkeypatch.setattr(Decoder, "decode_slabs", refuse)
+    rc, out, _ = run_cli(capsys, "selftest")
+    assert rc == 1
+    assert "(n=4, k=2, u=2, dbar=1) over GF(5): IntegrityError: stripe 3 is inconsistent" in out
+
+
+def test_check_code_passes_a_code_outside_the_selftest_sweep():
+    p = make_params(20, 11, 4, 4)
+    assert (p.n, p.field.q) == (20, 29)
+    assert check_code(p, random.Random(20)) is None
+    wrong = dataclasses.replace(p, B=p.B + 1)
+    assert check_code(wrong, random.Random(20)) == "(alpha, beta, B) = (4, 1, 44), want (4, 1, 43)"

@@ -1,9 +1,12 @@
+import itertools
 import random
 from enum import IntEnum
 
 import pytest
 
-from mbrr.gf import BinaryField, binary_field
+from mbrr.cli import admissible_geometries
+from mbrr.cluster import overhead_report
+from mbrr.gf import BinaryField, binary_field, prime_field
 from mbrr.layout import (
     CodeParams,
     IntegrityError,
@@ -93,6 +96,51 @@ def test_params_require_integers():
         make_params(12.0, 7, 3, 3)
     with pytest.raises(ValueError):
         make_params(12, 7, True, 3)
+
+
+def test_make_params_accepts_exactly_the_admissible_region():
+    """Every (n, k, u, dbar) with n <= 16 and k, u, dbar in [0, n]: inside
+    ``admissible_geometries`` the closed forms hold, outside it ValueError."""
+    region = set(admissible_geometries(16))
+    assert len(region) == 309
+    for n in range(17):
+        for k, u, dbar in itertools.product(range(n + 1), repeat=3):
+            if (n, k, u, dbar) not in region:
+                with pytest.raises(ValueError):
+                    make_params(n, k, u, dbar)
+                continue
+            p = make_params(n, k, u, dbar)
+            # B counts the free cells of the dbar-row message matrix: k - kbar
+            # columns outside M1, and the upper triangle of the symmetric M1
+            # less that of its zero (dbar - kbar)-square corner.
+            kbar = k // u
+            corner = dbar - kbar
+            cells = dbar * (k - kbar) + dbar * (dbar + 1) // 2 - corner * (corner + 1) // 2
+            assert (p.alpha, p.beta, p.B) == (dbar, 1, cells)
+            assert overhead_report(p).bandwidth_to_storage == 1
+
+
+def _policy_field(n, u):
+    """(characteristic, q) of make_params's documented default field: when u
+    is odd, the smallest GF(2^m) with m <= 16, q > n and u | q - 1; otherwise
+    (or when none exists) the smallest such prime."""
+    for m in range(1, 17) if u % 2 else ():
+        if 2**m > n and (2**m - 1) % u == 0:
+            return 2, 2**m
+    q = n + 1
+    while (q - 1) % u or any(q % d == 0 for d in range(2, int(q**0.5) + 1)):
+        q += 1
+    return q, q
+
+
+def test_default_field_follows_the_documented_policy():
+    """The default field is the policy's, which is not always the smallest
+    admissible field: (6,3,3,1) gets GF(2^4) although GF(7) admits it."""
+    for n, k, u, dbar in admissible_geometries(24):
+        f = make_params(n, k, u, dbar).field
+        assert (f.characteristic, f.q) == _policy_field(n, u), (n, k, u, dbar)
+    assert make_params(6, 3, 3, 1).field.q == 16
+    assert make_params(6, 3, 3, 1, field=prime_field(7)).field.q == 7
 
 
 # ---------------------------------------------------------------- geometry
