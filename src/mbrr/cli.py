@@ -53,7 +53,8 @@ the first shard's, builds the params once, and decodes the payloads of
 only the k shards it reads (see ``systematic.read_nodes``), read from
 those handles. ``repair`` opens only the shards its two stages read, each
 once, and its cross-rack ledger counts the symbols in the helper slabs it
-produced. Every map runs on the params' kernel (``CodeParams.kernel``).
+produced. ``simulate`` stores through ``Cluster.store_data``. Every map
+runs on the params' kernel (``CodeParams.kernel``).
 
 ``selftest`` checks the field tables, then runs ``check_code`` on every
 code that ``admissible_geometries(SELFTEST_MAX_N)`` yields.
@@ -73,12 +74,11 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .cluster import Cluster, InsufficientSurvivorsError, overhead_report
-from .encode import encode, encode_slabs
+from .encode import encode_slabs
 from .gf import binary_field, tables_consistent
 from .layout import (
     CodeParams,
     NodeId,
-    fill_message_matrix,
     make_params,
     unfill_message_matrix,
 )
@@ -89,7 +89,6 @@ from .systematic import (
     precoding_matrix,
     read_nodes,
     read_slabs,
-    systematic_encode,
     systematic_encode_map,
     systematic_encode_slabs,
     systematic_message_matrix,
@@ -339,17 +338,15 @@ def decode_shards(loaded: Mapping[NodeId, tuple]) -> bytes:
     """Original file bytes from any k shards (fewer is an error).
 
     ``loaded`` maps nodes to (header, payload bytes in file byte order)
-    pairs; the first header describes the file. Only the payloads of the
-    nodes ``read_nodes`` names are used, and each of their headers must name
-    its node and match the first.
+    pairs; the first header describes the file. Every header must name its
+    node and match the first, and every payload must have the length it
+    gives; only the payloads of the nodes ``read_nodes`` names are decoded.
     """
     if not loaded:
         raise ValueError("no shards given")
     first = next(iter(loaded.values()))[0]
     p = _params_from_header(first)
-    payloads = {}
-    for node in read_nodes(p, loaded):
-        header, payload = loaded[node]
+    for node, (header, payload) in loaded.items():
         if (header.e, header.g) != node:
             raise ValueError(f"node {tuple(node)}: header is for node ({header.e}, {header.g})")
         if not header.matches(first):
@@ -359,7 +356,7 @@ def decode_shards(loaded: Mapping[NodeId, tuple]) -> bytes:
                 f"node {tuple(node)}: payload is {len(payload)} bytes, "
                 f"header says {first.payload_length}"
             )
-        payloads[node] = payload
+    payloads = {node: loaded[node][1] for node in read_nodes(p, loaded)}
     return _decode_payloads(p, first, payloads)
 
 
@@ -478,8 +475,10 @@ def cmd_repair(args) -> int:
     if not os.path.isfile(probe):
         names = sorted(os.listdir(args.dir)) if os.path.isdir(args.dir) else []
         probe = next((os.path.join(args.dir, n) for n in names if n.endswith(".mbrr")), None)
+        if probe is None:
+            raise ValueError(f"{args.dir}: no .mbrr shard files")
     with ExitStack() as stack:
-        found = _open_shards([probe or require(mate)], stack)
+        found = _open_shards([probe], stack)
         first = next(iter(found.values()))[0]
         p = _params_from_header(first)
         rep = Repairer(p, failed, _parse_helpers(args.helpers))
@@ -595,16 +594,9 @@ def cmd_simulate(args) -> int:
             raise _sim_error(lineno, line, "params must come first")
         if op == "store":
             (count,) = _sim_ints(lineno, line, rest)
-            stored = [
-                [rng.randrange(p.field.q) for _ in range(p.B)]
-                for _ in range(count)
-            ]
-            if systematic:
-                mats = [systematic_encode(p, vec) for vec in stored]
-            else:
-                mats = [encode(fill_message_matrix(p, vec)) for vec in stored]
+            stored = [[rng.randrange(p.field.q) for _ in range(p.B)] for _ in range(count)]
             cluster = Cluster(p, systematic=systematic)
-            cluster.store_stripes(mats)
+            cluster.store_data(stored)
             print(f"store stripes={count} symbols={count * p.B}")
             continue
         if cluster is None:

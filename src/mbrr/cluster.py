@@ -2,12 +2,12 @@
 
 Nodes are arranged in nbar racks of u; each healthy node holds one
 alpha-symbol column per stored stripe, kept as alpha byte slabs (see
-``slab``): slab i holds the node's symbol i of every stripe. Reads and
-repairs run the file commands' maps once over those slabs, on the params'
-kernel (``CodeParams.kernel``), over any field, never stripe by stripe.
-The simulator is deterministic and single-threaded: the same
-store/fail/repair/read script always produces the same final state and
-the same bandwidth ledgers.
+``slab``): slab i holds the node's symbol i of every stripe. Stores
+(``store_data``), reads and repairs run the file commands' maps once over
+those slabs, on the params' kernel (``CodeParams.kernel``), over any field,
+never stripe by stripe. The simulator is deterministic and single-threaded:
+the same store/fail/repair/read script always produces the same final state
+and the same bandwidth ledgers.
 
 Policies (overridable per call):
   reads   the k lowest healthy node ids (``systematic.read_nodes``); those
@@ -27,9 +27,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .layout import CodeMatrix, CodeParams, NodeId, all_nodes, node_index
+from .encode import encode_slabs
+from .layout import CodeMatrix, CodeParams, NodeId, all_nodes, node_index, validate_data
 from .repair import BandwidthLedger, RepairModelError, Repairer, helper_racks
-from .systematic import read_nodes, read_slabs
+from .systematic import (
+    precoding_matrix, read_nodes, read_slabs, systematic_encode_map, systematic_encode_slabs,
+)
 
 __all__ = [
     "InsufficientSurvivorsError",
@@ -87,9 +90,9 @@ def _same_code(a: CodeParams, b: CodeParams) -> bool:
 class Cluster:
     """One erasure-coded placement group: n node shards per stored stripe.
 
-    ``systematic`` declares how the stored stripes were produced, which
-    decides what ``read_data`` returns: placement-order data symbols for a
-    systematic cluster, matrix fill-order symbols otherwise.
+    ``systematic`` picks how ``store_data`` encodes, and so what ``read_data``
+    returns: placement-order data symbols for a systematic cluster, matrix
+    fill-order symbols otherwise (``store_stripes`` takes it on trust).
     """
 
     def __init__(self, params: CodeParams, systematic: bool = False):
@@ -124,16 +127,36 @@ class Cluster:
         flat = p.kernel.unpack(p.kernel.join(self._shards[node]))
         return [flat[i : i + p.alpha] for i in range(0, len(flat), p.alpha)]
 
+    def _storable(self) -> CodeParams:
+        """The params, for a store: it replaces every shard, so all nodes must be healthy."""
+        if self._failed:
+            raise RepairModelError(f"cannot store stripes with failed nodes: {sorted(self._failed)}")
+        return self.params
+
+    def store_data(self, data: Sequence[Sequence[int]]) -> None:
+        """Encode per-stripe data vectors with one slab map and place them,
+        replacing any previous content, so that ``read_data`` returns ``data``:
+        B field elements a stripe (``validate_data``), in placement order for a
+        systematic cluster and fill order otherwise. All nodes must be healthy."""
+        p = self._storable()
+        for t, stripe in enumerate(data):
+            try:
+                validate_data(p, stripe)
+            except ValueError as exc:
+                raise ValueError(f"stripe {t}: {exc}") from None
+        slabs = [p.kernel.pack(column) for column in zip(*data)] or [b""] * p.B
+        if self.systematic:
+            shards = systematic_encode_slabs(p, slabs, systematic_encode_map(p, precoding_matrix(p)))
+        else:
+            shards = encode_slabs(p, slabs)
+        self._shards, self._stripes = shards, len(data)
+
     def store_stripes(self, matrices: Iterable[CodeMatrix]) -> None:
         """Place column (e,g) of every stripe on node (e,g), replacing any
         previous content. All nodes must be healthy, and every symbol must
         be a field element: a plain int in [0, q), as ``validate_data``
         requires of data."""
-        if self._failed:
-            raise RepairModelError(
-                f"cannot store stripes with failed nodes: {sorted(self._failed)}"
-            )
-        p = self.params
+        p = self._storable()
         rows = []  # each stripe's alpha code-matrix rows, stripe after stripe
         stripes = 0
         for C in matrices:
@@ -160,8 +183,7 @@ class Cluster:
                     f"which is not an element of {p.field!r}"
                 )
             shards[node] = p.kernel.split(p.kernel.pack(col), p.alpha)
-        self._shards = shards
-        self._stripes = stripes
+        self._shards, self._stripes = shards, stripes
 
     def fail_node(self, node) -> None:
         node = NodeId(*node)

@@ -38,11 +38,12 @@ The ``add``/``sub``/``neg`` attributes are plain callables chosen per field
 kind (XOR for binary fields); they do not range-check their operands, which
 keeps inner loops fast. Symbols are validated where they enter the system
 (``layout.fill_message_matrix``, ``systematic.systematic_encode``,
-``systematic.systematic_message_matrix``, ``cluster.Cluster.store_stripes``,
-``reconstruct.Decoder.reconstruct`` and ``repair.Repairer.repair``; shard
-files frame only GF(2^8) and GF(2^16), whose bytes are always symbols);
-the ``mul``/``inv``/``div``/``pow`` methods check their own operands. The
-slab kernel frames a symbol of any field below 2**64 in 1, 2, 4 or 8 bytes.
+``systematic.systematic_message_matrix``, ``cluster.Cluster.store_data``,
+``cluster.Cluster.store_stripes``, ``reconstruct.Decoder.reconstruct`` and
+``repair.Repairer.repair``; shard files frame only GF(2^8) and GF(2^16),
+whose bytes are always symbols); the ``mul``/``inv``/``div``/``pow``
+methods check their own operands. The slab kernel frames a symbol of any
+field below 2**64 in 1, 2, 4 or 8 bytes.
 """
 
 from __future__ import annotations

@@ -39,6 +39,16 @@ def params(name):
     return got
 
 
+def case_params(case):
+    """Params of a SLAB_CASES entry, made once, so its precoding map is
+    built once per test session."""
+    got = _cache.get(case)
+    if got is None:
+        geo, field = case
+        got = _cache.setdefault(case, make_params(*geo, field=field))
+    return got
+
+
 def random_stripe(p, rng):
     return [rng.randrange(p.field.q) for _ in range(p.B)]
 

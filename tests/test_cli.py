@@ -4,6 +4,7 @@ import os
 import random
 import re
 import struct
+import sys
 
 import pytest
 
@@ -22,11 +23,13 @@ from mbrr.cli import (
     symbols_to_bytes,
     write_shard,
 )
+from mbrr.encode import encode
 from mbrr.gf import binary_field
-from mbrr.layout import IntegrityError, NodeId, make_params
+from mbrr.layout import IntegrityError, NodeId, fill_message_matrix, make_params
 from mbrr.reconstruct import Decoder
 from mbrr.repair import Repairer
 from mbrr.slab import SlabKernel
+from mbrr.systematic import read_nodes, systematic_encode
 
 from support import count_kernel_builds
 
@@ -212,6 +215,27 @@ def test_decode_shards_validates():
     }
     with pytest.raises(ValueError, match="payload length 27 does not match 10 stripes"):
         decode_shards(short)
+
+    # Entries the read does not use are checked as well: node (3,2) holding
+    # another file's shard (a 5,000-byte file, not 3,000) or a short payload,
+    # or node (3,1)'s header renamed to (0,0), is refused, as ``mbrr decode``
+    # refuses it.
+    rng = random.Random(181)
+    headers, shards = encode_file(rng.randbytes(3000), p)
+    loaded = {NodeId(h.e, h.g): (h, syms) for h, syms in zip(headers, shards)}
+    assert not {NodeId(3, 1), NodeId(3, 2)} & set(read_nodes(p, loaded))
+    headers, shards = encode_file(rng.randbytes(5000), p)
+    other = {NodeId(h.e, h.g): (h, syms) for h, syms in zip(headers, shards)}
+    foreign = {**loaded, NodeId(3, 2): other[NodeId(3, 2)]}
+    with pytest.raises(ValueError, match=r"node \(3, 2\): header disagrees"):
+        decode_shards(foreign)
+    h, syms = loaded[NodeId(3, 1)]
+    renamed = {**loaded, NodeId(3, 1): (dataclasses.replace(h, e=0, g=0), syms)}
+    with pytest.raises(ValueError, match=r"node \(3, 1\): header is for node \(0, 0\)"):
+        decode_shards(renamed)
+    h, syms = loaded[NodeId(3, 2)]
+    with pytest.raises(ValueError, match=r"node \(3, 2\): payload is 447 bytes, header says 450"):
+        decode_shards({**loaded, NodeId(3, 2): (h, syms[:-3])})
 
 
 # ---------------------------------------------------------------- commands
@@ -555,6 +579,19 @@ def test_cmd_repair_names_missing_shard(tmp_path, capsys, lost):
     rc, _, err = run_cli(capsys, "repair", shard_dir, 0, 0)
     assert rc == 2
     assert f"node {lost}" in err
+
+
+@pytest.mark.parametrize("make", [False, True])
+def test_cmd_repair_names_a_directory_without_shards(tmp_path, capsys, make):
+    """A missing directory, or one with no .mbrr file, is named as such,
+    as ``mbrr decode`` names it, not as a missing rack mate."""
+    shard_dir = tmp_path / "shards"
+    if make:
+        shard_dir.mkdir()
+        (shard_dir / "notes.txt").write_text("no shards here")
+    rc, _, err = run_cli(capsys, "repair", shard_dir, 0, 0)
+    assert rc == 2
+    assert err == f"error: {shard_dir}: no .mbrr shard files\n"
 
 
 def test_cmd_repair_checks_shard_identity(tmp_path, capsys):
@@ -907,6 +944,26 @@ def test_shipped_scenarios_match_golden_output(capsys, name):
     rc, out, err = run_cli(capsys, "simulate", os.path.join(root, "scenarios", name))
     assert (rc, err) == (0, "")
     assert out == SCENARIO_OUTPUT[name]
+
+
+def test_scenarios_run_no_per_stripe_encoder(capsys, monkeypatch):
+    """``mbrr simulate`` stores through ``Cluster.store_data``'s slab maps:
+    with the per-stripe encoders made to raise wherever a module binds
+    them, every shipped scenario still prints its golden output."""
+    per_stripe = {encode, systematic_encode, fill_message_matrix}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-stripe encoder ran")
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "mbrr" or module_name.startswith("mbrr."):
+            for attr, value in list(vars(module).items()):
+                if callable(value) and value in per_stripe:
+                    monkeypatch.setattr(module, attr, refuse)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    for name in sorted(SCENARIO_OUTPUT):
+        rc, out, err = run_cli(capsys, "simulate", os.path.join(root, "scenarios", name))
+        assert (rc, err, out) == (0, "", SCENARIO_OUTPUT[name])
 
 
 # ---------------------------------------------------------------- selftest

@@ -20,17 +20,20 @@ from mbrr.reconstruct import Decoder, oracle_reconstruct
 from mbrr.repair import RepairModelError, Repairer, helper_racks
 from mbrr.systematic import read_systematic_data, systematic_encode, systematic_nodes
 
-from support import PARAM_SETS, count_kernel_builds, params, random_stripe
+from support import PARAM_SETS, SLAB_CASES, case_params, count_kernel_builds, params, random_stripe
+
+
+def per_stripe_encodes(p, data, systematic):
+    """Each stripe's code matrix through the per-stripe encoders."""
+    if systematic:
+        return [systematic_encode(p, d) for d in data]
+    return [encode(fill_message_matrix(p, d)) for d in data]
 
 
 def loaded_cluster(p, rng, stripes=4, systematic=False):
     data = [random_stripe(p, rng) for _ in range(stripes)]
-    if systematic:
-        mats = [systematic_encode(p, d) for d in data]
-    else:
-        mats = [encode(fill_message_matrix(p, d)) for d in data]
     c = Cluster(p, systematic=systematic)
-    c.store_stripes(mats)
+    c.store_stripes(per_stripe_encodes(p, data, systematic))
     return data, c
 
 
@@ -95,6 +98,69 @@ def test_store_refuses_non_field_symbols(name):
         with pytest.raises(ValueError, match=r"stripe 2: node NodeId\(e=1, g=2\)"):
             c.store_stripes(mats[:2] + [CodeMatrix(p, rows)])
         assert c.stripe_count == 0
+
+
+# ---------------------------------------------------------------- store_data
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=st.sampled_from(SLAB_CASES),
+    systematic=st.booleans(),
+    stripes=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+    draw=st.data(),
+)
+def test_store_data_matches_store_stripes(case, systematic, stripes, seed, draw):
+    """``store_data``'s one slab map stores what ``store_stripes`` stores
+    of the per-stripe encodes, binary and prime fields, plain and
+    systematic; reads, a degraded read and a repair then give it back."""
+    p = case_params(case)
+    rng = random.Random(seed)
+    data = [random_stripe(p, rng) for _ in range(stripes)]
+    want = Cluster(p, systematic)
+    want.store_stripes(per_stripe_encodes(p, data, systematic))
+    c = Cluster(p, systematic)
+    c.store_data(data)
+    nodes = list(all_nodes(p))
+    assert c.stripe_count == stripes
+    assert [c.node_shard(n) for n in nodes] == [want.node_shard(n) for n in nodes]
+    assert c.read_data() == data
+
+    victim = draw.draw(st.sampled_from(nodes))
+    before = c.node_shard(victim)
+    c.fail_node(victim)
+    assert c.read_data() == data
+    c.repair_failed(victim)
+    assert c.node_shard(victim) == before
+    assert c.read_data() == data
+
+
+@pytest.mark.parametrize("name", ["reference", "quads"])
+@pytest.mark.parametrize("systematic", [False, True])
+def test_store_data_refuses_bad_stripes(name, systematic):
+    """A stripe of the wrong length or with a symbol that is not a field
+    element is refused by name and stores nothing; so is any store while
+    a node is down."""
+    p = params(name)
+    rng = random.Random(418)
+    data = [random_stripe(p, rng) for _ in range(3)]
+    c = Cluster(p, systematic)
+    c.store_data(data)
+    other = [random_stripe(p, rng) for _ in range(3)]
+    with pytest.raises(ValueError, match=f"stripe 1: expected {p.B} data symbols, got {p.B - 1}"):
+        c.store_data([other[0], other[1][:-1], other[2]])
+    for bad in (p.field.q, -1, "7", True, 1.0):
+        stripe = list(other[2])
+        stripe[5] = bad
+        with pytest.raises(ValueError, match=f"stripe 2: data symbol {bad!r} is not an element"):
+            c.store_data(other[:2] + [stripe])
+    assert c.stripe_count == 3
+    assert c.read_data() == data
+    c.fail_node(NodeId(1, 1))
+    with pytest.raises(RepairModelError, match="failed"):
+        c.store_data(other)
+    assert c.read_data() == data
 
 
 # ---------------------------------------------------------------- failures
@@ -381,7 +447,7 @@ def test_cluster_matches_per_stripe_oracles(name, systematic, stripes, seed, dra
     p = params(name)
     rng = random.Random(seed)
     data, c = loaded_cluster(p, rng, stripes, systematic)
-    mats = [systematic_encode(p, d) if systematic else encode(fill_message_matrix(p, d)) for d in data]
+    mats = per_stripe_encodes(p, data, systematic)
     nodes = list(all_nodes(p))
 
     victim = draw.draw(st.sampled_from(nodes))

@@ -35,7 +35,7 @@ from mbrr.systematic import (
     systematic_slabs,
 )
 
-from support import PARAM_SETS, SLAB_CASES, params, random_stripe, coded_columns
+from support import PARAM_SETS, SLAB_CASES, case_params, coded_columns, params, random_stripe
 
 
 def test_layout_counts():
@@ -194,19 +194,6 @@ def test_systematic_slabs_match_oracle_lane_by_lane(case, lanes, seed):
     stored = encode_slabs(p, [kernel.pack(slot) for slot in slots], systematic_nodes(p))
     for slab, (i, node) in zip(slabs, systematic_layout(p).data_positions):
         assert stored[node][i] == slab
-
-
-_CASE_PARAMS = {}
-
-
-def case_params(case):
-    """Params of a SLAB_CASES entry, made once, so its precoding map is
-    built once per test session."""
-    got = _CASE_PARAMS.get(case)
-    if got is None:
-        geo, field = case
-        got = _CASE_PARAMS[case] = make_params(*geo, field=field)
-    return got
 
 
 @settings(max_examples=40, deadline=None)
