@@ -22,8 +22,9 @@ Shard file format, version 1. One file per node. All integers big-endian.
 
 A file is padded with zero symbols to a whole number of B-symbol stripes;
 the original length in the header trims the padding on decode, and must
-agree with stripe_count. Shards are written atomically (temp file + rename)
-and are bit-reproducible: the same input, params and flags always produce
+agree with stripe_count. Every file the commands write, shard or decoded
+output, goes through one atomic writer (temp file + rename). Shards are
+bit-reproducible: the same input, params and flags always produce
 identical files.
 
 Encode, decode and repair never loop over stripes. They work on slabs (see
@@ -51,10 +52,11 @@ applied to whole slabs:
 ``decode`` opens each given shard once, checks its size and header against
 the first shard's, builds the params once, and decodes the payloads of
 only the k shards it reads (see ``systematic.read_nodes``), read from
-those handles. ``repair`` opens only the shards its two stages read, each
-once, and its cross-rack ledger counts the symbols in the helper slabs it
-produced. ``simulate`` stores through ``Cluster.store_data``. Every map
-runs on the params' kernel (``CodeParams.kernel``).
+those handles. ``repair`` lists the shard directory once, opens only the
+shards its two stages read, each once, and its cross-rack ledger counts
+the symbols in the helper slabs it produced. ``simulate`` stores through
+``Cluster.store_data``. Every map runs on the params' kernel
+(``CodeParams.kernel``).
 
 ``selftest`` checks the field tables, then runs ``check_code`` on every
 code that ``admissible_geometries(SELFTEST_MAX_N)`` yields.
@@ -171,17 +173,22 @@ def shard_filename(e: int, g: int) -> str:
     return f"shard_e{e}_g{g}.mbrr"
 
 
+def _write_atomic(path: str, *chunks: bytes) -> None:
+    """Write ``chunks`` to a temp file, then rename it to ``path``, so that
+    ``path`` never holds part of them."""
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
+        fh.writelines(chunks)
+    os.replace(tmp, path)
+
+
 def write_payload(path: str, header: ShardHeader, payload: bytes) -> None:
     """Write header + payload (file byte order) atomically."""
     if len(payload) != header.payload_length:
         raise ValueError(
             f"payload is {len(payload)} bytes, header says {header.payload_length}"
         )
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(header.pack())
-        fh.write(payload)
-    os.replace(tmp, path)
+    _write_atomic(path, header.pack(), payload)
 
 
 def open_shard(path: str) -> tuple:
@@ -226,26 +233,22 @@ def read_shard(path: str) -> tuple:
 def file_params(n: int, k: int, u: int, dbar: int, m: int | None = None) -> CodeParams:
     """Params over a byte-framable field: GF(2^8) or GF(2^16).
 
-    Default: the smallest of the two that admits the geometry (q > n and
-    u | q - 1). Other fields work in-library but have no shard framing.
+    By default m is the first of ``BYTE_FIELD_MS`` whose field meets the
+    paper's rule, q > n and u | q - 1; a rack size u < 2 is left for
+    ``make_params`` to refuse. Geometry errors are ``make_params``'s own.
+    Other fields work in-library but have no shard framing.
     """
-    if m is not None:
-        if m not in BYTE_FIELD_MS:
+    if m is None:
+        fits = [mm for mm in BYTE_FIELD_MS if 2**mm > n and (u < 2 or (2**mm - 1) % u == 0)]
+        if not fits:
             raise ValueError(
-                f"shard files support m in {BYTE_FIELD_MS}, not m={m}"
+                f"no byte-framable field admits n={n}, u={u}: "
+                "u must divide 255 or 65535 and n < q"
             )
-        return make_params(n, k, u, dbar, field=binary_field(m))
-    errs = []
-    for mm in BYTE_FIELD_MS:
-        try:
-            return make_params(n, k, u, dbar, field=binary_field(mm))
-        except ValueError as exc:
-            errs.append(f"m={mm}: {exc}")
-    raise ValueError(
-        "no byte-framable field admits these parameters ("
-        + "; ".join(errs)
-        + "); u must divide 255 (m=8) or 65535 (m=16)"
-    )
+        m = fits[0]
+    elif m not in BYTE_FIELD_MS:
+        raise ValueError(f"shard files support m in {BYTE_FIELD_MS}, not m={m}")
+    return make_params(n, k, u, dbar, field=binary_field(m))
 
 
 def encode_file(
@@ -367,18 +370,13 @@ def _decode_payloads(p: CodeParams, first: ShardHeader, payloads: Mapping) -> by
     return p.kernel.join(read_slabs(p, columns, first.systematic))[: first.original_length]
 
 
-def _shard_paths(args_paths: Sequence[str]) -> list:
-    paths = []
-    for item in args_paths:
-        if os.path.isdir(item):
-            names = sorted(
-                name for name in os.listdir(item) if name.endswith(".mbrr")
-            )
-            if not names:
-                raise ValueError(f"{item}: no .mbrr shard files")
-            paths.extend(os.path.join(item, name) for name in names)
-        else:
-            paths.append(item)
+def _shard_paths(directory: str) -> list:
+    """The paths of the .mbrr files in ``directory``, sorted by name. A
+    missing directory, or one without such a file, holds no shards."""
+    names = os.listdir(directory) if os.path.isdir(directory) else []
+    paths = [os.path.join(directory, name) for name in sorted(names) if name.endswith(".mbrr")]
+    if not paths:
+        raise ValueError(f"{directory}: no .mbrr shard files")
     return paths
 
 
@@ -441,42 +439,38 @@ def cmd_decode(args) -> int:
     # _open_shards compares every shard's header with the first one's and
     # checks its size, so the payloads read from its handles need no check.
     with ExitStack() as stack:
-        found = _open_shards(_shard_paths(args.shards), stack)
+        paths = []
+        for item in args.shards:
+            paths += _shard_paths(item) if os.path.isdir(item) else [item]
+        found = _open_shards(paths, stack)
         first = next(iter(found.values()))[0]
         p = _params_from_header(first)
         payloads = {node: found[node][1].read() for node in read_nodes(p, found)}
     data = _decode_payloads(p, first, payloads)
-    tmp = args.out + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, args.out)
+    _write_atomic(args.out, data)
     print(f"decoded {len(data)} bytes from {len(found)} shards -> {args.out}")
     return 0
 
 
 def cmd_repair(args) -> int:
     failed = NodeId(*_non_negative_ints([args.e, args.g]))
+    listing = {os.path.basename(path): path for path in _shard_paths(args.dir)}
 
     def require(node):
-        path = os.path.join(args.dir, shard_filename(node.e, node.g))
-        if not os.path.isfile(path):
+        name = shard_filename(node.e, node.g)
+        if name not in listing:
             raise ValueError(
                 f"cannot repair node {tuple(failed)}: shard of node "
-                f"{tuple(node)} is missing ({path})"
+                f"{tuple(node)} is missing ({os.path.join(args.dir, name)})"
             )
-        return path
+        return listing[name]
 
     # The code comes from the header of the probe: an in-rack survivor
     # (racks hold u >= 2 nodes, so (e, 0) or (e, 1) is one), whose handle
     # also serves its payload. Without it any other shard gives the grid, so
     # that a node outside it is not reported as missing a rack mate.
     mate = NodeId(failed.e, 1 if failed.g == 0 else 0)
-    probe = os.path.join(args.dir, shard_filename(*mate))
-    if not os.path.isfile(probe):
-        names = sorted(os.listdir(args.dir)) if os.path.isdir(args.dir) else []
-        probe = next((os.path.join(args.dir, n) for n in names if n.endswith(".mbrr")), None)
-        if probe is None:
-            raise ValueError(f"{args.dir}: no .mbrr shard files")
+    probe = listing.get(shard_filename(*mate), next(iter(listing.values())))
     with ExitStack() as stack:
         found = _open_shards([probe], stack)
         first = next(iter(found.values()))[0]
@@ -563,10 +557,11 @@ def cmd_simulate(args) -> int:
             continue
         parts = line.split()
         op, rest = parts[0], parts[1:]
-        if op in _SIM_ARGS:
-            fewest, most, takes = _SIM_ARGS[op]
-            if not fewest <= len(rest) <= most:
-                raise _sim_error(lineno, line, f"{op} takes {takes}")
+        if op not in _SIM_ARGS:
+            raise _sim_error(lineno, line, f"unknown statement {op!r}")
+        fewest, most, takes = _SIM_ARGS[op]
+        if not fewest <= len(rest) <= most:
+            raise _sim_error(lineno, line, f"{op} takes {takes}")
         if op == "params":
             values = _sim_ints(lineno, line, rest)
             try:
@@ -624,20 +619,18 @@ def cmd_simulate(args) -> int:
             except (ValueError, RuntimeError) as exc:
                 print(f"repair node=({node.e},{node.g}) error: {exc}")
             continue
-        if op == "read":
-            try:
-                got = cluster.read_data()
-                ok = got == stored
-                print(
-                    f"read stripes={len(got)} "
-                    + ("verified ok" if ok else "MISMATCH")
-                )
-                if not ok:
-                    rc = 1
-            except InsufficientSurvivorsError as exc:
-                print(f"read error: {exc}")
-            continue
-        raise _sim_error(lineno, line, f"unknown statement {op!r}")
+        # The one statement left is read.
+        try:
+            got = cluster.read_data()
+            ok = got == stored
+            print(
+                f"read stripes={len(got)} "
+                + ("verified ok" if ok else "MISMATCH")
+            )
+            if not ok:
+                rc = 1
+        except InsufficientSurvivorsError as exc:
+            print(f"read error: {exc}")
     return rc
 
 

@@ -68,6 +68,7 @@ def _check_observation(p: CodeParams, cols: Mapping[NodeId, Sequence[int]]) -> N
                 f"column for node {node!r} has {len(col)} symbols, "
                 f"expected alpha={p.alpha}"
             )
+        validate_symbols(p, col, node)
 
 
 class Decoder:
@@ -163,9 +164,10 @@ def reconstruct(p: CodeParams, cols: Mapping[NodeId, Sequence[int]]) -> MessageM
 def oracle_reconstruct(p: CodeParams, cols: Mapping[NodeId, Sequence[int]]) -> MessageMatrix:
     """Structure-blind reference decoder over the raw linear system.
 
-    Takes one equation per observed symbol, the generator row of its cell,
-    solves the whole (tall) system by elimination, and verifies every
-    observation against the solution. Slow (0.3 s a stripe at (50,44,5,8)
+    Every symbol must be a field element (``validate_symbols``), as for
+    ``Decoder.reconstruct``. Takes one equation per observed symbol, the
+    generator row of its cell, solves the whole (tall) system by
+    elimination, and verifies every observation against the solution. Slow (0.3 s a stripe at (50,44,5,8)
     over GF(2^16), with CPython 3.11 on a 2-core Xeon) but independent of
     every decoding trick the structured path uses.
     """

@@ -125,6 +125,30 @@ def test_generator_rows_are_built_in_one_place():
     assert found == []
 
 
+def test_shards_are_listed_and_files_replaced_in_one_place():
+    """Only ``cli._shard_paths`` lists a directory and only
+    ``cli._write_atomic`` renames a file into place, so decode and repair
+    find shards by one rule and every file is written by one writer."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "mbrr")
+    found = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                found += [
+                    f"{name} {func.name} os.{node.func.attr}"
+                    for node in ast.walk(func)
+                    if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and getattr(node.func.value, "id", None) == "os"
+                    and node.func.attr in ("listdir", "replace")
+                ]
+    assert sorted(found) == ["cli.py _shard_paths os.listdir", "cli.py _write_atomic os.replace"]
+
+
 def test_slab_kernels_are_built_in_one_place():
     """``make_params`` builds the one kernel each params own; only
     ``cli.file_kernel`` builds another, for the symbol-list shims, which

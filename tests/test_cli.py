@@ -148,6 +148,14 @@ def test_file_params_picks_byte_field():
         file_params(14, 8, 7, 1)  # 7 divides neither 255 nor 65535
     with pytest.raises(ValueError, match="m in"):
         file_params(12, 7, 3, 3, 4)
+    # A geometry error is make_params's own, not blamed on the field.
+    with pytest.raises(ValueError, match="dbar=1 is below the admissible minimum kbar=2") as exc:
+        file_params(12, 7, 3, 1)
+    assert "framable" not in str(exc.value)
+    with pytest.raises(ValueError, match="does not divide n=13"):
+        file_params(13, 7, 3, 3)
+    # 300 nodes need more than 256 points.
+    assert file_params(300, 7, 3, 3).field.q == 65536
 
 
 # ---------------------------------------------------------------- encode
@@ -312,6 +320,7 @@ def test_cmd_decode_accepts_directory(tmp_path, capsys):
     rc, _, _ = run_cli(capsys, "decode", shard_dir, "--out", dst)
     assert rc == 0
     assert dst.read_bytes() == src.read_bytes()
+    assert not os.path.exists(f"{dst}.tmp")
 
 
 @pytest.mark.parametrize(
@@ -831,6 +840,11 @@ def test_simulate_parse_errors(tmp_path, capsys):
     script.write_text("params 12 7 3 3\nstore 1\nwobble\n")
     rc, _, err = run_cli(capsys, "simulate", script)
     assert rc == 2 and "unknown statement" in err
+    # An unknown statement is named as such before params and before store.
+    for text in ("bogus 1\nparams 12 7 3 3\n", "params 12 7 3 3\nbogus 1\nstore 1\n"):
+        script.write_text(text)
+        rc, _, err = run_cli(capsys, "simulate", script)
+        assert rc == 2 and "unknown statement 'bogus'" in err, err
 
 
 @pytest.mark.parametrize(
@@ -853,13 +867,7 @@ def test_simulate_parse_errors(tmp_path, capsys):
         ("params 12 7 3", "params takes n k u dbar [m]"),
         ("params 12 7 3 x", "'x' is not a non-negative integer"),
         ("params 12 7 3 3 4", "shard files support m in (8, 16), not m=4"),
-        (
-            "params 12 7 3 1",
-            "no byte-framable field admits these parameters ("
-            "m=8: dbar=1 is below the admissible minimum kbar=2; "
-            "m=16: dbar=1 is below the admissible minimum kbar=2); "
-            "u must divide 255 (m=8) or 65535 (m=16)",
-        ),
+        ("params 12 7 3 1", "dbar=1 is below the admissible minimum kbar=2"),
     ],
 )
 def test_simulate_rejects_malformed_statements(tmp_path, capsys, statement, why):

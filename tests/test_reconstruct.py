@@ -89,6 +89,8 @@ def test_decoder_refuses_non_field_symbols(name):
             reconstruct(p, obs)
         with pytest.raises(ValueError, match="is not an element"):
             Decoder(p, ids).reconstruct(obs)
+        with pytest.raises(ValueError, match="is not an element"):
+            oracle_reconstruct(p, obs)
 
 
 # ---------------------------------------------------------------- oracle
