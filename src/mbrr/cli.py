@@ -54,9 +54,11 @@ the first shard's, builds the params once, and decodes the payloads of
 only the k shards it reads (see ``systematic.read_nodes``), read from
 those handles. ``repair`` lists the shard directory once, opens only the
 shards its two stages read, each once, and its cross-rack ledger counts
-the symbols in the helper slabs it produced. ``simulate`` stores through
-``Cluster.store_data``. Every map runs on the params' kernel
-(``CodeParams.kernel``).
+the symbols in the helper slabs it produced. Decode, repair and
+``decode_shards`` admit every shard into their set through one function,
+``_admit``. ``simulate`` stores through ``Cluster.store_data``, and an
+error in any of its statements names the script line. Every map runs on
+the params' kernel (``CodeParams.kernel``).
 
 ``selftest`` checks the field tables, then runs ``check_code`` on every
 code that ``admissible_geometries(SELFTEST_MAX_N)`` yields.
@@ -317,23 +319,28 @@ def _params_from_header(h: ShardHeader) -> CodeParams:
     return p
 
 
+def _admit(found: dict, header: ShardHeader, body, where: str) -> None:
+    """Add (header, body), where body is the shard's payload or an open
+    handle on it, to the shard set ``found`` under the header's node, if
+    the header matches the first shard's and names a node no other shard
+    holds; ``where`` names the shard in the error."""
+    node = NodeId(header.e, header.g)
+    if found and not header.matches(next(iter(found.values()))[0]):
+        raise ValueError(f"{where}: header disagrees with the first shard's")
+    if node in found:
+        raise ValueError(f"duplicate shard for node {tuple(node)}")
+    found[node] = (header, body)
+
+
 def _open_shards(paths: Iterable[str], stack: ExitStack, found: dict | None = None) -> dict:
     """{NodeId: (header, handle)} for shard files, each opened once through
-    ``open_shard`` and closed by ``stack``.
-
-    Every header must match the first one in ``found`` (which the call
-    extends, when given) and name a node no other shard holds.
-    """
+    ``open_shard``, closed by ``stack`` and admitted (``_admit``) into
+    ``found``, which the call extends, when given."""
     found = {} if found is None else found
     for path in paths:
         header, fh = open_shard(path)
         stack.enter_context(fh)
-        node = NodeId(header.e, header.g)
-        if found and not header.matches(next(iter(found.values()))[0]):
-            raise ValueError(f"{path}: header disagrees with the first shard's")
-        if node in found:
-            raise ValueError(f"duplicate shard for node {tuple(node)}")
-        found[node] = (header, fh)
+        _admit(found, header, fh, path)
     return found
 
 
@@ -342,24 +349,25 @@ def decode_shards(loaded: Mapping[NodeId, tuple]) -> bytes:
 
     ``loaded`` maps nodes to (header, payload bytes in file byte order)
     pairs; the first header describes the file. Every header must name its
-    node and match the first, and every payload must have the length it
-    gives; only the payloads of the nodes ``read_nodes`` names are decoded.
+    node and be admitted (``_admit``), and every payload must have the
+    length it gives; only the payloads of the nodes ``read_nodes`` names
+    are decoded.
     """
     if not loaded:
         raise ValueError("no shards given")
     first = next(iter(loaded.values()))[0]
     p = _params_from_header(first)
+    admitted = {}
     for node, (header, payload) in loaded.items():
         if (header.e, header.g) != node:
             raise ValueError(f"node {tuple(node)}: header is for node ({header.e}, {header.g})")
-        if not header.matches(first):
-            raise ValueError(f"node {tuple(node)}: header disagrees with the first shard's")
+        _admit(admitted, header, payload, f"node {tuple(node)}")
         if len(payload) != first.payload_length:
             raise ValueError(
                 f"node {tuple(node)}: payload is {len(payload)} bytes, "
                 f"header says {first.payload_length}"
             )
-    payloads = {node: loaded[node][1] for node in read_nodes(p, loaded)}
+    payloads = {node: admitted[node][1] for node in read_nodes(p, admitted)}
     return _decode_payloads(p, first, payloads)
 
 
@@ -501,10 +509,6 @@ def cmd_repair(args) -> int:
 # ---------------------------------------------------------------- simulate
 
 
-def _sim_error(lineno: int, line: str, why: str) -> ValueError:
-    return ValueError(f"script line {lineno}: {why} ({line!r})")
-
-
 # Statement -> (fewest arguments, most arguments, what it takes).
 _SIM_ARGS = {
     "params": (4, 5, "n k u dbar [m]"),
@@ -515,14 +519,6 @@ _SIM_ARGS = {
     "repair": (2, 3, "E G [E1,E2,...]"),
     "read": (0, 0, "no arguments"),
 }
-
-
-def _sim_ints(lineno: int, line: str, texts: Sequence[str]) -> list:
-    """Statement arguments as non-negative ints, or a script error."""
-    try:
-        return _non_negative_ints(texts)
-    except ValueError as exc:
-        raise _sim_error(lineno, line, str(exc)) from None
 
 
 def cmd_simulate(args) -> int:
@@ -538,10 +534,10 @@ def cmd_simulate(args) -> int:
         repair E G [E1,E2,...]   repair node, optional helper racks
         read                     read back and verify all stored data
 
-    Every number is a non-negative integer. A malformed statement stops
-    the script with an error naming its line. Model violations during
-    fail/repair/read are reported as lines, not crashes, so scripts can
-    demonstrate failure cases.
+    Every number is a non-negative integer. Any ValueError a statement
+    raises stops the script with an error naming its line. Model
+    violations during fail/repair/read are reported as lines, not crashes,
+    so scripts can demonstrate failure cases.
     """
     with open(args.script, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
@@ -555,82 +551,72 @@ def cmd_simulate(args) -> int:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        op, rest = parts[0], parts[1:]
-        if op not in _SIM_ARGS:
-            raise _sim_error(lineno, line, f"unknown statement {op!r}")
-        fewest, most, takes = _SIM_ARGS[op]
-        if not fewest <= len(rest) <= most:
-            raise _sim_error(lineno, line, f"{op} takes {takes}")
-        if op == "params":
-            values = _sim_ints(lineno, line, rest)
-            try:
-                p = file_params(*values)
-            except ValueError as exc:
-                raise _sim_error(lineno, line, str(exc)) from None
-            cluster = None
-            print(
-                f"params n={p.n} k={p.k} u={p.u} dbar={p.dbar} "
-                f"alpha={p.alpha} B={p.B} field={p.field!r}"
-            )
-            continue
-        if op == "seed":
-            (seed,) = _sim_ints(lineno, line, rest)
-            rng = random.Random(seed)
-            print(f"seed {seed}")
-            continue
-        if op == "systematic":
-            if rest not in (["on"], ["off"]):
-                raise _sim_error(lineno, line, "systematic takes on|off")
-            systematic = rest == ["on"]
-            print(f"systematic {'on' if systematic else 'off'}")
-            continue
-        if p is None:
-            raise _sim_error(lineno, line, "params must come first")
-        if op == "store":
-            (count,) = _sim_ints(lineno, line, rest)
-            stored = [[rng.randrange(p.field.q) for _ in range(p.B)] for _ in range(count)]
-            cluster = Cluster(p, systematic=systematic)
-            cluster.store_data(stored)
-            print(f"store stripes={count} symbols={count * p.B}")
-            continue
-        if cluster is None:
-            raise _sim_error(lineno, line, "store must precede fail/repair/read")
-        if op == "fail":
-            node = NodeId(*_sim_ints(lineno, line, rest))
-            try:
-                cluster.fail_node(node)
-                print(f"fail node=({node.e},{node.g})")
-            except (ValueError, RuntimeError) as exc:
-                print(f"fail node=({node.e},{node.g}) error: {exc}")
-            continue
-        if op == "repair":
-            node = NodeId(*_sim_ints(lineno, line, rest[:2]))
-            helpers = _sim_ints(lineno, line, rest[2].split(",")) if len(rest) > 2 else None
-            try:
-                ledger = cluster.repair_failed(node, helpers)
-                hh = ",".join(str(e) for e in sorted(ledger.per_helper))
-                print(
-                    f"repair node=({node.e},{node.g}) helpers={hh} "
-                    f"cross_rack={ledger.cross_rack_symbols} "
-                    f"per_stripe={p.dbar * p.beta} "
-                    f"intra_rack={ledger.intra_rack_symbols} ok"
-                )
-            except (ValueError, RuntimeError) as exc:
-                print(f"repair node=({node.e},{node.g}) error: {exc}")
-            continue
-        # The one statement left is read.
+        op, *rest = line.split()
         try:
-            got = cluster.read_data()
-            ok = got == stored
-            print(
-                f"read stripes={len(got)} "
-                + ("verified ok" if ok else "MISMATCH")
-            )
-            if not ok:
-                rc = 1
-        except InsufficientSurvivorsError as exc:
-            print(f"read error: {exc}")
+            if op not in _SIM_ARGS:
+                raise ValueError(f"unknown statement {op!r}")
+            fewest, most, takes = _SIM_ARGS[op]
+            if not fewest <= len(rest) <= most or (
+                op == "systematic" and rest[0] not in ("on", "off")
+            ):
+                raise ValueError(f"{op} takes {takes}")
+            if op == "params":
+                p = file_params(*_non_negative_ints(rest))
+                cluster = None
+                print(
+                    f"params n={p.n} k={p.k} u={p.u} dbar={p.dbar} "
+                    f"alpha={p.alpha} B={p.B} field={p.field!r}"
+                )
+            elif op == "seed":
+                (seed,) = _non_negative_ints(rest)
+                rng = random.Random(seed)
+                print(f"seed {seed}")
+            elif op == "systematic":
+                systematic = rest == ["on"]
+                print(f"systematic {rest[0]}")
+            elif p is None:
+                raise ValueError("params must come first")
+            elif op == "store":
+                (count,) = _non_negative_ints(rest)
+                stored = [[rng.randrange(p.field.q) for _ in range(p.B)] for _ in range(count)]
+                cluster = Cluster(p, systematic=systematic)
+                cluster.store_data(stored)
+                print(f"store stripes={count} symbols={count * p.B}")
+            elif cluster is None:
+                raise ValueError("store must precede fail/repair/read")
+            elif op == "fail":
+                node = NodeId(*_non_negative_ints(rest))
+                try:
+                    cluster.fail_node(node)
+                    print(f"fail node=({node.e},{node.g})")
+                except (ValueError, RuntimeError) as exc:
+                    print(f"fail node=({node.e},{node.g}) error: {exc}")
+            elif op == "repair":
+                node = NodeId(*_non_negative_ints(rest[:2]))
+                helpers = _non_negative_ints(rest[2].split(",")) if len(rest) > 2 else None
+                try:
+                    ledger = cluster.repair_failed(node, helpers)
+                    hh = ",".join(str(e) for e in sorted(ledger.per_helper))
+                    print(
+                        f"repair node=({node.e},{node.g}) helpers={hh} "
+                        f"cross_rack={ledger.cross_rack_symbols} "
+                        f"per_stripe={p.dbar * p.beta} "
+                        f"intra_rack={ledger.intra_rack_symbols} ok"
+                    )
+                except (ValueError, RuntimeError) as exc:
+                    print(f"repair node=({node.e},{node.g}) error: {exc}")
+            else:  # read, the one statement left
+                try:
+                    got = cluster.read_data()
+                except InsufficientSurvivorsError as exc:
+                    print(f"read error: {exc}")
+                    continue
+                ok = got == stored
+                print(f"read stripes={len(got)} " + ("verified ok" if ok else "MISMATCH"))
+                if not ok:
+                    rc = 1
+        except ValueError as exc:
+            raise ValueError(f"script line {lineno}: {exc} ({line!r})") from None
     return rc
 
 

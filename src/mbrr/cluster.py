@@ -2,12 +2,13 @@
 
 Nodes are arranged in nbar racks of u; each healthy node holds one
 alpha-symbol column per stored stripe, kept as alpha byte slabs (see
-``slab``): slab i holds the node's symbol i of every stripe. Stores
-(``store_data``), reads and repairs run the file commands' maps once over
-those slabs, on the params' kernel (``CodeParams.kernel``), over any field,
-never stripe by stripe. The simulator is deterministic and single-threaded:
-the same store/fail/repair/read script always produces the same final state
-and the same bandwidth ledgers.
+``slab``): slab i holds the node's symbol i of every stripe. A failed node
+is one whose slabs are gone; the cluster keeps no other record of node
+state. Stores (``store_data``), reads and repairs run the file commands'
+maps once over those slabs, on the params' kernel (``CodeParams.kernel``),
+over any field, never stripe by stripe. The simulator is deterministic
+and single-threaded: the same store/fail/repair/read script always
+produces the same final state and the same bandwidth ledgers.
 
 Policies (overridable per call):
   reads   the k lowest healthy node ids (``systematic.read_nodes``); those
@@ -98,8 +99,8 @@ class Cluster:
     def __init__(self, params: CodeParams, systematic: bool = False):
         self.params = params
         self.systematic = bool(systematic)
+        # Node -> its alpha slabs, or None once it has failed (``is_healthy``).
         self._shards = {node: [b""] * params.alpha for node in all_nodes(params)}
-        self._failed = set()
         self._stripes = 0
 
     @property
@@ -107,21 +108,21 @@ class Cluster:
         return self._stripes
 
     def healthy_nodes(self) -> list:
-        return [n for n in all_nodes(self.params) if n not in self._failed]
+        return [n for n in all_nodes(self.params) if self._shards[n] is not None]
 
     def failed_nodes(self) -> list:
-        return sorted(self._failed)
+        return [n for n in all_nodes(self.params) if self._shards[n] is None]
 
     def is_healthy(self, node) -> bool:
+        """Whether ``node``, which must lie on the rack grid, holds its slabs."""
         node = NodeId(*node)
         node_index(self.params, node)
-        return node not in self._failed
+        return self._shards[node] is not None
 
     def node_shard(self, node) -> list:
         """Per-stripe columns held by a node; unavailable once it failed."""
         node = NodeId(*node)
-        node_index(self.params, node)
-        if node in self._failed:
+        if not self.is_healthy(node):
             raise RepairModelError(f"node {node!r} has failed: shard unavailable")
         p = self.params
         flat = p.kernel.unpack(p.kernel.join(self._shards[node]))
@@ -129,8 +130,9 @@ class Cluster:
 
     def _storable(self) -> CodeParams:
         """The params, for a store: it replaces every shard, so all nodes must be healthy."""
-        if self._failed:
-            raise RepairModelError(f"cannot store stripes with failed nodes: {sorted(self._failed)}")
+        failed = self.failed_nodes()
+        if failed:
+            raise RepairModelError(f"cannot store stripes with failed nodes: {failed}")
         return self.params
 
     def store_data(self, data: Sequence[Sequence[int]]) -> None:
@@ -187,10 +189,8 @@ class Cluster:
 
     def fail_node(self, node) -> None:
         node = NodeId(*node)
-        node_index(self.params, node)
-        if node in self._failed:
+        if not self.is_healthy(node):
             raise ValueError(f"node {node!r} already failed")
-        self._failed.add(node)
         self._shards[node] = None
 
     def repair_failed(self, node, helpers: Sequence[int] | None = None) -> BandwidthLedger:
@@ -204,8 +204,7 @@ class Cluster:
         """
         p = self.params
         node = NodeId(*node)
-        node_index(p, node)
-        if node not in self._failed:
+        if self.is_healthy(node):
             raise ValueError(f"node {node!r} is healthy: nothing to repair")
         if helpers is None:
             helpers = helper_racks(p, node, self.healthy_nodes())
@@ -218,7 +217,6 @@ class Cluster:
                 f"symbols for {self._stripes} stripes, expected {expected}"
             )
         self._shards[node] = column
-        self._failed.discard(node)
         return ledger
 
     def read_data(self, survivors: Sequence[NodeId] | None = None) -> list:
@@ -241,8 +239,7 @@ class Cluster:
             if len(set(nodes)) != len(nodes):
                 raise ValueError("duplicate survivors")
             for n in nodes:
-                node_index(p, n)
-                if n in self._failed:
+                if not self.is_healthy(n):
                     raise RepairModelError(f"requested survivor {n!r} has failed")
         data = read_slabs(p, {n: self._shards[n] for n in nodes}, self.systematic)
         flat = p.kernel.unpack(p.kernel.join(data))

@@ -149,6 +149,45 @@ def test_shards_are_listed_and_files_replaced_in_one_place():
     assert sorted(found) == ["cli.py _shard_paths os.listdir", "cli.py _write_atomic os.replace"]
 
 
+def test_admission_script_errors_and_node_state_are_written_once():
+    """Only ``cli._admit`` says a header disagrees with the first shard's,
+    so ``mbrr decode``, ``mbrr repair`` and ``decode_shards`` admit shards by
+    one rule; only ``cli.cmd_simulate`` builds a ``script line`` error; and
+    ``Cluster`` keeps node state in its shard map alone, so no method of it
+    assigns an attribute besides these four."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "mbrr")
+    texts = {"header disagrees with the first shard's": set(), "script line": set()}
+    assigned = set()
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        docstrings = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Constant) and id(node) not in docstrings:
+                    for text, where in texts.items():
+                        if isinstance(node.value, str) and text in node.value:
+                            where.add(f"{name} {func.name}")
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and cls.name == "Cluster":
+                assigned |= {
+                    node.attr
+                    for node in ast.walk(cls)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and getattr(node.value, "id", None) == "self"
+                }
+    assert texts == {
+        "header disagrees with the first shard's": {"cli.py _admit"},
+        "script line": {"cli.py cmd_simulate"},
+    }
+    assert assigned == {"params", "systematic", "_shards", "_stripes"}
+
+
 def test_slab_kernels_are_built_in_one_place():
     """``make_params`` builds the one kernel each params own; only
     ``cli.file_kernel`` builds another, for the symbol-list shims, which

@@ -879,6 +879,23 @@ def test_simulate_rejects_malformed_statements(tmp_path, capsys, statement, why)
     assert "read" not in out
 
 
+def test_simulate_names_the_line_of_any_statement_error(tmp_path, capsys, monkeypatch):
+    """A ValueError raised while a statement runs, not only while it is
+    parsed, stops the script with an error naming its line."""
+    from mbrr.cluster import Cluster
+
+    def corrupt(self, survivors=None):
+        raise IntegrityError("stripe 3: ...")
+
+    monkeypatch.setattr(Cluster, "read_data", corrupt)
+    script = tmp_path / "corrupt.txt"
+    script.write_text("params 12 7 3 3\nstore 4\nread\n")
+    rc, out, err = run_cli(capsys, "simulate", script)
+    assert rc == 2
+    assert err == "error: script line 3: stripe 3: ... ('read')\n"
+    assert out.endswith("store stripes=4 symbols=80\n")
+
+
 SCENARIO_OUTPUT = {
     "degraded_helpers.txt": """\
 params n=15 k=7 u=3 dbar=3 alpha=3 B=20 field=GF(2^8)

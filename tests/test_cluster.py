@@ -179,6 +179,79 @@ def test_fail_then_shard_access_errors():
     assert c.failed_nodes() == [NodeId(1, 2)]
 
 
+NODE_STATE_CASES = [((12, 8, 2, 4), prime_field(13)), ((12, 7, 3, 3), binary_field(4))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.sampled_from(NODE_STATE_CASES),
+    systematic=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    draw=st.data(),
+)
+def test_node_state_matches_a_model(case, systematic, seed, draw):
+    """Random store, fail, repair, read and shard calls against a model set
+    of failed nodes: the cluster's node queries agree with the model after
+    every call, each call raises exactly where the model says it must, and
+    every read and shard gives back what was stored."""
+    p = case_params(case)
+    rng = random.Random(seed)
+    nodes = list(all_nodes(p))
+    c = Cluster(p, systematic)
+    failed, data, shards = set(), [], {n: [] for n in nodes}
+    for _ in range(draw.draw(st.integers(1, 16))):
+        op = draw.draw(st.sampled_from(["store", "fail", "repair", "read", "shard"]))
+        node = draw.draw(st.sampled_from(nodes))
+        if op == "store":
+            new = [random_stripe(p, rng) for _ in range(rng.randrange(4))]
+            if failed:
+                with pytest.raises(RepairModelError, match="cannot store stripes with failed nodes"):
+                    c.store_data(new)
+            else:
+                c.store_data(new)
+                data, shards = new, {n: c.node_shard(n) for n in nodes}
+        elif op == "fail":
+            if node in failed:
+                with pytest.raises(ValueError, match="already failed"):
+                    c.fail_node(node)
+            else:
+                c.fail_node(node)
+                failed.add(node)
+        elif op == "repair":
+            mates = {NodeId(node.e, g) for g in range(p.u)} - {node}
+            racks = [
+                e for e in range(p.nbar)
+                if e != node.e and not {NodeId(e, g) for g in range(p.u)} & failed
+            ]
+            if node not in failed:
+                with pytest.raises(ValueError, match="is healthy: nothing to repair"):
+                    c.repair_failed(node)
+            elif mates & failed or len(racks) < p.dbar:
+                with pytest.raises(RepairModelError):
+                    c.repair_failed(node)
+            else:
+                c.repair_failed(node)
+                failed.discard(node)
+        elif op == "read":
+            survivors = draw.draw(st.none() | st.permutations(nodes).map(lambda ns: ns[: p.k]))
+            if len(failed) > p.n - p.k:
+                with pytest.raises(InsufficientSurvivorsError):
+                    c.read_data(survivors)
+            elif survivors is not None and set(survivors) & failed:
+                with pytest.raises(RepairModelError, match="has failed"):
+                    c.read_data(survivors)
+            else:
+                assert c.read_data(survivors) == data
+        elif node in failed:
+            with pytest.raises(RepairModelError, match="has failed"):
+                c.node_shard(node)
+        else:
+            assert c.node_shard(node) == shards[node]
+        assert c.failed_nodes() == sorted(failed)
+        assert c.healthy_nodes() == [n for n in nodes if n not in failed]
+        assert [c.is_healthy(n) for n in nodes] == [n not in failed for n in nodes]
+
+
 def test_reads_survive_n_minus_k_failures():
     p = params("reference")
     rng = random.Random(405)
