@@ -162,7 +162,9 @@ class BinaryField(Field):
     __slots__ = ("m", "primitive_poly", "q", "characteristic", "exp", "log", "add", "sub", "neg")
 
     def __init__(self, m: int, primitive_poly: int | None = None):
-        if not isinstance(m, int) or not 1 <= m <= 16:
+        if not isinstance(m, int) or isinstance(m, bool):
+            raise ValueError(f"extension degree m={m!r} is not an integer")
+        if not 1 <= m <= 16:
             raise ValueError(f"extension degree m={m!r} outside the supported range [1, 16]")
         poly = PRIMITIVE_POLYS[m] if primitive_poly is None else primitive_poly
         if poly >> m != 1:
@@ -283,7 +285,8 @@ _PRIME_CACHE: dict = {}
 
 def binary_field(m: int) -> BinaryField:
     """Shared GF(2^m) instance under the canonical reduction polynomial."""
-    f = _BINARY_CACHE.get(m)
+    # True == 1 as a key, so only a plain int may find a cached field.
+    f = _BINARY_CACHE.get(m) if type(m) is int else None
     if f is None:
         f = _BINARY_CACHE.setdefault(m, BinaryField(m))
     return f

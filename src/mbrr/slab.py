@@ -21,14 +21,28 @@ of a code runs on its params' one kernel, ``CodeParams.kernel``, which
 The kernel reads a slab as one big-endian integer. Over GF(2^m) addition
 is XOR of those integers, and doubling every lane at once is a masked
 shift that adds the reduction polynomial to the lanes whose top bit
-overflowed (``_lane_masks``). ``_horner`` runs every map bit-serial: for
-each output row, the inputs whose constant has bit b set are XORed into a
-partial sum s_b, and Horner's rule over the bits from the top,
-``acc = 2 * acc + s_b``, gives the row: m doublings per row and one XOR
-per set bit, so one-row maps such as the repair's helper maps (beta = 1)
-cost least. The GF(2^16) windowed schedule and the GF(2^8) table multiply
-of Plank, Greenan and Miller (FAST 2013) win only on slabs longer than any
-benchmark workload's (the README has the measurements).
+overflowed (``_lane_masks``). Every map runs bit-serial, one XOR per set
+bit of its constants, by one of two schedules that differ only in what
+they double:
+
+- ``_horner`` doubles rows. For each output row, the inputs whose
+  constant has bit b set are XORed into a partial sum s_b, and Horner's
+  rule over the bits from the top, ``acc = 2 * acc + s_b``, gives the
+  row: at most m - 1 doublings per row, so one-row maps such as the
+  repair's helper maps (beta = 1) cost least.
+- ``_doubled_inputs`` doubles inputs. Input x_j is doubled up to the top
+  bit of its column's largest constant, and each power 2^b * x_j is
+  XORed into every row whose constant has bit b: at most m - 1 doublings
+  per input, with one input's powers alive at a time.
+
+A map with more rows than inputs runs ``_doubled_inputs``, any other map
+``_horner``: the rule compares the two worst-case doubling counts and
+reads no constant. The plain encode map (n * alpha rows over B inputs,
+n > k) always has more rows than inputs; the decoder's and the repair's
+maps never do. The GF(2^16) windowed schedule and the GF(2^8) table
+multiply of Plank, Greenan and Miller (FAST 2013) win only on slabs longer
+than any benchmark workload's (ROADMAP's parked "Long slabs" item and
+``BENCH_13.json`` have the measurements).
 
 Over GF(p) an output row is the plain integer sum of ``c * x`` over its
 nonzero entries (``_multiply_add``), so each input is first widened to
@@ -60,6 +74,7 @@ from __future__ import annotations
 
 import sys
 from array import array
+from itertools import compress
 from typing import Sequence
 
 from .linalg import _product_width, matmul
@@ -67,7 +82,7 @@ from .linalg import _product_width, matmul
 __all__ = ["SlabKernel"]
 
 # The set bits of each byte value, as bit positions in a constant's low byte
-# and in its high byte: ``_horner`` splits a constant into bytes.
+# and in its high byte: both GF(2^m) schedules split a constant into bytes.
 _LOW_BITS = tuple(tuple(b for b in range(8) if v >> b & 1) for v in range(256))
 _HIGH_BITS = tuple(tuple(b + 8 for b in bits) for bits in _LOW_BITS)
 
@@ -112,6 +127,33 @@ def _horner(m: int, masks: tuple, matrix, inputs: Sequence[int]) -> list:
                 acc = ((acc & rest) << 1) ^ ((acc & top) >> shift) * poly
             acc ^= s
         out.append(acc)
+    return out
+
+
+def _doubled_inputs(m: int, masks: tuple, matrix, inputs: Sequence[int]) -> list:
+    """``_horner(m, masks, matrix, inputs)``, bit for bit, doubling each input
+    instead of each row: input j is doubled up to the top bit of its
+    column's largest constant, and power b, 2^b * x_j, is XORed into every
+    row whose constant has bit b. Only one input's powers exist at a time."""
+    top, rest, poly = masks
+    shift = m - 1
+    out = [0] * len(matrix)
+    rows = range(len(matrix))
+    for x, column in zip(inputs, zip(*matrix)):
+        high = max(column)
+        if not (x and high):
+            continue
+        powers = [x]  # powers[b] = 2^b * x
+        for _ in range(high.bit_length() - 1):
+            x = ((x & rest) << 1) ^ ((x & top) >> shift) * poly
+            powers.append(x)
+        for r in compress(rows, column):  # skips the column's zeros in C
+            c, acc = column[r], out[r]
+            for b in _LOW_BITS[c & 255]:
+                acc ^= powers[b]
+            for b in _HIGH_BITS[c >> 8]:
+                acc ^= powers[b]
+            out[r] = acc
     return out
 
 
@@ -245,7 +287,10 @@ class SlabKernel:
         f = self.field
         if f.characteristic == 2:
             ints = [int.from_bytes(x, "big") for x in inputs]
-            return [v.to_bytes(size, "big") for v in _horner(f.m, self._lanes(size), matrix, ints)]
+            # Both schedules XOR once per set bit; _horner doubles up to m - 1
+            # times per row, _doubled_inputs up to m - 1 times per input.
+            schedule = _doubled_inputs if len(matrix) > len(inputs) else _horner
+            return [v.to_bytes(size, "big") for v in schedule(f.m, self._lanes(size), matrix, ints)]
         w, q = self.width, f.q
         acc = _lane_width((q - 1) * ((1 << 8 * w) - 1) * len(inputs))
         if acc is None:

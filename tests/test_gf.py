@@ -79,6 +79,23 @@ def test_non_primitive_polynomial_rejected():
         BinaryField(8, primitive_poly=0x11B)
 
 
+def test_extension_degree_must_be_a_plain_int():
+    """A bool degree is refused, as ``make_params`` refuses a bool n, k, u or
+    dbar, whether or not GF(2^1) is cached: ``True == 1`` as a cache key."""
+    for m in (True, False, 8.0, "8"):
+        with pytest.raises(ValueError, match="is not an integer"):
+            BinaryField(m)
+        with pytest.raises(ValueError, match="is not an integer"):
+            binary_field(m)
+    one = binary_field(1)
+    with pytest.raises(ValueError, match="is not an integer"):
+        binary_field(True)
+    assert binary_field(1) is one and repr(one) == "GF(2^1)"
+    for m in (0, 17):
+        with pytest.raises(ValueError, match="outside the supported range"):
+            binary_field(m)
+
+
 def test_tables_consistent_detects_corruption():
     f = binary_field(8)
     assert tables_consistent(f.exp, f.log, f.q)

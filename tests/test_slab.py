@@ -39,7 +39,11 @@ from mbrr.repair import Repairer, rack_point
 from mbrr import slab
 from mbrr.slab import SlabKernel
 from mbrr.systematic import (
+    precoding_matrix,
+    read_slabs,
     read_systematic_data,
+    systematic_encode_map,
+    systematic_encode_slabs,
     systematic_message_matrix,
     systematic_nodes,
 )
@@ -131,12 +135,14 @@ def _overflow_lane(m):
 
 
 @st.composite
-def _apply_cases(draw):
-    m = draw(st.sampled_from([8, 16]))
+def _apply_cases(draw, degrees=(8, 16), max_rows=5, max_inputs=6):
+    """A GF(2^m) map of up to ``max_rows`` rows over up to ``max_inputs``
+    inputs, with 1-6 lanes per input, m one of ``degrees``."""
+    m = draw(st.sampled_from(degrees))
     q = 1 << m
     special = [0, 1, q - 1, 1 << (m - 1), _overflow_lane(m)]
     entry = st.one_of(st.sampled_from(special), st.integers(0, q - 1))
-    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    rows, cols = draw(st.integers(1, max_rows)), draw(st.integers(1, max_inputs))
     lanes = draw(st.integers(1, 6))
     matrix = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
     if draw(st.booleans()):
@@ -196,6 +202,70 @@ def test_every_map_runs_bit_serial_in_chunks(m, size, chunks):
     assert lengths == [min(slab._CHUNK, size - lo) for lo in range(0, size, slab._CHUNK)]
     (want,) = matmul(p.field, [helper], [kernel.unpack(s) for s in slabs])
     assert got == kernel.pack(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_apply_cases(degrees=(4, 8, 16), max_rows=8, max_inputs=8), st.integers(1, 6))
+def test_doubled_inputs_equals_horner_and_matmul(case, chunk):
+    """``_doubled_inputs`` gives ``_horner``'s rows bit for bit on maps of
+    1-8 rows over 1-8 inputs, so both sides of the rule are drawn. In
+    chunks of ``chunk`` symbols, ``apply`` runs ``_doubled_inputs`` once
+    per chunk exactly when the map has more rows than inputs, ``_horner``
+    otherwise (ties included), and equals ``matmul``."""
+    m, matrix, syms = case
+    f = binary_field(m)
+    kernel = SlabKernel(f)
+    slabs = [kernel.pack(col) for col in syms]
+    ints = [int.from_bytes(s, "big") for s in slabs]
+    masks = kernel._lanes(len(slabs[0]))
+    assert slab._doubled_inputs(m, masks, matrix, ints) == slab._horner(m, masks, matrix, ints)
+    with mock.patch.object(slab, "_CHUNK", chunk * kernel.width), mock.patch.object(
+        slab, "_horner", wraps=slab._horner
+    ) as serial, mock.patch.object(slab, "_doubled_inputs", wraps=slab._doubled_inputs) as doubled:
+        got = kernel.apply(matrix, slabs)
+    runs = -(-len(syms[0]) // chunk)
+    want_calls = (runs, 0) if len(matrix) > len(syms) else (0, runs)
+    assert (doubled.call_count, serial.call_count) == want_calls
+    assert [kernel.unpack(v) for v in got] == matmul(f, matrix, syms)
+
+
+def test_only_the_plain_encode_map_doubles_inputs():
+    """At (12,7,3,3) over GF(2^8) with 13,108 lanes (the stream-gf8 shape)
+    the plain encode map, 36 rows over B = 20 inputs, runs
+    ``_doubled_inputs`` and not ``_horner``. The decoder's k x (k + dbar -
+    kbar) maps, the repair maps, the systematic encode with its map build,
+    and the systematic read's decode and re-encode of one node have no more
+    rows than inputs and run ``_horner`` only."""
+    p = file_params(12, 7, 3, 3, 8)
+    rng = random.Random(2613)
+    data = [rng.randbytes(13108) for _ in range(p.B)]
+    nodes = list(all_nodes(p))
+    ids = nodes[1 : p.k] + nodes[-1:]  # the read re-encodes node (0, 0)
+    failed = NodeId(1, 1)
+
+    def schedules(run):
+        """What ``run()`` returns, and how often each schedule ran."""
+        with mock.patch.object(slab, "_horner", wraps=slab._horner) as serial, mock.patch.object(
+            slab, "_doubled_inputs", wraps=slab._doubled_inputs
+        ) as doubled:
+            out = run()
+        return out, serial.call_count, doubled.call_count
+
+    columns, serial, doubled = schedules(lambda: encode_slabs(p, data))
+    assert (serial, doubled) == (0, 1)
+    survivors = {node: columns[node] for node in ids}
+    decoded, serial, doubled = schedules(lambda: Decoder(p, ids).decode_slabs(survivors))
+    assert decoded == data and serial > 0 and doubled == 0
+    others = {node: col for node, col in columns.items() if node != failed}
+    (column, _, _), serial, doubled = schedules(lambda: Repairer(p, failed).repair_slabs(others))
+    assert column == columns[failed] and serial > 0 and doubled == 0
+
+    def systematic_round_trip():
+        stored = systematic_encode_slabs(p, data, systematic_encode_map(p, precoding_matrix(p)))
+        return read_slabs(p, {node: stored[node] for node in ids}, True)
+
+    read, serial, doubled = schedules(systematic_round_trip)
+    assert read == data and serial > 0 and doubled == 0
 
 
 @st.composite
