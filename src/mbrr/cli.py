@@ -73,7 +73,7 @@ import random
 import struct
 import sys
 import time
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -177,11 +177,17 @@ def shard_filename(e: int, g: int) -> str:
 
 def _write_atomic(path: str, *chunks: bytes) -> None:
     """Write ``chunks`` to a temp file, then rename it to ``path``, so that
-    ``path`` never holds part of them."""
+    ``path`` never holds part of them; the temp file goes if either fails."""
     tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.writelines(chunks)
-    os.replace(tmp, path)
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def write_payload(path: str, header: ShardHeader, payload: bytes) -> None:
@@ -271,9 +277,10 @@ def encode_file(
     stripes = -(-len(data) // (width * p.B))
     slabs = kernel.split(data + bytes(stripes * p.B * width - len(data)), p.B)
     if systematic:
-        # The map is composed from precoding_matrix, not from a direct
-        # systematic_slabs run, while the benchmark self-test requires the
-        # precoding build on its systematic workload (ROADMAP item 1).
+        # The map is composed from the slot slabs that build precoding_matrix,
+        # not from a direct systematic_slabs run over the data, while the
+        # benchmark self-test requires the precoding build on its systematic
+        # workload (ROADMAP item 1).
         encode_map = systematic_encode_map(p, precoding_matrix(p))
         columns = systematic_encode_slabs(p, slabs, encode_map)
     else:

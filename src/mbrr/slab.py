@@ -245,6 +245,12 @@ class SlabKernel:
         """The symbols of a slab as ints; the inverse of ``pack``."""
         return _lanes_of(self._format, slab).tolist()
 
+    def unit_lanes(self, count: int) -> list:
+        """``count`` slabs of ``count`` lanes, slab j 1 in lane j and 0 in
+        the others: ``pack`` of each unit vector e_j, made as bytes."""
+        w, one = self.width, (1).to_bytes(self.width, "big")
+        return [bytes(w * j) + one + bytes(w * (count - 1 - j)) for j in range(count)]
+
     def apply(self, matrix: Sequence[Sequence[int]], slabs: Sequence[bytes]) -> list:
         """Output slab r is the sum over j of ``matrix[r][j] * slabs[j]``."""
         return self.apply_groups(matrix, [slabs])[0]

@@ -41,16 +41,18 @@ step 3 stays one apply per row, because row r reads S[r][:r]:
 5. The completed k columns feed the ordinary any-k decoder
    [``Decoder.decode_slabs``].
 
-``precoding_matrix`` runs ``systematic_slabs`` once on B unit-lane slabs:
-lane j of output slab r is slot r of the message matrix that the unit data
-vector e_j produces, so output slab r is row r of the B x B map.
-``systematic_encode`` applies that matrix to one stripe.
+``precoding_matrix`` runs ``systematic_slabs`` once on B unit-lane slabs,
+made as bytes (``SlabKernel.unit_lanes``): lane j of output slab r is slot
+r of the message matrix that the unit data vector e_j produces, so output
+slab r is row r of the B x B map. The params keep those B slot slabs, and
+the matrix is their lanes. ``systematic_encode`` applies that matrix to
+one stripe.
 
 A systematic code matrix holds the B data symbols verbatim, so only its
 n*alpha - B other cells need arithmetic. ``systematic_encode_map``
 composes the encoding map with the precoding map for just those cells:
-one apply of their generator rows (``encode.encode_rows``) over the B
-rows of ``precoding_matrix`` packed as B-lane slabs.
+one apply of their generator rows (``encode.encode_rows``) over the
+precoding's kept slot slabs, with no row of the matrix packed again.
 ``systematic_encode_slabs`` then encodes many stripes with no per-cell
 work for the data cells and one (n*alpha - B) x B map for the rest.
 
@@ -230,36 +232,45 @@ def systematic_slabs(p: CodeParams, data_slabs: Sequence) -> list:
 
 
 @cached_on_params
+def _precoding_slabs(p: CodeParams) -> list:
+    """The B slot slabs of one ``systematic_slabs`` run over B unit-lane
+    slabs (``SlabKernel.unit_lanes``): slab r is row r of the precoding map."""
+    return systematic_slabs(p, p.kernel.unit_lanes(p.B))
+
+
+@cached_on_params
 def precoding_matrix(p: CodeParams) -> list:
     """B x B matrix mapping placement-order data to fill-order matrix slots.
 
     Row r, column j is slot r of the message matrix that the unit data
     vector e_j produces. One ``systematic_slabs`` run over B unit-lane
-    slabs (slab j is 1 in lane j) builds it: output slab r is row r. The
-    map is invertible; filling a message matrix with the product of this
-    matrix and a data vector is the fast equivalent of
-    ``systematic_message_matrix``.
+    slabs (slab j is 1 in lane j) builds it: output slab r, kept on the
+    params as a slab, is row r. The map is invertible; filling a message
+    matrix with the product of this matrix and a data vector is the fast
+    equivalent of ``systematic_message_matrix``.
     """
-    lanes = [p.kernel.pack([0] * j + [1] + [0] * (p.B - 1 - j)) for j in range(p.B)]
-    return [p.kernel.unpack(slab) for slab in systematic_slabs(p, lanes)]
+    return [p.kernel.unpack(slab) for slab in _precoding_slabs(p)]
 
 
 def systematic_encode_map(p: CodeParams, precoding: Sequence[Sequence[int]]) -> tuple:
     """(cells, matrix): the systematic encode as one map over the data.
 
-    ``precoding`` is ``precoding_matrix(p)``. ``cells`` are the
-    n*alpha - B (row, node) cells of the code matrix that hold no data
-    symbol verbatim, node by node in rack-major order: every row of the
-    n - k parity nodes and the redundant cells of the kbar - 1 nodes
-    (e, u-1). Row c of ``matrix`` maps the B data symbols, in placement
-    order, to cell c. The map is the encoding map composed with
-    ``precoding``: one apply of the cells' generator rows over the B rows
-    of ``precoding`` packed as B-lane slabs (lane j is the unit data
-    vector e_j), read back one row per cell.
+    ``precoding`` is ``precoding_matrix(p)``; any other matrix is refused.
+    ``cells`` are the n*alpha - B (row, node) cells of the code matrix that
+    hold no data symbol verbatim, node by node in rack-major order: every
+    row of the n - k parity nodes and the redundant cells of the kbar - 1
+    nodes (e, u-1). Row c of ``matrix`` maps the B data symbols, in
+    placement order, to cell c. The map is the encoding map composed with
+    ``precoding``: one apply of the cells' generator rows over the B slot
+    slabs that built ``precoding`` (lane j is the unit data vector e_j),
+    read back one row per cell; no row of ``precoding`` is packed again.
     """
+    built = precoding_matrix(p)
+    if precoding is not built and precoding != built:
+        raise ValueError("the systematic encode map composes precoding_matrix(p) only")
     data = set(systematic_layout(p).data_positions)
     cells = [(i, node) for node in all_nodes(p) for i in range(p.dbar) if (i, node) not in data]
-    slabs = p.kernel.apply(encode_rows(p, cells), [p.kernel.pack(row) for row in precoding])
+    slabs = p.kernel.apply(encode_rows(p, cells), _precoding_slabs(p))
     return cells, [p.kernel.unpack(slab) for slab in slabs]
 
 

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import mbrr.cli
 from mbrr.cli import (
     HEADER_SIZE,
     ShardHeader,
@@ -21,6 +22,7 @@ from mbrr.cli import (
     read_shard,
     shard_filename,
     symbols_to_bytes,
+    write_payload,
     write_shard,
 )
 from mbrr.encode import encode
@@ -321,6 +323,79 @@ def test_cmd_decode_accepts_directory(tmp_path, capsys):
     assert rc == 0
     assert dst.read_bytes() == src.read_bytes()
     assert not os.path.exists(f"{dst}.tmp")
+
+
+class _PartialWriter:
+    """A binary file whose ``writelines`` writes one byte, then fails."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def writelines(self, chunks):
+        self._fh.write(chunks[0][:1])
+        raise OSError(28, "No space left on device")
+
+
+def _fail_writes(monkeypatch, where):
+    """Make every file write of ``mbrr.cli`` fail in ``writelines`` or in
+    the rename (``os.replace``)."""
+    if where == "replace":
+
+        def fail(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", fail)
+        return
+
+    def partial_open(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        return _PartialWriter(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(mbrr.cli, "open", partial_open, raising=False)
+
+
+@pytest.mark.parametrize("where", ["writelines", "replace"])
+def test_failed_write_leaves_no_temp_file(tmp_path, capsys, monkeypatch, where):
+    """A write that fails exits 2 and leaves neither the target nor its
+    ``.tmp`` file: for ``mbrr decode``, for ``mbrr encode`` (each shard goes
+    through ``write_payload``) and for ``write_payload`` itself."""
+    src = tmp_path / "input.bin"
+    src.write_bytes(random.Random(504).randbytes(3000))
+    shard_dir = tmp_path / "shards"
+    assert run_cli(capsys, "encode", src, 12, 7, 3, 3, "--out", shard_dir)[0] == 0
+    shards = sorted(os.listdir(shard_dir))
+    _fail_writes(monkeypatch, where)
+
+    rc, _, err = run_cli(capsys, "decode", shard_dir, "--out", tmp_path / "restored.bin")
+    assert (rc, err) == (2, "error: [Errno 28] No space left on device\n")
+    rc, _, err = run_cli(capsys, "encode", src, 12, 7, 3, 3, "--out", tmp_path / "more")
+    assert (rc, err) == (2, "error: [Errno 28] No space left on device\n")
+    with pytest.raises(OSError, match="No space left"):
+        write_payload(str(tmp_path / "x.mbrr"), sample_header(payload_length=3), b"abc")
+    assert sorted(os.listdir(tmp_path)) == ["input.bin", "more", "shards"]
+    assert os.listdir(tmp_path / "more") == []
+    assert sorted(os.listdir(shard_dir)) == shards
+
+
+def test_decode_onto_a_directory_leaves_no_temp_file(tmp_path, capsys):
+    """The rename onto an existing directory fails; the decoded bytes
+    written to its ``.tmp`` file go with it."""
+    src = tmp_path / "input.bin"
+    src.write_bytes(random.Random(505).randbytes(3000))
+    shard_dir = tmp_path / "shards"
+    run_cli(capsys, "encode", src, 12, 7, 3, 3, "--out", shard_dir)
+    target = tmp_path / "existing"
+    target.mkdir()
+    rc, _, err = run_cli(capsys, "decode", shard_dir, "--out", target)
+    assert rc == 2 and "existing" in err
+    assert sorted(os.listdir(tmp_path)) == ["existing", "input.bin", "shards"]
+    assert os.listdir(target) == []
 
 
 @pytest.mark.parametrize(

@@ -432,6 +432,28 @@ def test_symbol_width_follows_the_field(field, width):
 
 
 @pytest.mark.parametrize(
+    "field, width",
+    [
+        (binary_field(8), 1),
+        (binary_field(16), 2),
+        (prime_field(13), 1),
+        (prime_field(257), 2),
+        (prime_field(65537), 4),
+    ],
+    ids=repr,
+)
+def test_unit_lanes_are_packed_unit_vectors(field, width):
+    """Slab j of ``unit_lanes(count)`` is ``pack`` of the unit vector e_j,
+    at every lane width the precoding build meets."""
+    kernel = SlabKernel(field)
+    assert kernel.width == width
+    for count in (1, 2, 7, 324):
+        want = [kernel.pack([int(i == j) for i in range(count)]) for j in range(count)]
+        assert kernel.unit_lanes(count) == want
+    assert kernel.unit_lanes(0) == []
+
+
+@pytest.mark.parametrize(
     "field", [binary_field(4), binary_field(8), prime_field(13), prime_field(29)], ids=repr
 )
 def test_list_slab_kernel_matches_field_arithmetic(field):

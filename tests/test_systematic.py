@@ -297,6 +297,42 @@ def test_precoding_build_runs_each_grouped_map_once_per_chunk():
     assert P == precoding_matrix(p)
 
 
+def test_precoding_and_encode_map_build_pack_no_rows():
+    """On fresh params at (50,44,5,8) over GF(2^16) building the precoding
+    map and then the encode map runs ``systematic_slabs`` once, over unit
+    lanes made as bytes, and packs nothing: the encode map is composed from
+    the slot slabs of that run, not from the matrix's rows."""
+    p = make_params(50, 44, 5, 8, field=binary_field(16))
+    pack = mbrr.slab.SlabKernel.pack
+    with (
+        mock.patch.object(mbrr.slab.SlabKernel, "pack", autospec=True, side_effect=pack) as packed,
+        mock.patch.object(mbrr.systematic, "systematic_slabs", wraps=systematic_slabs) as runs,
+    ):
+        encode_map = systematic_encode_map(p, precoding_matrix(p))
+        assert systematic_encode_map(p, precoding_matrix(p)) == encode_map
+    assert (packed.call_count, runs.call_count) == (0, 1)
+    assert runs.call_args.args[1] == p.kernel.unit_lanes(p.B)
+    digest = ENCODE_MAP_DIGESTS[6]  # the (50,44,5,8) GF(2^16) entry
+    assert hashlib.sha256(repr(encode_map).encode()).hexdigest() == digest
+
+
+def test_systematic_encode_map_refuses_another_matrix():
+    """The map composes the params' own precoding map, whose slot slabs it
+    applies: an equal copy is accepted, any other matrix refused."""
+    p = case_params(((12, 7, 3, 3), binary_field(8)))
+    P = precoding_matrix(p)
+    copy = [list(row) for row in P]
+    assert systematic_encode_map(p, copy) == systematic_encode_map(p, P)
+    changed = [list(row) for row in P]
+    changed[3][5] ^= 1
+    identity = [[int(i == j) for j in range(p.B)] for i in range(p.B)]
+    other_field = precoding_matrix(make_params(12, 7, 3, 3, field=binary_field(16)))
+    for bad in (changed, identity, other_field, P[:-1], [row[:-1] for row in P], []):
+        with pytest.raises(ValueError, match=r"precoding_matrix\(p\) only"):
+            systematic_encode_map(p, bad)
+    assert precoding_matrix(p) == copy
+
+
 def test_systematic_slabs_across_a_chunk_border():
     """At (50,44,5,8) over GF(2^16), 1,500 stripes make 3,000-byte slabs,
     so up to five row groups of one map share a 16 KiB run and the rest
