@@ -23,9 +23,10 @@ Shard file format, version 1. One file per node. All integers big-endian.
 A file is padded with zero symbols to a whole number of B-symbol stripes;
 the original length in the header trims the padding on decode, and must
 agree with stripe_count. Every file the commands write, shard or decoded
-output, goes through one atomic writer (temp file + rename). Shards are
-bit-reproducible: the same input, params and flags always produce
-identical files.
+output, goes through one atomic writer (temp file + rename), and each
+command checks where it writes (``_check_out``) before it opens a shard or
+runs a map. Shards are bit-reproducible: the same input, params and flags
+always produce identical files.
 
 Encode, decode and repair never loop over stripes. They work on slabs (see
 ``slab``): slab t of the file holds symbol t of every stripe, and row i of
@@ -395,6 +396,18 @@ def _shard_paths(directory: str) -> list:
     return paths
 
 
+def _check_out(path: str, directory: bool) -> str:
+    """``path``, unless a command could not write its output there: an
+    existing path of the wrong kind, or a file's missing directory (then
+    ValueError). ``directory`` says whether the command writes a directory."""
+    if os.path.exists(path) and os.path.isdir(path) != directory:
+        kind, found = ("directory", "file") if directory else ("file", "directory")
+        raise ValueError(f"output {kind} {path} is an existing {found}")
+    if not directory and not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValueError(f"output file {path}: its directory does not exist")
+    return path
+
+
 def _non_negative_ints(texts: Sequence[str]) -> list:
     """Each text as a non-negative decimal integer (the simulator's and the
     rack lists' rule), else ValueError."""
@@ -432,10 +445,10 @@ def cmd_params(args) -> int:
 
 def cmd_encode(args) -> int:
     p = file_params(args.n, args.k, args.u, args.dbar, args.field_m)
+    out_dir = _check_out(args.out or args.input + ".shards", True)
     with open(args.input, "rb") as fh:
         data = fh.read()
     headers, payloads = encode_file(data, p, systematic=args.systematic)
-    out_dir = args.out if args.out else args.input + ".shards"
     os.makedirs(out_dir, exist_ok=True)
     for header, payload in zip(headers, payloads):
         write_payload(
@@ -453,6 +466,7 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     # _open_shards compares every shard's header with the first one's and
     # checks its size, so the payloads read from its handles need no check.
+    _check_out(args.out, False)
     with ExitStack() as stack:
         paths = []
         for item in args.shards:
@@ -469,6 +483,7 @@ def cmd_decode(args) -> int:
 
 def cmd_repair(args) -> int:
     failed = NodeId(*_non_negative_ints([args.e, args.g]))
+    out_dir = _check_out(args.out or args.dir, True)
     listing = {os.path.basename(path): path for path in _shard_paths(args.dir)}
 
     def require(node):
@@ -500,7 +515,6 @@ def cmd_repair(args) -> int:
         columns = {node: p.kernel.split(fh.read(), p.alpha) for node, (_, fh) in found.items()}
     column, _, ledger = rep.repair_slabs(columns)
     header = replace(first, e=failed.e, g=failed.g)
-    out_dir = args.out if args.out else args.dir
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, shard_filename(failed.e, failed.g))
     write_payload(path, header, p.kernel.join(column))
@@ -650,7 +664,7 @@ def check_code(p: CodeParams, rng: random.Random) -> str | None:
     stripes, else the first claim it breaks: the closed forms of alpha, beta
     and B; decodes from the k lowest, the k highest and k random ids; every
     node's repair from dbar*beta cross-rack symbols a stripe; the systematic
-    read; and stripe 0 against the elimination oracles."""
+    encode map and read; and stripe 0 against the elimination oracles."""
     kbar = p.k // p.u
     want = (p.dbar, 1, p.k * p.dbar - kbar * (kbar - 1) // 2)
     if (p.alpha, p.beta, p.B) != want:
@@ -678,6 +692,9 @@ def check_code(p: CodeParams, rng: random.Random) -> str | None:
     if kernel.unpack(b"".join(slots))[::CHECK_LANES] != oracle:
         return "systematic slots disagree with the elimination oracle"
     stored = encode_slabs(p, slots)
+    encode_map = systematic_encode_map(p, precoding_matrix(p))
+    if systematic_encode_slabs(p, data, encode_map) != stored:
+        return "systematic encode map disagrees with encoding the systematic slots"
     for ids in (systematic_nodes(p), nodes[-p.k :]):
         if read_slabs(p, {node: stored[node] for node in ids}, True) != data:
             return f"systematic read from nodes {sorted(map(tuple, ids))} gave wrong data"

@@ -12,7 +12,10 @@ Two field kinds cover every supported parameter set:
 
 Both kinds precompute logarithm/antilogarithm tables over the cyclic
 multiplicative group, so multiplication, division and powering are table
-lookups at run time. The antilog table is stored twice over so that the sum
+lookups at run time. One routine, ``_cyclic_tables``, builds and proves them
+for both: it walks the powers of a generator from 1 and fails if a power
+repeats or the walk does not close at 1 after q - 1 steps. A prime field
+takes the first g in 2..p-1 whose walk closes, its smallest primitive root. The antilog table is stored twice over so that the sum
 of two logarithms indexes it without a reduction. ``log[0]`` is ``None``;
 any accidental use of the logarithm of zero fails immediately instead of
 producing a silently wrong value.
@@ -30,8 +33,8 @@ Fixed reduction polynomials for GF(2^m), in bitmask form (degree m):
     8 : 0x11D            16 : 0x1100B
 
 Each polynomial is primitive: x (value 0x2) generates the full
-multiplicative group. Table construction verifies this exhaustively and
-refuses any polynomial for which it fails.
+multiplicative group. A binary field walks the powers of x and refuses any
+polynomial whose walk fails.
 
 Fields are immutable after construction and safe to share across threads.
 The ``add``/``sub``/``neg`` attributes are plain callables chosen per field
@@ -156,6 +159,26 @@ class Field:
         return self.exp[qm1 // u]
 
 
+def _cyclic_tables(q: int, step) -> tuple | None:
+    """(exp, log) over GF(q)'s unit group, walking the powers of a generator
+    from 1, where ``step(x)`` multiplies x by it; exp is written twice over
+    and ``log[0]`` stays None. None if a power repeats or the walk does not
+    close at 1 after q - 1 steps: the generator is not primitive."""
+    qm1 = q - 1
+    exp = [0] * (2 * qm1)
+    log: list = [None] * q
+    x = 1
+    for i in range(qm1):
+        if log[x] is not None:
+            return None
+        exp[i] = exp[i + qm1] = x
+        log[x] = i
+        x = step(x)
+    # No repeat among q-1 values, and a zero would repeat or leave x at 0,
+    # so x returning to 1 means every nonzero element was reached.
+    return (exp, log) if x == 1 else None
+
+
 class BinaryField(Field):
     """GF(2^m) under a fixed primitive reduction polynomial."""
 
@@ -170,24 +193,11 @@ class BinaryField(Field):
         if poly >> m != 1:
             raise ValueError(f"reduction polynomial 0x{poly:X} does not have degree {m}")
         q = 1 << m
-        qm1 = q - 1
-        exp = [0] * (2 * qm1)
-        log: list = [None] * q
-        x = 1
-        for i in range(qm1):
-            exp[i] = x
-            if log[x] is not None:
-                raise ValueError(f"0x{poly:X} is not primitive over GF(2^{m})")
-            log[x] = i
-            x <<= 1
-            if x & q:
-                x ^= poly
-        # No repeat among q-1 values, and a zero would repeat or leave x at 0,
-        # so x returning to 1 means every nonzero element was reached.
-        if x != 1:
+        # Multiplying by x shifts left and reduces when the top bit carries.
+        tables = _cyclic_tables(q, lambda x: (x << 1) ^ (poly if x >> (m - 1) else 0))
+        if tables is None:
             raise ValueError(f"0x{poly:X} is not primitive over GF(2^{m})")
-        for i in range(qm1, 2 * qm1):
-            exp[i] = exp[i - qm1]
+        exp, log = tables
         self.m = m
         self.primitive_poly = poly
         self.q = q
@@ -214,20 +224,6 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def _prime_factors(x: int) -> list:
-    out = []
-    d = 2
-    while d * d <= x:
-        if x % d == 0:
-            out.append(d)
-            while x % d == 0:
-                x //= d
-        d += 1 if d == 2 else 2
-    if x > 1:
-        out.append(x)
-    return out
-
-
 class PrimeField(Field):
     """GF(p) for an odd prime p, with the same table layout as BinaryField."""
 
@@ -236,26 +232,10 @@ class PrimeField(Field):
     def __init__(self, p: int):
         if not isinstance(p, int) or p < 3 or not _is_prime(p):
             raise ValueError(f"p={p!r} is not an odd prime (use binary_field for GF(2))")
-        qm1 = p - 1
-        # Smallest primitive root, found by testing against every prime
-        # factor of the group order.
-        factors = _prime_factors(qm1)
-        g = None
-        for cand in range(2, p):
-            if all(pow(cand, qm1 // f, p) != 1 for f in factors):
-                g = cand
-                break
-        if g is None:  # unreachable for prime p
-            raise ValueError(f"no primitive root modulo {p}")
-        exp = [0] * (2 * qm1)
-        log: list = [None] * p
-        x = 1
-        for i in range(qm1):
-            exp[i] = x
-            log[x] = i
-            x = x * g % p
-        for i in range(qm1, 2 * qm1):
-            exp[i] = exp[i - qm1]
+        # The first g whose walk closes is the smallest primitive root.
+        exp, log = next(
+            t for g in range(2, p) if (t := _cyclic_tables(p, lambda x: x * g % p))
+        )
         self.p = p
         self.q = p
         self.characteristic = p
@@ -279,25 +259,25 @@ class PrimeField(Field):
         return f"GF({self.p})"
 
 
-_BINARY_CACHE: dict = {}
-_PRIME_CACHE: dict = {}
+_SHARED: dict = {}
+
+
+# True == 1 and 13.0 == 13 as keys, so only a plain int may find a cached field.
+def _shared(kind, key):
+    f = _SHARED.get((kind, key)) if type(key) is int else None
+    if f is None:
+        f = _SHARED.setdefault((kind, key), kind(key))
+    return f
 
 
 def binary_field(m: int) -> BinaryField:
     """Shared GF(2^m) instance under the canonical reduction polynomial."""
-    # True == 1 as a key, so only a plain int may find a cached field.
-    f = _BINARY_CACHE.get(m) if type(m) is int else None
-    if f is None:
-        f = _BINARY_CACHE.setdefault(m, BinaryField(m))
-    return f
+    return _shared(BinaryField, m)
 
 
 def prime_field(p: int) -> PrimeField:
     """Shared GF(p) instance."""
-    f = _PRIME_CACHE.get(p)
-    if f is None:
-        f = _PRIME_CACHE.setdefault(p, PrimeField(p))
-    return f
+    return _shared(PrimeField, p)
 
 
 def prime_field_for(min_exclusive: int, order_divisor: int) -> PrimeField:

@@ -398,6 +398,41 @@ def test_decode_onto_a_directory_leaves_no_temp_file(tmp_path, capsys):
     assert os.listdir(target) == []
 
 
+def test_unwritable_out_is_refused_before_any_work(tmp_path, capsys, monkeypatch):
+    """An ``--out`` of the wrong kind, or a file whose directory is missing,
+    exits 2 with a message that names it, before any shard is opened or any
+    map runs, and creates nothing."""
+    src = tmp_path / "input.bin"
+    src.write_bytes(random.Random(506).randbytes(3000))
+    shard_dir = tmp_path / "shards"
+    run_cli(capsys, "encode", src, 12, 7, 3, 3, "--out", shard_dir)
+    a_dir, a_file, nowhere = tmp_path / "a_dir", tmp_path / "a_file", tmp_path / "no" / "out.bin"
+    a_dir.mkdir()
+    a_file.write_bytes(b"keep")
+
+    def work(*args, **kwargs):
+        raise AssertionError("the command worked before it checked --out")
+
+    for owner, name in (
+        (mbrr.cli, "encode_file"),
+        (mbrr.cli, "open_shard"),
+        (mbrr.systematic, "read_slabs"),
+        (mbrr.cli, "read_slabs"),
+        (Repairer, "repair_slabs"),
+    ):
+        monkeypatch.setattr(owner, name, work)
+    cases = [
+        (("decode", shard_dir, "--out", a_dir), f"output file {a_dir} is an existing directory"),
+        (("decode", shard_dir, "--out", nowhere), f"output file {nowhere}: its directory does not exist"),
+        (("encode", src, 12, 7, 3, 3, "--out", a_file), f"output directory {a_file} is an existing file"),
+        (("repair", shard_dir, 1, 1, "--out", a_file), f"output directory {a_file} is an existing file"),
+    ]
+    for argv, want in cases:
+        assert run_cli(capsys, *argv) == (2, "", f"error: {want}\n")
+    assert sorted(os.listdir(tmp_path)) == ["a_dir", "a_file", "input.bin", "shards"]
+    assert os.listdir(a_dir) == [] and a_file.read_bytes() == b"keep"
+
+
 @pytest.mark.parametrize(
     "systematic, lost, want",
     [
@@ -1127,3 +1162,20 @@ def test_check_code_passes_a_code_outside_the_selftest_sweep():
     assert check_code(p, random.Random(20)) is None
     wrong = dataclasses.replace(p, B=p.B + 1)
     assert check_code(wrong, random.Random(20)) == "(alpha, beta, B) = (4, 1, 44), want (4, 1, 43)"
+
+
+def test_check_code_names_a_broken_systematic_encode_map(monkeypatch):
+    """One wrong entry in the map that ``mbrr encode --systematic`` runs is
+    named, though the systematic slots and read stay right."""
+    built = mbrr.cli.systematic_encode_map
+
+    def corrupt(p, precoding):
+        cells, matrix = built(p, precoding)
+        matrix = [list(row) for row in matrix]
+        matrix[0][0] ^= 1
+        return cells, matrix
+
+    monkeypatch.setattr(mbrr.cli, "systematic_encode_map", corrupt)
+    p = make_params(12, 7, 3, 3)
+    why = check_code(p, random.Random(28))
+    assert why == "systematic encode map disagrees with encoding the systematic slots"

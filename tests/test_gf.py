@@ -263,3 +263,39 @@ def test_prime_field_for_picks_smallest():
 def test_field_instances_are_shared():
     assert binary_field(8) is binary_field(8)
     assert prime_field(11) is prime_field(11)
+
+
+def test_prime_field_order_must_be_a_plain_int():
+    """``13.0 == 13`` and ``True == 1`` as cache keys, so neither may find a
+    cached field: both are refused before and after GF(13) is cached."""
+    for cached in (False, True):
+        for p in (13.0, True):
+            with pytest.raises(ValueError, match="is not an odd prime"):
+                prime_field(p)
+        if not cached:
+            assert repr(prime_field(13)) == "GF(13)"
+
+
+def smallest_primitive_root(p):
+    """The smallest g of multiplicative order p - 1, by walking its powers."""
+    for g in range(2, p):
+        x, order = g, 1
+        while x != 1:
+            x, order = x * g % p, order + 1
+        if order == p - 1:
+            return g
+
+
+def test_prime_tables_are_powers_of_the_smallest_primitive_root():
+    """For every prime below 2,000, 257 and 65537: exp walks the powers of
+    the smallest primitive root, log inverts it, and the second half of exp
+    repeats the first."""
+    primes = [p for p in range(3, 2000) if all(p % d for d in range(2, int(p**0.5) + 1))]
+    for p in [*primes, 257, 65537]:
+        f = PrimeField(p)  # uncached, so that the tables are freed
+        g = smallest_primitive_root(p)
+        assert f.exp[1] == f.primitive_element() == g, p
+        assert f.exp[: p - 1] == [pow(g, i, p) for i in range(p - 1)], p
+        assert f.exp[p - 1 :] == f.exp[: p - 1], p
+        assert f.log[0] is None, p
+        assert all(f.log[f.exp[i]] == i for i in range(p - 1)), p
