@@ -84,6 +84,7 @@ from .gf import binary_field, tables_consistent
 from .layout import (
     CodeParams,
     NodeId,
+    all_nodes,
     make_params,
     unfill_message_matrix,
 )
@@ -446,6 +447,12 @@ def cmd_params(args) -> int:
 def cmd_encode(args) -> int:
     p = file_params(args.n, args.k, args.u, args.dbar, args.field_m)
     out_dir = _check_out(args.out or args.input + ".shards", True)
+    names = {shard_filename(e, g) for e, g in all_nodes(p)}
+    stale = []
+    with suppress(ValueError):  # a directory without shards holds no stale one
+        stale = [path for path in _shard_paths(out_dir) if os.path.basename(path) not in names]
+    if stale:
+        raise ValueError(f"output directory {out_dir} holds {stale[0]}, a shard this encode does not write")
     with open(args.input, "rb") as fh:
         data = fh.read()
     headers, payloads = encode_file(data, p, systematic=args.systematic)

@@ -12,12 +12,13 @@ Two field kinds cover every supported parameter set:
 
 Both kinds precompute logarithm/antilogarithm tables over the cyclic
 multiplicative group, so multiplication, division and powering are table
-lookups at run time. One routine, ``_cyclic_tables``, builds and proves them
-for both: it walks the powers of a generator from 1 and fails if a power
-repeats or the walk does not close at 1 after q - 1 steps. A prime field
-takes the first g in 2..p-1 whose walk closes, its smallest primitive root. The antilog table is stored twice over so that the sum
-of two logarithms indexes it without a reduction. ``log[0]`` is ``None``;
-any accidental use of the logarithm of zero fails immediately instead of
+lookups at run time. One routine, ``_cyclic_tables``, builds and proves
+them for both: it walks the powers of a generator from 1 and fails if a
+power repeats or the walk does not close at 1 after q - 1 steps. A prime
+field takes the first g in 2..p-1 whose walk closes, its smallest primitive
+root. The antilog table is stored twice over so that the sum of two
+logarithms indexes it without a reduction. ``log[0]`` is ``None``; any
+accidental use of the logarithm of zero fails immediately instead of
 producing a silently wrong value.
 
 Fixed reduction polynomials for GF(2^m), in bitmask form (degree m):

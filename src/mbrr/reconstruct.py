@@ -166,10 +166,10 @@ def oracle_reconstruct(p: CodeParams, cols: Mapping[NodeId, Sequence[int]]) -> M
 
     Every symbol must be a field element (``validate_symbols``), as for
     ``Decoder.reconstruct``. Takes one equation per observed symbol, the
-    generator row of its cell, solves the whole (tall) system by
-    elimination, and verifies every observation against the solution. Slow (0.3 s a stripe at (50,44,5,8)
-    over GF(2^16), with CPython 3.11 on a 2-core Xeon) but independent of
-    every decoding trick the structured path uses.
+    generator row of its cell, solves the whole (tall) system by elimination,
+    and verifies every observation against the solution. Slow (0.3 s a stripe
+    at (50,44,5,8) over GF(2^16), with CPython 3.11 on a 2-core Xeon) but
+    independent of every decoding trick the structured path uses.
     """
     _check_observation(p, cols)
     if len(cols) < p.k:

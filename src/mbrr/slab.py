@@ -61,20 +61,21 @@ every lane sum with ``% p``. Only a map whose sums 8-byte lanes cannot
 hold (no field ``make_params`` picks has one) runs ``linalg.matmul``, the
 reference the kernel is checked against.
 
-A map runs over runs of at most ``_CHUNK`` (16 KiB) of each slab, so its
+``apply`` runs a map once per ``_CHUNK`` (16 KiB) of its slabs, so the
 working set stays in the cache. A run costs a Python step per row, input
 and set bit whatever its length, so ``apply_groups`` lays the row groups
 of one map (the decoder's and the systematic transform's message rows)
-end to end. The kernel does not check its symbols: they enter as file
-bytes, or through ``Cluster.store_stripes``, ``Decoder.reconstruct`` and
-``Repairer.repair``, which refuse anything but field elements.
+end to end in one ``apply``; lanes are independent, so where a run ends
+changes no byte. The kernel does not check its symbols: they enter as
+file bytes, or through ``Cluster.store_stripes``, ``Decoder.reconstruct``
+and ``Repairer.repair``, which refuse anything but field elements.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from itertools import compress
+from itertools import accumulate, compress
 from typing import Sequence
 
 from .linalg import _product_width, matmul
@@ -252,44 +253,33 @@ class SlabKernel:
         return [bytes(w * j) + one + bytes(w * (count - 1 - j)) for j in range(count)]
 
     def apply(self, matrix: Sequence[Sequence[int]], slabs: Sequence[bytes]) -> list:
-        """Output slab r is the sum over j of ``matrix[r][j] * slabs[j]``."""
-        return self.apply_groups(matrix, [slabs])[0]
+        """Output slab r is the sum over j of ``matrix[r][j] * slabs[j]``, one
+        ``_run`` per ``_CHUNK`` bytes; a slab of one run is not copied."""
+        size = self._size(matrix, slabs)
+        if not size:  # no run: the GF(p) branch cannot take 0 bytes
+            return [b"" for _ in matrix]
+        runs = [self._run(matrix, [s[lo : lo + _CHUNK] for s in slabs]) for lo in range(0, size, _CHUNK)]
+        return [b"".join(row) for row in zip(*runs)]
 
     def apply_groups(self, matrix: Sequence[Sequence[int]], groups: Sequence) -> list:
-        """``[self.apply(matrix, g) for g in groups]``, bit for bit: the groups
-        are cut into pieces of at most ``_CHUNK`` bytes and laid end to end,
-        in order, in runs of at most ``_CHUNK`` bytes, one ``_run`` per run.
-        Row r of the runs' outputs, end to end, is row r of every group in
-        order, and is cut back by the groups' lengths. A group alone in its
-        run is passed as it is, uncopied."""
-        sizes, runs, used = [], [], _CHUNK  # the first piece opens a run
-        for slabs in groups:
-            size = _product_width(matrix, slabs)
-            if size % self.width:
-                raise ValueError(f"slabs of {size} bytes are not whole symbols")
-            sizes.append(size)
-            for lo in range(0, size, _CHUNK):
-                n = min(size - lo, _CHUNK)
-                if used + n > _CHUNK:
-                    runs.append([])
-                    used = 0
-                runs[-1].append(slabs if n == size else [s[lo : lo + n] for s in slabs])
-                used += n
-        rows = [[] for _ in matrix]
-        for run in runs:
-            # Input j of the run is slab j of every piece, end to end.
-            inputs = run[0] if len(run) == 1 else [b"".join(piece) for piece in zip(*run)]
-            for row, out in zip(rows, self._run(matrix, inputs, len(inputs[0]))):
-                row.append(out)
-        rows = [b"".join(row) for row in rows]
-        out, at = [], 0
-        for size in sizes:
-            out.append([row[at : at + size] for row in rows])
-            at += size
-        return out
+        """``[self.apply(matrix, g) for g in groups]``, bit for bit, by one
+        ``apply`` of slab j of every group, end to end, as input j, cut back
+        by the groups' sizes. Each group is checked alone, as groups of odd
+        bytes can join into whole symbols; one group is not copied."""
+        at = [0, *accumulate(self._size(matrix, slabs) for slabs in groups)]
+        rows = self.apply(matrix, [b"".join(piece) for piece in zip(*groups)]) if groups else []
+        return [[row[lo:hi] for row in rows] for lo, hi in zip(at, at[1:])]
 
-    def _run(self, matrix, inputs: Sequence[bytes], size: int) -> list:
-        """The output slabs of ``matrix`` over one run of ``size``-byte ``inputs``."""
+    def _size(self, matrix, slabs: Sequence[bytes]) -> int:
+        """The bytes in each of ``slabs``; refused unless ``matrix`` takes them as whole symbols."""
+        size = _product_width(matrix, slabs)
+        if size % self.width:
+            raise ValueError(f"slabs of {size} bytes are not whole symbols")
+        return size
+
+    def _run(self, matrix, inputs: Sequence[bytes]) -> list:
+        """The output slabs of ``matrix`` over one run of equal ``inputs``."""
+        size = len(inputs[0])
         f = self.field
         if f.characteristic == 2:
             ints = [int.from_bytes(x, "big") for x in inputs]

@@ -433,6 +433,34 @@ def test_unwritable_out_is_refused_before_any_work(tmp_path, capsys, monkeypatch
     assert os.listdir(a_dir) == [] and a_file.read_bytes() == b"keep"
 
 
+def test_encode_refuses_a_directory_with_another_encodes_shards(tmp_path, capsys, monkeypatch):
+    """Encoding at (12,7,3,3) into a directory that holds (15,7,3,3) shards
+    would leave ``shard_e4_g*`` behind, which decode then refuses; so it
+    exits 2 naming a stale shard, before the input is read, and every old
+    shard keeps its bytes. The same or a larger n may encode there again."""
+    src = tmp_path / "input.bin"
+    src.write_bytes(random.Random(529).randbytes(3000))
+    wide, narrow = tmp_path / "wide", tmp_path / "narrow"
+    assert run_cli(capsys, "encode", src, 15, 7, 3, 3, "--out", wide)[0] == 0
+    assert run_cli(capsys, "encode", src, 12, 7, 3, 3, "--out", narrow)[0] == 0
+    before = {path.name: path.read_bytes() for path in wide.iterdir()}
+    assert len(before) == 15
+
+    def work(*args, **kwargs):
+        raise AssertionError("the encode read its input before it checked --out")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(mbrr.cli, "encode_file", work)
+        want = f"output directory {wide} holds {wide / 'shard_e4_g0.mbrr'}, a shard this encode does not write"
+        assert run_cli(capsys, "encode", src, 12, 7, 3, 3, "--out", wide) == (2, "", f"error: {want}\n")
+    assert {path.name: path.read_bytes() for path in wide.iterdir()} == before
+    for out in (wide, narrow):
+        assert run_cli(capsys, "encode", src, 15, 7, 3, 3, "--out", out)[0] == 0
+    assert {path.name: path.read_bytes() for path in narrow.iterdir()} == before
+    rc, _, err = run_cli(capsys, "decode", narrow, "--out", tmp_path / "out.bin")
+    assert (rc, err) == (0, "") and (tmp_path / "out.bin").read_bytes() == src.read_bytes()
+
+
 @pytest.mark.parametrize(
     "systematic, lost, want",
     [

@@ -304,10 +304,9 @@ def test_apply_groups_equals_per_group_apply(case, chunk):
 
 def test_apply_groups_lays_pieces_end_to_end():
     """With 4-symbol chunks, groups of 3, 1, 2, 9, 0 and 4 GF(2^16) symbols
-    run as 3+1 | 2 | 4 | 4 | 1 | 4 symbols: a group that does not fit the
-    open run opens the next, and a group longer than a chunk runs as whole
-    chunks and a last piece, which the next group joins only if it fits.
-    Per-group applies would make 7 runs."""
+    (19 symbols, 38 bytes) run end to end as 4 | 4 | 4 | 4 | 3 symbols: a
+    run ends at every chunk, wherever a group ends. Per-group applies
+    would make 7 runs."""
     f = binary_field(16)
     kernel = SlabKernel(f)
     rng = random.Random(640)
@@ -319,17 +318,68 @@ def test_apply_groups_lays_pieces_end_to_end():
         got = kernel.apply_groups(matrix, groups)
         runs = [call.args[0] for call in masks.call_args_list]
         assert got == [kernel.apply(matrix, group) for group in groups]
-    assert runs == [8, 4, 8, 8, 2, 8]
+    assert runs == [8, 8, 8, 8, 6]
     assert got[4] == [b"", b""]
     assert kernel.apply_groups(matrix, []) == []
+
+
+@st.composite
+def _layout_cases(draw):
+    """A field, a map, and groups of random slabs of 0-40 symbols."""
+    field = draw(st.sampled_from([binary_field(8), binary_field(16), prime_field(13), prime_field(257)]))
+    rows, inputs = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    matrix = [[draw(st.integers(0, field.q - 1)) for _ in range(inputs)] for _ in range(rows)]
+    width = SlabKernel(field).width
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    lengths = draw(st.lists(st.integers(0, 40), max_size=5))
+    groups = [[rng.randbytes(width * n) for _ in range(inputs)] for n in lengths]
+    return field, matrix, groups
+
+
+@settings(max_examples=150, deadline=None)
+@given(_layout_cases(), st.integers(1, 12))
+def test_apply_groups_runs_whole_chunks_end_to_end(case, chunk):
+    """Over GF(2^8), GF(2^16), GF(13) and GF(257), groups totalling T bytes
+    run as whole chunks of C bytes and one last piece, wherever the groups
+    end, and give what one ``apply`` per group gives."""
+    field, matrix, groups = case
+    kernel = SlabKernel(field)
+    C = chunk * kernel.width
+    T = sum(len(group[0]) for group in groups)
+    with mock.patch.object(slab, "_CHUNK", C):
+        with mock.patch.object(kernel, "_run", wraps=kernel._run) as runs:
+            got = kernel.apply_groups(matrix, groups)
+        assert got == [kernel.apply(matrix, group) for group in groups]
+    assert [len(call.args[1][0]) for call in runs.call_args_list] == [
+        min(C, T - lo) for lo in range(0, T, C)
+    ]
+
+
+def test_apply_groups_edge_cases():
+    """No groups give no outputs, and zero-length groups and a zero-length
+    GF(p) apply give empty rows, all without a run. Each group is checked
+    alone: two groups of one byte, or of unequal slabs, are refused over
+    GF(2^16) though their slabs joined would be two equal whole symbols."""
+    for field in (binary_field(16), prime_field(13)):
+        kernel = SlabKernel(field)
+        with mock.patch.object(kernel, "_run") as runs:
+            assert kernel.apply_groups([[1, 2]], []) == []
+            assert kernel.apply_groups([[1, 2]], [[b"", b""]] * 3) == [[b""]] * 3
+            assert kernel.apply([[1, 2], [3, 4]], [b"", b""]) == [b"", b""]
+        assert runs.call_count == 0
+    kernel = SlabKernel(binary_field(16))
+    with pytest.raises(ValueError, match="whole symbols"):
+        kernel.apply_groups([[1, 2]], [[b"a", b"b"], [b"c", b"d"]])
+    with pytest.raises(ValueError, match="differ in length"):
+        kernel.apply_groups([[1, 2]], [[b"ab", b"abcd"], [b"abcd", b"ab"]])
 
 
 @pytest.mark.parametrize(
     "geo, m, lanes, runs",
     [
         ((50, 44, 5, 8), 16, 51, [816]),
-        ((50, 44, 5, 8), 16, 1500, [15000, 9000]),
-        ((12, 7, 3, 3), 8, 13108, [13108] * 3),
+        ((50, 44, 5, 8), 16, 1500, [16384, 7616]),
+        ((12, 7, 3, 3), 8, 13108, [13108, 16384, 9832]),
     ],
     ids=["gf16-51", "gf16-1500", "gf8-13108"],
 )
@@ -338,9 +388,9 @@ def test_decode_runs_each_map_once_per_chunk(geo, m, lanes, runs):
     message rows, so the bit-serial loop runs once per 16 KiB of row
     groups, not once per row. At (50,44,5,8) over GF(2^16) the 8 top rows
     (dbar = kbar) of 102-byte slabs fit one run, where per-row applies made
-    8, and 3,000-byte slabs run as 5 + 3 rows. At (12,7,3,3) over GF(2^8)
-    (the stream-gf8 shape), two 13,108-byte slabs do not fit one chunk, so
-    its 1 bottom and 2 top rows still make 3 runs."""
+    8, and 3,000-byte slabs (24,000 bytes) run as 16,384 + 7,616 bytes. At
+    (12,7,3,3) over GF(2^8) (the stream-gf8 shape) the 1 bottom row of
+    13,108 bytes is one run and the 2 top rows (26,216 bytes) make two."""
     p = file_params(*geo, m)
     kernel = p.kernel
     rng = random.Random(lanes)
