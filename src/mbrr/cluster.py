@@ -31,9 +31,7 @@ from typing import Iterable, Sequence
 from .encode import encode_slabs
 from .layout import CodeMatrix, CodeParams, NodeId, all_nodes, node_index, validate_data
 from .repair import BandwidthLedger, RepairModelError, Repairer, helper_racks
-from .systematic import (
-    precoding_matrix, read_nodes, read_slabs, systematic_encode_map, systematic_encode_slabs,
-)
+from .systematic import read_nodes, read_slabs, systematic_encode_slabs
 
 __all__ = [
     "InsufficientSurvivorsError",
@@ -148,7 +146,7 @@ class Cluster:
                 raise ValueError(f"stripe {t}: {exc}") from None
         slabs = [p.kernel.pack(column) for column in zip(*data)] or [b""] * p.B
         if self.systematic:
-            shards = systematic_encode_slabs(p, slabs, systematic_encode_map(p, precoding_matrix(p)))
+            shards = systematic_encode_slabs(p, slabs)
         else:
             shards = encode_slabs(p, slabs)
         self._shards, self._stripes = shards, len(data)

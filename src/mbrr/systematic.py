@@ -49,12 +49,12 @@ the matrix is their lanes. ``systematic_encode`` applies that matrix to
 one stripe.
 
 A systematic code matrix holds the B data symbols verbatim, so only its
-n*alpha - B other cells need arithmetic. ``systematic_encode_map``
+n*alpha - B other cells need arithmetic. ``systematic_encode_map(p)``
 composes the encoding map with the precoding map for just those cells:
 one apply of their generator rows (``encode.encode_rows``) over the
 precoding's kept slot slabs, with no row of the matrix packed again.
-``systematic_encode_slabs`` then encodes many stripes with no per-cell
-work for the data cells and one (n*alpha - B) x B map for the rest.
+``systematic_encode_slabs`` builds that map itself and encodes many
+stripes with no per-cell work for data cells and one map for the rest.
 
 ``systematic_message_matrix`` is the oracle the five steps are checked
 against, and shares none of them: like ``reconstruct.oracle_reconstruct``
@@ -252,40 +252,35 @@ def precoding_matrix(p: CodeParams) -> list:
     return [p.kernel.unpack(slab) for slab in _precoding_slabs(p)]
 
 
-def systematic_encode_map(p: CodeParams, precoding: Sequence[Sequence[int]]) -> tuple:
+def systematic_encode_map(p: CodeParams) -> tuple:
     """(cells, matrix): the systematic encode as one map over the data.
 
-    ``precoding`` is ``precoding_matrix(p)``; any other matrix is refused.
     ``cells`` are the n*alpha - B (row, node) cells of the code matrix that
     hold no data symbol verbatim, node by node in rack-major order: every
     row of the n - k parity nodes and the redundant cells of the kbar - 1
     nodes (e, u-1). Row c of ``matrix`` maps the B data symbols, in
     placement order, to cell c. The map is the encoding map composed with
-    ``precoding``: one apply of the cells' generator rows over the B slot
-    slabs that built ``precoding`` (lane j is the unit data vector e_j),
-    read back one row per cell; no row of ``precoding`` is packed again.
+    the precoding map: one apply of the cells' generator rows over the B
+    slot slabs kept on the params (lane j is the unit data vector e_j),
+    read back one row per cell; no row of ``precoding_matrix`` is packed.
     """
-    built = precoding_matrix(p)
-    if precoding is not built and precoding != built:
-        raise ValueError("the systematic encode map composes precoding_matrix(p) only")
     data = set(systematic_layout(p).data_positions)
     cells = [(i, node) for node in all_nodes(p) for i in range(p.dbar) if (i, node) not in data]
     slabs = p.kernel.apply(encode_rows(p, cells), _precoding_slabs(p))
     return cells, [p.kernel.unpack(slab) for slab in slabs]
 
 
-def systematic_encode_slabs(p: CodeParams, data_slabs: Sequence, encode_map) -> dict:
+def systematic_encode_slabs(p: CodeParams, data_slabs: Sequence) -> dict:
     """Slab form of ``systematic_encode``, for many stripes at once.
 
     ``data_slabs`` are B equal-length slabs (see ``slab``) in placement
-    order; ``encode_map`` is ``systematic_encode_map(p, ...)``. Returns
-    ``{node: [alpha slabs]}`` for every node in rack-major order. A data
-    cell's slab is its data slab itself; the other cells come from one
-    ``p.kernel.apply`` of the map.
+    order. Returns ``{node: [alpha slabs]}`` for every node in rack-major
+    order. A data cell's slab is its data slab itself; the other cells come
+    from one ``p.kernel.apply`` of ``systematic_encode_map(p)``.
     """
     if len(data_slabs) != p.B:
         raise ValueError(f"expected {p.B} data slabs, got {len(data_slabs)}")
-    cells, matrix = encode_map
+    cells, matrix = systematic_encode_map(p)
     grid = dict(zip(systematic_layout(p).data_positions, data_slabs))
     grid.update(zip(cells, p.kernel.apply(matrix, data_slabs)))
     return {node: [grid[(i, node)] for i in range(p.dbar)] for node in all_nodes(p)}

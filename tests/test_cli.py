@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import mbrr.cli
+import mbrr.systematic
 from mbrr.cli import (
     HEADER_SIZE,
     ShardHeader,
@@ -431,6 +432,39 @@ def test_unwritable_out_is_refused_before_any_work(tmp_path, capsys, monkeypatch
         assert run_cli(capsys, *argv) == (2, "", f"error: {want}\n")
     assert sorted(os.listdir(tmp_path)) == ["a_dir", "a_file", "input.bin", "shards"]
     assert os.listdir(a_dir) == [] and a_file.read_bytes() == b"keep"
+
+
+def test_decode_onto_an_input_shard_is_refused(tmp_path, capsys, monkeypatch):
+    """An ``--out`` that is one of the shards the decode reads, given by its
+    path, through its directory or through a symlink, and spelled either
+    way, exits 2 naming that shard before any shard is opened; the shard
+    keeps its bytes."""
+    src = tmp_path / "input.bin"
+    src.write_bytes(random.Random(507).randbytes(3000))
+    shard_dir = tmp_path / "shards"
+    run_cli(capsys, "encode", src, 12, 7, 3, 3, "--out", shard_dir)
+    shard = shard_dir / "shard_e0_g0.mbrr"
+    before = shard.read_bytes()
+
+    def work(*args, **kwargs):
+        raise AssertionError("a shard was opened before --out was checked")
+
+    monkeypatch.setattr(mbrr.cli, "open_shard", work)
+    detour = shard_dir / ".." / "shards" / shard.name
+    link = tmp_path / "link"
+    link.symlink_to(shard)
+    cases = [
+        (shard_dir, shard, shard),
+        (shard_dir, detour, shard),
+        (shard, detour, shard),
+        (detour, shard, detour),
+        (link, shard, link),
+    ]
+    for given, out, named in cases:
+        rc, stdout, err = run_cli(capsys, "decode", given, "--out", out)
+        assert (rc, stdout, err) == (2, "", f"error: output file {out} is the input shard {named}\n")
+    assert shard.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["input.bin", "link", "shards"]
 
 
 def test_encode_refuses_a_directory_with_another_encodes_shards(tmp_path, capsys, monkeypatch):
@@ -1195,15 +1229,15 @@ def test_check_code_passes_a_code_outside_the_selftest_sweep():
 def test_check_code_names_a_broken_systematic_encode_map(monkeypatch):
     """One wrong entry in the map that ``mbrr encode --systematic`` runs is
     named, though the systematic slots and read stay right."""
-    built = mbrr.cli.systematic_encode_map
+    built = mbrr.systematic.systematic_encode_map
 
-    def corrupt(p, precoding):
-        cells, matrix = built(p, precoding)
+    def corrupt(p):
+        cells, matrix = built(p)
         matrix = [list(row) for row in matrix]
         matrix[0][0] ^= 1
         return cells, matrix
 
-    monkeypatch.setattr(mbrr.cli, "systematic_encode_map", corrupt)
+    monkeypatch.setattr(mbrr.systematic, "systematic_encode_map", corrupt)
     p = make_params(12, 7, 3, 3)
     why = check_code(p, random.Random(28))
     assert why == "systematic encode map disagrees with encoding the systematic slots"

@@ -39,10 +39,8 @@ from mbrr.repair import Repairer, rack_point
 from mbrr import slab
 from mbrr.slab import SlabKernel
 from mbrr.systematic import (
-    precoding_matrix,
     read_slabs,
     read_systematic_data,
-    systematic_encode_map,
     systematic_encode_slabs,
     systematic_message_matrix,
     systematic_nodes,
@@ -261,7 +259,7 @@ def test_only_the_plain_encode_map_doubles_inputs():
     assert column == columns[failed] and serial > 0 and doubled == 0
 
     def systematic_round_trip():
-        stored = systematic_encode_slabs(p, data, systematic_encode_map(p, precoding_matrix(p)))
+        stored = systematic_encode_slabs(p, data)
         return read_slabs(p, {node: stored[node] for node in ids}, True)
 
     read, serial, doubled = schedules(systematic_round_trip)

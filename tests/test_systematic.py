@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 import mbrr.repair
 import mbrr.slab
 import mbrr.systematic
-from mbrr.cli import encode_file, main
+from mbrr.cli import check_code, encode_file, main
+from mbrr.cluster import Cluster
 from mbrr.encode import encode, encode_slabs
 from mbrr.gf import binary_field, prime_field
 from mbrr.layout import (
@@ -209,11 +210,10 @@ def test_systematic_encode_slabs_match_two_step_path(case, stripes, seed):
     rng = random.Random(seed)
     data = [random_stripe(p, rng) for _ in range(stripes)]
     P = precoding_matrix(p)
-    encode_map = systematic_encode_map(p, P)
     want = [systematic_encode(p, stripe) for stripe in data]
     kernel = p.kernel
     slabs = [kernel.pack([stripe[j] for stripe in data]) for j in range(p.B)]
-    got = systematic_encode_slabs(p, slabs, encode_map)
+    got = systematic_encode_slabs(p, slabs)
     assert got == encode_slabs(p, kernel.apply(P, slabs))
     for node, column in got.items():
         rows = [kernel.unpack(slab) for slab in column]
@@ -223,14 +223,14 @@ def test_systematic_encode_slabs_match_two_step_path(case, stripes, seed):
 def test_systematic_encode_map_covers_the_non_data_cells():
     for case in SLAB_CASES:
         p = case_params(case)
-        cells, matrix = systematic_encode_map(p, precoding_matrix(p))
+        cells, matrix = systematic_encode_map(p)
         data = set(systematic_layout(p).data_positions)
         assert len(cells) == len(set(cells)) == p.n * p.alpha - p.B
         assert not data & set(cells)
         assert len(matrix) == len(cells) and all(len(row) == p.B for row in matrix)
     p = params("reference")
     with pytest.raises(ValueError, match="expected 20 data slabs"):
-        systematic_encode_slabs(p, [b"\0"] * 19, systematic_encode_map(p, precoding_matrix(p)))
+        systematic_encode_slabs(p, [b"\0"] * 19)
 
 
 def kernel_applies(p, run):
@@ -243,17 +243,19 @@ def kernel_applies(p, run):
 
 
 def test_encode_file_systematic_runs_one_map_over_non_data_cells():
-    """At (50,44,5,8) over GF(2^16) the systematic file encode applies one
-    76 x 324 map with 10,484 nonzero coefficients to the data slabs, where
-    precoding then encoding every row applied 45,654 + 17,600; every data
-    cell's slab is the input slab itself."""
+    """At (50,44,5,8) over GF(2^16) the systematic encode builds its map by
+    one apply of the 76 non-data cells' generator rows (3,344 nonzero
+    coefficients), then applies that 76 x 324 map, with 10,484 nonzero
+    coefficients, to the data slabs, where precoding then encoding every
+    row applied 45,654 + 17,600; every data cell's slab is the input slab
+    itself."""
     p = make_params(50, 44, 5, 8, field=binary_field(16))
-    encode_map = systematic_encode_map(p, precoding_matrix(p))
+    precoding_matrix(p)
     data = random.Random(310).randbytes(2 * p.B * 3)
     slabs = p.kernel.split(data, p.B)
-    columns, applied = kernel_applies(p, lambda: systematic_encode_slabs(p, slabs, encode_map))
-    assert [(rows, products) for rows, products, _ in applied] == [(76, 10484)]
-    assert applied[0][2] is slabs
+    columns, applied = kernel_applies(p, lambda: systematic_encode_slabs(p, slabs))
+    assert [(rows, products) for rows, products, _ in applied] == [(76, 3344), (76, 10484)]
+    assert applied[1][2] is slabs
     for slab, (i, node) in zip(slabs, systematic_layout(p).data_positions):
         assert columns[node][i] is slab
 
@@ -277,11 +279,50 @@ def test_systematic_encode_map_is_one_apply():
     """At (50,44,5,8) over GF(2^16) the map build is one apply of the 76
     non-data cells' generator rows over the 324 precoding rows as slabs."""
     p = make_params(50, 44, 5, 8, field=binary_field(16))
-    P = precoding_matrix(p)
-    (cells, matrix), applied = kernel_applies(p, lambda: systematic_encode_map(p, P))
+    precoding_matrix(p)
+    (cells, matrix), applied = kernel_applies(p, lambda: systematic_encode_map(p))
     shapes = [(rows, len(slabs)) for rows, _, slabs in applied]
     assert shapes == [(p.n * p.alpha - p.B, p.B)] == [(76, 324)]
     assert len(cells) == len(matrix) == 76
+
+
+def test_only_encode_file_calls_precoding_matrix(monkeypatch):
+    """The systematic encode builds its map from the params alone: a
+    systematic ``Cluster.store_data`` and ``check_code`` call
+    ``precoding_matrix`` in no module that binds it, and
+    ``encode_file(..., systematic=True)`` calls it once, before the map."""
+    events = []
+    original = mbrr.systematic.precoding_matrix
+    build_map = mbrr.systematic.systematic_encode_map
+
+    def counted(p):
+        events.append("precoding")
+        return original(p)
+
+    def logged(p):
+        events.append("map")
+        return build_map(p)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "mbrr" or name.startswith("mbrr.")) and hasattr(module, "precoding_matrix"):
+            monkeypatch.setattr(module, "precoding_matrix", counted)
+    monkeypatch.setattr(mbrr.systematic, "systematic_encode_map", logged)
+    rng = random.Random(311)
+
+    p = make_params(12, 7, 3, 3, field=binary_field(8))
+    cluster = Cluster(p, systematic=True)
+    data = [random_stripe(p, rng) for _ in range(4)]
+    cluster.store_data(data)
+    assert cluster.read_data() == data
+    assert events == ["map"]
+
+    events.clear()
+    assert check_code(make_params(12, 7, 3, 3, field=binary_field(8)), rng) is None
+    assert events == ["map"]
+
+    events.clear()
+    encode_file(rng.randbytes(300), make_params(12, 7, 3, 3, field=binary_field(8)), systematic=True)
+    assert events == ["precoding", "map"]
 
 
 def test_precoding_build_runs_each_grouped_map_once_per_chunk():
@@ -308,29 +349,12 @@ def test_precoding_and_encode_map_build_pack_no_rows():
         mock.patch.object(mbrr.slab.SlabKernel, "pack", autospec=True, side_effect=pack) as packed,
         mock.patch.object(mbrr.systematic, "systematic_slabs", wraps=systematic_slabs) as runs,
     ):
-        encode_map = systematic_encode_map(p, precoding_matrix(p))
-        assert systematic_encode_map(p, precoding_matrix(p)) == encode_map
+        encode_map = systematic_encode_map(p)
+        assert systematic_encode_map(p) == encode_map
     assert (packed.call_count, runs.call_count) == (0, 1)
     assert runs.call_args.args[1] == p.kernel.unit_lanes(p.B)
     digest = ENCODE_MAP_DIGESTS[6]  # the (50,44,5,8) GF(2^16) entry
     assert hashlib.sha256(repr(encode_map).encode()).hexdigest() == digest
-
-
-def test_systematic_encode_map_refuses_another_matrix():
-    """The map composes the params' own precoding map, whose slot slabs it
-    applies: an equal copy is accepted, any other matrix refused."""
-    p = case_params(((12, 7, 3, 3), binary_field(8)))
-    P = precoding_matrix(p)
-    copy = [list(row) for row in P]
-    assert systematic_encode_map(p, copy) == systematic_encode_map(p, P)
-    changed = [list(row) for row in P]
-    changed[3][5] ^= 1
-    identity = [[int(i == j) for j in range(p.B)] for i in range(p.B)]
-    other_field = precoding_matrix(make_params(12, 7, 3, 3, field=binary_field(16)))
-    for bad in (changed, identity, other_field, P[:-1], [row[:-1] for row in P], []):
-        with pytest.raises(ValueError, match=r"precoding_matrix\(p\) only"):
-            systematic_encode_map(p, bad)
-    assert precoding_matrix(p) == copy
 
 
 def test_systematic_slabs_across_a_chunk_border():
@@ -418,7 +442,7 @@ def test_precoding_matrix_matches_pinned_digest(geo, field, digest):
     assert hashlib.sha256(repr(P).encode()).hexdigest() == digest
 
 
-# SHA-256 of repr(systematic_encode_map(p, precoding_matrix(p))) on the
+# SHA-256 of repr(systematic_encode_map(p)) on the
 # PRECODING_DIGESTS geometries, pinned from the build that ran
 # encode_slabs over every row of the nodes holding a non-data cell.
 ENCODE_MAP_DIGESTS = [
@@ -440,7 +464,7 @@ ENCODE_MAP_DIGESTS = [
 )
 def test_systematic_encode_map_matches_pinned_digest(geo, field, digest):
     p = make_params(*geo, field=field)
-    encode_map = systematic_encode_map(p, precoding_matrix(p))
+    encode_map = systematic_encode_map(p)
     assert hashlib.sha256(repr(encode_map).encode()).hexdigest() == digest
 
 
