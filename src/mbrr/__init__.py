@@ -13,7 +13,7 @@ The construction is polynomial: a structured message matrix times a
 Vandermonde-style encoding matrix built on per-node evaluation points.
 See ``layout`` for the geometry, ``encode``/``reconstruct``/``repair`` for
 the three code paths, ``systematic`` for the uncoded-data form, ``cluster``
-for the failure simulator and ``cli`` for the shard-file front end.
+for the failure simulator, ``shardfile`` and ``cli`` for shard files.
 """
 
 from .cluster import Cluster, InsufficientSurvivorsError, OverheadReport, overhead_report

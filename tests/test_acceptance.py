@@ -13,7 +13,8 @@ from fractions import Fraction
 from itertools import combinations
 from time import perf_counter
 
-from mbrr.cli import main, shard_filename
+from mbrr.cli import main
+from mbrr.shardfile import shard_filename
 from mbrr.cluster import overhead_report
 from mbrr.encode import encode
 from mbrr.gf import binary_field

@@ -20,6 +20,8 @@ MODULES = [
     "mbrr.systematic",
     "mbrr.slab",
     "mbrr.cluster",
+    "mbrr.shardfile",
+    "mbrr.check",
     "mbrr.cli",
 ]
 
@@ -126,8 +128,8 @@ def test_generator_rows_are_built_in_one_place():
 
 
 def test_shards_are_listed_and_files_replaced_in_one_place():
-    """Only ``cli._shard_paths`` lists a directory and only
-    ``cli._write_atomic`` renames a file into place, so decode and repair
+    """Only ``shardfile._shard_paths`` lists a directory and only
+    ``shardfile._write_atomic`` renames a file into place, so decode and repair
     find shards by one rule and every file is written by one writer."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "mbrr")
     found = []
@@ -146,17 +148,73 @@ def test_shards_are_listed_and_files_replaced_in_one_place():
                     and getattr(node.func.value, "id", None) == "os"
                     and node.func.attr in ("listdir", "replace")
                 ]
-    assert sorted(found) == ["cli.py _shard_paths os.listdir", "cli.py _write_atomic os.replace"]
+    assert sorted(found) == [
+        "shardfile.py _shard_paths os.listdir",
+        "shardfile.py _write_atomic os.replace",
+    ]
+
+
+def test_shard_format_rules_live_in_the_shard_module():
+    """Only ``shardfile`` builds or unpacks a ``ShardHeader`` and splits or
+    joins slabs of a file or a payload: a node's header comes from
+    ``node_shards`` alone and the payload layout from ``split_payload`` and
+    ``join_payload`` alone. ``cli.py`` does none of these; ``cluster.py``
+    keeps its node shards as slabs in memory."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "mbrr")
+
+    def rule(call):
+        owner = getattr(call.func, "value", None)
+        if getattr(call.func, "id", None) in ("ShardHeader", "replace"):
+            return call.func.id
+        if getattr(call.func, "attr", None) == "unpack" and getattr(owner, "id", None) == "ShardHeader":
+            return "ShardHeader.unpack"
+        if getattr(call.func, "attr", None) in ("split", "join") and "kernel" in (
+            getattr(owner, "id", None),
+            getattr(owner, "attr", None),
+        ):
+            return f"kernel.{call.func.attr}"
+        return None
+
+    found = set()
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                found |= {
+                    f"{name} {func.name} {rule(node)}"
+                    for node in ast.walk(func)
+                    if isinstance(node, ast.Call) and rule(node)
+                }
+    assert not [entry for entry in found if entry.startswith("cli.py")]
+    assert found == {
+        "cluster.py node_shard kernel.join",
+        "cluster.py read_data kernel.join",
+        "cluster.py store_stripes kernel.split",
+        "shardfile.py _decode_admitted kernel.join",  # the B data slabs
+        "shardfile.py encode_file ShardHeader",
+        "shardfile.py encode_file kernel.split",  # the B data slabs
+        "shardfile.py join_payload kernel.join",
+        "shardfile.py node_shards replace",
+        "shardfile.py open_shard ShardHeader.unpack",
+        "shardfile.py split_payload kernel.split",
+    }
 
 
 def test_admission_script_errors_and_node_state_are_written_once():
-    """Only ``cli._admit`` says a header disagrees with the first shard's,
-    so ``mbrr decode``, ``mbrr repair`` and ``decode_shards`` admit shards by
-    one rule; only ``cli.cmd_simulate`` builds a ``script line`` error; and
+    """Only ``shardfile._admit`` says a header disagrees with the first
+    shard's or names a node off its rack grid, so ``mbrr decode``, ``mbrr
+    repair`` and ``decode_shards`` admit shards by one rule; only ``cli.cmd_simulate`` builds a ``script line`` error; and
     ``Cluster`` keeps node state in its shard map alone, so no method of it
     assigns an attribute besides these four."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "mbrr")
-    texts = {"header disagrees with the first shard's": set(), "script line": set()}
+    texts = {
+        "header disagrees with the first shard's": set(),
+        "outside the rack grid of": set(),
+        "script line": set(),
+    }
     assigned = set()
     for name in sorted(os.listdir(src)):
         if not name.endswith(".py"):
@@ -182,7 +240,8 @@ def test_admission_script_errors_and_node_state_are_written_once():
                     and getattr(node.value, "id", None) == "self"
                 }
     assert texts == {
-        "header disagrees with the first shard's": {"cli.py _admit"},
+        "header disagrees with the first shard's": {"shardfile.py _admit"},
+        "outside the rack grid of": {"shardfile.py _admit"},
         "script line": {"cli.py cmd_simulate"},
     }
     assert assigned == {"params", "systematic", "_shards", "_stripes"}
@@ -190,7 +249,7 @@ def test_admission_script_errors_and_node_state_are_written_once():
 
 def test_slab_kernels_are_built_in_one_place():
     """``make_params`` builds the one kernel each params own; only
-    ``cli.file_kernel`` builds another, for the symbol-list shims, which
+    ``shardfile.file_kernel`` builds another, for the symbol-list shims, which
     have no params. No slab entry point takes a kernel, and ``read_slabs``
     takes its nodes from its column map."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "mbrr")
@@ -207,7 +266,7 @@ def test_slab_kernels_are_built_in_one_place():
                     for node in ast.walk(func)
                     if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "SlabKernel"
                 ]
-    assert found == ["cli.py file_kernel", "layout.py make_params"]
+    assert found == ["layout.py make_params", "shardfile.py file_kernel"]
 
     from mbrr.encode import encode_slabs
     from mbrr.reconstruct import Decoder

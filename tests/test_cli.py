@@ -9,17 +9,17 @@ import sys
 import pytest
 
 import mbrr.cli
+import mbrr.shardfile
 import mbrr.systematic
-from mbrr.cli import (
+from mbrr.check import check_code
+from mbrr.cli import _build_parser, main
+from mbrr.shardfile import (
     HEADER_SIZE,
     ShardHeader,
-    _build_parser,
     bytes_to_symbols,
-    check_code,
     decode_shards,
     encode_file,
     file_params,
-    main,
     read_shard,
     shard_filename,
     symbols_to_bytes,
@@ -344,8 +344,8 @@ class _PartialWriter:
 
 
 def _fail_writes(monkeypatch, where):
-    """Make every file write of ``mbrr.cli`` fail in ``writelines`` or in
-    the rename (``os.replace``)."""
+    """Make every file write of ``mbrr.shardfile`` fail in ``writelines`` or
+    in the rename (``os.replace``)."""
     if where == "replace":
 
         def fail(src, dst):
@@ -358,7 +358,7 @@ def _fail_writes(monkeypatch, where):
         fh = open(path, mode, *args, **kwargs)
         return _PartialWriter(fh) if "w" in mode else fh
 
-    monkeypatch.setattr(mbrr.cli, "open", partial_open, raising=False)
+    monkeypatch.setattr(mbrr.shardfile, "open", partial_open, raising=False)
 
 
 @pytest.mark.parametrize("where", ["writelines", "replace"])
@@ -416,9 +416,9 @@ def test_unwritable_out_is_refused_before_any_work(tmp_path, capsys, monkeypatch
 
     for owner, name in (
         (mbrr.cli, "encode_file"),
-        (mbrr.cli, "open_shard"),
+        (mbrr.shardfile, "open_shard"),
         (mbrr.systematic, "read_slabs"),
-        (mbrr.cli, "read_slabs"),
+        (mbrr.shardfile, "read_slabs"),
         (Repairer, "repair_slabs"),
     ):
         monkeypatch.setattr(owner, name, work)
@@ -449,7 +449,7 @@ def test_decode_onto_an_input_shard_is_refused(tmp_path, capsys, monkeypatch):
     def work(*args, **kwargs):
         raise AssertionError("a shard was opened before --out was checked")
 
-    monkeypatch.setattr(mbrr.cli, "open_shard", work)
+    monkeypatch.setattr(mbrr.shardfile, "open_shard", work)
     detour = shard_dir / ".." / "shards" / shard.name
     link = tmp_path / "link"
     link.symlink_to(shard)
@@ -505,8 +505,6 @@ def test_encode_refuses_a_directory_with_another_encodes_shards(tmp_path, capsys
     ],
 )
 def test_cmd_decode_loads_only_payloads_it_reads(tmp_path, capsys, monkeypatch, systematic, lost, want):
-    import mbrr.cli
-
     src = tmp_path / "input.bin"
     src.write_bytes(random.Random(507).randbytes(1500))
     shard_dir = tmp_path / "shards"
@@ -515,7 +513,7 @@ def test_cmd_decode_loads_only_payloads_it_reads(tmp_path, capsys, monkeypatch, 
     if lost is not None:
         (shard_dir / shard_filename(*lost)).unlink()
     opened, read = [], []
-    real = mbrr.cli.open_shard
+    real = mbrr.shardfile.open_shard
 
     class Counting:
         """A shard handle past its header; records the shards whose payload is read."""
@@ -541,7 +539,7 @@ def test_cmd_decode_loads_only_payloads_it_reads(tmp_path, capsys, monkeypatch, 
         header, fh = real(path)
         return header, Counting(path, fh)
 
-    monkeypatch.setattr(mbrr.cli, "open_shard", counting)
+    monkeypatch.setattr(mbrr.shardfile, "open_shard", counting)
     dst = tmp_path / "restored.bin"
     rc, out, _ = run_cli(capsys, "decode", shard_dir, "--out", dst)
     assert rc == 0 and dst.read_bytes() == src.read_bytes()
@@ -555,8 +553,6 @@ def test_cmd_decode_loads_only_payloads_it_reads(tmp_path, capsys, monkeypatch, 
 @pytest.mark.parametrize("failed", [(1, 0), (2, 2)])
 def test_cmd_repair_opens_each_shard_once(tmp_path, capsys, monkeypatch, failed):
     """The probe shard whose header gives the code also serves its payload."""
-    import mbrr.cli
-
     src = tmp_path / "input.bin"
     src.write_bytes(random.Random(508).randbytes(1500))
     shard_dir = tmp_path / "shards"
@@ -564,13 +560,13 @@ def test_cmd_repair_opens_each_shard_once(tmp_path, capsys, monkeypatch, failed)
     want = (shard_dir / shard_filename(*failed)).read_bytes()
     (shard_dir / shard_filename(*failed)).unlink()
     opened = []
-    real = mbrr.cli.open_shard
+    real = mbrr.shardfile.open_shard
 
     def counting(path):
         opened.append(os.path.basename(path))
         return real(path)
 
-    monkeypatch.setattr(mbrr.cli, "open_shard", counting)
+    monkeypatch.setattr(mbrr.shardfile, "open_shard", counting)
     rc, _, _ = run_cli(capsys, "repair", shard_dir, *failed)
     assert rc == 0 and (shard_dir / shard_filename(*failed)).read_bytes() == want
     # dbar = 3 helper racks of u = 3 nodes, and the u - 1 = 2 rack mates.
@@ -595,12 +591,36 @@ def test_cmd_decode_checks_unused_shards(tmp_path, capsys):
     assert rc == 2 and "magic" in err
 
 
+@pytest.mark.parametrize("node", [(9, 2), (0, 7)])
+def test_decode_refuses_a_header_off_its_rack_grid(tmp_path, capsys, node):
+    """A copy of a shard whose header names a node outside its own 4 x 3
+    grid is refused by name, admitted first or last, by ``mbrr decode`` and
+    by ``decode_shards``; it is neither ignored nor left to the decoder."""
+    data = random.Random(531).randbytes(1500)
+    src, shard_dir, dst = tmp_path / "input.bin", tmp_path / "shards", tmp_path / "out.bin"
+    src.write_bytes(data)
+    run_cli(capsys, "encode", src, 12, 7, 3, 3, "--out", shard_dir)
+    blob = (shard_dir / shard_filename(0, 0)).read_bytes()
+    header = dataclasses.replace(ShardHeader.unpack(blob), e=node[0], g=node[1])
+    copy = tmp_path / "copy.mbrr"
+    copy.write_bytes(header.pack() + blob[HEADER_SIZE:])
+    want = f"header names node {node}, outside the rack grid of n=12, u=3"
+    for given in ((copy, shard_dir), (shard_dir, copy)):
+        assert run_cli(capsys, "decode", *given, "--out", dst) == (2, "", f"error: {copy}: {want}\n")
+    assert not dst.exists()
+
+    headers, payloads = encode_file(data, file_params(12, 7, 3, 3))
+    loaded = {NodeId(h.e, h.g): (h, pl) for h, pl in zip(headers, payloads)}
+    off = {NodeId(*node): (header, payloads[0])}
+    for shards in ({**off, **loaded}, {**loaded, **off}):
+        with pytest.raises(ValueError, match=re.escape(f"node {node}: {want}")):
+            decode_shards(shards)
+
+
 @pytest.mark.parametrize("lost", [None, (0, 1)])
 def test_cmd_decode_compares_each_header_once(tmp_path, capsys, monkeypatch, lost):
     """A directory decode compares every shard's header with one other, the
     first shard's, and builds the params once."""
-    import mbrr.cli
-
     src = tmp_path / "input.bin"
     src.write_bytes(random.Random(509).randbytes(1500))
     shard_dir = tmp_path / "shards"
@@ -608,7 +628,7 @@ def test_cmd_decode_compares_each_header_once(tmp_path, capsys, monkeypatch, los
     if lost is not None:
         (shard_dir / shard_filename(*lost)).unlink()
     compared, built = [], []
-    matches, make_params = ShardHeader.matches, mbrr.cli.make_params
+    matches, make_params = ShardHeader.matches, mbrr.shardfile.make_params
 
     def counting_matches(self, other):
         compared.append(((self.e, self.g), (other.e, other.g)))
@@ -619,7 +639,7 @@ def test_cmd_decode_compares_each_header_once(tmp_path, capsys, monkeypatch, los
         return make_params(*args, **kwargs)
 
     monkeypatch.setattr(ShardHeader, "matches", counting_matches)
-    monkeypatch.setattr(mbrr.cli, "make_params", counting_make_params)
+    monkeypatch.setattr(mbrr.shardfile, "make_params", counting_make_params)
     dst = tmp_path / "restored.bin"
     rc, _, _ = run_cli(capsys, "decode", shard_dir, "--out", dst)
     assert rc == 0 and dst.read_bytes() == src.read_bytes()

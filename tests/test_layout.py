@@ -4,7 +4,7 @@ from enum import IntEnum
 
 import pytest
 
-from mbrr.cli import admissible_geometries
+from mbrr.check import admissible_geometries
 from mbrr.cluster import overhead_report
 from mbrr.gf import BinaryField, binary_field, prime_field
 from mbrr.layout import (

@@ -14,12 +14,12 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mbrr.cli import (
+from mbrr.cli import main
+from mbrr.shardfile import (
     bytes_to_symbols,
     decode_shards,
     encode_file,
     file_params,
-    main,
     shard_filename,
     symbols_to_bytes,
 )

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 import mbrr.repair
 import mbrr.slab
 import mbrr.systematic
-from mbrr.cli import check_code, encode_file, main
+from mbrr.check import check_code
+from mbrr.cli import main
 from mbrr.cluster import Cluster
 from mbrr.encode import encode, encode_slabs
 from mbrr.gf import binary_field, prime_field
@@ -24,6 +25,7 @@ from mbrr.layout import (
 from mbrr.linalg import mat_vec, solve_linear
 from mbrr.reconstruct import Decoder, reconstruct
 from mbrr.repair import repair_node
+from mbrr.shardfile import encode_file
 from mbrr.systematic import (
     precoding_matrix,
     read_systematic_data,
