@@ -141,7 +141,7 @@ def cmd_repair(args) -> int:
             raise ValueError(
                 f"shard files in {args.dir} do not hold the nodes their names give"
             )
-        columns = {node: split_payload(p, fh.read()) for node, (_, fh) in found.items()}
+        columns = {node: split_payload(p, fh.read()) for node, (_, fh, _) in found.items()}
     column, _, ledger = rep.repair_slabs(columns)
     (path,) = write_shards(out_dir, *node_shards(p, first, {failed: column}))
     print(f"repaired node ({failed.e}, {failed.g}) -> {path}")

@@ -62,6 +62,7 @@ __all__ = [
     "fill_plan",
     "fill_message_matrix",
     "unfill_message_matrix",
+    "check_square_block",
     "MessageMatrix",
     "validate_symbols",
     "validate_data",
@@ -387,11 +388,25 @@ def unfill_message_matrix(M: MessageMatrix) -> list:
             elif fresh[i][pos]:
                 out[s] = v
             elif v != out[s]:
-                raise IntegrityError(
-                    f"symmetry violation at row {i}, column {pos}, "
-                    f"{_first_difference(p, v, out[s])}"
-                )
+                raise _mirror_error(p, i, pos, v, out[s])
     return out
+
+
+def _mirror_error(p: CodeParams, i: int, pos: int, v, first) -> IntegrityError:
+    """The error for repeated cell (i, pos) of M1, unequal to ``first``, its partner."""
+    return IntegrityError(f"symmetry violation at row {i}, column {pos}, {_first_difference(p, v, first)}")
+
+
+def check_square_block(p: CodeParams, cells) -> None:
+    """Raise what ``unfill_message_matrix`` raises on the first pair i < t
+    < kbar, in fill order (t, then i), where ``cells[i][t]``, row i's cell
+    of degree t*u + u-1, differs from ``cells[t][i]``. A decoded matrix
+    takes its other repeated cells from their partners."""
+    cp = column_positions(p)
+    for t in range(1, p.kbar):
+        for i in range(t):
+            if cells[i][t] != cells[t][i]:
+                raise _mirror_error(p, i, cp[t * p.u + p.u - 1], cells[i][t], cells[t][i])
 
 
 @dataclass

@@ -27,6 +27,15 @@ matrix are then compared (``unfill_message_matrix``); on corrupt input
 they disagree and IntegrityError is raised. ``Decoder.reconstruct`` and
 ``reconstruct`` decode one stripe by running the same maps on one-lane slabs.
 
+``Decoder.rebuild_slabs`` gives m other nodes' columns, not the B slots, by
+the same two applies with kbar + m rows each, where decoding then encoding
+runs k and then m * alpha. With pow_low(x) = [x**j for j < k] and
+pow_high(x) the powers x**(t*u + u-1), kbar <= t < dbar, node z at point x
+has row pow_low(x) L in the bottom map and pow_low(x) [L | -L H] +
+[0 | pow_high(x)] in the top map. The other kbar rows are each map's rows
+of degree t*u + u-1, t < kbar: the moved values, and M1's square block,
+whose mirrored cells the decode compares (``check_square_block``).
+
 ``oracle_reconstruct`` ignores all of that structure: each observed symbol
 is one equation, its cell's generator row (``encode.encode_rows``) in the
 B data unknowns, and ``linalg.solve_linear`` eliminates the whole system.
@@ -47,6 +56,7 @@ from .layout import (
     IntegrityError,
     MessageMatrix,
     NodeId,
+    check_square_block,
     column_positions,
     evaluation_point,
     fill_message_matrix,
@@ -90,8 +100,8 @@ class Decoder:
             node_index(p, node)
         f = p.field
         points = [evaluation_point(p, node) for node in self.ids]
-        high_degrees = [t * p.u + p.u - 1 for t in range(p.kbar, p.dbar)]
-        high_pow = [[f.pow(lam, deg) for deg in high_degrees] for lam in points]
+        self._high_degrees = [t * p.u + p.u - 1 for t in range(p.kbar, p.dbar)]
+        high_pow = [[f.pow(lam, deg) for deg in self._high_degrees] for lam in points]
         self._bottom = BatchInterpolator(f, points).matrix()
         transfer = matmul(f, self._bottom, high_pow)
         self._top = [
@@ -102,7 +112,7 @@ class Decoder:
         self._low = [(pos, deg) for pos, deg in enumerate(self._j) if deg < p.k]
         # Column position of degree i*u + u-1 for each top row i < kbar.
         self._mirror_pos = [cp[i * p.u + p.u - 1] for i in range(p.kbar)]
-        self._high_pos = [cp[deg] for deg in high_degrees]
+        self._high_pos = [cp[deg] for deg in self._high_degrees]
 
     def reconstruct(self, cols: Mapping[NodeId, Sequence[int]]) -> MessageMatrix:
         """Recover the message matrix from ``{node: column}`` for this decoder's nodes.
@@ -129,17 +139,7 @@ class Decoder:
         IntegrityError if any stripe is inconsistent.
         """
         p = self.p
-        ordered = []
-        for node in self.ids:
-            col = columns.get(node)
-            if col is None:
-                raise ValueError(f"no slabs for decoder node {node!r}")
-            if len(col) != p.alpha:
-                raise ValueError(
-                    f"node {node!r} has {len(col)} slabs, expected alpha={p.alpha}"
-                )
-            ordered.append(col)
-
+        ordered = self._ordered(columns)
         rows = [[0] * len(self._j) for _ in range(p.dbar)]
         bottom = range(p.kbar, p.dbar)
         groups = [[col[i] for col in ordered] for i in bottom]
@@ -154,6 +154,42 @@ class Decoder:
             for pos, slab in zip(self._high_pos, highs[i]):
                 rows[i][pos] = slab
         return unfill_message_matrix(MessageMatrix(p, rows))
+
+    def rebuild_slabs(self, columns: Mapping[NodeId, Sequence[bytes]], nodes: Sequence) -> dict:
+        """``{node: [alpha slabs]}`` for ``nodes``, the slabs that
+        ``encode_slabs`` of ``decode_slabs(columns)`` gives them, with the
+        same checks and the same IntegrityError, from kbar + len(nodes) rows
+        of each map (see the module docstring)."""
+        p, f = self.p, self.p.field
+        ordered = self._ordered(columns)
+        square = [t * p.u + p.u - 1 for t in range(p.kbar)]
+        points = [evaluation_point(p, node) for node in nodes]
+        low = [[f.pow(x, deg) for deg in range(p.k)] for x in points]
+        # The first k columns of [L | -L H] are L, so one product serves both maps.
+        composed = matmul(f, low, self._top)
+        bottom_map = [self._bottom[deg] for deg in square] + [row[: p.k] for row in composed]
+        top_map = [self._top[deg] for deg in square] + [
+            row[: p.k] + [f.add(a, f.pow(x, deg)) for a, deg in zip(row[p.k :], self._high_degrees)]
+            for row, x in zip(composed, points)
+        ]
+        groups = [[col[i] for col in ordered] for i in range(p.kbar, p.dbar)]
+        bottom = p.kernel.apply_groups(bottom_map, groups)
+        groups = [[col[i] for col in ordered] + [row[i] for row in bottom] for i in range(p.kbar)]
+        top = p.kernel.apply_groups(top_map, groups)
+        check_square_block(p, top)
+        return {node: [row[p.kbar + z] for row in top + bottom] for z, node in enumerate(nodes)}
+
+    def _ordered(self, columns: Mapping[NodeId, Sequence[bytes]]) -> list:
+        """The alpha slabs of this decoder's nodes, in id order, from ``columns``."""
+        ordered = []
+        for node in self.ids:
+            col = columns.get(node)
+            if col is None:
+                raise ValueError(f"no slabs for decoder node {node!r}")
+            if len(col) != self.p.alpha:
+                raise ValueError(f"node {node!r} has {len(col)} slabs, expected alpha={self.p.alpha}")
+            ordered.append(col)
+        return ordered
 
 
 def reconstruct(p: CodeParams, cols: Mapping[NodeId, Sequence[int]]) -> MessageMatrix:

@@ -279,10 +279,11 @@ def _params_from_header(h: ShardHeader) -> CodeParams:
 
 
 def _admit(found: dict, header: ShardHeader, body, where: str) -> None:
-    """Add (header, body), where body is the shard's payload or an open
-    handle on it, to the shard set ``found`` under the header's node, if
-    the header matches the first shard's and names a node on its own rack
-    grid that no other shard holds; ``where`` names the shard in the error."""
+    """Add (header, body, where), where body is the shard's payload or an
+    open handle on it, to the shard set ``found`` under the header's node,
+    if the header matches the first shard's and names a node on its own
+    rack grid that no other shard holds; ``where`` names the shard in the
+    error, and a duplicate's error also names the shard admitted first."""
     node = NodeId(header.e, header.g)
     if found and not header.matches(next(iter(found.values()))[0]):
         raise ValueError(f"{where}: header disagrees with the first shard's")
@@ -293,12 +294,13 @@ def _admit(found: dict, header: ShardHeader, body, where: str) -> None:
             f"of n={header.n}, u={header.u}"
         )
     if node in found:
-        raise ValueError(f"duplicate shard for node {tuple(node)}")
-    found[node] = (header, body)
+        first = found[node][2]
+        raise ValueError(f"{where}: duplicate shard for node {tuple(node)}, first given as {first}")
+    found[node] = (header, body, where)
 
 
 def _open_shards(paths: Iterable[str], stack: ExitStack, found: dict | None = None) -> dict:
-    """{NodeId: (header, handle)} for shard files, each opened once through
+    """{NodeId: (header, handle, path)} for shard files, each opened once through
     ``open_shard``, closed by ``stack`` and admitted (``_admit``) into
     ``found``, which the call extends, when given."""
     found = {} if found is None else found

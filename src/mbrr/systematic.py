@@ -64,7 +64,9 @@ production path runs it.
 ``read_nodes`` and ``read_slabs`` are the one read policy of the file
 commands and the cluster simulator: read the systematic nodes directly
 when a systematic code has them all, else decode the k lowest node ids.
-``read_slabs`` reads the nodes its column map holds.
+``read_slabs`` reads the nodes its column map holds; a systematic code that
+lacks m systematic nodes rebuilds just those, by maps of kbar + m rows
+(``Decoder.rebuild_slabs``).
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Collection, Mapping, Sequence
 
-from .encode import encode, encode_rows, encode_slabs
+from .encode import encode, encode_rows
 from .layout import (
     CodeMatrix,
     CodeParams,
@@ -300,19 +302,17 @@ def read_slabs(p: CodeParams, columns: Mapping, systematic: bool) -> list:
     each of the k nodes the read uses to its alpha slabs; in placement order
     for a systematic code and fill order otherwise.
 
-    The systematic nodes are read directly. Other nodes are decoded, and a
-    systematic code then encodes its systematic nodes that were not read.
+    The systematic nodes are read directly. A plain code decodes the other
+    nodes; a systematic code rebuilds only the m systematic nodes it does not
+    read, decoding no slot (``Decoder.rebuild_slabs``, kbar + m rows per map).
     """
     front = systematic_nodes(p)
     if systematic and sorted(columns) == front:
         return read_systematic_data(p, columns)
     dec = Decoder(p, list(columns))
-    data = dec.decode_slabs(columns)
     if not systematic:
-        return data
-    # A decoded node's column equals its observed one, so only the
-    # systematic nodes outside the decode set are encoded.
+        return dec.decode_slabs(columns)
     front_cols = {node: columns[node] for node in front if node in dec.ids}
-    missing = [node for node in front if node not in dec.ids]
-    front_cols.update(encode_slabs(p, data, missing))
+    missing = [node for node in front if node not in front_cols]
+    front_cols.update(dec.rebuild_slabs(columns, missing))
     return read_systematic_data(p, front_cols)

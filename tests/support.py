@@ -2,10 +2,12 @@
 
 import random
 
-from mbrr import NodeId, all_nodes, encode, fill_message_matrix, make_params
+from mbrr import Decoder, NodeId, all_nodes, encode, fill_message_matrix, make_params
+from mbrr.encode import encode_slabs
 from mbrr.gf import binary_field, prime_field
 from mbrr.repair import rack_lagrange
 from mbrr.slab import SlabKernel
+from mbrr.systematic import read_systematic_data, systematic_nodes
 
 # Geometry of every set: n nodes in racks of u, any k readable, dbar helper
 # racks per repair. "pairs" and "quads" have even u and land in prime fields;
@@ -105,3 +107,16 @@ def reference_join(kernel, slabs):
     for r, slab in enumerate(slabs):
         view[r::count] = memoryview(slab).cast(kernel._format)
     return bytes(out)
+
+
+def reference_systematic_read(p, columns):
+    """The systematic read by composition, the reference for
+    ``Decoder.rebuild_slabs``: decode all B slots from the k nodes that
+    ``columns`` maps to their slabs, then encode the systematic nodes that
+    were not read, and take the data cells of the systematic columns."""
+    dec = Decoder(p, list(columns))
+    data = dec.decode_slabs(columns)
+    front = systematic_nodes(p)
+    front_cols = {node: columns[node] for node in front if node in dec.ids}
+    front_cols.update(encode_slabs(p, data, [node for node in front if node not in dec.ids]))
+    return read_systematic_data(p, front_cols)

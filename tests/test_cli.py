@@ -5,6 +5,7 @@ import random
 import re
 import struct
 import sys
+from collections.abc import Mapping
 
 import pytest
 
@@ -898,6 +899,45 @@ def test_cmd_decode_names_corrupt_stripe_briefly(tmp_path, capsys):
     rc, _, err = run_cli(capsys, "decode", *lowest, "--out", tmp_path / "out.bin")
     assert rc == 2
     assert len(err.encode()) < 200 and "stripe 1666" in err
+
+
+def test_duplicate_shard_is_refused_naming_both(tmp_path, capsys):
+    """A second shard for node (0, 0) is named with the first one: a copy
+    in another directory, the same path given twice, and in
+    ``decode_shards`` a mapping that lists the node twice."""
+    data = random.Random(532).randbytes(1500)
+    src, shard_dir, dst = tmp_path / "input.bin", tmp_path / "shards", tmp_path / "out.bin"
+    src.write_bytes(data)
+    run_cli(capsys, "encode", src, 12, 7, 3, 3, "--out", shard_dir)
+    first = shard_dir / shard_filename(0, 0)
+    copy = tmp_path / "copies" / shard_filename(0, 0)
+    copy.parent.mkdir()
+    copy.write_bytes(first.read_bytes())
+    for given, second in (((shard_dir, copy), copy), ((first, first, shard_dir), first)):
+        want = f"error: {second}: duplicate shard for node (0, 0), first given as {first}\n"
+        assert run_cli(capsys, "decode", *given, "--out", dst) == (2, "", want)
+    assert not dst.exists()
+
+    class Listed(Mapping):
+        """(node, shard) pairs seen as a mapping, duplicates kept."""
+
+        def __init__(self, pairs):
+            self.pairs = pairs
+
+        def __getitem__(self, node):
+            return next(shard for key, shard in self.pairs if key == node)
+
+        def __iter__(self):
+            return (key for key, _ in self.pairs)
+
+        def __len__(self):
+            return len(self.pairs)
+
+    headers, payloads = encode_file(data, file_params(12, 7, 3, 3))
+    pairs = [(NodeId(h.e, h.g), (h, pl)) for h, pl in zip(headers, payloads)]
+    want = "node (0, 0): duplicate shard for node (0, 0), first given as node (0, 0)"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        decode_shards(Listed(pairs + pairs[:1]))
 
 
 def test_cmd_decode_rejects_duplicate_nodes(tmp_path, capsys):

@@ -1,10 +1,12 @@
 """The corruption matrix: one corrupt shard against one file command.
 
 Each cell expects the command either to refuse with exit 2 and a message
-that names the corrupt shard, or to give the right bytes. A cell that gives
-wrong bytes with exit 0 today is a strict xfail whose reason names the
-ROADMAP item that will close it, so the change that closes it must flip the
-mark.
+that names the corrupt shard, or to give the right bytes. The exception is
+a decode from exactly k shards: no shard is left over to tell which one is
+bad, so those cells expect the right bytes or exit 2, not a named shard. A
+cell that gives wrong bytes with exit 0 today is a strict xfail whose
+reason names the ROADMAP item that will close it, so the change that
+closes it must flip the mark.
 """
 
 import random
@@ -12,7 +14,8 @@ import random
 import pytest
 
 from mbrr.cli import main
-from mbrr.shardfile import HEADER_SIZE
+from mbrr.layout import all_nodes
+from mbrr.shardfile import HEADER_SIZE, file_params, shard_filename
 
 SILENT = pytest.mark.xfail(
     raises=AssertionError,
@@ -60,3 +63,32 @@ def test_one_flipped_payload_bit(tmp_path, capsys, victim, command):
         rc, err = run_cli(capsys, "repair", shard_dir, 0, 0)
         right = rc == 0 and lost.read_bytes() == want
     assert right or (rc == 2 and victim in err)
+
+
+# The k lowest nodes but (0, 0) at two geometries, at each read shard in
+# turn. At (12,7,3,3) every flip breaks the one mirrored pair of M1's square
+# block that the degraded read compares; at (15,9,5,2) kbar = 1 leaves no
+# pair to compare, so the read cannot see the flip.
+DEGRADED_CELLS = [
+    *(pytest.param((12, 7, 3, 3), i, id=f"12-7-3-3-read{i}") for i in range(7)),
+    *(pytest.param((15, 9, 5, 2), i, marks=SILENT, id=f"15-9-5-2-read{i}") for i in range(9)),
+]
+
+
+@pytest.mark.parametrize("geometry, victim", DEGRADED_CELLS)
+def test_one_flipped_bit_in_a_degraded_systematic_read(tmp_path, capsys, geometry, victim):
+    """A 3,000-byte file encoded ``--systematic``, decoded from exactly k
+    shards without ``shard_e0_g0``, the first payload bit of read shard
+    ``victim`` flipped: the right bytes or exit 2."""
+    data = random.Random(32).randbytes(3000)
+    src, shard_dir, out = tmp_path / "input.bin", tmp_path / "shards", tmp_path / "out.bin"
+    src.write_bytes(data)
+    assert run_cli(capsys, "encode", src, *geometry, "--systematic", "--out", shard_dir)[0] == 0
+    k = geometry[1]
+    read = [shard_dir / shard_filename(*node) for node in list(all_nodes(file_params(*geometry)))[1 : k + 1]]
+    blob = bytearray(read[victim].read_bytes())
+    blob[HEADER_SIZE] ^= 1
+    read[victim].write_bytes(bytes(blob))
+
+    rc, err = run_cli(capsys, "decode", *read, "--out", out)
+    assert (rc == 0 and out.read_bytes() == data) or (rc == 2 and "error:" in err)

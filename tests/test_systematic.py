@@ -10,12 +10,13 @@ from hypothesis import given, settings, strategies as st
 import mbrr.repair
 import mbrr.slab
 import mbrr.systematic
-from mbrr.check import check_code
+from mbrr.check import admissible_geometries, check_code
 from mbrr.cli import main
 from mbrr.cluster import Cluster
 from mbrr.encode import encode, encode_slabs
 from mbrr.gf import binary_field, prime_field
 from mbrr.layout import (
+    IntegrityError,
     NodeId,
     all_nodes,
     fill_message_matrix,
@@ -28,6 +29,7 @@ from mbrr.repair import repair_node
 from mbrr.shardfile import encode_file
 from mbrr.systematic import (
     precoding_matrix,
+    read_slabs,
     read_systematic_data,
     systematic_encode,
     systematic_encode_map,
@@ -38,7 +40,15 @@ from mbrr.systematic import (
     systematic_slabs,
 )
 
-from support import PARAM_SETS, SLAB_CASES, case_params, coded_columns, params, random_stripe
+from support import (
+    PARAM_SETS,
+    SLAB_CASES,
+    case_params,
+    coded_columns,
+    params,
+    random_stripe,
+    reference_systematic_read,
+)
 
 
 def test_layout_counts():
@@ -286,6 +296,62 @@ def test_systematic_encode_map_is_one_apply():
     shapes = [(rows, len(slabs)) for rows, _, slabs in applied]
     assert shapes == [(p.n * p.alpha - p.B, p.B)] == [(76, 324)]
     assert len(cells) == len(matrix) == 76
+
+
+def test_degraded_read_matches_decode_then_encode():
+    """Over every admissible code with n <= 16, a systematic read from a
+    random k-set without some systematic node, and from the k highest ids,
+    gives the bytes of the decode-then-encode reference; with one symbol of
+    one read shard changed, it gives the reference's bytes or raises its
+    IntegrityError, message and all."""
+    rng = random.Random(32)
+    lanes, outcomes = 3, {"bytes": 0, "raised": 0}
+
+    def outcome(read):
+        try:
+            got = read()
+        except IntegrityError as exc:
+            outcomes["raised"] += 1
+            return f"IntegrityError: {exc}"
+        outcomes["bytes"] += 1
+        return got
+
+    for geometry in admissible_geometries(16):
+        p = make_params(*geometry)
+        q, kernel = p.field.q, p.kernel
+        data = [kernel.pack([rng.randrange(q) for _ in range(lanes)]) for _ in range(p.B)]
+        stored = systematic_encode_slabs(p, data)
+        nodes, front = list(stored), systematic_nodes(p)
+        sample = front
+        while sorted(sample) == front:
+            sample = rng.sample(nodes, p.k)
+        for ids in (sample, nodes[-p.k :]):
+            columns = {node: stored[node] for node in ids}
+            assert read_slabs(p, columns, True) == reference_systematic_read(p, columns) == data
+            node, row, lane = rng.choice(ids), rng.randrange(p.alpha), rng.randrange(lanes)
+            symbols = kernel.unpack(columns[node][row])
+            symbols[lane] = (symbols[lane] + rng.randrange(1, q)) % q
+            bad = {**columns, node: [*columns[node][:row], kernel.pack(symbols), *columns[node][row + 1 :]]}
+            want = outcome(lambda: reference_systematic_read(p, bad))
+            assert outcome(lambda: read_slabs(p, bad, True)) == want, (geometry, node, row)
+    assert min(outcomes.values()) > 0
+
+
+def test_degraded_read_applies_kbar_plus_m_rows():
+    """At (50,44,5,8) over GF(2^16) a systematic read from nodes[1:44] +
+    nodes[-1:] rebuilds node (0, 0) alone, by maps of kbar + 1 = 9 rows
+    (dbar = kbar leaves only the top pass), and builds no generator row:
+    it decodes no slot and runs no encode map."""
+    p = make_params(50, 44, 5, 8, field=binary_field(16))
+    rng = random.Random(32)
+    stored = encode_slabs(p, [rng.randbytes(6) for _ in range(p.B)])
+    nodes = list(all_nodes(p))
+    columns = {node: stored[node] for node in nodes[1:44] + nodes[-1:]}
+    refuse = AssertionError("a generator row was built")
+    with mock.patch.object(sys.modules["mbrr.encode"], "encode_rows", side_effect=refuse):
+        got, applied = kernel_applies(p, lambda: read_slabs(p, columns, True))
+    assert [rows for rows, _, _ in applied] == [p.kbar + 1] == [9]
+    assert got == [stored[node][i] for i, node in systematic_layout(p).data_positions]
 
 
 def test_only_encode_file_calls_precoding_matrix(monkeypatch):
