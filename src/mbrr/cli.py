@@ -17,7 +17,7 @@ import random
 import sys
 import time
 from contextlib import ExitStack, suppress
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .check import selftest_suites
 from .cluster import Cluster, InsufficientSurvivorsError, overhead_report
@@ -71,15 +71,27 @@ def cmd_params(args) -> int:
     return 0
 
 
+def _refuse_same_file(path: str, paths: Iterable[str], kind: str, other_kind: str) -> None:
+    """ValueError naming the first of ``paths`` that is the file at ``path``, by
+    samestat (realpath costs as much as a small read); none if a file is missing."""
+    with suppress(FileNotFoundError):
+        found = os.stat(path)
+        for other in paths:
+            if os.path.samestat(os.stat(other), found):
+                raise ValueError(f"{kind} {path} is the {other_kind} {other}")
+
+
 def cmd_encode(args) -> int:
     p = file_params(args.n, args.k, args.u, args.dbar, args.field_m)
-    out_dir = _check_out(args.out or args.input + ".shards", True)
-    names = {shard_filename(e, g) for e, g in all_nodes(p)}
-    stale = []
+    names = [shard_filename(e, g) for e, g in all_nodes(p)]
+    out_dir = _check_out(args.out or args.input + ".shards", True, names)
+    listing = []
     with suppress(ValueError):  # a directory without shards holds no stale one
-        stale = [path for path in _shard_paths(out_dir) if os.path.basename(path) not in names]
+        listing = _shard_paths(out_dir)
+    stale = [path for path in listing if os.path.basename(path) not in names]
     if stale:
         raise ValueError(f"output directory {out_dir} holds {stale[0]}, a shard this encode does not write")
+    _refuse_same_file(args.input, listing, "input file", "output shard")
     with open(args.input, "rb") as fh:
         data = fh.read()
     headers, payloads = encode_file(data, p, systematic=args.systematic)
@@ -93,13 +105,7 @@ def cmd_decode(args) -> int:
     paths = []
     for item in args.shards:
         paths += _shard_paths(item) if os.path.isdir(item) else [item]
-    # Refuse an --out that is a shard it reads (samestat: realpath costs
-    # as much as a small read); a missing file fails to open below.
-    with suppress(FileNotFoundError):
-        out = os.stat(args.out)
-        for path in paths:
-            if os.path.samestat(os.stat(path), out):
-                raise ValueError(f"output file {args.out} is the input shard {path}")
+    _refuse_same_file(args.out, paths, "output file", "input shard")
     # _open_shards compares every shard's header with the first one's and
     # checks its size, so the payloads read from its handles need no check.
     with ExitStack() as stack:
@@ -112,7 +118,7 @@ def cmd_decode(args) -> int:
 
 def cmd_repair(args) -> int:
     failed = NodeId(*_non_negative_ints([args.e, args.g]))
-    out_dir = _check_out(args.out or args.dir, True)
+    out_dir = _check_out(args.out or args.dir, True, [shard_filename(*failed)])
     listing = {os.path.basename(path): path for path in _shard_paths(args.dir)}
 
     def require(node):

@@ -16,9 +16,11 @@ set J = J1 | J2, kept in ascending degree order:
     J1 = { t*u + u-1 : 0 <= t < dbar }          (one degree per helper rack)
     J2 = [0, k-1] \\ J1
 
-The columns indexed by J1 form the square block M1, which is symmetric with
-a zero lower-right (dbar-kbar) x (dbar-kbar) corner. Row i of M, read as
-polynomial coefficients, is the row polynomial evaluated at the node points
+Every degree below k is in J and every other one is t*u + u-1, t >= kbar,
+so matrix columns 0..k-1 hold degrees 0..k-1. The columns indexed by J1
+form the square block M1, which is symmetric with a zero lower-right
+(dbar-kbar) x (dbar-kbar) corner. Row i of M, read as polynomial
+coefficients, is the row polynomial evaluated at the node points
 
     lambda(e, g) = xi**e * eta**g
 

@@ -18,23 +18,25 @@ less than k through them. The decoder needs two maps built from L.
   coefficients below k are [L | -L H] applied to its k observed values
   followed by the moved values.
 
-Both maps are fixed by the node set, so ``Decoder`` builds them once and
-``Decoder.decode_slabs`` runs them on the params' kernel
-(``CodeParams.kernel``) over byte slabs that span every stripe of a file
-or cluster (see ``slab``), each map in one ``apply_groups`` over all its
-message rows: two applies per decode. The repeated cells of the recovered
-matrix are then compared (``unfill_message_matrix``); on corrupt input
-they disagree and IntegrityError is raised. ``Decoder.reconstruct`` and
-``reconstruct`` decode one stripe by running the same maps on one-lane slabs.
+Both maps are fixed by the node set, so ``Decoder`` builds them once. Both
+routes run one two-pass routine on the params' kernel (``CodeParams.kernel``)
+over byte slabs that span every stripe of a file or cluster (see ``slab``):
+a bottom map over rows kbar..dbar-1, then a top map over each row i < kbar
+with its moved values, one ``apply_groups`` a pass. A route picks the rows.
 
-``Decoder.rebuild_slabs`` gives m other nodes' columns, not the B slots, by
-the same two applies with kbar + m rows each, where decoding then encoding
-runs k and then m * alpha. With pow_low(x) = [x**j for j < k] and
-pow_high(x) the powers x**(t*u + u-1), kbar <= t < dbar, node z at point x
-has row pow_low(x) L in the bottom map and pow_low(x) [L | -L H] +
-[0 | pow_high(x)] in the top map. The other kbar rows are each map's rows
-of degree t*u + u-1, t < kbar: the moved values, and M1's square block,
-whose mirrored cells the decode compares (``check_square_block``).
+``Decoder.decode_slabs`` takes L and [L | -L H] whole. As matrix columns
+0..k-1 hold degrees 0..k-1 (``layout``), a top row is its k outputs and
+moved values, a bottom row its k outputs and zeros; ``unfill_message_matrix``
+compares the repeated cells, raising IntegrityError on corrupt input.
+
+``Decoder.rebuild_slabs`` gives m other nodes' columns, not the B slots,
+from kbar + m rows a map, where decoding then encoding runs k and then
+m * alpha. With pow_low(x) = [x**j for j < k] and pow_high(x) the powers
+x**(t*u + u-1), kbar <= t < dbar, node z at point x has row pow_low(x) L
+in the bottom map and pow_low(x) [L | -L H] + [0 | pow_high(x)] in the top
+map. The first kbar rows are the full maps' rows of degree t*u + u-1,
+t < kbar: the moved values and M1's square block, whose mirrored cells the
+decode compares (``check_square_block``).
 
 ``oracle_reconstruct`` ignores all of that structure: each observed symbol
 is one equation, its cell's generator row (``encode.encode_rows``) in the
@@ -42,8 +44,8 @@ B data unknowns, and ``linalg.solve_linear`` eliminates the whole system.
 It exists as an independent check on the structured decoder and must
 agree with it bit for bit.
 
-Both per-stripe decoders take a node-keyed map ``{node: column}``, as
-``CodeMatrix.columns(ids)`` builds it, in any order.
+``Decoder.reconstruct`` (one-lane slabs) and the oracle take a node-keyed
+map ``{node: column}``, as ``CodeMatrix.columns(ids)`` builds it, in any order.
 """
 
 from __future__ import annotations
@@ -57,10 +59,8 @@ from .layout import (
     MessageMatrix,
     NodeId,
     check_square_block,
-    column_positions,
     evaluation_point,
     fill_message_matrix,
-    index_sets,
     node_index,
     unfill_message_matrix,
     validate_symbols,
@@ -101,18 +101,13 @@ class Decoder:
         f = p.field
         points = [evaluation_point(p, node) for node in self.ids]
         self._high_degrees = [t * p.u + p.u - 1 for t in range(p.kbar, p.dbar)]
+        self._square = [t * p.u + p.u - 1 for t in range(p.kbar)]
         high_pow = [[f.pow(lam, deg) for deg in self._high_degrees] for lam in points]
         self._bottom = BatchInterpolator(f, points).matrix()
         transfer = matmul(f, self._bottom, high_pow)
         self._top = [
             lrow + [f.neg(v) for v in trow] for lrow, trow in zip(self._bottom, transfer)
         ]
-        cp = column_positions(p)
-        self._j = index_sets(p)[2]
-        self._low = [(pos, deg) for pos, deg in enumerate(self._j) if deg < p.k]
-        # Column position of degree i*u + u-1 for each top row i < kbar.
-        self._mirror_pos = [cp[i * p.u + p.u - 1] for i in range(p.kbar)]
-        self._high_pos = [cp[deg] for deg in self._high_degrees]
 
     def reconstruct(self, cols: Mapping[NodeId, Sequence[int]]) -> MessageMatrix:
         """Recover the message matrix from ``{node: column}`` for this decoder's nodes.
@@ -134,62 +129,53 @@ class Decoder:
         """The B data slabs, in fill order, from this decoder's nodes' slabs.
 
         ``columns`` maps each of this decoder's nodes to its alpha slabs
-        (see ``slab``); other entries are ignored. The symmetry checks of
-        ``unfill_message_matrix`` compare whole slabs and raise
-        IntegrityError if any stripe is inconsistent.
+        (see ``slab``); other entries are ignored. Both passes run the full
+        maps, moving degree i*u + u-1 of each bottom row to top row i; the
+        symmetry checks of ``unfill_message_matrix`` compare whole slabs and
+        raise IntegrityError if any stripe is inconsistent.
         """
         p = self.p
-        ordered = self._ordered(columns)
-        rows = [[0] * len(self._j) for _ in range(p.dbar)]
-        bottom = range(p.kbar, p.dbar)
-        groups = [[col[i] for col in ordered] for i in bottom]
-        for i, coeffs in zip(bottom, p.kernel.apply_groups(self._bottom, groups)):
-            for pos, deg in self._low:
-                rows[i][pos] = coeffs[deg]
-        highs = [[rows[t][self._mirror_pos[i]] for t in bottom] for i in range(p.kbar)]
-        groups = [[col[i] for col in ordered] + high for i, high in enumerate(highs)]
-        for i, coeffs in enumerate(p.kernel.apply_groups(self._top, groups)):
-            for pos, deg in self._low:
-                rows[i][pos] = coeffs[deg]
-            for pos, slab in zip(self._high_pos, highs[i]):
-                rows[i][pos] = slab
+        bottom, top = self._two_passes(columns, self._bottom, self._top, self._square)
+        rows = [coeffs + [row[deg] for row in bottom] for coeffs, deg in zip(top, self._square)]
+        rows += [coeffs + [0] * (p.dbar - p.kbar) for coeffs in bottom]
         return unfill_message_matrix(MessageMatrix(p, rows))
 
     def rebuild_slabs(self, columns: Mapping[NodeId, Sequence[bytes]], nodes: Sequence) -> dict:
         """``{node: [alpha slabs]}`` for ``nodes``, the slabs that
         ``encode_slabs`` of ``decode_slabs(columns)`` gives them, with the
-        same checks and the same IntegrityError, from kbar + len(nodes) rows
-        of each map (see the module docstring)."""
+        same checks and the same IntegrityError, from both passes over maps
+        of kbar + len(nodes) rows, moving rows 0..kbar-1 (module docstring)."""
         p, f = self.p, self.p.field
-        ordered = self._ordered(columns)
-        square = [t * p.u + p.u - 1 for t in range(p.kbar)]
         points = [evaluation_point(p, node) for node in nodes]
         low = [[f.pow(x, deg) for deg in range(p.k)] for x in points]
         # The first k columns of [L | -L H] are L, so one product serves both maps.
         composed = matmul(f, low, self._top)
-        bottom_map = [self._bottom[deg] for deg in square] + [row[: p.k] for row in composed]
-        top_map = [self._top[deg] for deg in square] + [
+        bottom_map = [self._bottom[deg] for deg in self._square] + [row[: p.k] for row in composed]
+        top_map = [self._top[deg] for deg in self._square] + [
             row[: p.k] + [f.add(a, f.pow(x, deg)) for a, deg in zip(row[p.k :], self._high_degrees)]
             for row, x in zip(composed, points)
         ]
-        groups = [[col[i] for col in ordered] for i in range(p.kbar, p.dbar)]
-        bottom = p.kernel.apply_groups(bottom_map, groups)
-        groups = [[col[i] for col in ordered] + [row[i] for row in bottom] for i in range(p.kbar)]
-        top = p.kernel.apply_groups(top_map, groups)
+        bottom, top = self._two_passes(columns, bottom_map, top_map, range(p.kbar))
         check_square_block(p, top)
         return {node: [row[p.kbar + z] for row in top + bottom] for z, node in enumerate(nodes)}
 
-    def _ordered(self, columns: Mapping[NodeId, Sequence[bytes]]) -> list:
-        """The alpha slabs of this decoder's nodes, in id order, from ``columns``."""
+    def _two_passes(self, columns: Mapping, bottom_map, top_map, moved: Sequence[int]) -> tuple:
+        """(bottom, top) slabs: ``bottom_map`` over rows kbar..dbar-1 of this
+        decoder's nodes in ``columns``, then ``top_map`` over each row i < kbar
+        followed by output ``moved[i]`` of every bottom group."""
+        p = self.p
         ordered = []
         for node in self.ids:
             col = columns.get(node)
             if col is None:
                 raise ValueError(f"no slabs for decoder node {node!r}")
-            if len(col) != self.p.alpha:
-                raise ValueError(f"node {node!r} has {len(col)} slabs, expected alpha={self.p.alpha}")
+            if len(col) != p.alpha:
+                raise ValueError(f"node {node!r} has {len(col)} slabs, expected alpha={p.alpha}")
             ordered.append(col)
-        return ordered
+        rows = [[col[i] for col in ordered] for i in range(p.dbar)]
+        bottom = p.kernel.apply_groups(bottom_map, rows[p.kbar :])
+        groups = [rows[i] + [out[j] for out in bottom] for i, j in enumerate(moved)]
+        return bottom, p.kernel.apply_groups(top_map, groups)
 
 
 def reconstruct(p: CodeParams, cols: Mapping[NodeId, Sequence[int]]) -> MessageMatrix:

@@ -146,9 +146,10 @@ def shard_filename(e: int, g: int) -> str:
 
 def _write_atomic(path: str, *chunks: bytes) -> None:
     """Write ``chunks`` to a temp file, then rename it to ``path``, so that
-    ``path`` never holds part of them; the temp file goes if either fails."""
+    ``path`` never holds part of them; the temp file goes if either fails.
+    The temp file is created exclusively: a file already there is kept."""
     tmp = path + ".tmp"
-    fh = open(tmp, "wb")
+    fh = open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb")
     try:
         with fh:
             fh.writelines(chunks)
@@ -350,13 +351,18 @@ def _shard_paths(directory: str) -> list:
     return paths
 
 
-def _check_out(path: str, directory: bool) -> str:
+def _check_out(path: str, directory: bool, names: Sequence[str] = ()) -> str:
     """``path``, unless a command could not write its output there: an
-    existing path of the wrong kind, or a file's missing directory (then
-    ValueError). ``directory`` says whether the command writes a directory."""
-    if os.path.exists(path) and os.path.isdir(path) != directory:
+    existing path of the wrong kind, a file's missing directory, or a file at
+    the temp path (``_write_atomic``) of the output file or of ``names`` in
+    the output directory (then ValueError). ``directory`` says which it is."""
+    exists = os.path.exists(path)
+    if exists and os.path.isdir(path) != directory:
         kind, found = ("directory", "file") if directory else ("file", "directory")
         raise ValueError(f"output {kind} {path} is an existing {found}")
     if not directory and not os.path.isdir(os.path.dirname(path) or "."):
         raise ValueError(f"output file {path}: its directory does not exist")
+    for file in [os.path.join(path, name) for name in names if exists] if directory else [path]:
+        if os.path.lexists(file + ".tmp"):
+            raise ValueError(f"output file {file}: its temp file {file}.tmp already exists")
     return path

@@ -312,7 +312,5 @@ def read_slabs(p: CodeParams, columns: Mapping, systematic: bool) -> list:
     dec = Decoder(p, list(columns))
     if not systematic:
         return dec.decode_slabs(columns)
-    front_cols = {node: columns[node] for node in front if node in dec.ids}
-    missing = [node for node in front if node not in front_cols]
-    front_cols.update(dec.rebuild_slabs(columns, missing))
-    return read_systematic_data(p, front_cols)
+    missing = [node for node in front if node not in columns]
+    return read_systematic_data(p, {**columns, **dec.rebuild_slabs(columns, missing)})

@@ -127,6 +127,25 @@ def test_generator_rows_are_built_in_one_place():
     assert found == []
 
 
+def test_decoder_passes_are_written_once():
+    """In ``reconstruct``, only ``Decoder._two_passes`` applies a map, so
+    ``decode_slabs`` and ``rebuild_slabs`` run the two passes one way."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "mbrr", "reconstruct.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    found = set()
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef):
+            found |= {
+                f"{func.name} {node.func.attr}"
+                for node in ast.walk(func)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("apply", "apply_groups")
+            }
+    assert found == {"_two_passes apply_groups"}
+
+
 def test_shards_are_listed_and_files_replaced_in_one_place():
     """Only ``shardfile._shard_paths`` lists a directory and only
     ``shardfile._write_atomic`` renames a file into place, so decode and repair

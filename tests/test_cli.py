@@ -496,6 +496,100 @@ def test_encode_refuses_a_directory_with_another_encodes_shards(tmp_path, capsys
     assert (rc, err) == (0, "") and (tmp_path / "out.bin").read_bytes() == src.read_bytes()
 
 
+def _refuse_work(monkeypatch):
+    """Make the first step past the output checks of encode (``encode_file``)
+    and of decode (``open_shard``) fail the test."""
+
+    def work(*args, **kwargs):
+        raise AssertionError("the command read its input before it checked --out")
+
+    monkeypatch.setattr(mbrr.cli, "encode_file", work)
+    monkeypatch.setattr(mbrr.shardfile, "open_shard", work)
+
+
+def test_decode_refuses_a_temp_path_that_is_an_input_shard(tmp_path, capsys, monkeypatch):
+    """A shard renamed to ``out.bin.tmp`` and decoded ``--out out.bin`` is
+    where the atomic write would put its temp file: decode exits 2 naming
+    it, before it opens any shard, and the shard keeps its bytes. A temp
+    file left by a killed run is refused the same way."""
+    src = tmp_path / "input.bin"
+    src.write_bytes(random.Random(530).randbytes(3000))
+    shard_dir = tmp_path / "shards"
+    run_cli(capsys, "encode", src, 12, 7, 3, 3, "--out", shard_dir)
+    out, tmp = tmp_path / "out.bin", tmp_path / "out.bin.tmp"
+    (shard_dir / "shard_e0_g0.mbrr").rename(tmp)
+    before = tmp.read_bytes()
+    others = sorted(shard_dir.iterdir())[:6]
+    _refuse_work(monkeypatch)
+    want = f"error: output file {out}: its temp file {tmp} already exists\n"
+    assert run_cli(capsys, "decode", tmp, *others, "--out", out) == (2, "", want)
+    assert tmp.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["input.bin", "out.bin.tmp", "shards"]
+
+
+def test_encode_refuses_a_temp_path_that_is_its_input(tmp_path, capsys, monkeypatch):
+    """Encoding ``DIR/shard_e0_g0.mbrr.tmp`` into DIR would write shard (0,0)
+    through that temp path: encode exits 2 naming it, before it reads its
+    input, and the input keeps its bytes."""
+    src = tmp_path / "input.bin"
+    src.write_bytes(random.Random(531).randbytes(3000))
+    shard_dir = tmp_path / "shards"
+    run_cli(capsys, "encode", src, 12, 7, 3, 3, "--out", shard_dir)
+    shard = shard_dir / "shard_e0_g0.mbrr"
+    tmp = shard_dir / "shard_e0_g0.mbrr.tmp"
+    tmp.write_bytes(shard.read_bytes())
+    before = {path.name: path.read_bytes() for path in shard_dir.iterdir()}
+    _refuse_work(monkeypatch)
+    want = f"error: output file {shard}: its temp file {tmp} already exists\n"
+    assert run_cli(capsys, "encode", tmp, 12, 7, 3, 3, "--out", shard_dir) == (2, "", want)
+    assert {path.name: path.read_bytes() for path in shard_dir.iterdir()} == before
+
+
+def test_encode_refuses_its_own_input_shard(tmp_path, capsys, monkeypatch):
+    """Encoding a shard into the directory it is in, by its path, through its
+    directory or through a symlink, would replace it with the shard of the
+    same name: encode exits 2 naming that shard, before it reads its input,
+    and every shard keeps its bytes."""
+    src = tmp_path / "input.bin"
+    src.write_bytes(random.Random(532).randbytes(3000))
+    shard_dir = tmp_path / "shards"
+    run_cli(capsys, "encode", src, 12, 7, 3, 3, "--out", shard_dir)
+    shard = shard_dir / "shard_e1_g2.mbrr"
+    link = tmp_path / "link"
+    link.symlink_to(shard)
+    before = {path.name: path.read_bytes() for path in shard_dir.iterdir()}
+    _refuse_work(monkeypatch)
+    detour = os.path.join(shard_dir, "..", "shards")
+    for given, out in [(shard, shard_dir), (link, shard_dir), (shard, detour)]:
+        want = f"error: input file {given} is the output shard {os.path.join(out, shard.name)}\n"
+        assert run_cli(capsys, "encode", given, 12, 7, 3, 3, "--out", out) == (2, "", want)
+    assert {path.name: path.read_bytes() for path in shard_dir.iterdir()} == before
+
+
+def test_write_payload_keeps_an_existing_temp_file(tmp_path):
+    """The atomic writer creates its temp file exclusively: a file already at
+    ``PATH.tmp`` is refused with its name and kept, and PATH is not made."""
+    path, tmp = tmp_path / "x.mbrr", tmp_path / "x.mbrr.tmp"
+    tmp.write_bytes(b"kept")
+    with pytest.raises(FileExistsError, match=re.escape(str(tmp))):
+        write_payload(str(path), sample_header(payload_length=3), b"abc")
+    assert tmp.read_bytes() == b"kept" and not path.exists()
+
+
+def test_repair_refuses_a_left_over_temp_file(tmp_path, capsys):
+    """A repair whose shard's temp file is already in the output directory,
+    as a killed run leaves it, exits 2 naming it and keeps it."""
+    src = tmp_path / "input.bin"
+    src.write_bytes(random.Random(533).randbytes(3000))
+    shard_dir = tmp_path / "shards"
+    run_cli(capsys, "encode", src, 12, 7, 3, 3, "--out", shard_dir)
+    shard = shard_dir / "shard_e1_g1.mbrr"
+    shard.rename(shard_dir / "shard_e1_g1.mbrr.tmp")
+    want = f"error: output file {shard}: its temp file {shard}.tmp already exists\n"
+    assert run_cli(capsys, "repair", shard_dir, 1, 1) == (2, "", want)
+    assert (shard_dir / "shard_e1_g1.mbrr.tmp").exists() and not shard.exists()
+
+
 @pytest.mark.parametrize(
     "systematic, lost, want",
     [

@@ -4,8 +4,9 @@ from itertools import combinations
 
 import pytest
 
-from mbrr.encode import encode
-from mbrr.layout import IntegrityError, NodeId, all_nodes, fill_message_matrix
+from mbrr.encode import encode, encode_slabs
+from mbrr.gf import binary_field, prime_field
+from mbrr.layout import IntegrityError, NodeId, all_nodes, fill_message_matrix, make_params
 from mbrr.reconstruct import Decoder, oracle_reconstruct, reconstruct
 
 from support import PARAM_SETS, params, random_stripe, encoded
@@ -91,6 +92,39 @@ def test_decoder_refuses_non_field_symbols(name):
             Decoder(p, ids).reconstruct(obs)
         with pytest.raises(ValueError, match="is not an element"):
             oracle_reconstruct(p, obs)
+
+
+@pytest.mark.parametrize(
+    "geo, field",
+    [((12, 7, 3, 3), binary_field(8)), ((12, 8, 2, 4), prime_field(13))],  # dbar > kbar, dbar = kbar
+)
+def test_decoder_routes_refuse_the_same_columns(geo, field):
+    """``decode_slabs`` and ``rebuild_slabs`` refuse a decoder node missing
+    from the column map, and a node with alpha - 1 or alpha + 1 slabs, with
+    one ValueError text; ``rebuild_slabs`` refuses a node off the rack grid
+    with ``node_index``'s."""
+    p = make_params(*geo, field=field)
+    rng = random.Random(33)
+    stored = encode_slabs(p, [p.kernel.pack([rng.randrange(p.field.q) for _ in range(4)]) for _ in range(p.B)])
+    ids = list(all_nodes(p))[1 : p.k] + [NodeId(p.nbar - 1, p.u - 1)]
+    dec = Decoder(p, ids)
+    good = {node: stored[node] for node in ids}
+    assert dec.rebuild_slabs(good, [NodeId(0, 0)]) == {NodeId(0, 0): stored[NodeId(0, 0)]}
+    assert encode_slabs(p, dec.decode_slabs(good)) == stored
+    node = ids[1]
+    cases = [
+        ({n: c for n, c in good.items() if n != ids[0]}, f"no slabs for decoder node {ids[0]!r}"),
+        ({**good, node: good[node][:-1]}, f"node {node!r} has {p.alpha - 1} slabs, expected alpha={p.alpha}"),
+        ({**good, node: good[node] + good[node][:1]}, f"node {node!r} has {p.alpha + 1} slabs, expected alpha={p.alpha}"),
+    ]
+    for columns, want in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            dec.decode_slabs(columns)
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            dec.rebuild_slabs(columns, [NodeId(0, 0)])
+    off_grid = f"node ({p.nbar}, 0) outside the {p.nbar} x {p.u} rack grid"
+    with pytest.raises(ValueError, match=f"^{re.escape(off_grid)}$"):
+        dec.rebuild_slabs(good, [NodeId(p.nbar, 0)])
 
 
 # ---------------------------------------------------------------- oracle
