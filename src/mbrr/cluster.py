@@ -78,12 +78,8 @@ def overhead_report(p: CodeParams) -> OverheadReport:
 
 
 def _same_code(a: CodeParams, b: CodeParams) -> bool:
-    return (
-        (a.n, a.k, a.u, a.dbar, a.field.q)
-        == (b.n, b.k, b.u, b.dbar, b.field.q)
-        and getattr(a.field, "primitive_poly", None)
-        == getattr(b.field, "primitive_poly", None)
-    )
+    # Equal q is the same field: each GF(2^m) has one polynomial (``gf``).
+    return (a.n, a.k, a.u, a.dbar, a.field.q) == (b.n, b.k, b.u, b.dbar, b.field.q)
 
 
 class Cluster:

@@ -11,17 +11,18 @@ Two field kinds cover every supported parameter set:
   by a binary field.
 
 Both kinds precompute logarithm/antilogarithm tables over the cyclic
-multiplicative group, so multiplication, division and powering are table
-lookups at run time. One routine, ``_cyclic_tables``, builds and proves
-them for both: it walks the powers of a generator from 1 and fails if a
-power repeats or the walk does not close at 1 after q - 1 steps. A prime
-field takes the first g in 2..p-1 whose walk closes, its smallest primitive
-root. The antilog table is stored twice over so that the sum of two
-logarithms indexes it without a reduction. ``log[0]`` is ``None``; any
-accidental use of the logarithm of zero fails immediately instead of
-producing a silently wrong value.
+multiplicative group, so multiplication and powering are table lookups at
+run time. One routine, ``_cyclic_tables``, builds and proves them for both:
+it walks the powers of a generator from 1 and fails if a power repeats or
+the walk does not close at 1 after q - 1 steps. A prime field takes the
+first g in 2..p-1 whose walk closes, its smallest primitive root. The
+antilog table is stored twice over so that the sum of two logarithms
+indexes it without a reduction. ``log[0]`` is ``None``; any accidental use
+of the logarithm of zero fails immediately instead of producing a silently
+wrong value.
 
-Fixed reduction polynomials for GF(2^m), in bitmask form (degree m):
+Each GF(2^m) has one reduction polynomial, ``PRIMITIVE_POLYS[m]``, in
+bitmask form (degree m):
 
     m : polynomial        m : polynomial
     1 : 0x3               9 : 0x211
@@ -34,8 +35,8 @@ Fixed reduction polynomials for GF(2^m), in bitmask form (degree m):
     8 : 0x11D            16 : 0x1100B
 
 Each polynomial is primitive: x (value 0x2) generates the full
-multiplicative group. A binary field walks the powers of x and refuses any
-polynomial whose walk fails.
+multiplicative group. A binary field's walk over the powers of x is the
+check on the table: it refuses a polynomial whose walk fails as not primitive.
 
 Fields are immutable after construction and safe to share across threads.
 The ``add``/``sub``/``neg`` attributes are plain callables chosen per field
@@ -46,7 +47,7 @@ keeps inner loops fast. Symbols are validated where they enter the system
 ``cluster.Cluster.store_stripes``, ``reconstruct.Decoder.reconstruct``,
 ``reconstruct.oracle_reconstruct`` and ``repair.Repairer.repair``; shard
 files frame only GF(2^8) and GF(2^16), whose bytes are always symbols); the
-``mul``/``inv``/``div``/``pow`` methods check their own operands. The slab
+``mul``/``inv``/``pow`` methods check their own operands. The slab
 kernel frames a symbol of any field below 2**64 in 1, 2, 4 or 8 bytes.
 """
 
@@ -61,6 +62,7 @@ __all__ = [
     "BinaryField",
     "PrimeField",
     "binary_field",
+    "binary_field_for",
     "prime_field",
     "prime_field_for",
     "tables_consistent",
@@ -118,16 +120,6 @@ class Field:
             raise ZeroDivisionError("zero has no multiplicative inverse")
         return self.exp[self.q - 1 - self.log[a]]
 
-    def div(self, a: int, b: int) -> int:
-        """Quotient a / b with b nonzero."""
-        if not (0 <= a < self.q and 0 <= b < self.q):
-            raise ValueError(f"operands {a!r}, {b!r} outside {self}")
-        if b == 0:
-            raise ZeroDivisionError("division by zero")
-        if a == 0:
-            return 0
-        return self.exp[self.log[a] - self.log[b] + self.q - 1]
-
     def pow(self, a: int, e: int) -> int:
         """Integer power a**e; negative e requires a nonzero base."""
         if not 0 <= a < self.q:
@@ -181,18 +173,16 @@ def _cyclic_tables(q: int, step) -> tuple | None:
 
 
 class BinaryField(Field):
-    """GF(2^m) under a fixed primitive reduction polynomial."""
+    """GF(2^m) under its primitive reduction polynomial ``PRIMITIVE_POLYS[m]``."""
 
     __slots__ = ("m", "primitive_poly", "q", "characteristic", "exp", "log", "add", "sub", "neg")
 
-    def __init__(self, m: int, primitive_poly: int | None = None):
+    def __init__(self, m: int):
         if not isinstance(m, int) or isinstance(m, bool):
             raise ValueError(f"extension degree m={m!r} is not an integer")
         if not 1 <= m <= 16:
             raise ValueError(f"extension degree m={m!r} outside the supported range [1, 16]")
-        poly = PRIMITIVE_POLYS[m] if primitive_poly is None else primitive_poly
-        if poly >> m != 1:
-            raise ValueError(f"reduction polynomial 0x{poly:X} does not have degree {m}")
+        poly = PRIMITIVE_POLYS[m]
         q = 1 << m
         # Multiplying by x shifts left and reduces when the top bit carries.
         tables = _cyclic_tables(q, lambda x: (x << 1) ^ (poly if x >> (m - 1) else 0))
@@ -272,8 +262,15 @@ def _shared(kind, key):
 
 
 def binary_field(m: int) -> BinaryField:
-    """Shared GF(2^m) instance under the canonical reduction polynomial."""
+    """Shared GF(2^m) instance."""
     return _shared(BinaryField, m)
+
+
+def binary_field_for(n: int, u: int, ms) -> BinaryField | None:
+    """The first GF(2^m) with m in ``ms``, more than n elements and u | 2^m - 1,
+    or None; a u below 2 fits every field."""
+    m = next((m for m in ms if 2**m > n and (u < 2 or (2**m - 1) % u == 0)), None)
+    return None if m is None else binary_field(m)
 
 
 def prime_field(p: int) -> PrimeField:

@@ -43,7 +43,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field as dc_field
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from . import gf
 from .gf import Field
@@ -65,6 +65,7 @@ __all__ = [
     "fill_message_matrix",
     "unfill_message_matrix",
     "check_square_block",
+    "check_columns",
     "MessageMatrix",
     "validate_symbols",
     "validate_data",
@@ -116,18 +117,6 @@ class CodeParams:
         )
 
 
-def _auto_field(n: int, u: int) -> Field:
-    # Prefer the smallest binary field; fall back to the smallest prime
-    # field when none fits (always the case for even u, whose order can
-    # never divide the odd group order 2^m - 1).
-    if u % 2 == 1:
-        for m in range(1, 17):
-            q = 1 << m
-            if q > n and (q - 1) % u == 0:
-                return gf.binary_field(m)
-    return gf.prime_field_for(n, u)
-
-
 def _check_field(field: Field, n: int, u: int) -> None:
     if field.q <= n:
         raise ValueError(
@@ -153,8 +142,8 @@ def make_params(
     ``field`` fixes the field, e.g. ``gf.binary_field(8)`` for GF(2^8) or
     ``gf.prime_field(13)``; it must have more than n elements and an element
     of order u. Without it, the smallest such GF(2^m) with m <= 16 is
-    chosen when one exists (never for even u), even where a smaller prime
-    field would fit; otherwise the smallest such prime field.
+    chosen when one exists (``gf.binary_field_for``; never for even u), even
+    where a smaller prime field would fit; else the smallest such prime field.
     """
     for name, v in (("n", n), ("k", k), ("u", u), ("dbar", dbar)):
         if not isinstance(v, int) or isinstance(v, bool):
@@ -176,7 +165,7 @@ def make_params(
             f"dbar={dbar} exceeds the available helper racks nbar-1={nbar - 1}"
         )
     if field is None:
-        field = _auto_field(n, u)
+        field = gf.binary_field_for(n, u, range(1, 17)) or gf.prime_field_for(n, u)
     _check_field(field, n, u)
     B = k * dbar - kbar * (kbar - 1) // 2
     return CodeParams(
@@ -409,6 +398,19 @@ def check_square_block(p: CodeParams, cells) -> None:
         for i in range(t):
             if cells[i][t] != cells[t][i]:
                 raise _mirror_error(p, i, cp[t * p.u + p.u - 1], cells[i][t], cells[t][i])
+
+
+def check_columns(p: CodeParams, columns: Mapping) -> None:
+    """Raise ValueError unless ``columns`` maps each node to alpha slabs (see
+    ``slab``), all of one length: the check of every slab read and repair."""
+    size = None
+    for node, col in columns.items():
+        if len(col) != p.alpha:
+            raise ValueError(f"node {node!r} has {len(col)} slabs, expected alpha={p.alpha}")
+        for slab in col:
+            size = len(slab) if size is None else size
+            if len(slab) != size:
+                raise ValueError(f"node {node!r} has a slab of {len(slab)} bytes, expected {size}")
 
 
 @dataclass

@@ -58,6 +58,7 @@ from .layout import (
     IntegrityError,
     MessageMatrix,
     NodeId,
+    check_columns,
     check_square_block,
     evaluation_point,
     fill_message_matrix,
@@ -164,15 +165,12 @@ class Decoder:
         decoder's nodes in ``columns``, then ``top_map`` over each row i < kbar
         followed by output ``moved[i]`` of every bottom group."""
         p = self.p
-        ordered = []
         for node in self.ids:
-            col = columns.get(node)
-            if col is None:
+            if columns.get(node) is None:
                 raise ValueError(f"no slabs for decoder node {node!r}")
-            if len(col) != p.alpha:
-                raise ValueError(f"node {node!r} has {len(col)} slabs, expected alpha={p.alpha}")
-            ordered.append(col)
-        rows = [[col[i] for col in ordered] for i in range(p.dbar)]
+        ordered = {node: columns[node] for node in self.ids}
+        check_columns(p, ordered)
+        rows = [[col[i] for col in ordered.values()] for i in range(p.dbar)]
         bottom = p.kernel.apply_groups(bottom_map, rows[p.kbar :])
         groups = [rows[i] + [out[j] for out in bottom] for i, j in enumerate(moved)]
         return bottom, p.kernel.apply_groups(top_map, groups)

@@ -60,6 +60,7 @@ from .layout import (
     MessageMatrix,
     NodeId,
     cached_on_params,
+    check_columns,
     column_positions,
     evaluation_point,
     node_index,
@@ -284,11 +285,7 @@ class Repairer:
         """
         p, kernel = self.p, self.p.kernel
         read = {node: self._read(columns, node) for node in self.reads}
-        for node, col in read.items():
-            if len(col) != p.alpha:
-                raise ValueError(
-                    f"node {node!r} has {len(col)} slabs, expected alpha={p.alpha}"
-                )
+        check_columns(p, read)
         sent = {}
         for e in self.helpers:
             slabs = [slab for g in range(p.u) for slab in read[NodeId(e, g)]]

@@ -43,7 +43,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .encode import encode_slabs
-from .gf import binary_field
+from .gf import binary_field, binary_field_for
 from .layout import CodeParams, NodeId, make_params
 from .slab import SlabKernel
 from .systematic import precoding_matrix, read_nodes, read_slabs, systematic_encode_slabs
@@ -186,14 +186,16 @@ def open_shard(path: str) -> tuple:
     """Open one shard file and check its header against the file's size.
 
     Returns (header, binary file handle positioned at the payload); the
-    caller closes the handle.
+    caller closes the handle. A header or size error names ``path``.
     """
     fh = open(path, "rb")
     try:
         header = ShardHeader.unpack(fh.read(HEADER_SIZE))
-        _check_size(os.fstat(fh.fileno()).st_size - HEADER_SIZE, header, f"{path}: ")
-    except BaseException:
+        _check_size(os.fstat(fh.fileno()).st_size - HEADER_SIZE, header)
+    except BaseException as exc:
         fh.close()
+        if isinstance(exc, ValueError):
+            raise ValueError(f"{path}: {exc}") from None
         raise
     return header, fh
 
@@ -219,22 +221,18 @@ def read_shard(path: str) -> tuple:
 def file_params(n: int, k: int, u: int, dbar: int, m: int | None = None) -> CodeParams:
     """Params over a byte-framable field: GF(2^8) or GF(2^16).
 
-    By default m is the first of ``BYTE_FIELD_MS`` whose field meets the
-    paper's rule, q > n and u | q - 1; a rack size u < 2 is left for
-    ``make_params`` to refuse. Geometry errors are ``make_params``'s own.
+    By default the field is ``gf.binary_field_for(n, u, BYTE_FIELD_MS)``,
+    the first that meets the paper's rule, q > n and u | q - 1; a rack size
+    u < 2 is left for ``make_params`` to refuse, as are geometry errors.
     Other fields work in-library but have no shard framing.
     """
-    if m is None:
-        fits = [mm for mm in BYTE_FIELD_MS if 2**mm > n and (u < 2 or (2**mm - 1) % u == 0)]
-        if not fits:
-            raise ValueError(
-                f"no byte-framable field admits n={n}, u={u}: "
-                "u must divide 255 or 65535 and n < q"
-            )
-        m = fits[0]
-    elif m not in BYTE_FIELD_MS:
+    if m is not None and m not in BYTE_FIELD_MS:
         raise ValueError(f"shard files support m in {BYTE_FIELD_MS}, not m={m}")
-    return make_params(n, k, u, dbar, field=binary_field(m))
+    field = binary_field_for(n, u, BYTE_FIELD_MS) if m is None else binary_field(m)
+    if field is None:
+        raise ValueError(f"no byte-framable field admits n={n}, u={u}: "
+                         "u must divide 255 or 65535 and n < q")
+    return make_params(n, k, u, dbar, field=field)
 
 
 def encode_file(data: bytes, p: CodeParams, systematic: bool = False) -> tuple:
@@ -284,10 +282,11 @@ def _admit(found: dict, header: ShardHeader, body, where: str) -> None:
     open handle on it, to the shard set ``found`` under the header's node,
     if the header matches the first shard's and names a node on its own
     rack grid that no other shard holds; ``where`` names the shard in the
-    error, and a duplicate's error also names the shard admitted first."""
+    error, with the shard it collides with for a mismatch or a duplicate."""
     node = NodeId(header.e, header.g)
-    if found and not header.matches(next(iter(found.values()))[0]):
-        raise ValueError(f"{where}: header disagrees with the first shard's")
+    first = next(iter(found.values()), None)
+    if first and not header.matches(first[0]):
+        raise ValueError(f"{where}: header disagrees with the first shard's, {first[2]}")
     # Node (e, g) is column e * u + g of n; no division, as u may be 0.
     if not (header.g < header.u and header.e * header.u + header.g < header.n):
         raise ValueError(

@@ -13,32 +13,31 @@ column-major through the systematic columns, node (0,0) rows 0..dbar-1
 first, then (0,1) and so on, skipping the redundant cells.
 
 ``systematic_slabs`` finds the unique message matrix consistent with such
-a placement in five linear steps, run once over slabs (see ``slab``) that
+a placement in four linear steps, run once over slabs (see ``slab``) that
 span many stripes, each step as the fixed map named in brackets, on the
-params' kernel (``CodeParams.kernel``) like every map here. Steps 1, 2
-and 4 apply each map once over all the rows it serves (``apply_groups``);
-step 3 stays one apply per row, because row r reads S[r][:r]:
+params' kernel (``CodeParams.kernel``) like every map here. Steps 1 and 3
+apply each map once over all the rows it serves (``apply_groups``); step 2
+is one apply per row, because row i reads the rows solved before it:
 
 1. Within racks 0..kbar-1, every row that avoids the redundant cells is
    fully known, so its local polynomial and hence its leading coefficient
    follows by interpolation [the degree-(u-1) row of the rack's Lagrange
    matrix].
 2. The leading coefficients satisfy H = M1 * Phi with Phi the moment matrix
-   of the rack points x_e = xi**(e*u). The bottom dbar-kbar rows of M1 hold
-   the transposed rectangle block next to zeros, so each bottom row of H
-   yields that block row via a kbar-point Vandermonde solve [the Lagrange
-   matrix on the kbar rack points].
-3. The top kbar rows are recovered one at a time: row r of H is known at
-   racks e >= r; moving the already-known terms (symmetric entries from
-   earlier rows plus the rectangle block) to the right leaves a square
-   system in the unknown tail of row r of the symmetric core [its matrix
-   is the Vandermonde matrix on x_r .. x_{kbar-1} with row e scaled by
-   x_e**r, so its inverse is a Lagrange matrix with columns scaled back,
+   of the rack points x_e = xi**(e*u), and one solve gives each row of the
+   symmetric dbar x dbar grid M1, bottom rows kbar..dbar-1 first, then top
+   rows 0..kbar-1. Row i is unknown from column lo, 0 for a bottom row
+   (whose columns from kbar on are the zero corner, so nothing is known)
+   and i for a top row (whose earlier and bottom entries the rows before it
+   gave by symmetry). Row i of H is known at racks e >= lo; moving the known
+   terms to the right leaves a square system in the unknown entries [its
+   matrix is the Vandermonde matrix on x_lo .. x_{kbar-1} with row e scaled
+   by x_e**lo, so its inverse is a Lagrange matrix with columns scaled back,
    composed with the map that forms the right-hand side].
-4. With M1 complete, each redundant cell follows the same local step a
+3. With M1 complete, each redundant cell follows the same local step a
    repair uses: leading coefficient plus u-1 known in-rack values pin the
    local polynomial down [the weights of ``repair.local_finish``].
-5. The completed k columns feed the ordinary any-k decoder
+4. The completed k columns feed the ordinary any-k decoder
    [``Decoder.decode_slabs``].
 
 ``precoding_matrix`` runs ``systematic_slabs`` once on B unit-lane slabs,
@@ -56,7 +55,7 @@ precoding's kept slot slabs, with no row of the matrix packed again.
 ``systematic_encode_slabs`` builds that map itself and encodes many
 stripes with no per-cell work for data cells and one map for the rest.
 
-``systematic_message_matrix`` is the oracle the five steps are checked
+``systematic_message_matrix`` is the oracle the four steps are checked
 against, and shares none of them: like ``reconstruct.oracle_reconstruct``
 it eliminates over the generator rows, here those of the B data cells. No
 production path runs it.
@@ -81,6 +80,7 @@ from .layout import (
     NodeId,
     all_nodes,
     cached_on_params,
+    check_columns,
     fill_message_matrix,
     validate_data,
 )
@@ -173,7 +173,7 @@ def systematic_slabs(p: CodeParams, data_slabs: Sequence) -> list:
     ``data_slabs`` are B equal-length slabs in placement order, slab j
     holding data symbol j of every stripe; returns the B slot slabs in fill
     order. The numbered steps are those of the module docstring, each one
-    fixed map run by ``p.kernel`` over whole slabs. Step 5's M1 symmetry
+    fixed map run by ``p.kernel`` over whole slabs. Step 4's M1 symmetry
     checks compare whole slabs.
     """
     if len(data_slabs) != p.B:
@@ -191,43 +191,35 @@ def systematic_slabs(p: CodeParams, data_slabs: Sequence) -> list:
         groups = [[grid[(i, NodeId(e, g))] for g in range(u)] for i in known]
         lead.update(((i, e), slab) for i, (slab,) in zip(known, kernel.apply_groups(top, groups)))
 
-    # 2. Rectangle block T, from every bottom row of H in one grouped apply.
-    T = [[None] * (dbar - kbar) for _ in range(kbar)]
-    vand = rack_points_lagrange(p, tuple(range(kbar))).matrix()
-    groups = [[lead[(i, e)] for e in range(kbar)] for i in range(kbar, dbar)]
-    for i, block in enumerate(kernel.apply_groups(vand, groups)):
-        for t in range(kbar):
-            T[t][i] = block[t]
-
-    # 3. Square block S, row r from inputs lead[(r, e >= r)], S[r][:r], T[r]:
-    # the right-hand side lead[(r, e)] - (S[r] + T[r]) . phi_e over the known
-    # entries, scaled by x_e**-r, then the Lagrange matrix on x_r .. x_{kbar-1}.
-    S = [[None] * kbar for _ in range(kbar)]
-    for r in range(kbar):
+    # 2. M1 row by row, bottom rows first, row i unknown in columns lo..kbar-1:
+    # lead[(i, e)] less the known terms of M1[i], scaled by x_e**-lo, at racks
+    # e >= lo, then the Lagrange matrix on x_lo .. x_{kbar-1}.
+    M1 = [[None] * dbar for _ in range(dbar)]
+    for i in [*range(kbar, dbar), *range(kbar)]:
+        lo = 0 if i >= kbar else i
+        known = [t for t in range(dbar) if M1[i][t] is not None]
         rhs = []
-        for e in range(r, kbar):
-            inv = f.inv(phis[e][r])
-            rhs.append(
-                [inv if e2 == e else 0 for e2 in range(r, kbar)]
-                + [f.neg(f.mul(inv, v)) for v in phis[e][:r] + phis[e][kbar:]]
-            )
-        solve = matmul(f, rack_points_lagrange(p, tuple(range(r, kbar))).matrix(), rhs)
-        known = [lead[(r, e)] for e in range(r, kbar)] + S[r][:r] + T[r]
-        for t, slab in zip(range(r, kbar), kernel.apply(solve, known)):
-            S[r][t] = S[t][r] = slab
+        for e in range(lo, kbar):
+            inv = f.inv(phis[e][lo])
+            unit = [inv if e2 == e else 0 for e2 in range(lo, kbar)]
+            rhs.append(unit + [f.neg(f.mul(inv, phis[e][t])) for t in known])
+        solve = matmul(f, rack_points_lagrange(p, tuple(range(lo, kbar))).matrix(), rhs)
+        inputs = [lead[(i, e)] for e in range(lo, kbar)] + [M1[i][t] for t in known]
+        for t, slab in zip(range(lo, kbar), kernel.apply(solve, inputs)):
+            M1[i][t] = M1[t][i] = slab
 
-    # 4. Redundant cells (i, (e, u-1)), e < i < kbar: the repair finish of
+    # 3. Redundant cells (i, (e, u-1)), e < i < kbar: the repair finish of
     # node (e, u-1) from its rack mates, with leading vector entry
-    # h_e[i] = M1[i] . phi_e and M1[i] = S[i] + T[i].
+    # h_e[i] = M1[i] . phi_e.
     for e in range(kbar - 1):
         weights, kappa = local_finish(p, NodeId(e, u - 1))
         finish = [[f.mul(kappa, v) for v in phis[e]] + weights]
         rows = range(e + 1, kbar)
-        groups = [S[i] + T[i] + [grid[(i, NodeId(e, g))] for g in range(u - 1)] for i in rows]
+        groups = [M1[i] + [grid[(i, NodeId(e, g))] for g in range(u - 1)] for i in rows]
         for i, (slab,) in zip(rows, kernel.apply_groups(finish, groups)):
             grid[(i, NodeId(e, u - 1))] = slab
 
-    # 5. Any-k decode of the completed systematic columns.
+    # 4. Any-k decode of the completed systematic columns.
     front = systematic_nodes(p)
     columns = {node: [grid[(i, node)] for i in range(dbar)] for node in front}
     return Decoder(p, front).decode_slabs(columns)
@@ -302,12 +294,15 @@ def read_slabs(p: CodeParams, columns: Mapping, systematic: bool) -> list:
     each of the k nodes the read uses to its alpha slabs; in placement order
     for a systematic code and fill order otherwise.
 
-    The systematic nodes are read directly. A plain code decodes the other
-    nodes; a systematic code rebuilds only the m systematic nodes it does not
-    read, decoding no slot (``Decoder.rebuild_slabs``, kbar + m rows per map).
+    The systematic nodes are read directly, once their slabs pass
+    ``layout.check_columns`` as the decoder's do. A plain code decodes the
+    other nodes; a systematic code rebuilds only the m systematic nodes it
+    does not read, decoding no slot (``Decoder.rebuild_slabs``, kbar + m rows
+    per map).
     """
     front = systematic_nodes(p)
     if systematic and sorted(columns) == front:
+        check_columns(p, columns)
         return read_systematic_data(p, columns)
     dec = Decoder(p, list(columns))
     if not systematic:

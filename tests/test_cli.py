@@ -1034,6 +1034,48 @@ def test_duplicate_shard_is_refused_naming_both(tmp_path, capsys):
         decode_shards(Listed(pairs + pairs[:1]))
 
 
+def test_header_errors_name_the_shard(tmp_path, capsys):
+    """A shard whose magic, version, systematic flag or header length is
+    bad is named by its path, before ``ShardHeader.unpack``'s own text, in
+    ``mbrr decode`` and ``mbrr repair``."""
+    src, shard_dir, dst = tmp_path / "input.bin", tmp_path / "shards", tmp_path / "out.bin"
+    src.write_bytes(random.Random(534).randbytes(1500))
+    run_cli(capsys, "encode", src, 12, 7, 3, 3, "--out", shard_dir)
+    shard = shard_dir / shard_filename(0, 0)
+    good = shard.read_bytes()
+    for offset, flip, text in (
+        (3, 0x01, "bad magic b'MBRS'; not a shard file"),
+        (5, 0x01, "unsupported shard format version 0"),
+        (19, 0x02, "systematic flag 2 is neither 0 nor 1"),
+    ):
+        blob = bytearray(good)
+        blob[offset] ^= flip
+        shard.write_bytes(bytes(blob))
+        assert run_cli(capsys, "decode", shard_dir, "--out", dst) == (2, "", f"error: {shard}: {text}\n")
+        assert run_cli(capsys, "repair", shard_dir, 0, 1) == (2, "", f"error: {shard}: {text}\n")
+    shard.write_bytes(good[:20])
+    want = f"error: {shard}: truncated header: 20 < {HEADER_SIZE} bytes\n"
+    assert run_cli(capsys, "decode", shard_dir, "--out", dst) == (2, "", want)
+    assert not dst.exists()
+
+
+def test_a_corrupt_first_shard_is_named_with_the_second(tmp_path, capsys):
+    """A header mismatch names the shard compared and the first shard
+    admitted, as either may be the corrupt one: here the first, whose
+    original length has its low bit flipped."""
+    src, shard_dir, dst = tmp_path / "input.bin", tmp_path / "shards", tmp_path / "out.bin"
+    src.write_bytes(random.Random(535).randbytes(1500))
+    run_cli(capsys, "encode", src, 12, 7, 3, 3, "--out", shard_dir)
+    first = shard_dir / shard_filename(0, 0)
+    blob = bytearray(first.read_bytes())
+    blob[HEADER_SIZE - 1] ^= 0x01
+    first.write_bytes(bytes(blob))
+    second = shard_dir / shard_filename(0, 1)
+    want = f"error: {second}: header disagrees with the first shard's, {first}\n"
+    assert run_cli(capsys, "decode", shard_dir, "--out", dst) == (2, "", want)
+    assert not dst.exists()
+
+
 def test_cmd_decode_rejects_duplicate_nodes(tmp_path, capsys):
     src = tmp_path / "input.bin"
     src.write_bytes(b"duplicate shard test")

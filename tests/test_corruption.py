@@ -9,13 +9,18 @@ reason names the ROADMAP item that will close it, so the change that
 closes it must flip the mark.
 """
 
+import dataclasses
 import random
+import re
+import shutil
+import struct
+from itertools import accumulate
 
 import pytest
 
 from mbrr.cli import main
 from mbrr.layout import all_nodes
-from mbrr.shardfile import HEADER_SIZE, file_params, shard_filename
+from mbrr.shardfile import _HEADER, HEADER_SIZE, ShardHeader, file_params, shard_filename
 
 SILENT = pytest.mark.xfail(
     raises=AssertionError,
@@ -92,3 +97,56 @@ def test_one_flipped_bit_in_a_degraded_systematic_read(tmp_path, capsys, geometr
 
     rc, err = run_cli(capsys, "decode", *read, "--out", out)
     assert (rc == 0 and out.read_bytes() == data) or (rc == 2 and "error:" in err)
+
+
+# Each of _HEADER's 14 fields, in order, to the offset of its last, lowest byte.
+_ENDS = accumulate(struct.calcsize(">" + code) for code in re.findall(r"\d*\D", _HEADER.format[1:]))
+_NAMES = ("magic", "version", *(field.name for field in dataclasses.fields(ShardHeader)))
+LOW_BYTES = {name: end - 1 for name, end in zip(_NAMES, _ENDS, strict=True)}
+# The first shard admitted, whose header every other one is compared with,
+# and one admitted after it.
+HEADER_VICTIMS = ("shard_e0_g0", "shard_e2_g1")
+
+
+@pytest.fixture(scope="module")
+def plain_set(tmp_path_factory):
+    """The shard directory of a 3,000-byte file encoded at (12,7,3,3), once
+    for every header and size cell."""
+    root = tmp_path_factory.mktemp("plain")
+    (root / "input.bin").write_bytes(random.Random(34).randbytes(3000))
+    assert main([str(a) for a in ("encode", root / "input.bin", 12, 7, 3, 3, "--out", root / "shards")]) == 0
+    return root / "shards"
+
+
+def _decode_names(tmp_path, capsys, plain_set, victim, corrupt):
+    """``mbrr decode DIR`` on a copy of the plain set with ``corrupt``
+    applied to the bytes of ``victim``: exit 2, naming its path."""
+    shard_dir, out = tmp_path / "shards", tmp_path / "out.bin"
+    shutil.copytree(plain_set, shard_dir)
+    path = shard_dir / f"{victim}.mbrr"
+    path.write_bytes(corrupt(bytearray(path.read_bytes())))
+    rc, err = run_cli(capsys, "decode", shard_dir, "--out", out)
+    assert rc == 2 and str(path) in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("victim", HEADER_VICTIMS)
+@pytest.mark.parametrize("field", LOW_BYTES)
+def test_one_flipped_header_bit(tmp_path, capsys, plain_set, field, victim):
+    """The low bit of one header field flipped in ``victim``: a bad magic,
+    version or payload length is named by ``open_shard``, any other field by
+    ``_admit``, as a mismatch with the first shard (naming both shards) or
+    as a duplicate node."""
+
+    def flip(blob):
+        blob[LOW_BYTES[field]] ^= 1
+        return bytes(blob)
+
+    _decode_names(tmp_path, capsys, plain_set, victim, flip)
+
+
+@pytest.mark.parametrize("victim", HEADER_VICTIMS)
+@pytest.mark.parametrize("change", [-1, 1], ids=["cut", "extended"])
+def test_one_symbol_cut_or_added(tmp_path, capsys, plain_set, victim, change):
+    """A GF(2^8) shard one symbol short or long of its header's payload length."""
+    _decode_names(tmp_path, capsys, plain_set, victim, lambda blob: bytes(blob[:change] if change < 0 else blob + b"\0"))

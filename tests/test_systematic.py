@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 import sys
 from itertools import combinations
 from unittest import mock
@@ -98,6 +99,34 @@ def test_read_requires_all_systematic_columns():
     del cols[NodeId(0, 0)]
     with pytest.raises(ValueError, match="missing"):
         read_systematic_data(p, cols)
+
+
+@pytest.mark.parametrize(
+    "geo, field",
+    [((12, 7, 3, 3), binary_field(8)), ((12, 8, 2, 4), prime_field(13))],  # dbar > kbar, dbar = kbar
+)
+def test_direct_systematic_read_checks_its_columns(geo, field):
+    """``read_slabs`` given every systematic node reads them directly, and
+    refuses a node with alpha + 1 or alpha - 1 slabs, or a slab of another
+    length, with the ValueError the decode route gives over the same nodes."""
+    p = make_params(*geo, field=field)
+    rng = random.Random(34)
+    width = p.kernel.width
+    data = [p.kernel.pack([rng.randrange(p.field.q) for _ in range(4)]) for _ in range(p.B)]
+    stored = systematic_encode_slabs(p, data)
+    front = {node: stored[node] for node in systematic_nodes(p)}
+    assert read_slabs(p, front, True) == data
+    node = systematic_nodes(p)[1]
+    col = front[node]
+    cases = [
+        (col + col[:1], f"node {node!r} has {p.alpha + 1} slabs, expected alpha={p.alpha}"),
+        (col[:-1], f"node {node!r} has {p.alpha - 1} slabs, expected alpha={p.alpha}"),
+        ([col[0] + col[0][:width], *col[1:]], f"node {node!r} has a slab of {5 * width} bytes, expected {4 * width}"),
+    ]
+    for bad, want in cases:
+        for systematic in (True, False):
+            with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+                read_slabs(p, {**front, node: bad}, systematic)
 
 
 def test_systematic_matrix_is_well_formed():
